@@ -40,6 +40,7 @@ from .chain import (
     EFamily,
     end_of_maximal_ideal,
     build_chain_tree,
+    chain_family,
     normalization_check,
     representation_module,
 )

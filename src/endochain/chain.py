@@ -8,7 +8,7 @@ form (equality as subrings of K).
 """
 
 from .series import BranchVector
-from .errors import AlreadyNormal, ChainDiverged, ClaimViolation, NotLocal
+from .errors import AlreadyNormal, ChainDiverged, ClaimViolation, NotFullRank, NotLocal
 from .curve_ring import build_ring, factor, normalization_lattice
 from .lattice import Ambient, Lattice, direct_sum, hom_lattice
 
@@ -207,7 +207,7 @@ def normalization_check(tree):
         return False
     try:
         produced = Lattice.from_generators(base, amb, gens)
-    except Exception:
+    except NotFullRank:
         return False
     return produced == normalization_lattice(base)
 

@@ -254,7 +254,7 @@ def maximal_ideal(ring):
     field = ring.field
     amb = ring.self_lattice.ambient
     hi = [max(c, 1) for c in ring.conductor]
-    ws, ech = ring.self_lattice.respan([0] * ring.branches, hi)
+    ws, ech = ring.self_lattice.span([0] * ring.branches, hi)
     # combinations of the span with zero constant term on every branch
     const_cols = [ws.index[(coord, 0)] for coord in range(amb.ncoords) if (coord, 0) in ws.index]
     rows = ech.basis()

@@ -3,10 +3,11 @@
 Gamma is kept as its block data Hom(X_i, X_j); right End(M)-modules stand in
 for Gamma-modules throughout (the opposite-ring convention).  Projectives are
 P_i = Hom(M, X_i); a simple sits on top of each P_i.  Syzygies of simples are
-genuine sublattices of direct sums of the P_i, stored as exact window rows
-plus F[[t]]-cones along a per-branch basis of their K-span.  Minimal covers
-use Nakayama over Gamma/rad; the source-block grading of the hom ambient
-makes the type decomposition of tops coordinate-aligned.
+genuine sublattices of direct sums of the P_i: Modules in a ``ProjIndex``
+ambient, with exact window rows plus F[[t]]-cones along a per-branch basis
+of their K-span.  Minimal covers use Nakayama over Gamma/rad; the
+source-block grading of the hom ambient makes the type decomposition of tops
+coordinate-aligned.
 
 The radical of each End(X_i) is computed two ways and cross-checked: the
 trace-form kernel of the finite quotient End(X_i)/z End(X_i) (z a deep
@@ -15,8 +16,8 @@ conductor-monomial scalar), and the "image is proper" surjectivity test.
 
 from dataclasses import dataclass
 
-from .series import LaurentPoly, BranchVector, INF
-from .linalg import Echelon, nullspace_F, poly_nullspace
+from .series import LaurentPoly, BranchVector
+from .linalg import Echelon, nullspace_F
 from .errors import (
     CharacteristicTooSmall,
     ClaimViolation,
@@ -28,14 +29,18 @@ from .lattice import (
     Ambient,
     Lattice,
     LatticeMap,
-    WindowSpace,
+    Module,
     direct_sum,
     hom_ambient,
     hom_coord,
     hom_element_as_map,
     hom_lattice,
     is_surjective_onto,
+    kernel_window_module,
+    nakayama_covers,
+    quotient_dimension,
     raw_span,
+    valuation_floor,
 )
 
 
@@ -126,8 +131,8 @@ def diagonal_radical(alg, i):
 
     lo = [min(2 * lo_min, lo_min)] * amb.ncoords
     cut = list(jlat.hi)
-    ws, ech_j = jlat.respan(lo, cut)
-    _, ech_full = ea.respan(lo, cut)
+    ws, ech_j = jlat.span(lo, cut)
+    _, ech_full = ea.span(lo, cut)
     # quotient space A = EA/J: RREF basis of the J-residues; coordinates of
     # a residue are then its raw entries at the basis pivots
     ey = Echelon(field, ws.ncols())
@@ -186,11 +191,10 @@ def diagonal_radical(alg, i):
     rad = Lattice.from_module_data(
         ring, amb, rad_reps + jlat.genset(), [], lo, list(jlat.hi)
     )
-    if _lattice_quotient_dim(ea, rad) != 1:
+    dim = quotient_dimension(ea, rad)
+    if dim != 1:
         raise NotIndecomposable(
-            "End(X)/rad has F-dimension != 1",
-            label=alg.labels[i],
-            dim=_lattice_quotient_dim(ea, rad),
+            "End(X)/rad has F-dimension != 1", label=alg.labels[i], dim=dim
         )
     x = alg.summands[i]
     for v in ea.basis:
@@ -201,14 +205,6 @@ def diagonal_radical(alg, i):
                 summand=alg.labels[i],
             )
     return rad
-
-
-def _lattice_quotient_dim(big, small):
-    lo = [min(a, b) for a, b in zip(big.lo, small.lo)]
-    cut = [max(a, b) for a, b in zip(big.hi, small.hi)]
-    _, e1 = big.respan(lo, cut)
-    _, e0 = small.respan(lo, cut)
-    return e1.rank() - e0.rank()
 
 
 def build_endo_algebra(ring, summands, labels=None):
@@ -237,10 +233,14 @@ def radical(alg):
 # -- Gamma-lattices ------------------------------------------------------------------
 
 
-class ProjIndex:
-    """Coordinate bookkeeping for the ambient of (+)_a Hom(M, X_{c_a})."""
+class ProjIndex(Ambient):
+    """The ambient of (+)_a Hom(M, X_{c_a}) with its block bookkeeping.
 
-    __slots__ = ("alg", "col_types", "ambient", "rM", "block_off", "_types")
+    A Gamma-lattice is a Module in this ambient; ``plat`` is the lattice
+    (+)_a P_{c_a} itself.
+    """
+
+    __slots__ = ("alg", "col_types", "rM", "block_off", "_types", "plat")
 
     def __init__(self, alg, col_types):
         self.alg = alg
@@ -257,11 +257,11 @@ class ProjIndex:
                 acc += alg.summands[c].ambient.ranks[br] * self.rM[br]
             self.block_off.append(offs)
             ranks.append(acc)
-        self.ambient = Ambient(ranks)
+        super().__init__(ranks)
         types = []
-        for coord in range(self.ambient.ncoords):
-            br = self.ambient.branch_of(coord)
-            rem = coord - self.ambient.offsets[br]
+        for coord in range(self.ncoords):
+            br = self.branch_of(coord)
+            rem = coord - self.offsets[br]
             a = 0
             for idx in range(len(self.col_types)):
                 if rem >= self.block_off[br][idx]:
@@ -274,9 +274,11 @@ class ProjIndex:
                     j = idx
             types.append(j)
         self._types = tuple(types)
+        ds, _ = direct_sum([alg.P[c] for c in self.col_types])
+        self.plat = Lattice(alg.ring, self, ds.lo, ds.hi, ds.basis)
 
-    def coord(self, a, br, k, lM):
-        return self.ambient.coord(br, self.block_off[br][a] + k * self.rM[br] + lM)
+    def block_coord(self, a, br, k, lM):
+        return self.coord(br, self.block_off[br][a] + k * self.rM[br] + lM)
 
     def source_type(self, coord):
         return self._types[coord]
@@ -285,7 +287,7 @@ class ProjIndex:
 def _right_act(alg, pidx, vec, j, l, g):
     """vec * gamma for gamma = g in the Hom(X_j, X_l) block of End(M)."""
     field = alg.ring.field
-    out = [LaurentPoly.zero(field)] * pidx.ambient.ncoords
+    out = [LaurentPoly.zero(field)] * pidx.ncoords
     Aj = alg.summands[j].ambient
     Al = alg.summands[l].ambient
     hjl = hom_ambient(Aj, Al)
@@ -297,87 +299,31 @@ def _right_act(alg, pidx, vec, j, l, g):
                 for k3 in range(Aj.ranks[br]):
                     acc = LaurentPoly.zero(field)
                     for k2 in range(Al.ranks[br]):
-                        phi = vec[pidx.coord(a, br, k, alg.m_off[br][l] + k2)]
+                        phi = vec[pidx.block_coord(a, br, k, alg.m_off[br][l] + k2)]
                         gg = g[hom_coord(hjl, Aj, Al, br, k2, k3)]
                         if phi and gg:
                             acc = acc + phi * gg
                     if acc:
-                        c = pidx.coord(a, br, k, alg.m_off[br][j] + k3)
+                        c = pidx.block_coord(a, br, k, alg.m_off[br][j] + k3)
                         out[c] = out[c] + acc
     return tuple(out)
 
 
-class GammaLattice:
-    """A Gamma-stable sublattice of (+) P_{c_a}.
-
-    Invariant: module = span_F(rows) + sum of F[[t_br]]-cones, with rows
-    exact window-supported elements.  ``skel`` is per-branch (vector, depth)
-    data with the free-coordinate property: every element supported at depth
-    >= max(skel depths) on a branch lies in m * module.
-    """
-
-    __slots__ = ("alg", "pidx", "plat", "rows", "cones", "skel", "lo")
-
-    def __init__(self, alg, pidx, plat, rows, cones, skel, lo):
-        self.alg = alg
-        self.pidx = pidx
-        self.plat = plat
-        self.rows = [r for r in rows if not pidx.ambient.vec_is_zero(r)]
-        self.cones = [(br, v) for br, v in cones if not pidx.ambient.vec_is_zero(v)]
-        self.skel = skel
-        self.lo = tuple(lo)
-
-    def is_zero(self):
-        return not self.rows and not self.cones
-
-    def genset(self):
-        out = list(self.rows)
-        for br, v in self.cones:
-            for m in range(self.alg.mx(br)):
-                out.append(self.pidx.ambient.mono_scale(br, m, v))
-        return out
-
-    def span_echelon(self, lo, cut):
-        amb = self.pidx.ambient
-        field = self.alg.ring.field
-        ws = WindowSpace(field, amb, lo, cut)
-        ech = ws.echelon()
-        for r in self.rows:
-            row = ws.row_of(amb.truncate_vec(r, cut))
-            if row is not None:
-                ech.add(row)
-        for br, v in self.cones:
-            mv = amb.branch_min_val(v, br)
-            if mv is INF:
-                continue
-            top = max((cut[c] for c in amb.coords_of(br)), default=0)
-            for m in range(0, max(0, top - mv)):
-                row = ws.row_of(amb.truncate_vec(amb.mono_scale(br, m, v), cut))
-                if row is not None:
-                    ech.add(row)
-        return ws, ech
-
-
 def projective_gamma(alg, i):
-    """P_i as a full GammaLattice."""
+    """P_i as a Gamma-lattice."""
     pidx = ProjIndex(alg, (i,))
-    plat = alg.P[i]
+    plat = pidx.plat
     field = alg.ring.field
-    cones = list(plat.cone_gens())
     skel = []
-    for c in range(plat.ambient.ncoords):
-        br = plat.ambient.branch_of(c)
-        skel.append(
-            (br, plat.ambient.unit_vec(field, c, 0), plat.hi[c] + alg.mx(br))
-        )
-    return GammaLattice(alg, pidx, plat, list(plat.basis), cones, skel, plat.lo)
+    for c in range(pidx.ncoords):
+        br = pidx.branch_of(c)
+        skel.append((br, pidx.unit_vec(field, c, 0), plat.hi[c] + alg.mx(br)))
+    return Module(alg.ring, pidx, plat.basis, plat.cones, plat.lo, skel)
 
 
 def rad_projective_gamma(alg, i):
     """rad P_i = (+)_{j != i} Hom(X_j, X_i)  (+)  rad End(X_i)."""
     pidx = ProjIndex(alg, (i,))
-    plat = alg.P[i]
-    amb = pidx.ambient
     field = alg.ring.field
     Xi = alg.summands[i].ambient
     rows = []
@@ -389,19 +335,19 @@ def rad_projective_gamma(alg, i):
         hji = hom_ambient(Aj, Xi)
 
         def embed(v):
-            out = [LaurentPoly.zero(field)] * amb.ncoords
+            out = [LaurentPoly.zero(field)] * pidx.ncoords
             for cb in range(hji.ncoords):
                 if v[cb]:
                     br2 = hji.branch_of(cb)
                     rem = cb - hji.offsets[br2]
                     rj = Aj.ranks[br2]
                     k, l = divmod(rem, rj)
-                    out[pidx.coord(0, br2, k, alg.m_off[br2][j] + l)] = v[cb]
+                    out[pidx.block_coord(0, br2, k, alg.m_off[br2][j] + l)] = v[cb]
             return tuple(out)
 
         for v in blk.basis:
             rows.append(embed(v))
-        for br, v in blk.cone_gens():
+        for br, v in blk.cones:
             cones.append((br, embed(v)))
         for cb in range(hji.ncoords):
             br2 = hji.branch_of(cb)
@@ -412,57 +358,45 @@ def rad_projective_gamma(alg, i):
                     blk.hi[cb] + alg.mx(br2),
                 )
             )
-    return GammaLattice(alg, pidx, plat, rows, cones, skel, plat.lo)
+    return Module(alg.ring, pidx, rows, cones, pidx.plat.lo, skel)
 
 
 def _times_rad_gens(q):
     """R-module generators of Q * rad(Gamma)."""
-    alg = q.alg
+    alg = q.ambient.alg
     out = []
     for u in q.genset():
         for j, l, g in alg.rad_gens():
-            out.append(_right_act(alg, q.pidx, u, j, l, g))
+            out.append(_right_act(alg, q.ambient, u, j, l, g))
     return out
+
+
+def _top_cut(q):
+    """The window cut at which Q is compared with Q * rad: past the tails of
+    the ambient P's by mx, and past Q's skeleton and rows."""
+    pidx = q.ambient
+    return q.deep_cut(
+        [pidx.plat.hi[c] + pidx.alg.mx(pidx.branch_of(c)) for c in range(pidx.ncoords)]
+    )
 
 
 def gamma_top(q):
     """Type decomposition of Q/(Q rad): returns list of (type j, lift)."""
-    alg = q.alg
-    amb = q.pidx.ambient
-    ring = alg.ring
-    field = ring.field
-    cut = []
-    for c in range(amb.ncoords):
-        br = amb.branch_of(c)
-        top = q.plat.hi[c] + alg.mx(br)
-        for br2, v, H in q.skel:
-            if br2 == br and any(
-                v[cc] for cc in amb.coords_of(br)
-            ):
-                deg = max(
-                    (v[cc].degree() for cc in amb.coords_of(br) if v[cc]),
-                    default=0,
-                )
-                top = max(top, H + deg + 1)
-        for r in q.rows:
-            if r[c]:
-                top = max(top, r[c].degree() + 1)
-        cut.append(top)
-    lo = list(q.lo)
+    pidx = q.ambient
+    alg = pidx.alg
+    field = alg.ring.field
+    cut = _top_cut(q)
     rgens = _times_rad_gens(q)
-    for g in rgens:
-        for c, a0 in enumerate(g):
-            if a0:
-                lo[c] = min(lo[c], a0.valuation())
-    ws, ech_q = q.span_echelon(lo, cut)
-    _, ech_r = raw_span(ring, amb, rgens, [], lo, cut)
+    lo = valuation_floor(rgens, q.lo)
+    ws, ech_q = q.span(lo, cut)
+    _, ech_r = raw_span(alg.ring, pidx, rgens, [], lo, cut)
     # split by source type: coordinate-aligned projections
     out = []
     for j in range(alg.k):
         cols_j = [
             idx
             for idx, (coord, e) in enumerate(ws.cols)
-            if q.pidx.source_type(coord) == j
+            if pidx.source_type(coord) == j
         ]
         if not cols_j:
             continue
@@ -485,114 +419,45 @@ def gamma_top(q):
 def minimal_cover_syzygy(q, check_surjective=True):
     """One step of the minimal projective resolution of Q.
 
-    Returns (cover column types, syzygy GammaLattice).
+    Returns (cover column types, syzygy Gamma-lattice).
     """
-    alg = q.alg
-    ring = alg.ring
-    field = ring.field
+    qidx = q.ambient
+    alg = qidx.alg
+    field = alg.ring.field
     tops = gamma_top(q)
     if not tops:
         raise ClaimViolation("nonzero Gamma-lattice with zero top")
-    col_types = tuple(j for j, _ in tops)
-    lifts = [v for _, v in tops]
-    pidx = ProjIndex(alg, col_types)
-    plat, _ = direct_sum([alg.P[j] for j in col_types])
+    pidx = ProjIndex(alg, (j for j, _ in tops))
     # cover matrix: summand a' of type j sends phi to q_{a'} . phi;
     # entry C[(a,(k,l))][(a',(k'',l))] = lift_{a'}[a-block, (k, m_off[j]+k'')]
-    nb = ring.branches
+    nb = alg.ring.branches
     mats = []
     for br in range(nb):
-        rows_n = q.pidx.ambient.ranks[br]
-        cols_n = pidx.ambient.ranks[br]
-        m = [[LaurentPoly.zero(field) for _ in range(cols_n)] for _ in range(rows_n)]
+        m = [[LaurentPoly.zero(field) for _ in range(pidx.ranks[br])] for _ in range(qidx.ranks[br])]
         mats.append(m)
     for a2, (j, lift) in enumerate(tops):
         Aj = alg.summands[j].ambient
-        for a in range(len(q.pidx.col_types)):
-            ctype = q.pidx.col_types[a]
+        for a, ctype in enumerate(qidx.col_types):
             Xc = alg.summands[ctype].ambient
             for br in range(nb):
                 for k in range(Xc.ranks[br]):
                     for k2 in range(Aj.ranks[br]):
-                        entry = lift[
-                            q.pidx.coord(a, br, k, alg.m_off[br][j] + k2)
-                        ]
+                        entry = lift[qidx.block_coord(a, br, k, alg.m_off[br][j] + k2)]
                         if not entry:
                             continue
                         for lM in range(pidx.rM[br]):
-                            rr = q.pidx.coord(a, br, k, lM) - q.pidx.ambient.offsets[br]
-                            cc = pidx.coord(a2, br, k2, lM) - pidx.ambient.offsets[br]
+                            rr = qidx.block_coord(a, br, k, lM) - qidx.offsets[br]
+                            cc = pidx.block_coord(a2, br, k2, lM) - pidx.offsets[br]
                             mats[br][rr][cc] = entry
-    # kernel data per branch
-    rows_list = []
-    cones = []
-    skel = []
-    cut = list(plat.hi)
-    for br in range(nb):
-        ncols = pidx.ambient.ranks[br]
-        if ncols == 0:
-            continue
-        null = poly_nullspace([list(r) for r in mats[br]], ncols, field)
-        mxb = alg.mx(br)
-        top = max((plat.hi[c] for c in pidx.ambient.coords_of(br)), default=0)
-        for vec, free in null:
-            h = 0
-            deg = 0
-            big = [LaurentPoly.zero(field)] * pidx.ambient.ncoords
-            for l, a0 in enumerate(vec):
-                if a0:
-                    c = pidx.ambient.coord(br, l)
-                    big[c] = a0
-                    h = max(h, plat.hi[c] - a0.valuation())
-                    deg = max(deg, a0.degree())
-            H = h + mxb
-            big = tuple(big)
-            cones.append((br, pidx.ambient.mono_scale(br, H, big)))
-            skel.append((br, big, H))
-            top = max(top, H + deg + 1)
-        for c in pidx.ambient.coords_of(br):
-            cut[c] = max(cut[c], top)
-    # window solutions: x in plat with cover(x) = 0
-    cover_map = LatticeMap(plat, q.plat, mats)
-    from .lattice import _ZeroTarget, solve_constrained_window
-
-    ws = WindowSpace(field, pidx.ambient, plat.lo, cut)
-    zt = _ZeroTarget(q.plat)
-    sols = solve_constrained_window(
-        ws, [(lambda v: v, plat), (cover_map.apply, zt)]
-    )
-    rows = [ws.vec_of(r) for r in sols]
-    syz = GammaLattice(alg, pidx, plat, rows, cones, skel, plat.lo)
+    cover_map = LatticeMap(pidx.plat, qidx.plat, mats)
+    syz, _ = kernel_window_module(cover_map)
     if check_surjective:
-        # Nakayama: im(cover) + Q rad = Q
-        rgens = [cover_map.apply(g) for g in _plat_genset(plat)]
-        rgens += _times_rad_gens(q)
-        lo = list(q.lo)
-        for g in rgens:
-            for c, a0 in enumerate(g):
-                if a0:
-                    lo[c] = min(lo[c], a0.valuation())
-        qcut = []
-        for c in range(q.pidx.ambient.ncoords):
-            br = q.pidx.ambient.branch_of(c)
-            qcut.append(q.plat.hi[c] + alg.mx(br))
-        for br2, v, H in q.skel:
-            deg = max((a0.degree() for a0 in v if a0), default=0)
-            for c in q.pidx.ambient.coords_of(br2):
-                qcut[c] = max(qcut[c], H + deg + 1)
-        for r in q.rows:
-            for c, a0 in enumerate(r):
-                if a0:
-                    qcut[c] = max(qcut[c], a0.degree() + 1)
-        _, e_goal = q.span_echelon(lo, qcut)
-        _, e_im = raw_span(alg.ring, q.pidx.ambient, rgens, [], lo, qcut)
-        if not (e_im.rank() == e_goal.rank() and e_goal.contains_space(e_im)):
+        # Nakayama over Gamma: im(cover) + Q rad = Q
+        rgens = [cover_map.apply(g) for g in pidx.plat.genset()] + _times_rad_gens(q)
+        lifts, inside = nakayama_covers(q, [(rgens, [])], _top_cut(q))
+        if lifts or not inside:
             raise ClaimViolation("minimal cover is not surjective")
-    return col_types, syz
-
-
-def _plat_genset(plat):
-    return plat.genset()
+    return pidx.col_types, syz
 
 
 @dataclass

@@ -1,17 +1,32 @@
-"""Lattices: finitely generated torsion-free modules inside K^r.
+"""Modules and lattices: finitely generated torsion-free modules inside K^r.
 
-A lattice is stored by exact finite data:
+Every module is stored in one form, ``Module``: an ``Ambient`` giving
+per-branch coordinate counts, exact window-supported ``rows`` and F[[t]]-
+``cones`` (branch, v), with
 
-* an ``Ambient`` giving per-branch coordinate counts,
-* per-coordinate window bounds ``lo`` (min valuation) and ``hi`` (tail
-  exponents, minimal with t^hi * F[[t]] * e_coord contained in the module),
-* a reduced-echelon basis of the truncation of the module to the window.
+    module = span_F(rows) + sum over cones of F[[t_br]] * v,
 
-Because every module contains its full monomial tail, truncation at the
-tail exponents loses nothing: membership, Hom, kernels, quotients and
-exactness all reduce to finite linear algebra over the coefficient field.
-Canonical forms (minimal tails + RREF bases) make equality syntactic.
+a per-coordinate lower bound ``lo`` on valuations and, when needed, a
+``skel`` of per-branch (vector, depth) data that says how deep a window must
+reach for every element beyond it to lie in m * module.  The rows are closed
+under R up to the cones, so a module's truncation to any window is the span
+of its truncated rows and cone monomials.
+
+A ``Lattice`` is a full module in canonical form: rows are the RREF basis of
+its truncation to the window [lo, hi), with ``lo`` the minimal valuations and
+``hi`` the minimal tail exponents (t^hi * F[[t]] * e_coord lies in the
+lattice), and one cone at the tail of each coordinate.  Because every
+lattice contains its full monomial tail, truncation at the tail loses
+nothing: membership, Hom, kernels, quotients and exactness all reduce to
+finite linear algebra over the coefficient field, and canonical forms make
+equality syntactic.
+
+Sets of R-module generators that are not closed under R (images, m * N)
+are spanned by ``raw_span``.  Surjectivity and exactness are certified by
+one Nakayama span identity, ``nakayama_covers``.
 """
+
+import itertools
 
 from .series import LaurentPoly, BranchVector, series_div_mod, INF
 from .linalg import Echelon, nullspace_F, poly_nullspace, poly_matrix_rank
@@ -181,36 +196,112 @@ def raw_span(ring, ambient, rgens, cones, lo, hi):
     """
     ws = WindowSpace(ring.field, ambient, lo, hi)
     ech = ws.echelon()
-    tops = {}
-    for br in range(ambient.nbranches()):
-        cs = list(ambient.coords_of(br))
-        tops[br] = max((hi[c] for c in cs), default=0)
+    _fill(ws, ech, _r_multiples(ring, ambient, rgens, _branch_tops(ambient, hi)), cones)
+    return ws, ech
+
+
+def _branch_tops(ambient, hi):
+    return [max((hi[c] for c in ambient.coords_of(br)), default=0) for br in range(ambient.nbranches())]
+
+
+def _r_multiples(ring, ambient, rgens, tops):
+    """Each generator times R's scalar basis and tail monomials t^m e_br,
+    m >= c_br, up to the per-branch window tops."""
     scalars = ring.scalar_basis()
     for g in rgens:
         if ambient.vec_is_zero(g):
             continue
         for x in scalars:
-            row = ws.row_of(ambient.branch_scale(x, g))
-            if row is not None:
-                ech.add(row)
-        # ring tail monomials t^m e_br for m >= c_br
+            yield ambient.branch_scale(x, g)
         for br in range(ambient.nbranches()):
             mv = ambient.branch_min_val(g, br)
             if mv is INF:
                 continue
             for m in range(ring.conductor[br], tops[br] - mv):
-                row = ws.row_of(ambient.mono_scale(br, m, g))
-                if row is not None:
-                    ech.add(row)
+                yield ambient.mono_scale(br, m, g)
+
+
+def _fill(ws, ech, vecs, cones):
+    """Add to ``ech`` the window rows of ``vecs`` and of every cone's monomial
+    multiples t^m * v that reach into the window (rows below lo are skipped)."""
+    amb = ws.ambient
+    tops = _branch_tops(amb, ws.hi)
+    cone_vecs = []
     for br, v in cones:
-        mv = ambient.branch_min_val(v, br)
-        if mv is INF:
-            continue
-        for m in range(0, tops[br] - mv):
-            row = ws.row_of(ambient.mono_scale(br, m, v))
-            if row is not None:
-                ech.add(row)
-    return ws, ech
+        mv = amb.branch_min_val(v, br)
+        if mv is not INF:
+            cone_vecs += [amb.mono_scale(br, m, v) for m in range(tops[br] - mv)]
+    for v in itertools.chain(vecs, cone_vecs):
+        row = ws.row_of(v)
+        if row is not None:
+            ech.add(row)
+
+
+def valuation_floor(vecs, lo):
+    """Per coordinate, the minimum of ``lo`` and the valuations of ``vecs``."""
+    lo = list(lo)
+    for v in vecs:
+        for c, a in enumerate(v):
+            if a and a.valuation() < lo[c]:
+                lo[c] = a.valuation()
+    return lo
+
+
+class Module:
+    """A submodule of ``ambient``: module = span_F(rows) + sum F[[t_br]]*v.
+
+    ``rows`` are exact window-supported elements, closed under R up to the
+    ``cones`` (branch, v), each v supported on its branch.  ``lo``
+    lower-bounds all valuations.  ``skel``, when present, is per-branch
+    (vector, depth H) data with the free-coordinate property: every element
+    supported at depth >= H + deg(vector) on that branch lies in m * module.
+    """
+
+    __slots__ = ("ring", "ambient", "rows", "cones", "lo", "skel")
+
+    def __init__(self, ring, ambient, rows, cones, lo, skel=()):
+        self.ring = ring
+        self.ambient = ambient
+        self.rows = tuple(r for r in rows if not ambient.vec_is_zero(r))
+        self.cones = [(br, v) for br, v in cones if not ambient.vec_is_zero(v)]
+        self.lo = tuple(lo)
+        self.skel = skel
+
+    def mx(self, br):
+        return max(self.ring.conductor[br], 1)
+
+    def is_zero(self):
+        return not self.rows and not self.cones
+
+    def genset(self):
+        """A finite R-module generating set: rows plus each cone's first
+        mx monomial multiples (deeper ones are R-multiples of these)."""
+        out = list(self.rows)
+        for br, v in self.cones:
+            for m in range(self.mx(br)):
+                out.append(self.ambient.mono_scale(br, m, v))
+        return out
+
+    def span(self, lo, cut):
+        """(WindowSpace, Echelon) of the truncation to the window [lo, cut)."""
+        ws = WindowSpace(self.ring.field, self.ambient, lo, cut)
+        ech = ws.echelon()
+        _fill(ws, ech, self.rows, self.cones)
+        return ws, ech
+
+    def deep_cut(self, base):
+        """Per-coordinate cut at least ``base``, past every row and past every
+        skeleton depth plus degree, so that deeper elements lie in m * module."""
+        cut = list(base)
+        for br, v, H in self.skel:
+            deg = max((a.degree() for a in v if a), default=0)
+            for c in self.ambient.coords_of(br):
+                cut[c] = max(cut[c], H + deg + 1)
+        for r in self.rows:
+            for c, a in enumerate(r):
+                if a:
+                    cut[c] = max(cut[c], a.degree() + 1)
+        return cut
 
 
 def dvr_triangularize(field, vecs, nslots, cut):
@@ -256,18 +347,42 @@ def dvr_triangularize(field, vecs, nslots, cut):
     return pivots, len(used) == nslots
 
 
-class Lattice:
-    """A full lattice in its ambient, in canonical (minimal-tail, RREF) form."""
+def dvr_pivots(field, vecs, nslots):
+    """dvr_triangularize at a cut deep enough for exact pivot vectors.
 
-    __slots__ = ("ring", "ambient", "lo", "hi", "basis", "_ech")
+    Returns the pivots, or None when ``vecs`` do not span F((t))^nslots.
+    """
+    maxdeg = max((a.degree() for v in vecs for a in v if a), default=0)
+    minval = min((a.valuation() for v in vecs for a in v if a), default=0)
+    cut = max(8, nslots * (maxdeg - minval + 1) + maxdeg + 2)
+    while True:
+        pivots, full = dvr_triangularize(field, vecs, nslots, cut)
+        if not full:
+            return None
+        sigma = sum(p[1] for p in pivots)
+        if sigma + maxdeg + 2 <= cut:
+            return pivots
+        cut = 2 * (sigma + maxdeg + 2)
+
+
+class Lattice(Module):
+    """A full lattice in its ambient, in canonical (minimal-tail, RREF) form:
+    rows are the RREF ``basis`` on [lo, hi), cones the tails t^hi * e_coord."""
+
+    __slots__ = ("hi", "_ech")
 
     def __init__(self, ring, ambient, lo, hi, basis):
-        self.ring = ring
-        self.ambient = ambient
-        self.lo = tuple(lo)
+        cones = [
+            (ambient.branch_of(c), ambient.unit_vec(ring.field, c, h))
+            for c, h in enumerate(hi)
+        ]
+        super().__init__(ring, ambient, basis, cones, lo)
         self.hi = tuple(hi)
-        self.basis = tuple(basis)
         self._ech = None
+
+    @property
+    def basis(self):
+        return self.rows
 
     # -- construction -------------------------------------------------------
 
@@ -297,12 +412,8 @@ class Lattice:
             row = ws2.row_of(v)
             if row is not None:
                 ech2.add(row)
-        lo = list(hi)
         vecs = [ws2.vec_of(r) for r in ech2.rows]
-        for coord in range(ambient.ncoords):
-            vals = [v[coord].valuation() for v in vecs if v[coord]]
-            if vals:
-                lo[coord] = min(vals)
+        lo = valuation_floor(vecs, hi)
         # final tight window
         ws3 = WindowSpace(field, ambient, lo, hi)
         ech3 = ws3.echelon()
@@ -330,42 +441,23 @@ class Lattice:
         F[[t]]-triangularization of the generators plus the conductor.
         """
         gens = [g for g in gens if not ambient.vec_is_zero(g)]
-        field = ring.field
-        lo = []
-        for coord in range(ambient.ncoords):
-            vals = [g[coord].valuation() for g in gens if g[coord]]
-            lo.append(min(vals) if vals else 0)
+        lo = valuation_floor(gens, [INF] * ambient.ncoords)
+        lo = [0 if v is INF else v for v in lo]
         if known_tail is not None:
             hi = list(known_tail)
         else:
             hi = [0] * ambient.ncoords
             for br in range(ambient.nbranches()):
-                r = ambient.ranks[br]
-                if r == 0:
+                if ambient.ranks[br] == 0:
                     continue
                 vecs = [ambient.branch_parts(g, br) for g in gens]
-                vecs = [v for v in vecs if any(v)]
-                maxdeg = 0
-                for v in vecs:
-                    for a in v:
-                        if a:
-                            maxdeg = max(maxdeg, a.degree())
-                minval = min(
-                    (a.valuation() for v in vecs for a in v if a), default=0
-                )
-                cut = max(8, r * (maxdeg - minval + 1) + maxdeg + 2)
-                while True:
-                    pivots, full = dvr_triangularize(field, vecs, r, cut)
-                    if not full:
-                        raise NotFullRank(
-                            "generators do not span the ambient on a branch",
-                            branch=br,
-                        )
-                    sigma = sum(p[1] for p in pivots)
-                    if sigma + maxdeg + 2 <= cut:
-                        break
-                    cut = 2 * (sigma + maxdeg + 2)
-                h = ring.conductor[br] + sigma
+                pivots = dvr_pivots(ring.field, [v for v in vecs if any(v)], ambient.ranks[br])
+                if pivots is None:
+                    raise NotFullRank(
+                        "generators do not span the ambient on a branch",
+                        branch=br,
+                    )
+                h = ring.conductor[br] + sum(p[1] for p in pivots)
                 for coord in ambient.coords_of(br):
                     hi[coord] = h
         hi = [max(h, l) for h, l in zip(hi, lo)]
@@ -391,9 +483,6 @@ class Lattice:
     def __hash__(self):
         return hash((self.ambient.ranks, self.lo, self.hi, len(self.basis)))
 
-    def is_zero(self):
-        return self.ambient.ncoords == 0
-
     def rank(self):
         return self.ambient.ranks
 
@@ -408,41 +497,10 @@ class Lattice:
         row = ws.row_of(self.ambient.truncate_vec(vec, self.hi))
         return row is not None and ech.contains(row)
 
-    def genset(self):
-        """A finite R-module generating set: basis plus tail representatives."""
-        out = list(self.basis)
-        field = self.ring.field
-        for br in range(self.ambient.nbranches()):
-            mx = max(self.ring.conductor[br], 1)
-            for coord in self.ambient.coords_of(br):
-                for m in range(mx):
-                    out.append(
-                        self.ambient.unit_vec(field, coord, self.hi[coord] + m)
-                    )
-        return out
-
-    def cone_gens(self):
-        """Tail cones (branch, vector): F[[t_br]]*v lies in the lattice."""
-        field = self.ring.field
-        out = []
-        for br in range(self.ambient.nbranches()):
-            for coord in self.ambient.coords_of(br):
-                out.append(
-                    (br, self.ambient.unit_vec(field, coord, self.hi[coord]))
-                )
-        return out
-
-    def respan(self, lo, hi):
-        """Span of the truncation to a (typically deeper) window."""
-        return raw_span(self.ring, self.ambient, list(self.basis), self.cone_gens(), lo, hi)
-
     def contains_lattice(self, other):
         if self.ambient != other.ambient:
             raise AmbientMismatch("different ambients")
         return all(self.member(g) for g in other.genset())
-
-    def mx(self, br):
-        return max(self.ring.conductor[br], 1)
 
 
 # -- maps ---------------------------------------------------------------------
@@ -614,51 +672,18 @@ def quotient_dimension(n, n0):
         raise NotASubmodule("N0 is not contained in N")
     lo = tuple(min(a, b) for a, b in zip(n.lo, n0.lo))
     cut = tuple(max(a, b) for a, b in zip(n.hi, n0.hi))
-    _, e1 = n.respan(lo, cut)
-    _, e0 = n0.respan(lo, cut)
+    _, e1 = n.span(lo, cut)
+    _, e0 = n0.span(lo, cut)
     return e1.rank() - e0.rank()
-
-
-def product_module_data(scalar_lat, lat):
-    """R-generators and cones of the product (ideal * lattice).
-
-    ``scalar_lat`` is a rank-one-per-branch lattice of scalars (for example
-    the maximal ideal); the product is generated by pairwise products of the
-    gensets, with cones shifted by the scalar tail.
-    """
-    amb = lat.ambient
-    sc_amb = scalar_lat.ambient
-    rgens = []
-    for s in scalar_lat.genset():
-        bv = BranchVector([s[sc_amb.coord(br, 0)] if sc_amb.ranks[br] else LaurentPoly.zero(lat.ring.field) for br in range(sc_amb.nbranches())])
-        for g in lat.genset():
-            rgens.append(amb.branch_scale(bv, g))
-    cones = []
-    for br, v in lat.cone_gens():
-        if sc_amb.ranks[br] == 0:
-            continue
-        shift = scalar_lat.hi[sc_amb.coord(br, 0)]
-        cones.append((br, amb.mono_scale(br, shift, v)))
-    return rgens, cones
 
 
 def minimal_generators(lat):
     """Nakayama-minimal generators over a local ring."""
-    ring = lat.ring
-    if not ring.is_local:
+    if not lat.ring.is_local:
         raise NotLocal("minimal generators need a local ring")
-    m = ring.maximal_ideal_lattice()
-    rgens, cones = product_module_data(m, lat)
     cut = [h + lat.mx(lat.ambient.branch_of(c)) for c, h in enumerate(lat.hi)]
-    lo = lat.lo
-    ws, ech_m = raw_span(ring, lat.ambient, rgens, cones, lo, cut)
-    _, ech_l = lat.respan(lo, cut)
-    lifted = []
-    work = ech_m.copy()
-    for r in ech_l.rows:
-        if work.add(list(r)):
-            lifted.append(ws.vec_of(r))
-    return lifted
+    lifts, _ = nakayama_covers(lat, [maximal_ideal_module(lat.ring, lat)], cut)
+    return lifts
 
 
 def ring_scalar_vectors(ring):
@@ -853,7 +878,7 @@ def hom_lattice(c, d):
     return Lattice._canonicalize(ring, hamb, lo, hi, ech, ws)
 
 
-def hom_element_as_map(c, d, h, hl=None):
+def hom_element_as_map(c, d, h):
     """Turn a hom-ambient vector into a LatticeMap C -> D."""
     src, tgt = c.ambient, d.ambient
     hamb = hom_ambient(src, tgt)
@@ -993,69 +1018,31 @@ def kernel_lattice(f):
     return lat, embed
 
 
-class TailedModule:
-    """A submodule given by exact window rows plus F[[t]]-cones.
+def kernel_window_module(f):
+    """ker(f) as a Module in the source ambient (with skeleton data) and the
+    window cut below which its rows are complete.
 
-    Invariant: module = span_F(rows) + sum of cones; rows are exact elements.
-    ``skel`` when present is per-branch (vector over ambient coords, depth H)
-    data with the free-coordinate property certifying that every element
-    supported at depth >= max(H) lies in m * module.
-    """
-
-    __slots__ = ("ring", "ambient", "rows", "cones", "lo", "skel")
-
-    def __init__(self, ring, ambient, rows, cones, lo, skel=None):
-        self.ring = ring
-        self.ambient = ambient
-        self.rows = rows
-        self.cones = cones
-        self.lo = tuple(lo)
-        self.skel = skel
-
-    def genset(self):
-        out = list(self.rows)
-        for br, v in self.cones:
-            for m in range(max(self.ring.conductor[br], 1)):
-                out.append(self.ambient.mono_scale(br, m, v))
-        return out
-
-    def span(self, lo, hi):
-        return raw_span(self.ring, self.ambient, list(self.rows), list(self.cones), lo, hi)
-
-
-def kernel_window_module(f, cut_extra=0):
-    """ker(f) as a TailedModule in the source ambient (with skeleton data).
-
-    Window solutions are complete below the chosen cut; the cones are shifted
-    by mx so that they land inside m*ker, which makes deep elements provably
-    absorbed for Nakayama-style span tests.
+    The cones are shifted by mx so that they land inside m*ker, which makes
+    elements deeper than the cut provably absorbed for Nakayama span tests.
     """
     kd = KernelData(f)
-    ring = f.source.ring
-    field = ring.field
     src = f.source.ambient
     cones = []
     skel = []
-    cut = list(f.source.hi)
-    lo = list(f.source.lo)
     for br in range(src.nbranches()):
-        mx = max(ring.conductor[br], 1)
-        top = max((f.source.hi[c] for c in src.coords_of(br)), default=0)
         for vec, free, h in kd.basis[br]:
             v = kd.source_vec(br, vec)
-            H = h + mx + cut_extra
+            H = h + max(f.source.ring.conductor[br], 1)
             cones.append((br, src.mono_scale(br, H, v)))
             skel.append((br, v, H))
-            deg = max((a.degree() for a in vec if a), default=0)
-            top = max(top, H + deg + 1)
-        for c in src.coords_of(br):
-            cut[c] = max(cut[c], top)
-    ws = WindowSpace(field, src, lo, cut)
+    ker = Module(f.source.ring, src, (), cones, f.source.lo, skel)
+    tops = _branch_tops(src, f.source.hi)
+    cut = ker.deep_cut([tops[src.branch_of(c)] for c in range(src.ncoords)])
+    ws = WindowSpace(ker.ring.field, src, ker.lo, cut)
     # f(x) must vanish identically: a zero target whose window sits at +infinity
-    zero_tgt = _ZeroTarget(f.target)
-    sols = solve_constrained_window(ws, [(lambda v: v, f.source), (f.apply, zero_tgt)])
-    rows = [ws.vec_of(r) for r in sols]
-    return TailedModule(ring, src, rows, cones, lo, skel), cut
+    sols = solve_constrained_window(ws, [(lambda v: v, f.source), (f.apply, _ZeroTarget(f.target))])
+    ker.rows = tuple(ws.vec_of(r) for r in sols)
+    return ker, cut
 
 
 class _ZeroTarget:
@@ -1083,78 +1070,60 @@ def image_lattice(f):
 
 
 def image_module(f):
-    """im(f) as a TailedModule in the target ambient."""
+    """R-generator data (rgens, cones) of im(f) in the target ambient."""
     rgens = [f.apply(g) for g in f.source.genset()]
-    cones = []
-    src = f.source.ambient
-    field = f.source.ring.field
-    for br, v in f.source.cone_gens():
-        img = f.apply(v)
-        if not f.target.ambient.vec_is_zero(img):
-            cones.append((br, img))
-    lo = []
-    tgt = f.target.ambient
-    for coord in range(tgt.ncoords):
-        vals = [g[coord].valuation() for g in rgens if g[coord]]
-        vals += [v[coord].valuation() for _, v in cones if v[coord]]
-        lo.append(min(vals) if vals else 0)
-    return TailedModule(f.source.ring, tgt, rgens, cones, lo)
+    cones = [(br, f.apply(v)) for br, v in f.source.cones]
+    return rgens, cones
 
 
-def maximal_ideal_module(ring, lat_or_tm):
-    """m * L as a TailedModule (L a Lattice or TailedModule)."""
+def maximal_ideal_module(ring, mod):
+    """R-generator data (rgens, cones) of m * mod for a Module ``mod``."""
     m = ring.maximal_ideal_lattice()
-    amb = lat_or_tm.ambient
-    sc_amb = m.ambient
-    field = ring.field
-    rgens = []
-    scalars = []
-    for s in m.genset():
-        scalars.append(
-            BranchVector(
-                [
-                    s[sc_amb.coord(br, 0)] if sc_amb.ranks[br] else LaurentPoly.zero(field)
-                    for br in range(sc_amb.nbranches())
-                ]
-            )
-        )
-    base_gens = lat_or_tm.genset()
-    for s in scalars:
-        for g in base_gens:
-            rgens.append(amb.branch_scale(s, g))
-    cones = []
-    if isinstance(lat_or_tm, Lattice):
-        base_cones = lat_or_tm.cone_gens()
-    else:
-        base_cones = lat_or_tm.cones
-    for br, v in base_cones:
-        shift = m.hi[sc_amb.coord(br, 0)] if sc_amb.ranks[br] else 1
-        cones.append((br, amb.mono_scale(br, shift, v)))
-    lo = []
-    for coord in range(amb.ncoords):
-        vals = [g[coord].valuation() for g in rgens if g[coord]]
-        vals += [v[coord].valuation() for _, v in cones if v[coord]]
-        lo.append(min(vals) if vals else 0)
-    return TailedModule(ring, amb, rgens, cones, lo)
+    amb = mod.ambient
+    gens = mod.genset()
+    # m lives in the rank-one ambient of R: coordinate br is branch br
+    rgens = [amb.branch_scale(BranchVector(s), g) for s in m.genset() for g in gens]
+    cones = [(br, amb.mono_scale(br, m.hi[br], v)) for br, v in mod.cones]
+    return rgens, cones
+
+
+def nakayama_covers(goal, parts, cut):
+    """Nakayama comparison of the Module ``goal`` with the sum of ``parts``.
+
+    Each part is a Module or (rgens, cones) generator data, closed under R by
+    raw_span.  ``cut`` must reach deep enough that goal elements beyond it
+    lie in the span of the parts.  Returns (lifts, inside): the goal's RREF
+    window rows outside the span of the parts, as vectors in echelon order,
+    and whether the parts lie inside the goal.  The parts span the goal
+    exactly when ``not lifts and inside``.
+    """
+    rgens, cones, mods = [], [], []
+    for p in parts:
+        if isinstance(p, Module):
+            mods.append(p)
+        else:
+            rgens += p[0]
+            cones += p[1]
+    vecs = rgens + [v for _, v in cones]
+    for p in mods:
+        vecs += list(p.rows) + [v for _, v in p.cones]
+    lo = valuation_floor(vecs, goal.lo)
+    ws, e_goal = goal.span(lo, cut)
+    _, e_parts = raw_span(goal.ring, goal.ambient, rgens, cones, lo, cut)
+    for p in mods:
+        e_parts.add_many(p.span(lo, cut)[1].rows)
+    inside = e_goal.contains_space(e_parts)
+    lifts = [ws.vec_of(r) for r in e_goal.rows if e_parts.add(r)]
+    return lifts, inside
 
 
 def is_surjective_onto(f):
     """Nakayama test: im(f) + m*target = target."""
-    ring = f.target.ring
     tgt = f.target
-    im = image_module(f)
-    mN = maximal_ideal_module(ring, tgt)
-    cut = [
-        h + max(ring.conductor[tgt.ambient.branch_of(c)], 1) + 1
-        for c, h in enumerate(tgt.hi)
-    ]
-    lo = [min(a, b) for a, b in zip(im.lo, tgt.lo)]
-    tgt_tm = TailedModule(ring, tgt.ambient, list(tgt.basis), tgt.cone_gens(), tgt.lo)
-    _, e_goal = tgt_tm.span(lo, cut)
-    _, e_im = im.span(lo, cut)
-    _, e_m = mN.span(lo, cut)
-    e_im.add_many(e_m.rows)
-    return e_im.rank() == e_goal.rank() and e_goal.contains_space(e_im)
+    cut = [h + tgt.mx(tgt.ambient.branch_of(c)) + 1 for c, h in enumerate(tgt.hi)]
+    parts = [image_module(f), maximal_ideal_module(tgt.ring, tgt)]
+    lifts, inside = nakayama_covers(tgt, parts, cut)
+    return not lifts and inside
 
 
 def is_exact_at(incoming, outgoing):
@@ -1166,17 +1135,10 @@ def is_exact_at(incoming, outgoing):
     """
     if not outgoing.compose(incoming).is_zero():
         return False
-    ring = incoming.target.ring
     ker, cut = kernel_window_module(outgoing)
-    im = image_module(incoming)
-    mker = maximal_ideal_module(ring, ker)
-    amb = incoming.target.ambient
-    lo = [min(a, b, c) for a, b, c in zip(im.lo, ker.lo, mker.lo)]
-    _, e_ker = ker.span(lo, cut)
-    _, e_im = im.span(lo, cut)
-    _, e_mker = mker.span(lo, cut)
-    e_im.add_many(e_mker.rows)
-    return e_im.rank() == e_ker.rank() and e_ker.contains_space(e_im)
+    parts = [image_module(incoming), maximal_ideal_module(incoming.target.ring, ker)]
+    lifts, inside = nakayama_covers(ker, parts, cut)
+    return not lifts and inside
 
 
 # -- free decomposition over DVR products ------------------------------------------
@@ -1188,29 +1150,18 @@ def free_decomposition_over_dvr_product(lat):
     ring = lat.ring
     if not ring.is_dvr_product():
         raise NotDvrProduct("ring is not a product of DVRs")
-    field = ring.field
     amb = lat.ambient
     ranks = []
     bases = []
     for br in range(amb.nbranches()):
-        r = amb.ranks[br]
-        if r == 0:
+        if amb.ranks[br] == 0:
             ranks.append(0)
             bases.append([])
             continue
         vecs = [amb.branch_parts(g, br) for g in lat.genset()]
-        vecs = [v for v in vecs if any(v)]
-        maxdeg = max((a.degree() for v in vecs for a in v if a), default=0)
-        minval = min((a.valuation() for v in vecs for a in v if a), default=0)
-        cut = max(8, r * (maxdeg - minval + 1) + maxdeg + 2)
-        while True:
-            pivots, full = dvr_triangularize(field, vecs, r, cut)
-            if not full:
-                raise NotFullRank("lattice not full on a branch", branch=br)
-            sigma = sum(p[1] for p in pivots)
-            if sigma + maxdeg + 2 <= cut:
-                break
-            cut = 2 * (sigma + maxdeg + 2)
+        pivots = dvr_pivots(ring.field, [v for v in vecs if any(v)], amb.ranks[br])
+        if pivots is None:
+            raise NotFullRank("lattice not full on a branch", branch=br)
         ranks.append(len(pivots))
         bases.append([p[2] for p in pivots])
     return ranks, bases

@@ -76,12 +76,6 @@ class Echelon:
         """The canonical RREF basis rows."""
         return [list(r) for r in self.rows]
 
-    def copy(self):
-        e = Echelon(self.field, self.ncols)
-        e.rows = [list(r) for r in self.rows]
-        e.pivots = list(self.pivots)
-        return e
-
     def __eq__(self, other):
         return (
             isinstance(other, Echelon)

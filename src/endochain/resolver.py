@@ -12,7 +12,7 @@ Every resolution carries verifiable certificates: exactness at every
 position and exactness after Hom(X, -) for each family member X.
 """
 
-from .errors import ClaimViolation, FailedDecomposition, NotTorsionFree
+from .errors import ClaimViolation, FailedDecomposition, NotFullRank, NotTorsionFree
 from .series import LaurentPoly, BranchVector
 from .lattice import (
     Ambient,
@@ -27,6 +27,7 @@ from .lattice import (
     kernel_lattice,
     largest_submodule_over,
     maximal_ideal_module,
+    nakayama_covers,
     scalar_extension_test,
 )
 from .chain import build_chain_tree, chain_family
@@ -202,40 +203,17 @@ def iso_scaling(a, b):
     for mu in mlat.genset():
         scalars.append(as_bv(mu, mlat.ambient))
 
-    prods = []
-    for s in scalars:
-        for g in h.genset():
-            prods.append(h.ambient.branch_scale(s, g))
-    lo = list(h.lo)
-    for p in prods:
-        for c, a0 in enumerate(p):
-            if a0:
-                lo[c] = min(lo[c], a0.valuation())
-    cut = []
-    for c in range(h.ambient.ncoords):
-        br = h.ambient.branch_of(c)
-        cut.append(h.hi[c] + max(ring.conductor[br], 1))
-    from .lattice import raw_span
-
-    cones = [
-        (br, h.ambient.mono_scale(br, max(ring.conductor[br], 1), v))
-        for br, v in h.cone_gens()
-    ]
-    ws, ech_mh = raw_span(ring, h.ambient, prods, cones, lo, cut)
-    _, ech_h = h.respan(lo, cut)
-    lift = None
-    count = 0
-    for r in ech_h.rows:
-        if ech_mh.add(list(r)):
-            count += 1
-            if lift is None:
-                lift = ws.vec_of(r)
-    if count != 1 or lift is None:
+    hgens = h.genset()
+    prods = [h.ambient.branch_scale(s, g) for s in scalars for g in hgens]
+    cones = [(br, h.ambient.mono_scale(br, h.mx(br), v)) for br, v in h.cones]
+    cut = [hi + h.mx(h.ambient.branch_of(c)) for c, hi in enumerate(h.hi)]
+    lifts, _ = nakayama_covers(h, [(prods, cones)], cut)
+    if len(lifts) != 1:
         return None
-    kappa = as_bv(lift, h.ambient)
+    kappa = as_bv(lifts[0], h.ambient)
     try:
         cand = Lattice.from_generators(ring, a.ambient, [a.ambient.branch_scale(kappa, g) for g in a.genset()])
-    except Exception:
+    except NotFullRank:
         return None
     if cand.key() == b.key():
         return kappa
@@ -244,25 +222,8 @@ def iso_scaling(a, b):
 
 def _free_cover_data(n, n1):
     """Nakayama lifts of N/(N1 + mN); deterministic via echelon order."""
-    ring = n.ring
-    amb = n.ambient
-    mN = maximal_ideal_module(ring, n)
-    cut = []
-    for c in range(amb.ncoords):
-        br = amb.branch_of(c)
-        mx = max(ring.conductor[br], 1)
-        cut.append(max(n1.hi[c], n.hi[c] + mx))
-    lo = [min(a, b) for a, b in zip(n.lo, n1.lo)]
-    _, ech_d = n1.respan(lo, cut)
-    _, ech_m = mN.span(lo, cut)
-    denom = ech_d
-    denom.add_many(ech_m.rows)
-    ws, ech_n = n.respan(lo, cut)
-    lifts = []
-    work = denom.copy()
-    for r in ech_n.rows:
-        if work.add(list(r)):
-            lifts.append(ws.vec_of(r))
+    cut = [max(n1.hi[c], h + n.mx(n.ambient.branch_of(c))) for c, h in enumerate(n.hi)]
+    lifts, _ = nakayama_covers(n, [n1, maximal_ideal_module(n.ring, n)], cut)
     return lifts
 
 

@@ -13,7 +13,7 @@ from endochain.chain import (
     representation_module,
 )
 from endochain.errors import AlreadyNormal, NotLocal
-from endochain.lattice import minimal_generators
+from endochain.lattice import Lattice, minimal_generators
 from oracle import end_chain_value_sets
 
 
@@ -168,3 +168,19 @@ def test_embedded_member_lattice():
     assert lat.lo == (0,) and lat.hi == (2,)
     assert lat.member(lat.ambient.unit_vec(QQ, 0, 3))
     assert not lat.member(lat.ambient.unit_vec(QQ, 0, 1))
+
+
+def test_normalization_check_propagates_engine_errors(monkeypatch):
+    # only NotFullRank means "the leaves do not multiply out"; other errors surface
+    tree = build_chain_tree(semigroup_ring(QQ, [2, 5]))
+    assert normalization_check(tree)
+    original = Lattice.from_generators
+
+    def broken(cls, ring, ambient, gens, known_tail=None):
+        if known_tail is None:  # the product of the leaves, not the leaf lattices
+            raise RuntimeError("engine bug")
+        return original(ring, ambient, gens, known_tail=known_tail)
+
+    monkeypatch.setattr(Lattice, "from_generators", classmethod(broken))
+    with pytest.raises(RuntimeError, match="engine bug"):
+        normalization_check(tree)

@@ -1,7 +1,10 @@
+import os
 import random
 
 import pytest
 
+from endochain import ringio
+from endochain.chain import build_chain_tree
 from endochain.field import QQ
 from endochain.series import LaurentPoly, BranchVector
 from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
@@ -15,13 +18,16 @@ from endochain.lattice import (
     is_exact_at,
     is_surjective_onto,
     kernel_lattice,
+    kernel_window_module,
     largest_submodule_over,
     lattice_sum,
     membership,
     minimal_generators,
     quotient_dimension,
+    raw_span,
     scalar_extension_test,
 )
+from endochain.verify import generated_test_lattices
 from endochain.errors import AmbientMismatch, NotASubmodule, NotDvrProduct, NotFullRank
 from oracle import sg_values, colon_values, ideal_values, sg_conductor
 
@@ -307,3 +313,37 @@ def test_image_lattice_examples():
     # image of a surjection equals the target
     incl = LatticeMap(r.maximal_ideal_lattice(), r.maximal_ideal_lattice(), [[[LaurentPoly.one(QQ)]]])
     assert image_lattice(incl) == r.maximal_ideal_lattice()
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "data", "rings")
+
+
+def _kernel_module(ring):
+    """ker(R^2 -> R, (x, y) -> a x - b y) for two generators a, b of m."""
+    gens = ring.maximal_ideal_lattice().genset()
+    a, b = gens[0], gens[-1]
+    src, _ = direct_sum([ring.self_lattice, ring.self_lattice])
+    mats = [[[a[br], -b[br]]] for br in range(ring.branches)]
+    return kernel_window_module(LatticeMap(src, ring.self_lattice, mats))
+
+
+@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(CORPUS)))
+def test_module_span_matches_raw_span(name):
+    # R-closed rows span their module without R-multiples: Module.span must
+    # agree with raw_span, which closes the same rows and cones under R
+    ring = ringio.ring_from_json(ringio.load_json(os.path.join(CORPUS, name + ".json")))
+    tree = build_chain_tree(ring)
+    lats = [ring.self_lattice, ring.maximal_ideal_lattice()]
+    lats += [lat for _, lat in generated_test_lattices(random.Random(name), ring, tree)]
+    cases = []
+    for lat in lats:
+        cut = [h + lat.mx(lat.ambient.branch_of(c)) + 1 for c, h in enumerate(lat.hi)]
+        cases.append((lat, cut))
+    ker, ker_cut = _kernel_module(ring)
+    assert ker.rows and ker.cones
+    cases.append((ker, [h + 1 for h in ker_cut]))
+    for mod, cut in cases:
+        lo = [v - 1 for v in mod.lo]
+        _, ech = mod.span(lo, cut)
+        _, ref = raw_span(ring, mod.ambient, list(mod.rows), mod.cones, lo, cut)
+        assert ech.rank() > 0 and ech == ref

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from endochain.field import QQ
 from endochain.series import LaurentPoly, BranchVector
 from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
@@ -174,3 +176,18 @@ def test_resolutions_deterministic():
     res2 = keyred_resolve(j2)
     assert [t.lattice.key() for t in res.terms] == [t.lattice.key() for t in res2.terms]
     assert [m.render() for m in res.maps] == [m.render() for m in res2.maps]
+
+
+def test_iso_scaling_propagates_engine_errors(monkeypatch):
+    # only NotFullRank means "not isomorphic"; any other error is a bug to surface
+    r = semigroup_ring(QQ, [2, 3])
+    a = r.self_lattice
+    b = Lattice.from_generators(r, a.ambient, [tuple(p.shift(3) for p in g) for g in a.genset()])
+    assert iso_scaling(a, b) is not None
+
+    def broken(cls, *args, **kwargs):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(Lattice, "from_generators", classmethod(broken))
+    with pytest.raises(RuntimeError, match="engine bug"):
+        iso_scaling(a, b)
