@@ -1032,7 +1032,7 @@ def kernel_window_module(f):
     for br in range(src.nbranches()):
         for vec, free, h in kd.basis[br]:
             v = kd.source_vec(br, vec)
-            H = h + max(f.source.ring.conductor[br], 1)
+            H = h + f.source.mx(br)
             cones.append((br, src.mono_scale(br, H, v)))
             skel.append((br, v, H))
     ker = Module(f.source.ring, src, (), cones, f.source.lo, skel)
@@ -1063,7 +1063,7 @@ class _ZeroTarget:
 
 def image_lattice(f):
     """im(f) materialized as a canonical lattice (requires full rank in the
-    target ambient; use image_module for the general raw form)."""
+    target ambient; image_module gives generator data in general)."""
     return Lattice.from_generators(
         f.source.ring, f.target.ambient, [f.apply(g) for g in f.source.genset()]
     )
