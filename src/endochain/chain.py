@@ -10,7 +10,7 @@ form (equality as subrings of K).
 from .series import BranchVector
 from .errors import AlreadyNormal, ChainDiverged, ClaimViolation, NotFullRank, NotLocal
 from .curve_ring import build_ring, factor, normalization_lattice
-from .lattice import Ambient, Lattice, direct_sum, hom_lattice
+from .lattice import Ambient, Lattice, direct_sum, hom_lattice, ring_scalar_vectors
 
 
 def end_of_maximal_ideal(ring):
@@ -21,10 +21,7 @@ def end_of_maximal_ideal(ring):
         raise AlreadyNormal("ring equals its normalization; m is principal")
     m = ring.maximal_ideal_lattice()
     h = hom_lattice(m, m)
-    gens = [BranchVector(v) for v in h.genset()]
-    from .lattice import ring_scalar_vectors
-
-    gens += ring_scalar_vectors(ring)
+    gens = [BranchVector(v) for v in h.genset()] + ring_scalar_vectors(ring, ring)
     s1 = build_ring(ring.field, ring.branches, gens)
     if s1.delta() >= ring.delta():
         raise ClaimViolation(
@@ -100,32 +97,39 @@ def build_chain_tree(ring, depth_cap=64):
     return ChainTree(root)
 
 
+def embedded_lattice(base_ring, positions, lat):
+    """A lattice over a factor ring, living on a subset of base branches, as
+    a base-ring lattice.  ``positions[i]`` is the base branch carrying branch
+    i of the factor."""
+    ranks = [0] * base_ring.branches
+    for i, p in enumerate(positions):
+        ranks[p] = lat.ambient.ranks[i]
+    amb = Ambient(ranks)
+    field = base_ring.field
+    slots = [  # (base coordinate, factor coordinate)
+        (amb.coord(p, s), lat.ambient.coord(i, s))
+        for i, p in enumerate(positions)
+        for s in range(ranks[p])
+    ]
+    gens = []
+    for v in lat.basis:
+        vec = list(amb.zero_vec(field))
+        for c, c_small in slots:
+            vec[c] = v[c_small]
+        gens.append(tuple(vec))
+    tail = [0] * amb.ncoords
+    for c, c_small in slots:
+        tail[c] = lat.hi[c_small]
+        for m in range(max(base_ring.conductor[amb.branch_of(c)], 1)):
+            gens.append(amb.unit_vec(field, c, tail[c] + m))
+    return Lattice.from_generators(base_ring, amb, gens, known_tail=tail)
+
+
 def embedded_ring_lattice(base_ring, positions, s):
     """A chain ring S living on a subset of base branches, as a rank-one
     lattice over the base.  ``positions[i]`` is the base branch carrying
     branch i of S."""
-    ranks = [0] * base_ring.branches
-    for p in positions:
-        ranks[p] = 1
-    amb = Ambient(ranks)
-    field = base_ring.field
-
-    def pad(bv):
-        vec = list(amb.zero_vec(field))
-        for i, p in enumerate(positions):
-            vec[amb.coord(p, 0)] = bv.parts[i]
-        return tuple(vec)
-
-    gens = [pad(bv) for bv in s.scalar_basis()]
-    tail = [0] * amb.ncoords
-    for i, p in enumerate(positions):
-        tail[amb.coord(p, 0)] = s.conductor[i]
-        mx = max(base_ring.conductor[p], 1)
-        for mshift in range(mx):
-            gens.append(
-                amb.unit_vec(field, amb.coord(p, 0), s.conductor[i] + mshift)
-            )
-    return Lattice.from_generators(base_ring, amb, gens, known_tail=tail)
+    return embedded_lattice(base_ring, positions, s.self_lattice)
 
 
 class FamilyMember:

@@ -50,31 +50,32 @@ def _load_ring(path, window_hint=None):
     return ringio.ring_from_json(ringio.load_json(path), window_hint=window_hint)
 
 
-def cmd_ring(args):
-    ring = _load_ring(args.input)
-    rep = ring_report(ring).as_json()
-    rep["definition"] = ringio.ring_to_json(ring)
+def _double_checked(args, path, report, what):
+    """report(ring) for the ring at ``path``; with --double-check, recompute
+    at twice the build window and insist on the identical report."""
+    ring = _load_ring(path)
+    rep = report(ring)
     if args.double_check:
-        ring2 = _load_ring(args.input, window_hint=2 * ring.window_bound)
-        rep2 = ring_report(ring2).as_json()
-        rep2["definition"] = ringio.ring_to_json(ring2)
-        if rep != rep2:
-            raise EndochainError("double-check mismatch in ring report")
+        if report(_load_ring(path, window_hint=2 * ring.window_bound)) != rep:
+            raise EndochainError(f"double-check mismatch in {what}")
         rep["double_check"] = "ok"
     return rep
+
+
+def _ring_json(ring):
+    rep = ring_report(ring).as_json()
+    rep["definition"] = ringio.ring_to_json(ring)
+    return rep
+
+
+def cmd_ring(args):
+    return _double_checked(args, args.input, _ring_json, "ring report")
 
 
 def cmd_chain(args):
-    ring = _load_ring(args.input)
-    tree = build_chain_tree(ring)
-    rep = chain_json(tree)
-    if args.double_check:
-        ring2 = _load_ring(args.input, window_hint=2 * ring.window_bound)
-        rep2 = chain_json(build_chain_tree(ring2))
-        if rep != rep2:
-            raise EndochainError("double-check mismatch in chain report")
-        rep["double_check"] = "ok"
-    return rep
+    return _double_checked(
+        args, args.input, lambda ring: chain_json(build_chain_tree(ring)), "chain report"
+    )
 
 
 def _resolution_json(res, tree):
@@ -99,20 +100,16 @@ def _resolution_json(res, tree):
 
 
 def cmd_resolve(args):
-    ring = _load_ring(args.ring)
-    lat = ringio.lattice_from_json(ringio.load_json(args.module), ring)
-    tree = build_chain_tree(ring)
-    res = keyred_resolve(lat, tree=tree)
-    rep = _resolution_json(res, tree)
-    if args.double_check:
-        ring2 = _load_ring(args.ring, window_hint=2 * ring.window_bound)
-        lat2 = ringio.lattice_from_json(ringio.load_json(args.module), ring2)
-        tree2 = build_chain_tree(ring2)
-        rep2 = _resolution_json(keyred_resolve(lat2, tree=tree2), tree2)
-        if rep != rep2:
-            raise EndochainError("double-check mismatch in resolution report")
-        rep["double_check"] = "ok"
-    if not res.all_certified():
+    runs = []
+
+    def report(ring):
+        lat = ringio.lattice_from_json(ringio.load_json(args.module), ring)
+        tree = build_chain_tree(ring)
+        runs.append(keyred_resolve(lat, tree=tree))
+        return _resolution_json(runs[-1], tree)
+
+    rep = _double_checked(args, args.ring, report, "resolution report")
+    if not runs[0].all_certified():
         raise EndochainError("resolution certificates failed", report=rep)
     return rep
 
@@ -136,15 +133,7 @@ def _gldim_payload(ring, args):
 
 
 def cmd_gldim(args):
-    ring = _load_ring(args.ring)
-    rep = _gldim_payload(ring, args)
-    if args.double_check:
-        ring2 = _load_ring(args.ring, window_hint=2 * ring.window_bound)
-        rep2 = _gldim_payload(ring2, args)
-        if rep != rep2:
-            raise EndochainError("double-check mismatch in gldim report")
-        rep["double_check"] = "ok"
-    return rep
+    return _double_checked(args, args.ring, lambda ring: _gldim_payload(ring, args), "gldim report")
 
 
 def cmd_verify(args):

@@ -2,12 +2,15 @@
 
 Gamma is kept as its block data Hom(X_i, X_j); right End(M)-modules stand in
 for Gamma-modules throughout (the opposite-ring convention).  Projectives are
-P_i = Hom(M, X_i); a simple sits on top of each P_i.  Syzygies of simples are
-genuine sublattices of direct sums of the P_i: Modules in a ``ProjIndex``
+P_i = Hom(M, X_i), assembled from the blocks Hom(X_j, X_i) (rad P_i from the
+blocks of rad Gamma); a simple sits on top of each P_i.  Syzygies of simples
+are genuine sublattices of direct sums of the P_i: Modules in a ``ProjIndex``
 ambient, with exact window rows plus F[[t]]-cones along a per-branch basis
-of their K-span.  Minimal covers use Nakayama over Gamma/rad; the
-source-block grading of the hom ambient makes the type decomposition of tops
-coordinate-aligned.
+of their K-span.  Minimal covers use Nakayama over Gamma/rad: each cover
+step spans Q and Q * rad once, reads the tops off them, and certifies the
+cover by adding its images to the Q * rad span.  The source-block grading of
+the hom ambient makes the type decomposition of tops coordinate-aligned.
+``hom_lattice(M, X_i)`` is recomputed only by ``projectivization_check``.
 
 The radical of each End(X_i) is computed two ways and cross-checked: the
 trace-form kernel of the finite quotient End(X_i)/z End(X_i) (z a deep
@@ -37,8 +40,10 @@ from .lattice import (
     hom_lattice,
     is_surjective_onto,
     kernel_window_module,
-    nakayama_covers,
+    map_as_hom_element,
+    placed_sum,
     quotient_dimension,
+    r_multiples,
     raw_span,
     valuation_floor,
 )
@@ -69,48 +74,23 @@ class EndoAlgebra:
             for j in range(self.k):
                 self.hom[(i, j)] = hom_lattice(self.summands[i], self.summands[j])
         self.rad_diag = [diagonal_radical(self, i) for i in range(self.k)]
-        self.P = [hom_lattice(self.M, x) for x in self.summands]
+        self.P = [_column_lattice(self, self.hom, i) for i in range(self.k)]
         self._rad_gens = None
 
     def rad_gens(self):
         """R-module generators of rad(Gamma), each in a single block
         (source j, target l, hom-vector of Hom(X_j, X_l))."""
         if self._rad_gens is None:
-            out = []
-            for j in range(self.k):
-                for l in range(self.k):
-                    blk = self.rad_diag[j] if j == l else self.hom[(j, l)]
-                    for g in blk.genset():
-                        if not blk.ambient.vec_is_zero(g):
-                            out.append((j, l, g))
-            self._rad_gens = out
+            self._rad_gens = [
+                (j, l, g)
+                for (j, l), blk in radical(self).items()
+                for g in blk.genset()
+                if not blk.ambient.vec_is_zero(g)
+            ]
         return self._rad_gens
 
     def mx(self, br):
         return max(self.ring.conductor[br], 1)
-
-
-def _compose_hvec(alg, a, b, c, f, g):
-    """f in Hom(X_b, X_c), g in Hom(X_a, X_b) -> f o g in Hom(X_a, X_c)."""
-    A = alg.summands[a].ambient
-    B = alg.summands[b].ambient
-    C = alg.summands[c].ambient
-    hef = hom_ambient(B, C)
-    heg = hom_ambient(A, B)
-    hout = hom_ambient(A, C)
-    field = alg.ring.field
-    out = [LaurentPoly.zero(field)] * hout.ncoords
-    for br in range(A.nbranches()):
-        for kk in range(C.ranks[br]):
-            for ll in range(A.ranks[br]):
-                acc = LaurentPoly.zero(field)
-                for mm in range(B.ranks[br]):
-                    x = f[hom_coord(hef, B, C, br, kk, mm)]
-                    y = g[hom_coord(heg, A, B, br, mm, ll)]
-                    if x and y:
-                        acc = acc + x * y
-                out[hom_coord(hout, A, C, br, kk, ll)] = acc
-    return tuple(out)
 
 
 def diagonal_radical(alg, i):
@@ -154,28 +134,24 @@ def diagonal_radical(alg, i):
         y = ech_j.residue(row)
         return [y[p] for p in qpivots]
 
-    lmats = []
+    # lmats[a][b]: quotient coordinates of rep_a o rep_b; traces[a] = tr(L_a)
+    x = alg.summands[i]
+    maps = [hom_element_as_map(x, x, v) for v in rep_vecs]
+    lmats = [[acoords(map_as_hom_element(fa.compose(fb))) for fb in maps] for fa in maps]
     traces = []
     for a in range(dim_a):
-        cols = []
         tr = field.zero()
         for b in range(dim_a):
-            prod = _compose_hvec(alg, i, i, i, rep_vecs[a], rep_vecs[b])
-            coords = acoords(prod)
-            cols.append(coords)
-            tr = tr + coords[b]
-        lmats.append(cols)
+            tr = tr + lmats[a][b][b]
         traces.append(tr)
     gram = []
     for a in range(dim_a):
         grow = []
         for b in range(dim_a):
-            prod = _compose_hvec(alg, i, i, i, rep_vecs[a], rep_vecs[b])
-            coords = acoords(prod)
             tr = field.zero()
-            for s in range(dim_a):
-                if coords[s]:
-                    tr = tr + coords[s] * traces[s]
+            for s, c in enumerate(lmats[a][b]):
+                if c:
+                    tr = tr + c * traces[s]
             grow.append(tr)
         gram.append(grow)
     null = nullspace_F(gram, dim_a, field)
@@ -196,7 +172,6 @@ def diagonal_radical(alg, i):
         raise NotIndecomposable(
             "End(X)/rad has F-dimension != 1", label=alg.labels[i], dim=dim
         )
-    x = alg.summands[i]
     for v in ea.basis:
         f = hom_element_as_map(x, x, v)
         if is_surjective_onto(f) == rad.member(v):
@@ -228,6 +203,25 @@ def radical(alg):
         for l in range(alg.k):
             blocks[(j, l)] = alg.rad_diag[j] if j == l else alg.hom[(j, l)]
     return blocks
+
+
+def _column_lattice(alg, blocks, i):
+    """(+)_j blocks[(j, i)] in the hom ambient of (M, X_i): coordinate
+    (br, k, l) of the Hom(X_j, X_i) block goes to (br, k, m_off[br][j] + l).
+    With the Hom blocks this is P_i = Hom(M, X_i); with radical(alg), rad P_i."""
+    M, Xi = alg.M.ambient, alg.summands[i].ambient
+    hamb = hom_ambient(M, Xi)
+    lats = [blocks[(j, i)] for j in range(alg.k)]
+    placements = []
+    for j, blk in enumerate(lats):
+        bamb, rj = blk.ambient, alg.summands[j].ambient.ranks
+        cmap = []
+        for cb in range(bamb.ncoords):
+            br = bamb.branch_of(cb)
+            k, l = divmod(cb - bamb.offsets[br], rj[br])
+            cmap.append(hom_coord(hamb, M, Xi, br, k, alg.m_off[br][j] + l))
+        placements.append(cmap)
+    return placed_sum(hamb, lats, placements)
 
 
 # -- Gamma-lattices ------------------------------------------------------------------
@@ -309,56 +303,27 @@ def _right_act(alg, pidx, vec, j, l, g):
     return tuple(out)
 
 
-def projective_gamma(alg, i):
-    """P_i as a Gamma-lattice."""
+def _gamma_module(alg, i, lat):
+    """A lattice in the hom ambient of (M, X_i) as a Module in P_i's
+    ProjIndex ambient, with a skeleton unit vector per coordinate at depth
+    tail + mx."""
     pidx = ProjIndex(alg, (i,))
-    plat = pidx.plat
     field = alg.ring.field
     skel = []
-    for c in range(pidx.ncoords):
+    for c, h in enumerate(lat.hi):
         br = pidx.branch_of(c)
-        skel.append((br, pidx.unit_vec(field, c, 0), plat.hi[c] + alg.mx(br)))
-    return Module(alg.ring, pidx, plat.basis, plat.cones, plat.lo, skel)
+        skel.append((br, pidx.unit_vec(field, c, 0), h + alg.mx(br)))
+    return Module(alg.ring, pidx, lat.basis, lat.cones, lat.lo, skel)
+
+
+def projective_gamma(alg, i):
+    """P_i as a Gamma-lattice."""
+    return _gamma_module(alg, i, alg.P[i])
 
 
 def rad_projective_gamma(alg, i):
     """rad P_i = (+)_{j != i} Hom(X_j, X_i)  (+)  rad End(X_i)."""
-    pidx = ProjIndex(alg, (i,))
-    field = alg.ring.field
-    Xi = alg.summands[i].ambient
-    rows = []
-    cones = []
-    skel = []
-    for j in range(alg.k):
-        blk = alg.rad_diag[i] if j == i else alg.hom[(j, i)]
-        Aj = alg.summands[j].ambient
-        hji = hom_ambient(Aj, Xi)
-
-        def embed(v):
-            out = [LaurentPoly.zero(field)] * pidx.ncoords
-            for cb in range(hji.ncoords):
-                if v[cb]:
-                    br2 = hji.branch_of(cb)
-                    rem = cb - hji.offsets[br2]
-                    rj = Aj.ranks[br2]
-                    k, l = divmod(rem, rj)
-                    out[pidx.block_coord(0, br2, k, alg.m_off[br2][j] + l)] = v[cb]
-            return tuple(out)
-
-        for v in blk.basis:
-            rows.append(embed(v))
-        for br, v in blk.cones:
-            cones.append((br, embed(v)))
-        for cb in range(hji.ncoords):
-            br2 = hji.branch_of(cb)
-            skel.append(
-                (
-                    br2,
-                    embed(hji.unit_vec(field, cb, 0)),
-                    blk.hi[cb] + alg.mx(br2),
-                )
-            )
-    return Module(alg.ring, pidx, rows, cones, pidx.plat.lo, skel)
+    return _gamma_module(alg, i, _column_lattice(alg, radical(alg), i))
 
 
 def _times_rad_gens(q):
@@ -380,27 +345,27 @@ def _top_cut(q):
     )
 
 
-def gamma_top(q):
-    """Type decomposition of Q/(Q rad): returns list of (type j, lift)."""
-    pidx = q.ambient
-    alg = pidx.alg
-    field = alg.ring.field
-    cut = _top_cut(q)
+def _top_spans(q):
+    """The spans one cover step compares: (window, Q, Q * rad), cut where
+    Q is compared with Q * rad."""
     rgens = _times_rad_gens(q)
+    cut = _top_cut(q)
     lo = valuation_floor(rgens, q.lo)
     ws, ech_q = q.span(lo, cut)
-    _, ech_r = raw_span(alg.ring, pidx, rgens, [], lo, cut)
-    # split by source type: coordinate-aligned projections
+    _, ech_r = raw_span(q.ring, q.ambient, rgens, [], lo, cut)
+    return ws, ech_q, ech_r
+
+
+def _top_lifts(alg, ws, ech_q, ech_r):
+    """Type decomposition of Q/(Q rad) from the spans of ``_top_spans``:
+    list of (type j, lift).  ``ech_r`` is left unchanged."""
+    field = alg.ring.field
     out = []
     for j in range(alg.k):
-        cols_j = [
-            idx
-            for idx, (coord, e) in enumerate(ws.cols)
-            if pidx.source_type(coord) == j
-        ]
-        if not cols_j:
+        # split by source type: coordinate-aligned projections
+        keep = {idx for idx, (coord, e) in enumerate(ws.cols) if ws.ambient.source_type(coord) == j}
+        if not keep:
             continue
-        keep = set(cols_j)
         zero = field.zero()
 
         def proj(row):
@@ -416,30 +381,33 @@ def gamma_top(q):
     return out
 
 
-def minimal_cover_syzygy(q, check_surjective=True):
+def gamma_top(q):
+    """Type decomposition of Q/(Q rad): returns list of (type j, lift)."""
+    return _top_lifts(q.ambient.alg, *_top_spans(q))
+
+
+def minimal_cover_syzygy(q):
     """One step of the minimal projective resolution of Q.
 
-    Returns (cover column types, syzygy Gamma-lattice).
+    Returns (cover column types, syzygy Gamma-lattice).  Q and Q * rad are
+    spanned once; the surjectivity certificate adds the cover images to the
+    Q * rad span.
     """
     qidx = q.ambient
     alg = qidx.alg
-    field = alg.ring.field
-    tops = gamma_top(q)
+    ws, ech_q, ech_r = _top_spans(q)
+    tops = _top_lifts(alg, ws, ech_q, ech_r)
     if not tops:
         raise ClaimViolation("nonzero Gamma-lattice with zero top")
     pidx = ProjIndex(alg, (j for j, _ in tops))
     # cover matrix: summand a' of type j sends phi to q_{a'} . phi;
     # entry C[(a,(k,l))][(a',(k'',l))] = lift_{a'}[a-block, (k, m_off[j]+k'')]
-    nb = alg.ring.branches
-    mats = []
-    for br in range(nb):
-        m = [[LaurentPoly.zero(field) for _ in range(pidx.ranks[br])] for _ in range(qidx.ranks[br])]
-        mats.append(m)
+    entries = {}
     for a2, (j, lift) in enumerate(tops):
         Aj = alg.summands[j].ambient
         for a, ctype in enumerate(qidx.col_types):
             Xc = alg.summands[ctype].ambient
-            for br in range(nb):
+            for br in range(alg.ring.branches):
                 for k in range(Xc.ranks[br]):
                     for k2 in range(Aj.ranks[br]):
                         entry = lift[qidx.block_coord(a, br, k, alg.m_off[br][j] + k2)]
@@ -448,15 +416,21 @@ def minimal_cover_syzygy(q, check_surjective=True):
                         for lM in range(pidx.rM[br]):
                             rr = qidx.block_coord(a, br, k, lM) - qidx.offsets[br]
                             cc = pidx.block_coord(a2, br, k2, lM) - pidx.offsets[br]
-                            mats[br][rr][cc] = entry
-    cover_map = LatticeMap(pidx.plat, qidx.plat, mats)
+                            entries[(br, rr, cc)] = entry
+    cover_map = LatticeMap.from_entries(pidx.plat, qidx.plat, entries)
     syz, _ = kernel_window_module(cover_map)
-    if check_surjective:
-        # Nakayama over Gamma: im(cover) + Q rad = Q
-        rgens = [cover_map.apply(g) for g in pidx.plat.genset()] + _times_rad_gens(q)
-        lifts, inside = nakayama_covers(q, [(rgens, [])], _top_cut(q))
-        if lifts or not inside:
-            raise ClaimViolation("minimal cover is not surjective")
+    # Nakayama over Gamma: im(cover) + Q rad = Q.  A multiple of an image
+    # below the window lies below Q's valuations, so it is not in Q.
+    images = [cover_map.apply(g) for g in pidx.plat.genset()]
+    inside = True
+    for v in r_multiples(q.ring, qidx, images, ws.hi):
+        row = ws.row_of(v)
+        if row is None:
+            inside = False
+            break
+        ech_r.add(row)
+    if not (inside and ech_r.contains_space(ech_q) and ech_q.contains_space(ech_r)):
+        raise ClaimViolation("minimal cover is not surjective")
     return pidx.col_types, syz
 
 

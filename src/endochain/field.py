@@ -50,15 +50,42 @@ class GFElement:
         return f"{self.v}"
 
 
+# The first 13 primes decide Miller-Rabin deterministically below
+# 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin; SchemaError where it is not proven."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_BOUND:
+        raise SchemaError("characteristic too large to certify as prime", p=n, bound=_MR_BOUND)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def json_int(x, what):
+    """An integer read from JSON (bool and float are rejected)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SchemaError(f"{what} must be an integer", value=repr(x))
+    return x
 
 
 class FieldSpec:
@@ -95,8 +122,6 @@ class FieldSpec:
                 return x
             if isinstance(x, int):
                 return Fraction(x)
-            if isinstance(x, str):
-                return Fraction(x)
         else:
             p = self.characteristic
             if isinstance(x, GFElement):
@@ -105,11 +130,14 @@ class FieldSpec:
                 return x
             if isinstance(x, int):
                 return GFElement(x, p)
-            if isinstance(x, str):
-                if "/" in x:
-                    num, den = x.split("/")
-                    return GFElement(int(num), p) / GFElement(int(den), p)
-                return GFElement(int(x), p)
+        if isinstance(x, str):
+            try:
+                if self.kind == "rational":
+                    return Fraction(x)
+                num, _, den = x.partition("/")
+                return GFElement(int(num), p) / GFElement(int(den or "1"), p)
+            except (ValueError, ZeroDivisionError):
+                raise SchemaError(f"malformed coefficient {x!r} for {self}") from None
         raise SchemaError(f"cannot coerce {x!r} into {self}")
 
     def format(self, c):
@@ -150,5 +178,5 @@ def field_from_json(obj):
     if obj["kind"] == "rational":
         return FieldSpec("rational")
     if obj["kind"] == "prime":
-        return FieldSpec("prime", int(obj.get("p", 0)))
+        return FieldSpec("prime", json_int(obj.get("p", 0), "field p"))
     raise SchemaError(f"unknown field kind {obj['kind']!r}")

@@ -196,7 +196,7 @@ def raw_span(ring, ambient, rgens, cones, lo, hi):
     """
     ws = WindowSpace(ring.field, ambient, lo, hi)
     ech = ws.echelon()
-    _fill(ws, ech, _r_multiples(ring, ambient, rgens, _branch_tops(ambient, hi)), cones)
+    _fill(ws, ech, r_multiples(ring, ambient, rgens, hi), cones)
     return ws, ech
 
 
@@ -204,9 +204,10 @@ def _branch_tops(ambient, hi):
     return [max((hi[c] for c in ambient.coords_of(br)), default=0) for br in range(ambient.nbranches())]
 
 
-def _r_multiples(ring, ambient, rgens, tops):
+def r_multiples(ring, ambient, rgens, hi):
     """Each generator times R's scalar basis and tail monomials t^m e_br,
-    m >= c_br, up to the per-branch window tops."""
+    m >= c_br, up to the per-branch tops of the window cut ``hi``."""
+    tops = _branch_tops(ambient, hi)
     scalars = ring.scalar_basis()
     for g in rgens:
         if ambient.vec_is_zero(g):
@@ -524,22 +525,26 @@ class LatticeMap:
                     raise NotASubmodule("map does not carry source into target")
 
     @classmethod
-    def zero_mats(cls, field, src_amb, tgt_amb):
-        z = LaurentPoly.zero(field)
-        return [
-            [[z for _ in range(src_amb.ranks[br])] for _ in range(tgt_amb.ranks[br])]
-            for br in range(src_amb.nbranches())
+    def from_entries(cls, source, target, entries):
+        """The map whose matrices are zero except ``entries``, a dict
+        (br, k, l) -> LaurentPoly: row k (target slot), column l (source
+        slot) of the branch-br matrix."""
+        src, tgt = source.ambient, target.ambient
+        z = LaurentPoly.zero(source.ring.field)
+        mats = [
+            [[z] * src.ranks[br] for _ in range(tgt.ranks[br])]
+            for br in range(src.nbranches())
         ]
+        for (br, k, l), e in entries.items():
+            mats[br][k][l] = e
+        return cls(source, target, mats)
 
     @classmethod
     def identity(cls, lat):
-        field = lat.ring.field
-        mats = cls.zero_mats(field, lat.ambient, lat.ambient)
-        mats = [list(map(list, m)) for m in mats]
-        for br in range(lat.ambient.nbranches()):
-            for s in range(lat.ambient.ranks[br]):
-                mats[br][s][s] = LaurentPoly.one(field)
-        return cls(lat, lat, mats)
+        one = LaurentPoly.one(lat.ring.field)
+        amb = lat.ambient
+        diagonal = {(br, s, s): one for br in range(amb.nbranches()) for s in range(amb.ranks[br])}
+        return cls.from_entries(lat, lat, diagonal)
 
     def apply(self, vec):
         src, tgt = self.source.ambient, self.target.ambient
@@ -618,11 +623,9 @@ def lattice_sum(l1, l2):
 
 
 def direct_sum(lats):
-    """Block direct sum; returns (lattice, injections, projections as index maps)."""
-    ring = lats[0].ring
+    """Block direct sum; returns (lattice, injections)."""
     nb = lats[0].ambient.nbranches()
-    ranks = [sum(l.ambient.ranks[br] for l in lats) for br in range(nb)]
-    amb = Ambient(ranks)
+    amb = Ambient([sum(l.ambient.ranks[br] for l in lats) for br in range(nb)])
     # coordinate placement: per branch, summand blocks in order
     placements = []  # per summand: list mapping its coord -> big coord
     used = [0] * nb
@@ -633,10 +636,26 @@ def direct_sum(lats):
                 cmap[l.ambient.coord(br, s)] = amb.coord(br, used[br] + s)
             used[br] += l.ambient.ranks[br]
         placements.append(cmap)
-    lo = [0] * amb.ncoords
-    hi = [0] * amb.ncoords
+    out = placed_sum(amb, lats, placements)
+    one = LaurentPoly.one(out.ring.field)
+    injections = []
+    for l, cmap in zip(lats, placements):
+        entries = {}
+        for c_small, c_big in enumerate(cmap):
+            br = l.ambient.branch_of(c_small)
+            entries[(br, c_big - amb.offsets[br], c_small - l.ambient.offsets[br])] = one
+        injections.append(LatticeMap.from_entries(l, out, entries))
+    return out, injections
+
+
+def placed_sum(amb, lats, placements):
+    """The lattice (+) lats in ``amb``, coordinate c of lats[a] placed at
+    coordinate placements[a][c] (each coordinate of ``amb`` used once)."""
+    ring = lats[0].ring
     field = ring.field
     zero = LaurentPoly.zero(field)
+    lo = [0] * amb.ncoords
+    hi = [0] * amb.ncoords
     rows = []
     for l, cmap in zip(lats, placements):
         for c_small, c_big in enumerate(cmap):
@@ -653,15 +672,7 @@ def direct_sum(lats):
         ech.add(ws.row_of(v))
     out = Lattice(ring, amb, lo, hi, tuple(ws.vec_of(r) for r in ech.rows))
     out._ech = (ws, ech)
-    injections = []
-    for l, cmap in zip(lats, placements):
-        mats = LatticeMap.zero_mats(field, l.ambient, amb)
-        mats = [list(map(list, m)) for m in mats]
-        for c_small, c_big in enumerate(cmap):
-            br = l.ambient.branch_of(c_small)
-            mats[br][c_big - amb.offsets[br]][c_small - l.ambient.offsets[br]] = LaurentPoly.one(field)
-        injections.append(LatticeMap(l, out, mats))
-    return out, injections
+    return out
 
 
 def quotient_dimension(n, n0):
@@ -686,13 +697,13 @@ def minimal_generators(lat):
     return lifts
 
 
-def ring_scalar_vectors(ring):
-    """Generators of the ring as a module over itself (BranchVectors)."""
-    out = list(ring.scalar_basis())
-    field = ring.field
-    for br in range(ring.branches):
-        for m in range(max(ring.conductor[br], 1)):
-            out.append(BranchVector.monomial(field, ring.branches, br, ring.conductor[br] + m))
+def ring_scalar_vectors(s, base_ring):
+    """Generators of the ring S as a module over a subring (BranchVectors):
+    the window basis plus tail monomials up to the subring's conductor depth."""
+    out = list(s.scalar_basis())
+    for br in range(s.branches):
+        for m in range(max(base_ring.conductor[br], 1)):
+            out.append(BranchVector.monomial(s.field, s.branches, br, s.conductor[br] + m))
     return out
 
 
@@ -716,7 +727,7 @@ def overring_scalars(overring, lat):
 def check_overring(overring, ring):
     if overring.branches != ring.branches:
         raise NotAnOverring("different branch sets")
-    for g in ring_scalar_vectors(ring):
+    for g in ring_scalar_vectors(ring, ring):
         if not overring.self_lattice.member(tuple(g.parts)):
             raise NotAnOverring("base ring does not embed in the overring")
 
@@ -904,28 +915,18 @@ def map_as_hom_element(f):
     return tuple(out)
 
 
-def hom_induced_map(x, f, hom_src=None, hom_tgt=None):
-    """Hom(X, f): Hom(X, C) -> Hom(X, D) for f: C -> D (left composition)."""
-    c, d = f.source, f.target
-    hc = hom_src if hom_src is not None else hom_lattice(x, c)
-    hd = hom_tgt if hom_tgt is not None else hom_lattice(x, d)
-    field = x.ring.field
-    xa, ca, da = x.ambient, c.ambient, d.ambient
-    hca, hda = hc.ambient, hd.ambient
-    mats = []
+def hom_induced_map(x, f, hom_src, hom_tgt):
+    """Hom(X, f): Hom(X, C) -> Hom(X, D) for f: C -> D (left composition);
+    ``hom_src``, ``hom_tgt`` are the lattices Hom(X, C), Hom(X, D)."""
+    xa, ca, da = x.ambient, f.source.ambient, f.target.ambient
+    entries = {}
     for br in range(xa.nbranches()):
-        rows = hda.ranks[br]
-        cols = hca.ranks[br]
-        m = [[LaurentPoly.zero(field) for _ in range(cols)] for _ in range(rows)]
         # (f o phi)_{kd,l} = sum_kc f_{kd,kc} phi_{kc,l}
         for kd in range(da.ranks[br]):
             for l in range(xa.ranks[br]):
-                r = kd * xa.ranks[br] + l
                 for kc in range(ca.ranks[br]):
-                    cidx = kc * xa.ranks[br] + l
-                    m[r][cidx] = f.mats[br][kd][kc]
-        mats.append(m)
-    return LatticeMap(hc, hd, mats)
+                    entries[(br, kd * xa.ranks[br] + l, kc * xa.ranks[br] + l)] = f.mats[br][kd][kc]
+    return LatticeMap.from_entries(hom_src, hom_tgt, entries)
 
 
 # -- kernels, images and exactness ---------------------------------------------------
@@ -984,19 +985,16 @@ def kernel_lattice(f):
     field = ring.field
     src = f.source.ambient
     new_amb = Ambient(kd.ranks)
-    mats = []
+    entries = {}
     lo = [0] * new_amb.ncoords
     hi = [0] * new_amb.ncoords
     for br in range(src.nbranches()):
-        cols = kd.ranks[br]
-        m = [[LaurentPoly.zero(field) for _ in range(cols)] for _ in range(src.ranks[br])]
         for j, (vec, free, h) in enumerate(kd.basis[br]):
             for l, a in enumerate(vec):
-                m[l][j] = a
+                entries[(br, l, j)] = a
             nc = new_amb.coord(br, j)
             lo[nc] = f.source.lo[src.coord(br, free)]
             hi[nc] = max(h, lo[nc])
-        mats.append(m)
 
     def embed_vec(y):
         out = [LaurentPoly.zero(field)] * src.ncoords
@@ -1014,8 +1012,7 @@ def kernel_lattice(f):
     ech = ws.echelon()
     ech.add_many(sols)
     lat = Lattice._canonicalize(ring, new_amb, lo, hi, ech, ws)
-    embed = LatticeMap(lat, f.source, mats)
-    return lat, embed
+    return lat, LatticeMap.from_entries(lat, f.source, entries)
 
 
 def kernel_window_module(f):

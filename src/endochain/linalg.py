@@ -6,6 +6,8 @@ computation; it maintains fully reduced rows (RREF) so that bases are
 canonical and membership residues are linear.
 """
 
+import bisect
+
 from .series import LaurentPoly, poly_gcd, laurent_exact_div
 
 
@@ -55,8 +57,6 @@ class Echelon:
             c = r[p]
             if c:
                 self.rows[i] = [a - c * b for a, b in zip(r, row)]
-        import bisect
-
         where = bisect.bisect_left(self.pivots, p)
         self.rows.insert(where, row)
         self.pivots.insert(where, p)

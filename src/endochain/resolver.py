@@ -30,7 +30,7 @@ from .lattice import (
     nakayama_covers,
     scalar_extension_test,
 )
-from .chain import build_chain_tree, chain_family
+from .chain import build_chain_tree, chain_family, embedded_lattice
 
 
 class Term:
@@ -243,21 +243,15 @@ def _resolve(ctx, n, depth=0):
     if ring.is_dvr_product():
         ranks, bases = free_decomposition_over_dvr_product(n)
         total = sum(ranks)
-        self_lat = ring.self_lattice
-        c0, _ = direct_sum([self_lat] * total)
-        field = ring.field
-        mats = []
-        for br in range(n.ambient.nbranches()):
-            rows = n.ambient.ranks[br]
-            cols = c0.ambient.ranks[br]
-            mats.append([[LaurentPoly.zero(field) for _ in range(cols)] for _ in range(rows)])
+        c0, _ = direct_sum([ring.self_lattice] * total)
+        entries = {}
         j = 0
         for br in range(n.ambient.nbranches()):
             for vec in bases[br]:
                 for k, a in enumerate(vec):
-                    mats[br][k][j] = a
+                    entries[(br, k, j)] = a
                 j += 1
-        f = LatticeMap(c0, n, mats)
+        f = LatticeMap.from_entries(c0, n, entries)
         mem = ctx.family().members[0].lattice
         return Resolution(ring, n, [Term(c0, (mem,) * total)], [f])
 
@@ -265,15 +259,13 @@ def _resolve(ctx, n, depth=0):
     for mem in ctx.family().members:
         kappa = iso_scaling(mem.lattice, n)
         if kappa is not None:
-            field = ring.field
-            mats = []
-            for br in range(n.ambient.nbranches()):
-                r = n.ambient.ranks[br]
-                m = [[LaurentPoly.zero(field) for _ in range(r)] for _ in range(r)]
-                for k in range(r):
-                    m[k][k] = kappa.parts[br]
-                mats.append(m)
-            f = LatticeMap(mem.lattice, n, mats)
+            amb = n.ambient
+            entries = {
+                (br, k, k): kappa.parts[br]
+                for br in range(amb.nbranches())
+                for k in range(amb.ranks[br])
+            }
+            f = LatticeMap.from_entries(mem.lattice, n, entries)
             return Resolution(ring, n, [Term(mem.lattice, (mem.lattice,))], [f])
 
     r1 = ctx.node.r1
@@ -300,24 +292,15 @@ def _resolve(ctx, n, depth=0):
     d = len(lifts)
     if d == 0:
         raise ClaimViolation("free cover of N/N' is empty although N' < N")
-    field = ring.field
-    self_lat = ring.self_lattice
-    c0, injs = direct_sum([self_lat] * d + [cp_term.lattice])
-    mats = []
+    c0, _ = direct_sum([ring.self_lattice] * d + [cp_term.lattice])
+    entries = {}
     for br in range(n.ambient.nbranches()):
-        rows = n.ambient.ranks[br]
-        cols = c0.ambient.ranks[br]
-        m = [[LaurentPoly.zero(field) for _ in range(cols)] for _ in range(rows)]
-        for j, lift in enumerate(lifts):
-            for k in range(rows):
-                m[k][j] = lift[n.ambient.coord(br, k)]
-        off = d
-        fm = f.mats[br]
-        for k in range(rows):
-            for l in range(len(fm[0]) if fm else 0):
-                m[k][off + l] = -fm[k][l]
-        mats.append(m)
-    pi = LatticeMap(c0, n, mats)
+        for k in range(n.ambient.ranks[br]):
+            for j, lift in enumerate(lifts):
+                entries[(br, k, j)] = lift[n.ambient.coord(br, k)]
+            for l, e in enumerate(f.mats[br][k]):
+                entries[(br, k, d + l)] = -e
+    pi = LatticeMap.from_entries(c0, n, entries)
     lk, emb = kernel_lattice(pi)
     if lk.is_zero():
         term0 = Term(c0, (ctx.family().members[0].lattice,) * d + cp_term.tags)
@@ -336,78 +319,30 @@ def _resolve(ctx, n, depth=0):
 def _restrict_to_factor(n, positions, child_ring):
     """e_T * N as a lattice over the factor ring (projection to T-branches)."""
     amb = n.ambient
-    ranks = [amb.ranks[p] for p in positions]
-    camb = Ambient(ranks)
-    field = child_ring.field
-
-    def project(vec):
-        out = []
-        for i, p in enumerate(positions):
-            for s in range(amb.ranks[p]):
-                out.append(vec[amb.coord(p, s)])
-        return tuple(out)
-
-    gens = [project(g) for g in n.genset()]
-    tail = []
-    for i, p in enumerate(positions):
-        for s in range(amb.ranks[p]):
-            tail.append(n.hi[amb.coord(p, s)])
-    return Lattice.from_generators(child_ring, camb, gens, known_tail=tail), project
-
-
-def _embed_lattice(base_ring, positions, lat):
-    """A lattice over a factor ring re-embedded as a base-ring lattice."""
-    ranks = [0] * base_ring.branches
-    for i, p in enumerate(positions):
-        ranks[p] = lat.ambient.ranks[i]
-    amb = Ambient(ranks)
-    field = base_ring.field
-
-    def pad(vec):
-        out = list(amb.zero_vec(field))
-        for i, p in enumerate(positions):
-            for s in range(lat.ambient.ranks[i]):
-                out[amb.coord(p, s)] = vec[lat.ambient.coord(i, s)]
-        return tuple(out)
-
-    gens = [pad(g) for g in lat.basis]
-    tail = [0] * amb.ncoords
-    for i, p in enumerate(positions):
-        mx = max(base_ring.conductor[p], 1)
-        for s in range(lat.ambient.ranks[i]):
-            h = lat.hi[lat.ambient.coord(i, s)]
-            tail[amb.coord(p, s)] = h
-            for m in range(mx):
-                gens.append(amb.unit_vec(field, amb.coord(p, s), h + m))
-    return Lattice.from_generators(base_ring, amb, gens, known_tail=tail), pad
+    camb = Ambient([amb.ranks[p] for p in positions])
+    slots = [amb.coord(p, s) for p in positions for s in range(amb.ranks[p])]
+    gens = [tuple(g[c] for c in slots) for g in n.genset()]
+    return Lattice.from_generators(child_ring, camb, gens, known_tail=[n.hi[c] for c in slots])
 
 
 def _resolve_split(ctx, n, depth):
     """Case (b) with several idempotent factors: resolve each projection and
     take the direct sum of the sequences."""
     ring = ctx.ring
-    field = ring.field
     subs = []
     for T, cctx in ctx.children():
-        positions = T
-        n_t, _ = _restrict_to_factor(n, positions, cctx.ring)
-        sub = _resolve(cctx, n_t, depth + 1)
-        subs.append((positions, cctx, sub))
+        sub = _resolve(cctx, _restrict_to_factor(n, T, cctx.ring), depth + 1)
+        subs.append((T, cctx, sub))
     length = max(len(sub.terms) for _, _, sub in subs)
     terms = []
     maps = []
     embedded = []  # per sub: list of embedded term lattices
     tag_maps = []
     for positions, cctx, sub in subs:
-        emb_terms = []
-        for t in sub.terms:
-            el, _ = _embed_lattice(ring, positions, t.lattice)
-            emb_terms.append(el)
-        embedded.append(emb_terms)
+        embedded.append([embedded_lattice(ring, positions, t.lattice) for t in sub.terms])
         tmap = {}
         for mem in cctx.family().members:
-            el, _ = _embed_lattice(ring, positions, mem.lattice)
-            pm = ctx.family().find(el)
+            pm = ctx.family().find(embedded_lattice(ring, positions, mem.lattice))
             if pm is None:
                 raise FailedDecomposition("factor family member missing upstairs")
             tmap[mem.lattice.key()] = pm.lattice
@@ -430,24 +365,14 @@ def _resolve_split(ctx, n, depth):
     # the owning factor's matrices
     for j in range(length):
         tgt = n if j == 0 else terms[j - 1].lattice
-        src = terms[j].lattice
-        mats = []
-        for br in range(src.ambient.nbranches()):
-            rows = tgt.ambient.ranks[br]
-            cols = src.ambient.ranks[br]
-            mats.append(
-                [[LaurentPoly.zero(field) for _ in range(cols)] for _ in range(rows)]
-            )
-        for idx, (positions, cctx, sub) in enumerate(subs):
-            if j >= len(sub.maps):
-                continue
-            fmat = sub.maps[j].mats
-            for i, p in enumerate(positions):
-                block = fmat[i]
-                for k in range(len(block)):
-                    for l in range(len(block[k]) if block else 0):
-                        mats[p][k][l] = block[k][l]
-        maps.append(LatticeMap(src, tgt, mats))
+        entries = {}
+        for positions, cctx, sub in subs:
+            if j < len(sub.maps):
+                for i, p in enumerate(positions):
+                    for k, row in enumerate(sub.maps[j].mats[i]):
+                        for l, e in enumerate(row):
+                            entries[(p, k, l)] = e
+        maps.append(LatticeMap.from_entries(terms[j].lattice, tgt, entries))
     return Resolution(ring, n, terms, maps, notes={"case": "b-split"})
 
 

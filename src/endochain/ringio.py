@@ -8,22 +8,31 @@ Module file:  {"ambient_rank": [r_i],
                "generators": [[[ [exp,"coeff"],...] per slot] per branch, ...],
                "tail": [[ints per slot] per branch]}   (tail optional)
 
-Coefficients are decimal strings; rationals may be "p/q".
+Coefficients are decimal strings; rationals may be "p/q".  Exponents, ranks,
+tails and semigroup entries are JSON integers.  A module's tail is always
+derived from its generators; a claimed tail below the derived one is a
+SchemaError.
 """
 
 import json
 
 from .errors import SchemaError
-from .field import field_from_json, QQ
+from .field import field_from_json, json_int, QQ
 from .series import LaurentPoly, BranchVector
 from .curve_ring import build_ring, semigroup_ring
 from .lattice import Ambient, Lattice
 
 
 def poly_from_pairs(field, pairs):
-    if not isinstance(pairs, list):
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise SchemaError("polynomial must be a list of [exp, coeff] pairs")
-    return LaurentPoly.from_pairs(field, pairs)
+    return LaurentPoly.from_pairs(field, [(json_int(e, "exponent"), c) for e, c in pairs])
+
+
+def _int_list(obj, what):
+    if not isinstance(obj, list):
+        raise SchemaError(f"{what} must be a list of integers")
+    return [json_int(x, what + " entry") for x in obj]
 
 
 def ring_from_json(obj, window_hint=None):
@@ -31,9 +40,10 @@ def ring_from_json(obj, window_hint=None):
         raise SchemaError("ring definition must be an object")
     fld = field_from_json(obj["field"]) if "field" in obj else QQ
     if "semigroup" in obj:
-        return semigroup_ring(fld, obj["semigroup"], window_hint=window_hint)
+        gens = _int_list(obj["semigroup"], "semigroup")
+        return semigroup_ring(fld, gens, window_hint=window_hint)
     try:
-        branches = int(obj["branches"])
+        branches = json_int(obj["branches"], "branches")
         raw_gens = obj["generators"]
     except KeyError as e:
         raise SchemaError(f"ring definition missing {e}")
@@ -65,10 +75,12 @@ def ring_to_json(ring):
 
 
 def lattice_from_json(obj, ring):
+    """The lattice generated by the module file's generators.  The tail is
+    always derived; a claimed ``tail`` is only checked against it."""
     if not isinstance(obj, dict):
         raise SchemaError("module definition must be an object")
     try:
-        ranks = [int(r) for r in obj["ambient_rank"]]
+        ranks = _int_list(obj["ambient_rank"], "ambient_rank")
         raw = obj["generators"]
     except KeyError as e:
         raise SchemaError(f"module definition missing {e}")
@@ -87,15 +99,24 @@ def lattice_from_json(obj, ring):
             for p in slots:
                 flat.append(poly_from_pairs(field, p))
         gens.append(tuple(flat))
-    known_tail = None
-    if "tail" in obj and obj["tail"] is not None:
-        known_tail = []
-        for br, slots in enumerate(obj["tail"]):
-            for h in slots:
-                known_tail.append(int(h))
-        if len(known_tail) != amb.ncoords:
+    tail = obj.get("tail")
+    if tail is not None:
+        if not isinstance(tail, list) or [len(_int_list(slots, "tail")) for slots in tail] != ranks:
             raise SchemaError("tail shape mismatch")
-    return Lattice.from_generators(ring, amb, gens, known_tail=known_tail)
+    lat = Lattice.from_generators(ring, amb, gens)
+    # a claimed tail t^h F[[t]] e lies in the lattice iff h >= the minimal tail
+    for br, slots in enumerate(tail or ()):
+        for s, h in enumerate(slots):
+            derived = lat.hi[amb.coord(br, s)]
+            if h < derived:
+                raise SchemaError(
+                    "claimed tail is not contained in the module",
+                    branch=br,
+                    slot=s,
+                    claimed_tail=h,
+                    derived_tail=derived,
+                )
+    return lat
 
 
 def lattice_to_json(lat):

@@ -18,6 +18,7 @@ from .lattice import (
     kernel_lattice,
     scalar_extension_test,
     largest_submodule_over,
+    ring_scalar_vectors,
 )
 from .resolver import keyred_resolve, _relattice
 from .endo import build_endo_algebra, global_dimension, projectivization_check
@@ -115,22 +116,10 @@ def random_stable_lattice(rng, overring, base_ring):
     # generate over the (smaller) base ring, then view over the base
     amb = ideal.ambient
     gens = []
-    for s in _module_scalars(overring, base_ring):
+    for s in ring_scalar_vectors(overring, base_ring):
         for g in ideal.genset():
             gens.append(amb.branch_scale(s, g))
     return Lattice.from_generators(base_ring, amb, gens)
-
-
-def _module_scalars(s, base_ring):
-    """Generators of S as a module over a subring (depth set by the
-    subring's conductor)."""
-    out = list(s.scalar_basis())
-    for br in range(s.branches):
-        for m in range(max(base_ring.conductor[br], 1)):
-            out.append(
-                BranchVector.monomial(s.field, s.branches, br, s.conductor[br] + m)
-            )
-    return out
 
 
 def overrings_of(ring):

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from endochain.cli import main
 from endochain import ringio
 
@@ -153,3 +155,83 @@ def test_verify_all_exit_contract(capsys):
         "resolver_suite",
         "endo_suite",
     }
+
+
+def test_module_tail_claim_is_checked(capsys, tmp_path):
+    # t^2 R over <2,3>: the minimal tail is 4, so the claim "tail 0" (which
+    # would make the module t^2 E = E) is false; t^2 R is free (S0)
+    gen = {"ambient_rank": [1], "generators": [[[[[2, "1"]]]]]}
+    path = tmp_path / "t2.json"
+    for tail, decomposition in [(None, ["S0"]), ([[6]], ["S0"]), ([[0]], None)]:
+        path.write_text(json.dumps(dict(gen, tail=tail)))
+        status, rep = run_cli(
+            capsys, "resolve", "--ring", ring_path("semigroup_2_3"), "--module", str(path)
+        )
+        if decomposition is None:
+            assert status == 2 and rep["code"] == "SchemaError"
+            assert rep["context"] == {"branch": 0, "slot": 0, "claimed_tail": 0, "derived_tail": 4}
+        else:
+            assert status == 0
+            assert rep["terms"][0]["decomposition"] == decomposition
+
+
+RING_2_3 = {"field": {"kind": "rational"}, "branches": 1, "generators": [[[[2, "1"]]], [[[3, "1"]]]]}
+MODULE_E = {"ambient_rank": [1], "generators": [[[[[0, "1"]]]], [[[[1, "1"]]]]]}
+
+
+def _with(base, **changes):
+    return dict(json.loads(json.dumps(base)), **changes)
+
+
+MALFORMED_RINGS = {
+    "coefficient_abc": _with(RING_2_3, generators=[[[[2, "abc"]]], [[[3, "1"]]]]),
+    "coefficient_1_over_0": _with(RING_2_3, generators=[[[[2, "1/0"]]], [[[3, "1"]]]]),
+    "gf_coefficient_1_over_p": _with(
+        RING_2_3, field={"kind": "prime", "p": 101}, generators=[[[[2, "1/101"]]], [[[3, "1"]]]]
+    ),
+    "gf_coefficient_abc": _with(
+        RING_2_3, field={"kind": "prime", "p": 101}, generators=[[[[2, "a/b"]]], [[[3, "1"]]]]
+    ),
+    "p_not_a_number": {"semigroup": [2, 3], "field": {"kind": "prime", "p": "x"}},
+    "p_beyond_the_primality_proof": {"semigroup": [2, 3], "field": {"kind": "prime", "p": 10**30 + 57}},
+    "exponent_not_integer": _with(RING_2_3, generators=[[[[2.5, "1"]]], [[[3, "1"]]]]),
+    "semigroup_entry_not_integer": {"semigroup": [2, 3.5]},
+    "branches_not_integer": _with(RING_2_3, branches="1"),
+}
+
+MALFORMED_MODULES = {
+    "ambient_rank_not_integer": _with(MODULE_E, ambient_rank=[1.0]),
+    "tail_not_integer": _with(MODULE_E, tail=[[0.5]]),
+    "exponent_not_integer": _with(MODULE_E, generators=[[[[[0, "1"]]]], [[[[0.5, "1"]]]]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_RINGS))
+def test_malformed_ring_value_exit_2(capsys, tmp_path, name):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(MALFORMED_RINGS[name]))
+    status, rep = run_cli(capsys, "ring", "--input", str(path))
+    assert status == 2 and rep["code"] == "SchemaError"
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MODULES))
+def test_malformed_module_value_exit_2(capsys, tmp_path, name):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(MALFORMED_MODULES[name]))
+    status, rep = run_cli(
+        capsys, "resolve", "--ring", ring_path("semigroup_2_3"), "--module", str(path)
+    )
+    assert status == 2 and rep["code"] == "SchemaError"
+
+
+def test_characteristic_primality():
+    from endochain.field import FieldSpec, _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert all(_is_prime(n) == trial(n) for n in range(3000))
+    # strong pseudoprimes to the first 4, 7 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert FieldSpec("prime", 2**61 - 1).characteristic == 2**61 - 1

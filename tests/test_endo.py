@@ -215,3 +215,47 @@ def test_radical_block_description():
     one = alg.hom[(0, 0)].ambient.unit_vec(QQ, 0, 0)
     assert alg.hom[(0, 0)].member(one)
     assert not blocks[(0, 0)].member(one)
+
+
+def test_projectives_assembled_from_hom_blocks():
+    # P_i is assembled from the Hom(X_j, X_i) blocks; hom_lattice(M, X_i)
+    # computes it from scratch and must give the same canonical lattice
+    from endochain.lattice import hom_lattice
+    from endochain.verify import corpus
+
+    for name, r in corpus():
+        _, alg = family_algebra(r)
+        for i, x in enumerate(alg.summands):
+            assert alg.P[i].key() == hom_lattice(alg.M, x).key(), (name, i)
+
+
+def _drop_last_top(tops):
+    return tops[:-1]
+
+
+def _add_top_below_window(tops):
+    j, lift = tops[-1]
+    return tops + [(j, tuple(a.shift(-50) for a in lift))]
+
+
+@pytest.mark.parametrize("tamper", [_drop_last_top, _add_top_below_window])
+def test_cover_certificate_negative_control(monkeypatch, tamper):
+    # dropping a top lift leaves part of Q/Q rad uncovered; an extra lift far
+    # below the window maps outside Q and must not be skipped by the window.
+    # Either way the certificate built on the shared Q rad span must fail.
+    from endochain import endo
+    from endochain.errors import ClaimViolation
+
+    r = semigroup_ring(QQ, [2, 3])
+    _, alg = family_algebra(r)
+    omega = rad_projective_gamma(alg, 1)
+    full = endo._top_lifts
+
+    def tampered(*spans):
+        tops = full(*spans)
+        assert len(tops) == 2
+        return tamper(tops)
+
+    monkeypatch.setattr(endo, "_top_lifts", tampered)
+    with pytest.raises(ClaimViolation, match="minimal cover is not surjective"):
+        minimal_cover_syzygy(omega)
