@@ -5,12 +5,15 @@ for Gamma-modules throughout (the opposite-ring convention).  Projectives are
 P_i = Hom(M, X_i), assembled from the blocks Hom(X_j, X_i) (rad P_i from the
 blocks of rad Gamma); a simple sits on top of each P_i.  Syzygies of simples
 are genuine sublattices of direct sums of the P_i: Modules in a ``ProjIndex``
-ambient, with exact window rows plus F[[t]]-cones along a per-branch basis
-of their K-span.  Minimal covers use Nakayama over Gamma/rad: each cover
+ambient, which is the hom ambient Hom(M, T) of ``lattice.hom_ambient`` for
+T = (+)_a X_{c_a}.  Minimal covers use Nakayama over Gamma/rad: each cover
 step spans Q and Q * rad once, reads the tops off them, and certifies the
-cover by adding its images to the Q * rad span.  The source-block grading of
-the hom ambient makes the type decomposition of tops coordinate-aligned.
-``hom_lattice(M, X_i)`` is recomputed only by ``projectivization_check``.
+cover by adding its images to the Q * rad span.  The cover is Hom(M, lam)
+for a map lam: T' -> T read off the tops, and its syzygy is the image of
+``kernel_lattice`` (``lattice.kernel_window_module``).  The source-slot
+grading of the hom ambient makes the type decomposition of tops
+coordinate-aligned.  ``hom_lattice(M, X_i)`` is recomputed only by
+``projectivization_check``.
 
 The radical of each End(X_i) is computed two ways and cross-checked: the
 trace-form kernel of the finite quotient End(X_i)/z End(X_i) (z a deep
@@ -37,6 +40,7 @@ from .lattice import (
     hom_ambient,
     hom_coord,
     hom_element_as_map,
+    hom_induced_map,
     hom_lattice,
     is_surjective_onto,
     kernel_window_module,
@@ -60,15 +64,18 @@ class EndoAlgebra:
         self.k = len(summands)
         self.labels = list(labels) if labels else [f"X{i}" for i in range(self.k)]
         self.M, self.M_injections = direct_sum(self.summands)
-        # m_off[br][j]: slot offset of summand j inside M on a branch
+        # per branch, m_off[br][j]: slot offset of summand j inside M, and
+        # m_type[br][s]: the summand that M slot s belongs to
         self.m_off = []
+        self.m_type = []
         for br in range(ring.branches):
             offs = []
-            acc = 0
-            for x in self.summands:
-                offs.append(acc)
-                acc += x.ambient.ranks[br]
+            types = []
+            for j, x in enumerate(self.summands):
+                offs.append(len(types))
+                types += [j] * x.ambient.ranks[br]
             self.m_off.append(offs)
+            self.m_type.append(types)
         self.hom = {}
         for i in range(self.k):
             for j in range(self.k):
@@ -228,51 +235,26 @@ def _column_lattice(alg, blocks, i):
 
 
 class ProjIndex(Ambient):
-    """The ambient of (+)_a Hom(M, X_{c_a}) with its block bookkeeping.
+    """The ambient Hom(M, T) = (+)_a Hom(M, X_{c_a}) for T = (+)_a X_{c_a}.
 
-    A Gamma-lattice is a Module in this ambient; ``plat`` is the lattice
-    (+)_a P_{c_a} itself.
+    A Gamma-lattice is a Module in this ambient; ``T`` is the direct sum
+    lattice and ``plat`` the lattice (+)_a P_{c_a} itself.
     """
 
-    __slots__ = ("alg", "col_types", "rM", "block_off", "_types", "plat")
+    __slots__ = ("alg", "col_types", "T", "_types", "plat")
 
     def __init__(self, alg, col_types):
         self.alg = alg
         self.col_types = tuple(col_types)
-        nb = alg.ring.branches
-        self.rM = [alg.M.ambient.ranks[br] for br in range(nb)]
-        ranks = []
-        self.block_off = []
-        for br in range(nb):
-            offs = []
-            acc = 0
-            for c in self.col_types:
-                offs.append(acc)
-                acc += alg.summands[c].ambient.ranks[br] * self.rM[br]
-            self.block_off.append(offs)
-            ranks.append(acc)
-        super().__init__(ranks)
+        self.T, _ = direct_sum([alg.summands[c] for c in self.col_types])
+        M = alg.M.ambient
+        super().__init__(hom_ambient(M, self.T.ambient).ranks)
         types = []
-        for coord in range(self.ncoords):
-            br = self.branch_of(coord)
-            rem = coord - self.offsets[br]
-            a = 0
-            for idx in range(len(self.col_types)):
-                if rem >= self.block_off[br][idx]:
-                    a = idx
-            rem -= self.block_off[br][a]
-            lM = rem % self.rM[br] if self.rM[br] else 0
-            j = 0
-            for idx in range(alg.k):
-                if lM >= alg.m_off[br][idx]:
-                    j = idx
-            types.append(j)
+        for br in range(alg.ring.branches):
+            types += [alg.m_type[br][s % M.ranks[br]] for s in range(self.ranks[br])]
         self._types = tuple(types)
         ds, _ = direct_sum([alg.P[c] for c in self.col_types])
         self.plat = Lattice(alg.ring, self, ds.lo, ds.hi, ds.basis)
-
-    def block_coord(self, a, br, k, lM):
-        return self.coord(br, self.block_off[br][a] + k * self.rM[br] + lM)
 
     def source_type(self, coord):
         return self._types[coord]
@@ -282,24 +264,22 @@ def _right_act(alg, pidx, vec, j, l, g):
     """vec * gamma for gamma = g in the Hom(X_j, X_l) block of End(M)."""
     field = alg.ring.field
     out = [LaurentPoly.zero(field)] * pidx.ncoords
+    M, T = alg.M.ambient, pidx.T.ambient
     Aj = alg.summands[j].ambient
     Al = alg.summands[l].ambient
     hjl = hom_ambient(Aj, Al)
-    nb = alg.ring.branches
-    for a, ctype in enumerate(pidx.col_types):
-        Xc = alg.summands[ctype].ambient
-        for br in range(nb):
-            for k in range(Xc.ranks[br]):
-                for k3 in range(Aj.ranks[br]):
-                    acc = LaurentPoly.zero(field)
-                    for k2 in range(Al.ranks[br]):
-                        phi = vec[pidx.block_coord(a, br, k, alg.m_off[br][l] + k2)]
-                        gg = g[hom_coord(hjl, Aj, Al, br, k2, k3)]
-                        if phi and gg:
-                            acc = acc + phi * gg
-                    if acc:
-                        c = pidx.block_coord(a, br, k, alg.m_off[br][j] + k3)
-                        out[c] = out[c] + acc
+    for br in range(alg.ring.branches):
+        oj, ol = alg.m_off[br][j], alg.m_off[br][l]
+        for k in range(T.ranks[br]):
+            for k3 in range(Aj.ranks[br]):
+                acc = LaurentPoly.zero(field)
+                for k2 in range(Al.ranks[br]):
+                    phi = vec[hom_coord(pidx, M, T, br, k, ol + k2)]
+                    gg = g[hom_coord(hjl, Aj, Al, br, k2, k3)]
+                    if phi and gg:
+                        acc = acc + phi * gg
+                if acc:
+                    out[hom_coord(pidx, M, T, br, k, oj + k3)] = acc
     return tuple(out)
 
 
@@ -400,24 +380,20 @@ def minimal_cover_syzygy(q):
     if not tops:
         raise ClaimViolation("nonzero Gamma-lattice with zero top")
     pidx = ProjIndex(alg, (j for j, _ in tops))
-    # cover matrix: summand a' of type j sends phi to q_{a'} . phi;
-    # entry C[(a,(k,l))][(a',(k'',l))] = lift_{a'}[a-block, (k, m_off[j]+k'')]
+    # the cover is Hom(M, lam) for lam: T_p -> T_q, whose summand a of type
+    # j is the restriction of the a-th top lift to the M slots of X_j
+    M, Tq = alg.M.ambient, qidx.T.ambient
     entries = {}
-    for a2, (j, lift) in enumerate(tops):
+    toff = [0] * alg.ring.branches
+    for j, lift in tops:
         Aj = alg.summands[j].ambient
-        for a, ctype in enumerate(qidx.col_types):
-            Xc = alg.summands[ctype].ambient
-            for br in range(alg.ring.branches):
-                for k in range(Xc.ranks[br]):
-                    for k2 in range(Aj.ranks[br]):
-                        entry = lift[qidx.block_coord(a, br, k, alg.m_off[br][j] + k2)]
-                        if not entry:
-                            continue
-                        for lM in range(pidx.rM[br]):
-                            rr = qidx.block_coord(a, br, k, lM) - qidx.offsets[br]
-                            cc = pidx.block_coord(a2, br, k2, lM) - pidx.offsets[br]
-                            entries[(br, rr, cc)] = entry
-    cover_map = LatticeMap.from_entries(pidx.plat, qidx.plat, entries)
+        for br in range(alg.ring.branches):
+            for kq in range(Tq.ranks[br]):
+                for k in range(Aj.ranks[br]):
+                    entries[(br, kq, toff[br] + k)] = lift[hom_coord(qidx, M, Tq, br, kq, alg.m_off[br][j] + k)]
+            toff[br] += Aj.ranks[br]
+    lam = LatticeMap.from_entries(pidx.T, qidx.T, entries)
+    cover_map = hom_induced_map(alg.M, lam, pidx.plat, qidx.plat)
     syz, _ = kernel_window_module(cover_map)
     # Nakayama over Gamma: im(cover) + Q rad = Q.  A multiple of an image
     # below the window lies below Q's valuations, so it is not in Q.

@@ -24,6 +24,11 @@ equality syntactic.
 Sets of R-module generators that are not closed under R (images, m * N)
 are spanned by ``raw_span``.  Surjectivity and exactness are certified by
 one Nakayama span identity, ``nakayama_covers``.
+
+Kernels are computed once, by ``kernel_lattice``: a canonical lattice in
+fresh coordinates plus its embedding; ``kernel_window_module`` is its image.
+Hom lattices have one coordinate layout, ``hom_ambient``/``hom_coord``,
+which the Gamma-lattices of ``endo`` use as well (Hom(M, T)).
 """
 
 import itertools
@@ -405,26 +410,17 @@ class Lattice(Module):
                     break
                 e -= 1
             hi[coord] = e
-        # re-cut the window and recompute lo
-        ws2 = WindowSpace(field, ambient, lo_bound, hi)
-        ech2 = ws2.echelon()
-        for r in ech.rows:
-            v = ambient.truncate_vec(ws.vec_of(r), hi)
-            row = ws2.row_of(v)
-            if row is not None:
-                ech2.add(row)
-        vecs = [ws2.vec_of(r) for r in ech2.rows]
+        # the truncated rows span the module's window on [lo, hi); the
+        # minimal valuations over a spanning set are those over its span
+        vecs = [ambient.truncate_vec(ws.vec_of(r), hi) for r in ech.rows]
         lo = valuation_floor(vecs, hi)
-        # final tight window
-        ws3 = WindowSpace(field, ambient, lo, hi)
-        ech3 = ws3.echelon()
+        ws2 = WindowSpace(field, ambient, lo, hi)
+        ech2 = ws2.echelon()
         for v in vecs:
-            row = ws3.row_of(v)
-            if row is not None:
-                ech3.add(row)
-        basis = tuple(ws3.vec_of(r) for r in ech3.rows)
+            ech2.add(ws2.row_of(v))
+        basis = tuple(ws2.vec_of(r) for r in ech2.rows)
         lat = cls(ring, ambient, lo, hi, basis)
-        lat._ech = (ws3, ech3)
+        lat._ech = (ws2, ech2)
         return lat
 
     @classmethod
@@ -932,130 +928,64 @@ def hom_induced_map(x, f, hom_src, hom_tgt):
 # -- kernels, images and exactness ---------------------------------------------------
 
 
-class KernelData:
-    """Per-branch kernel subspace data of a map together with window bounds.
-
-    ``basis[br]`` is a list of (vector over source-branch slots, free_slot,
-    tail_exp) with the free-coordinate property: any kernel element x equals
-    sum_j phi_j b_j with val(phi_j) >= val(x at the free slot).
-    """
-
-    __slots__ = ("f", "basis", "ranks")
-
-    def __init__(self, f):
-        self.f = f
-        src = f.source.ambient
-        field = f.source.ring.field
-        self.basis = []
-        self.ranks = []
-        for br in range(src.nbranches()):
-            ncols = src.ranks[br]
-            if ncols == 0:
-                self.basis.append([])
-                self.ranks.append(0)
-                continue
-            rows = [list(r) for r in f.mats[br]]
-            null = poly_nullspace(rows, ncols, field)
-            entries = []
-            for vec, free in null:
-                h = 0
-                for l, a in enumerate(vec):
-                    if a:
-                        h = max(h, f.source.hi[src.coord(br, l)] - a.valuation())
-                entries.append((vec, free, h))
-            self.basis.append(entries)
-            self.ranks.append(len(entries))
-
-    def source_vec(self, br, vec):
-        src = self.f.source.ambient
-        field = self.f.source.ring.field
-        out = [LaurentPoly.zero(field)] * src.ncoords
-        for l, a in enumerate(vec):
-            out[src.coord(br, l)] = a
-        return tuple(out)
-
-
 def kernel_lattice(f):
     """Kernel of f as a full lattice in fresh coordinates plus its embedding.
 
-    Returns (L, embed) where embed: L -> source realizes L = ker f.
+    Returns (L, embed) where embed: L -> source realizes L = ker f.  The
+    columns of embed are a per-branch K-basis b_j of ker f with the
+    free-coordinate property: any kernel element x equals sum_j phi_j b_j
+    with val(phi_j) >= val(x at the free slot of b_j).
     """
-    kd = KernelData(f)
     ring = f.source.ring
     field = ring.field
     src = f.source.ambient
-    new_amb = Ambient(kd.ranks)
+    nulls = [
+        poly_nullspace([list(r) for r in f.mats[br]], src.ranks[br], field) if src.ranks[br] else []
+        for br in range(src.nbranches())
+    ]
+    new_amb = Ambient([len(null) for null in nulls])
     entries = {}
     lo = [0] * new_amb.ncoords
     hi = [0] * new_amb.ncoords
-    for br in range(src.nbranches()):
-        for j, (vec, free, h) in enumerate(kd.basis[br]):
-            for l, a in enumerate(vec):
-                entries[(br, l, j)] = a
+    for br, null in enumerate(nulls):
+        for j, (vec, free) in enumerate(null):
             nc = new_amb.coord(br, j)
             lo[nc] = f.source.lo[src.coord(br, free)]
-            hi[nc] = max(h, lo[nc])
-
-    def embed_vec(y):
-        out = [LaurentPoly.zero(field)] * src.ncoords
-        for br in range(src.nbranches()):
-            for j in range(kd.ranks[br]):
-                a = y[new_amb.coord(br, j)]
+            hi[nc] = lo[nc]
+            for l, a in enumerate(vec):
+                entries[(br, l, j)] = a
                 if a:
-                    for l, b in enumerate(kd.basis[br][j][0]):
-                        if b:
-                            out[src.coord(br, l)] = out[src.coord(br, l)] + a * b
-        return tuple(out)
-
+                    hi[nc] = max(hi[nc], f.source.hi[src.coord(br, l)] - a.valuation())
+    # the embedding on the fresh ambient; its source becomes L once L is known
+    embed = LatticeMap.from_entries(Module(ring, new_amb, (), (), lo), f.source, entries)
     ws = WindowSpace(field, new_amb, lo, hi)
-    sols = solve_constrained_window(ws, [(embed_vec, f.source)])
     ech = ws.echelon()
-    ech.add_many(sols)
+    ech.add_many(solve_constrained_window(ws, [(embed.apply, f.source)]))
     lat = Lattice._canonicalize(ring, new_amb, lo, hi, ech, ws)
-    return lat, LatticeMap.from_entries(lat, f.source, entries)
+    return lat, LatticeMap(lat, f.source, embed.mats)
 
 
 def kernel_window_module(f):
     """ker(f) as a Module in the source ambient (with skeleton data) and the
     window cut below which its rows are complete.
 
-    The cones are shifted by mx so that they land inside m*ker, which makes
-    elements deeper than the cut provably absorbed for Nakayama span tests.
+    This is the image of ``kernel_lattice(f)`` under its embedding, which is
+    F[[t]]-linear per branch: rows, tail cones and, per kernel coordinate, a
+    skeleton vector b_j at depth tail + mx, so that elements deeper than the
+    cut provably lie in m * ker for Nakayama span tests.
     """
-    kd = KernelData(f)
+    lat, embed = kernel_lattice(f)
     src = f.source.ambient
-    cones = []
+    kamb = lat.ambient
     skel = []
-    for br in range(src.nbranches()):
-        for vec, free, h in kd.basis[br]:
-            v = kd.source_vec(br, vec)
-            H = h + f.source.mx(br)
-            cones.append((br, src.mono_scale(br, H, v)))
-            skel.append((br, v, H))
-    ker = Module(f.source.ring, src, (), cones, f.source.lo, skel)
+    for j, h in enumerate(lat.hi):
+        br = kamb.branch_of(j)
+        skel.append((br, embed.apply(kamb.unit_vec(lat.ring.field, j)), h + f.source.mx(br)))
+    rows = [embed.apply(r) for r in lat.rows]
+    cones = [(br, embed.apply(v)) for br, v in lat.cones]
+    ker = Module(f.source.ring, src, rows, cones, f.source.lo, skel)
     tops = _branch_tops(src, f.source.hi)
-    cut = ker.deep_cut([tops[src.branch_of(c)] for c in range(src.ncoords)])
-    ws = WindowSpace(ker.ring.field, src, ker.lo, cut)
-    # f(x) must vanish identically: a zero target whose window sits at +infinity
-    sols = solve_constrained_window(ws, [(lambda v: v, f.source), (f.apply, _ZeroTarget(f.target))])
-    ker.rows = tuple(ws.vec_of(r) for r in sols)
-    return ker, cut
-
-
-class _ZeroTarget:
-    """Presents the zero module with the window-residue interface."""
-
-    def __init__(self, like):
-        self.ring = like.ring
-        self.ambient = like.ambient
-        big = 10 ** 9
-        self.lo = tuple([big] * like.ambient.ncoords)
-        self.hi = tuple([big] * like.ambient.ncoords)
-        self._ws = WindowSpace(like.ring.field, like.ambient, self.lo, self.hi)
-        self._ech = self._ws.echelon()
-
-    def window(self):
-        return (self._ws, self._ech)
+    return ker, ker.deep_cut([tops[src.branch_of(c)] for c in range(src.ncoords)])
 
 
 def image_lattice(f):

@@ -316,22 +316,32 @@ def test_image_lattice_examples():
 
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "data", "rings")
+MODULES = os.path.join(os.path.dirname(__file__), "..", "data", "modules")
+CORPUS_NAMES = sorted(f[:-5] for f in os.listdir(CORPUS))
+
+
+def _corpus_ring(name):
+    return ringio.ring_from_json(ringio.load_json(os.path.join(CORPUS, name + ".json")))
+
+
+def _kernel_map(ring):
+    """R^2 -> R, (x, y) -> a x - a y for a generator a of m: its kernel, the
+    diagonal copy of R, has window rows unless R is a DVR product."""
+    a = ring.maximal_ideal_lattice().genset()[0]
+    src, _ = direct_sum([ring.self_lattice, ring.self_lattice])
+    mats = [[[a[br], -a[br]]] for br in range(ring.branches)]
+    return LatticeMap(src, ring.self_lattice, mats)
 
 
 def _kernel_module(ring):
-    """ker(R^2 -> R, (x, y) -> a x - b y) for two generators a, b of m."""
-    gens = ring.maximal_ideal_lattice().genset()
-    a, b = gens[0], gens[-1]
-    src, _ = direct_sum([ring.self_lattice, ring.self_lattice])
-    mats = [[[a[br], -b[br]]] for br in range(ring.branches)]
-    return kernel_window_module(LatticeMap(src, ring.self_lattice, mats))
+    return kernel_window_module(_kernel_map(ring))
 
 
-@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(CORPUS)))
+@pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_module_span_matches_raw_span(name):
     # R-closed rows span their module without R-multiples: Module.span must
     # agree with raw_span, which closes the same rows and cones under R
-    ring = ringio.ring_from_json(ringio.load_json(os.path.join(CORPUS, name + ".json")))
+    ring = _corpus_ring(name)
     tree = build_chain_tree(ring)
     lats = [ring.self_lattice, ring.maximal_ideal_lattice()]
     lats += [lat for _, lat in generated_test_lattices(random.Random(name), ring, tree)]
@@ -340,10 +350,40 @@ def test_module_span_matches_raw_span(name):
         cut = [h + lat.mx(lat.ambient.branch_of(c)) + 1 for c, h in enumerate(lat.hi)]
         cases.append((lat, cut))
     ker, ker_cut = _kernel_module(ring)
-    assert ker.rows and ker.cones
+    # canonical lattices over a DVR product are all tail, with no window rows
+    assert ker.cones and (bool(ker.rows) != ring.is_dvr_product())
     cases.append((ker, [h + 1 for h in ker_cut]))
     for mod, cut in cases:
         lo = [v - 1 for v in mod.lo]
         _, ech = mod.span(lo, cut)
         _, ref = raw_span(ring, mod.ambient, list(mod.rows), mod.cones, lo, cut)
         assert ech.rank() > 0 and ech == ref
+
+
+
+def _shipped_interior_maps():
+    """The maps of the two shipped-module resolutions whose kernels the
+    exactness certificates test."""
+    from endochain.resolver import keyred_resolve
+
+    maps = []
+    for module, name in (("j_over_3_4", "semigroup_3_4"), ("m_over_2_5", "semigroup_2_5")):
+        ring = _corpus_ring(name)
+        lat = ringio.lattice_from_json(ringio.load_json(os.path.join(MODULES, module + ".json")), ring)
+        maps += keyred_resolve(lat, tree=build_chain_tree(ring)).maps[:-1]
+    return maps
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["shipped"])
+def test_kernel_embedding_is_exact(name):
+    # 0 -> ker f --emb--> source --f--> target is exact at the source, and
+    # z * emb for z in m is not: its image lies in m * ker f
+    maps = _shipped_interior_maps() if name == "shipped" else [_kernel_map(_corpus_ring(name))]
+    assert maps
+    for f in maps:
+        ring = f.source.ring
+        _, emb = kernel_lattice(f)
+        assert is_exact_at(emb, f)
+        z = [LaurentPoly.monomial(ring.field, f.source.mx(br)) for br in range(ring.branches)]
+        mats = [[[z[br] * e for e in row] for row in m] for br, m in enumerate(emb.mats)]
+        assert not is_exact_at(LatticeMap(emb.source, emb.target, mats), f)
