@@ -119,9 +119,9 @@ def _gldim_payload(ring, args):
     fam = chain_family(tree)
     if args.mcm:
         mcm_defs = ringio.load_json(args.mcm)
-        lats = [
-            ringio.lattice_from_json(obj, ring) for obj in mcm_defs["modules"]
-        ]
+        if not isinstance(mcm_defs, dict) or not isinstance(mcm_defs.get("modules"), list):
+            raise SchemaError('module-list file must be an object with a "modules" list')
+        lats = [ringio.lattice_from_json(obj, ring) for obj in mcm_defs["modules"]]
         rep = fcmt_check(ring, lats, cap=args.pd_cap, n=tree.n)
     else:
         alg = build_endo_algebra(ring, fam.lattices(), fam.labels())

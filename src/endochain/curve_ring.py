@@ -21,7 +21,7 @@ from .errors import (
     ResidueFieldTooLarge,
     SchemaError,
 )
-from .lattice import Ambient, WindowSpace, Lattice, quotient_dimension
+from .lattice import Ambient, WindowSpace, Lattice, minimal_generators
 
 
 class CurveRing:
@@ -137,7 +137,8 @@ def build_ring(field, branches, generators, window_hint=None, max_window=192):
 
     Raises NoFiniteConductor when no window up to max_window exhibits a
     conductor, and ResidueFieldTooLarge for local rings with residue field
-    bigger than F.
+    bigger than F.  For general generators the cap is the fixed default 192;
+    ``semigroup_ring`` passes a cap proven from the conductor bound.
     """
     gens = []
     for g in generators:
@@ -232,7 +233,13 @@ def _branch_atoms(field, branches, ws, ech, conductor):
 
 
 def semigroup_ring(field, semigroup_generators, **kw):
-    """Single-branch monomial ring F[[t^a : a in generators]]."""
+    """Single-branch monomial ring F[[t^a : a in generators]].
+
+    The window cap is proven: by Schur's bound the conductor c is at most
+    (a_min - 1)(a_max - 1), and build_ring stops at the first doubled window
+    w >= 2c + a_max + 2, so w never exceeds 2 (2 (a_min - 1)(a_max - 1) +
+    a_max + 2).
+    """
     import math
 
     gens = [int(a) for a in semigroup_generators]
@@ -244,6 +251,8 @@ def semigroup_ring(field, semigroup_generators, **kw):
     if g != 1:
         raise NotCoprime("semigroup generators must have gcd 1", gcd=g)
     bvs = [BranchVector.monomial(field, 1, 0, a) for a in gens]
+    a_min, a_max = min(gens), max(gens)
+    kw.setdefault("max_window", 2 * (2 * (a_min - 1) * (a_max - 1) + a_max + 2))
     return build_ring(field, 1, bvs, **kw)
 
 
@@ -321,30 +330,17 @@ def ring_report(ring):
     if not ring.is_local:
         raise NotLocal("ring_report needs a local ring")
     m = ring.maximal_ideal_lattice()
-    # e(R) = dim E/mE; mE is the product of t^(min val) F[[t]] per branch
-    mult = sum(m.lo)
-    msq = _ideal_square(ring, m)
-    emb = quotient_dimension(m, msq)
+    # e(R) = dim E/mE; mE is the product of t^(min val) F[[t]] per branch.
+    # The embedding dimension dim m/m^2 is mu(m), by Nakayama.
     return RingReport(
-        multiplicity=mult,
-        embedding_dim=emb,
+        multiplicity=sum(m.lo),
+        embedding_dim=len(minimal_generators(m)),
         conductor=ring.conductor,
         is_dvr_product=ring.is_dvr_product(),
         delta=ring.delta(),
         is_local=ring.is_local,
         branches=ring.branches,
     )
-
-
-def _ideal_square(ring, m):
-    gens = m.genset()
-    amb = m.ambient
-    prods = []
-    for i, a in enumerate(gens):
-        bv = BranchVector([a[amb.coord(br, 0)] for br in range(ring.branches)])
-        for b in gens:
-            prods.append(amb.branch_scale(bv, b))
-    return Lattice.from_generators(ring, amb, prods)
 
 
 def normalization_lattice(ring):

@@ -47,6 +47,8 @@ def ring_from_json(obj, window_hint=None):
         raw_gens = obj["generators"]
     except KeyError as e:
         raise SchemaError(f"ring definition missing {e}")
+    if not isinstance(raw_gens, list):
+        raise SchemaError("ring generators must be a list")
     gens = []
     for g in raw_gens:
         if not isinstance(g, list) or len(g) != branches:
@@ -88,13 +90,15 @@ def lattice_from_json(obj, ring):
         raise SchemaError("ambient_rank must list one rank per branch")
     amb = Ambient(ranks)
     field = ring.field
+    if not isinstance(raw, list):
+        raise SchemaError("module generators must be a list")
     gens = []
     for vec in raw:
-        if len(vec) != ring.branches:
+        if not isinstance(vec, list) or len(vec) != ring.branches:
             raise SchemaError("each generator needs one entry per branch")
         flat = []
         for br, slots in enumerate(vec):
-            if len(slots) != ranks[br]:
+            if not isinstance(slots, list) or len(slots) != ranks[br]:
                 raise SchemaError("generator slot count mismatch")
             for p in slots:
                 flat.append(poly_from_pairs(field, p))

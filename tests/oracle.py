@@ -31,6 +31,13 @@ def sg_conductor(gens, bound=None):
     return c
 
 
+def sg_minimal_generators(gens):
+    """Minimal generators of <gens>: the generators that are not a sum of
+    two nonzero semigroup elements."""
+    vals = sg_values(gens, max(gens) + 1)
+    return sorted({a for a in gens if not any(0 < v < a and (a - v) in vals for v in vals)})
+
+
 def sg_gaps(gens):
     bound = sg_conductor(gens) + 1
     vals = sg_values(gens, bound)

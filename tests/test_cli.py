@@ -197,12 +197,22 @@ MALFORMED_RINGS = {
     "exponent_not_integer": _with(RING_2_3, generators=[[[[2.5, "1"]]], [[[3, "1"]]]]),
     "semigroup_entry_not_integer": {"semigroup": [2, 3.5]},
     "branches_not_integer": _with(RING_2_3, branches="1"),
+    "generators_not_a_list": _with(RING_2_3, generators=5),
 }
 
 MALFORMED_MODULES = {
     "ambient_rank_not_integer": _with(MODULE_E, ambient_rank=[1.0]),
     "tail_not_integer": _with(MODULE_E, tail=[[0.5]]),
     "exponent_not_integer": _with(MODULE_E, generators=[[[[[0, "1"]]]], [[[[0.5, "1"]]]]]),
+    "generators_not_a_list": _with(MODULE_E, generators=5),
+    "generator_not_a_list": _with(MODULE_E, generators=[5]),
+    "branch_entry_not_a_list": _with(MODULE_E, generators=[[5]]),
+}
+
+MALFORMED_MCM_LISTS = {
+    "modules_not_a_list": {"modules": 5},
+    "file_not_an_object": [1],
+    "modules_missing": {},
 }
 
 
@@ -220,6 +230,16 @@ def test_malformed_module_value_exit_2(capsys, tmp_path, name):
     path.write_text(json.dumps(MALFORMED_MODULES[name]))
     status, rep = run_cli(
         capsys, "resolve", "--ring", ring_path("semigroup_2_3"), "--module", str(path)
+    )
+    assert status == 2 and rep["code"] == "SchemaError"
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MCM_LISTS))
+def test_malformed_mcm_list_exit_2(capsys, tmp_path, name):
+    path = tmp_path / "mcm.json"
+    path.write_text(json.dumps(MALFORMED_MCM_LISTS[name]))
+    status, rep = run_cli(
+        capsys, "gldim", "--ring", ring_path("semigroup_2_3"), "--mcm", str(path)
     )
     assert status == 2 and rep["code"] == "SchemaError"
 

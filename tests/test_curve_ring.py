@@ -17,7 +17,7 @@ from endochain.errors import (
     NotIdempotentFactor,
     NotLocal,
 )
-from oracle import sg_conductor, sg_gaps, sg_values
+from oracle import sg_conductor, sg_gaps, sg_minimal_generators, sg_values
 
 
 T = LaurentPoly.monomial(QQ, 1)
@@ -58,10 +58,20 @@ def test_semigroup_rings_against_oracle(gens):
     rep = ring_report(r)
     assert rep.multiplicity == min(gens)
     assert rep.delta == len(sg_gaps(gens))
+    assert rep.embedding_dim == len(sg_minimal_generators(gens))
     # window basis value set matches the semigroup below the conductor
     vals = {v[0].valuation() for v in r.self_lattice.basis}
     expected = {v for v in sg_values(gens, r.conductor[0])}
     assert vals == expected
+
+
+@pytest.mark.parametrize("gens", [[6, 11], [7, 11], [9, 10], [10, 11]])
+def test_semigroup_window_cap_is_proven(gens):
+    # these need windows beyond the general cap of 192
+    r = semigroup_ring(QQ, gens)
+    assert r.conductor == (sg_conductor(gens),)
+    vals = {v[0].valuation() for v in r.self_lattice.basis}
+    assert vals == sg_values(gens, r.conductor[0])
 
 
 def test_semigroup_2_5_values():
