@@ -67,7 +67,8 @@ def test_semigroup_rings_against_oracle(gens):
 
 @pytest.mark.parametrize("gens", [[6, 11], [7, 11], [9, 10], [10, 11]])
 def test_semigroup_window_cap_is_proven(gens):
-    # these need windows beyond the general cap of 192
+    # these need windows beyond the general cap of 192; their ring reports
+    # take 5-50 s, so only the ring itself is compared with the oracle
     r = semigroup_ring(QQ, gens)
     assert r.conductor == (sg_conductor(gens),)
     vals = {v[0].valuation() for v in r.self_lattice.basis}
