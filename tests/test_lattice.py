@@ -333,10 +333,6 @@ def _kernel_map(ring):
     return LatticeMap(src, ring.self_lattice, mats)
 
 
-def _kernel_module(ring):
-    return kernel_window_module(_kernel_map(ring))
-
-
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_module_span_matches_raw_span(name):
     # R-closed rows span their module without R-multiples: Module.span must
@@ -349,7 +345,7 @@ def test_module_span_matches_raw_span(name):
     for lat in lats:
         cut = [h + lat.mx(lat.ambient.branch_of(c)) + 1 for c, h in enumerate(lat.hi)]
         cases.append((lat, cut))
-    ker, ker_cut = _kernel_module(ring)
+    ker, ker_cut = kernel_window_module(_kernel_map(ring))
     # canonical lattices over a DVR product are all tail, with no window rows
     assert ker.cones and (bool(ker.rows) != ring.is_dvr_product())
     cases.append((ker, [h + 1 for h in ker_cut]))
