@@ -9,6 +9,8 @@ window data determines the ring exactly.  The canonical representation is
 the window basis on [0, c) plus the conductor tail.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .series import BranchVector
@@ -21,7 +23,7 @@ from .errors import (
     ResidueFieldTooLarge,
     SchemaError,
 )
-from .lattice import Ambient, WindowSpace, Lattice, minimal_generators
+from .lattice import Ambient, WindowSpace, Lattice, _close, minimal_generators, ring_scalar_vectors
 
 
 class CurveRing:
@@ -106,31 +108,6 @@ class CurveRing:
         return f"CurveRing(b={self.branches}, conductor={self.conductor})"
 
 
-def _closure_span(field, branches, gens, w):
-    """Span of the generated algebra in E/t^w E (window [0, w) per branch)."""
-    amb = Ambient([1] * branches)
-    his = [w] * branches
-    ws = WindowSpace(field, amb, [0] * branches, his)
-    ech = ws.echelon()
-    one = tuple(BranchVector.one(field, branches).parts)
-    queue = [one]
-    gvecs = [tuple(g.parts) for g in gens]
-    ech.add(ws.row_of(one))
-    for g in gvecs:
-        if ech.add(ws.row_of(amb.truncate_vec(g, his))):
-            queue.append(amb.truncate_vec(g, his))
-    while queue:
-        v = queue.pop()
-        for g in gvecs:
-            p = amb.truncate_vec(
-                tuple(a * b for a, b in zip(v, g)), his
-            )
-            row = ws.row_of(p)
-            if ech.add(row):
-                queue.append(p)
-    return ws, ech
-
-
 def build_ring(field, branches, generators, window_hint=None, max_window=192):
     """Construct the complete subalgebra of E generated by the given
     branch vectors (1 is always adjoined).
@@ -158,13 +135,16 @@ def build_ring(field, branches, generators, window_hint=None, max_window=192):
     w = window_hint or (2 * maxdeg + 6)
     w = max(w, 4)
     max_window = max(max_window, 2 * w)
+    amb = Ambient([1] * branches)
+    one = tuple(BranchVector.one(field, branches).parts)
     while True:
-        ws, ech = _closure_span(field, branches, gens, w)
-        amb = ws.ambient
+        # the span of the generated algebra in E / t^w E
+        ws = WindowSpace(field, amb, [0] * branches, [w] * branches)
+        ech = ws.echelon()
+        _close(ws, ech, [one], mults=gens)
         conductor = []
         ok = True
         for br in range(branches):
-            c = None
             e = w
             while e - 1 >= 0:
                 mono = amb.unit_vec(field, br, e - 1)
@@ -185,13 +165,9 @@ def build_ring(field, branches, generators, window_hint=None, max_window=192):
                 window=max_window,
             )
     # canonical window basis on [0, conductor)
-    ws2 = WindowSpace(field, ws.ambient, [0] * branches, conductor)
+    ws2 = WindowSpace(field, amb, [0] * branches, conductor)
     ech2 = ws2.echelon()
-    for r in ech.rows:
-        v = ws.vec_of(r)
-        row = ws2.row_of(ws.ambient.truncate_vec(v, conductor))
-        if row is not None:
-            ech2.add(row)
+    _close(ws2, ech2, [ws.vec_of(r) for r in ech.rows])
     basis = [ws2.vec_of(r) for r in ech2.rows]
     atoms = _branch_atoms(field, branches, ws2, ech2, conductor)
     ring = CurveRing(field, branches, conductor, basis, atoms, w)
@@ -213,8 +189,6 @@ def _branch_atoms(field, branches, ws, ech, conductor):
     remaining = set(range(branches))
     atoms = []
     # greedy: smallest subsets first
-    import itertools
-
     while remaining:
         found = None
         for size in range(1, len(remaining) + 1):
@@ -240,8 +214,6 @@ def semigroup_ring(field, semigroup_generators, **kw):
     w >= 2c + a_max + 2, so w never exceeds 2 (2 (a_min - 1)(a_max - 1) +
     a_max + 2).
     """
-    import math
-
     gens = [int(a) for a in semigroup_generators]
     if not gens or any(a <= 0 for a in gens):
         raise SchemaError("semigroup generators must be positive integers")
@@ -292,16 +264,8 @@ def factor(ring, T):
     eT = BranchVector.indicator(ring.field, ring.branches, set(T))
     if not ring.self_lattice.member(tuple(eT.parts)):
         raise NotIdempotentFactor("e_T does not lie in the ring", subset=T)
-    field = ring.field
-    nb = len(T)
-    gens = []
-    for bv in ring.scalar_basis():
-        gens.append(BranchVector([bv.parts[b] for b in T]))
-    for i, b in enumerate(T):
-        c = ring.conductor[b]
-        for m in range(max(c, 1) + 1):
-            gens.append(BranchVector.monomial(field, nb, i, c + m))
-    return build_ring(field, nb, gens)
+    gens = [BranchVector([bv.parts[b] for b in T]) for bv in ring_scalar_vectors(ring, ring)]
+    return build_ring(ring.field, len(T), gens)
 
 
 @dataclass

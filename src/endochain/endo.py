@@ -47,9 +47,10 @@ from .lattice import (
     map_as_hom_element,
     placed_sum,
     quotient_dimension,
-    r_multiples,
     raw_span,
+    ring_scalar_vectors,
     valuation_floor,
+    _close,
 )
 
 
@@ -395,16 +396,11 @@ def minimal_cover_syzygy(q):
     lam = LatticeMap.from_entries(pidx.T, qidx.T, entries)
     cover_map = hom_induced_map(alg.M, lam, pidx.plat, qidx.plat)
     syz, _ = kernel_window_module(cover_map)
-    # Nakayama over Gamma: im(cover) + Q rad = Q.  A multiple of an image
-    # below the window lies below Q's valuations, so it is not in Q.
+    # Nakayama over Gamma: im(cover) + Q rad = Q.  An image below the
+    # window lies below Q's valuations, so it is not in Q; multiplying by R
+    # never lowers a valuation, so no R-multiple of the others is either.
     images = [cover_map.apply(g) for g in pidx.plat.genset()]
-    inside = True
-    for v in r_multiples(q.ring, qidx, images, ws.hi):
-        row = ws.row_of(v)
-        if row is None:
-            inside = False
-            break
-        ech_r.add(row)
+    inside = _close(ws, ech_r, images, mults=ring_scalar_vectors(q.ring, q.ring))
     if not (inside and ech_r.contains_space(ech_q) and ech_q.contains_space(ech_r)):
         raise ClaimViolation("minimal cover is not surjective")
     return pidx.col_types, syz

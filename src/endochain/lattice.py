@@ -21,8 +21,15 @@ nothing: membership, Hom, kernels, quotients and exactness all reduce to
 finite linear algebra over the coefficient field, and canonical forms make
 equality syntactic.
 
-Sets of R-module generators that are not closed under R (images, m * N)
-are spanned by ``raw_span``.  Surjectivity and exactness are certified by
+Every window span is built by one closure routine, ``_close``: it adds the
+cones' monomials and the truncated rows of given vectors, and closes them
+under a set of multipliers with a worklist.  ``Module.span`` and the
+canonical windows pass no multipliers (their rows are R-closed already);
+``raw_span`` closes generator sets that are not (images, m * N) under R's
+multipliers ``ring_scalar_vectors(R, R)``, and ``curve_ring.build_ring``
+closes 1 under algebra generators.  Truncating between products is exact
+and those multipliers are dense in R, so the span is the truncation of
+R * vectors (see ``_close``).  Surjectivity and exactness are certified by
 one Nakayama span identity, ``nakayama_covers``.
 
 Kernels are computed once, by ``kernel_lattice``: a canonical lattice in
@@ -30,8 +37,6 @@ fresh coordinates plus its embedding; ``kernel_window_module`` is its image.
 Hom lattices have one coordinate layout, ``hom_ambient``/``hom_coord``,
 which the Gamma-lattices of ``endo`` use as well (Hom(M, T)).
 """
-
-import itertools
 
 from .series import LaurentPoly, BranchVector, series_div_mod, INF
 from .linalg import Echelon, nullspace_F, poly_nullspace, poly_matrix_rank
@@ -115,14 +120,11 @@ class Ambient:
 
     def mono_scale(self, br, exp, v):
         """Multiply by t_br^exp * e_br (kills all other branches)."""
-        field = None
         out = []
         for coord, a in enumerate(v):
             if self.branch_of(coord) == br:
                 out.append(a.shift(exp))
             else:
-                if field is None:
-                    field = a.field
                 out.append(LaurentPoly.zero(a.field))
         return tuple(out)
 
@@ -201,7 +203,7 @@ def raw_span(ring, ambient, rgens, cones, lo, hi):
     """
     ws = WindowSpace(ring.field, ambient, lo, hi)
     ech = ws.echelon()
-    _fill(ws, ech, r_multiples(ring, ambient, rgens, hi), cones)
+    _close(ws, ech, rgens, cones, ring_scalar_vectors(ring, ring))
     return ws, ech
 
 
@@ -209,27 +211,25 @@ def _branch_tops(ambient, hi):
     return [max((hi[c] for c in ambient.coords_of(br)), default=0) for br in range(ambient.nbranches())]
 
 
-def r_multiples(ring, ambient, rgens, hi):
-    """Each generator times R's scalar basis and tail monomials t^m e_br,
-    m >= c_br, up to the per-branch tops of the window cut ``hi``."""
-    tops = _branch_tops(ambient, hi)
-    scalars = ring.scalar_basis()
-    for g in rgens:
-        if ambient.vec_is_zero(g):
-            continue
-        for x in scalars:
-            yield ambient.branch_scale(x, g)
-        for br in range(ambient.nbranches()):
-            mv = ambient.branch_min_val(g, br)
-            if mv is INF:
-                continue
-            for m in range(ring.conductor[br], tops[br] - mv):
-                yield ambient.mono_scale(br, m, g)
+def _close(ws, ech, vecs, cones=(), mults=()):
+    """Add to ``ech`` the window span pi(A * vecs + sum F[[t_br]] * v), for
+    the algebra A generated by the BranchVectors ``mults`` and the cones
+    (br, v); pi truncates at ``ws.hi``.  Returns False when some vector
+    has support below ``ws.lo`` (it is skipped).
 
-
-def _fill(ws, ech, vecs, cones):
-    """Add to ``ech`` the window rows of ``vecs`` and of every cone's monomial
-    multiples t^m * v that reach into the window (rows below lo are skipped)."""
+    Each cone adds its monomial multiples t^m * v that reach the window.
+    Each vector adds its truncated row, and every vector that raised the
+    rank goes on a worklist, is multiplied by each of ``mults`` and
+    truncated, until no product raises the rank.  With ``mults`` from
+    ``ring_scalar_vectors(R, R)`` the span is pi(R * vecs + cones):
+    (1) pi(a * pi(v)) = pi(a * v) whenever val(a) >= 0, so truncating
+    between products loses nothing; (2) F[mults] is dense in R modulo
+    t^N E for every N (the tail monomials t^m e_br, c_br <= m <= c_br +
+    mx_br, generate every t^m e_br with m >= c_br; with c_br = 0 this needs
+    both e_br and t * e_br); (3) the RREF of a span is canonical, so the
+    result does not depend on the order in which rows were added.
+    Multiplying never lowers a valuation, so no product leaves the window.
+    """
     amb = ws.ambient
     tops = _branch_tops(amb, ws.hi)
     cone_vecs = []
@@ -237,10 +237,27 @@ def _fill(ws, ech, vecs, cones):
         mv = amb.branch_min_val(v, br)
         if mv is not INF:
             cone_vecs += [amb.mono_scale(br, m, v) for m in range(tops[br] - mv)]
-    for v in itertools.chain(vecs, cone_vecs):
+    inside = True
+    work = []
+    for v in cone_vecs:
         row = ws.row_of(v)
-        if row is not None:
+        if row is None:
+            inside = False
+        else:
             ech.add(row)
+    for v in vecs:
+        row = ws.row_of(v)
+        if row is None:
+            inside = False
+        elif ech.add(row) and mults:
+            work.append(amb.truncate_vec(v, ws.hi))
+    while work:
+        v = work.pop()
+        for a in mults:
+            p = amb.truncate_vec(amb.branch_scale(a, v), ws.hi)
+            if ech.add(ws.row_of(p)):
+                work.append(p)
+    return inside
 
 
 def valuation_floor(vecs, lo):
@@ -292,7 +309,7 @@ class Module:
         """(WindowSpace, Echelon) of the truncation to the window [lo, cut)."""
         ws = WindowSpace(self.ring.field, self.ambient, lo, cut)
         ech = ws.echelon()
-        _fill(ws, ech, self.rows, self.cones)
+        _close(ws, ech, self.rows, self.cones)
         return ws, ech
 
     def deep_cut(self, base):
@@ -416,8 +433,7 @@ class Lattice(Module):
         lo = valuation_floor(vecs, hi)
         ws2 = WindowSpace(field, ambient, lo, hi)
         ech2 = ws2.echelon()
-        for v in vecs:
-            ech2.add(ws2.row_of(v))
+        _close(ws2, ech2, vecs)
         basis = tuple(ws2.vec_of(r) for r in ech2.rows)
         lat = cls(ring, ambient, lo, hi, basis)
         lat._ech = (ws2, ech2)
@@ -466,8 +482,7 @@ class Lattice(Module):
         if self._ech is None:
             ws = WindowSpace(self.ring.field, self.ambient, self.lo, self.hi)
             ech = ws.echelon()
-            for v in self.basis:
-                ech.add(ws.row_of(v))
+            _close(ws, ech, self.basis)
             self._ech = (ws, ech)
         return self._ech
 
@@ -664,8 +679,7 @@ def placed_sum(amb, lats, placements):
             rows.append(tuple(big))
     ws = WindowSpace(field, amb, lo, hi)
     ech = ws.echelon()
-    for v in rows:
-        ech.add(ws.row_of(v))
+    _close(ws, ech, rows)
     out = Lattice(ring, amb, lo, hi, tuple(ws.vec_of(r) for r in ech.rows))
     out._ech = (ws, ech)
     return out
@@ -695,10 +709,12 @@ def minimal_generators(lat):
 
 def ring_scalar_vectors(s, base_ring):
     """Generators of the ring S as a module over a subring (BranchVectors):
-    the window basis plus tail monomials up to the subring's conductor depth."""
+    the window basis plus the tail monomials t^(c_S + m) e_br for
+    0 <= m <= mx of the subring.  Over S itself they generate S as an
+    F-algebra topologically (``_close``)."""
     out = list(s.scalar_basis())
     for br in range(s.branches):
-        for m in range(max(base_ring.conductor[br], 1)):
+        for m in range(max(base_ring.conductor[br], 1) + 1):
             out.append(BranchVector.monomial(s.field, s.branches, br, s.conductor[br] + m))
     return out
 

@@ -6,7 +6,7 @@ import pytest
 from endochain import ringio
 from endochain.chain import build_chain_tree
 from endochain.field import QQ
-from endochain.series import LaurentPoly, BranchVector
+from endochain.series import INF, LaurentPoly, BranchVector
 from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
 from endochain.lattice import (
     Ambient,
@@ -21,11 +21,13 @@ from endochain.lattice import (
     kernel_window_module,
     largest_submodule_over,
     lattice_sum,
+    maximal_ideal_module,
     membership,
     minimal_generators,
     quotient_dimension,
     raw_span,
     scalar_extension_test,
+    WindowSpace,
 )
 from endochain.verify import generated_test_lattices
 from endochain.errors import AmbientMismatch, NotASubmodule, NotDvrProduct, NotFullRank
@@ -355,6 +357,63 @@ def test_module_span_matches_raw_span(name):
         _, ref = raw_span(ring, mod.ambient, list(mod.rows), mod.cones, lo, cut)
         assert ech.rank() > 0 and ech == ref
 
+
+
+def _brute_r_span(ring, amb, gens, cones, lo, hi):
+    """Reference R-closure: every generator times every scalar-basis element
+    and every tail monomial t^m e_br, c_br <= m < the window top, plus each
+    cone's monomial multiples, reduced into the window [lo, hi)."""
+    ws = WindowSpace(ring.field, amb, lo, hi)
+    ech = ws.echelon()
+    tops = [max((hi[c] for c in amb.coords_of(br)), default=0) for br in range(amb.nbranches())]
+    vecs = []
+    for g in gens:
+        vecs += [amb.branch_scale(x, g) for x in ring.scalar_basis()]
+        for br in range(amb.nbranches()):
+            mv = amb.branch_min_val(g, br)
+            if mv is not INF:
+                vecs += [amb.mono_scale(br, m, g) for m in range(ring.conductor[br], tops[br] - mv)]
+    for br, v in cones:
+        vecs += [amb.mono_scale(br, m, v) for m in range(tops[br] - amb.branch_min_val(v, br))]
+    for v in vecs:
+        row = ws.row_of(v)
+        if row is not None:
+            ech.add(row)
+    return ech
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_raw_span_matches_brute_force(name):
+    # raw_span's worklist closure equals the one-shot product of every
+    # generator with all of R's scalars, on windows past the conductor
+    ring = _corpus_ring(name)
+    rng = random.Random(name)
+    field = ring.field
+    # R * 1 on [0, top) past the conductor: top per branch less delta (on
+    # F[[t]], semigroup_1, all of F^5)
+    top = 2 * max(ring.conductor) + 5
+    amb1 = ring.self_lattice.ambient
+    one = tuple(BranchVector.one(field, ring.branches).parts)
+    cases = [(amb1, [one], [], [0] * ring.branches, [top] * ring.branches)]
+    _, ech = raw_span(ring, *cases[0])
+    assert ech.rank() == ring.branches * top - ring.delta()
+    # m * L for generated lattices L: generators that are not R-closed
+    tree = build_chain_tree(ring)
+    for _, lat in generated_test_lattices(rng, ring, tree)[:3]:
+        rgens, cones = maximal_ideal_module(ring, lat)
+        cut = [h + lat.mx(lat.ambient.branch_of(c)) + 1 for c, h in enumerate(lat.hi)]
+        cases.append((lat.ambient, rgens, cones, [v - 1 for v in lat.lo], cut))
+    # two random vectors of rank two per branch, one cone past the conductor
+    amb2 = Ambient([2] * ring.branches)
+    vecs = [
+        tuple(LaurentPoly.from_pairs(field, [(e, rng.randint(-2, 2)) for e in range(4)]) for _ in range(amb2.ncoords))
+        for _ in range(2)
+    ]
+    cone = (0, amb2.unit_vec(field, 0, ring.conductor[0] + 1))
+    cases.append((amb2, vecs, [cone], [0] * amb2.ncoords, [top] * amb2.ncoords))
+    for amb, gens, cones, lo, hi in cases:
+        _, ech = raw_span(ring, amb, gens, cones, lo, hi)
+        assert ech.rank() > 0 and ech == _brute_r_span(ring, amb, gens, cones, lo, hi)
 
 
 def _shipped_interior_maps():
