@@ -255,7 +255,7 @@ def _close(ws, ech, vecs, cones=(), mults=()):
         v = work.pop()
         for a in mults:
             p = amb.truncate_vec(amb.branch_scale(a, v), ws.hi)
-            if ech.add(ws.row_of(p)):
+            if not amb.vec_is_zero(p) and ech.add(ws.row_of(p)):
                 work.append(p)
     return inside
 
