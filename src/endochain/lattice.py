@@ -224,11 +224,12 @@ def _close(ws, ech, vecs, cones=(), mults=()):
     ``ring_scalar_vectors(R, R)`` the span is pi(R * vecs + cones):
     (1) pi(a * pi(v)) = pi(a * v) whenever val(a) >= 0, so truncating
     between products loses nothing; (2) F[mults] is dense in R modulo
-    t^N E for every N (the tail monomials t^m e_br, c_br <= m <= c_br +
-    mx_br, generate every t^m e_br with m >= c_br; with c_br = 0 this needs
-    both e_br and t * e_br); (3) the RREF of a span is canonical, so the
-    result does not depend on the order in which rows were added.
-    Multiplying never lowers a valuation, so no product leaves the window.
+    t^N E for every N (the tail monomials t^m e_br, c_br <= m < c_br +
+    max(c_br, 2), generate every t^m e_br with m >= c_br; with c_br = 0
+    this needs both e_br and t * e_br); (3) the RREF of a span is
+    canonical, so the result does not depend on the order in which rows
+    were added.  Multiplying never lowers a valuation, so no product falls
+    below ``ws.lo``.
     """
     amb = ws.ambient
     tops = _branch_tops(amb, ws.hi)
@@ -710,11 +711,12 @@ def minimal_generators(lat):
 def ring_scalar_vectors(s, base_ring):
     """Generators of the ring S as a module over a subring (BranchVectors):
     the window basis plus the tail monomials t^(c_S + m) e_br for
-    0 <= m <= mx of the subring.  Over S itself they generate S as an
-    F-algebra topologically (``_close``)."""
+    0 <= m < max(c, 2), c the subring's conductor.  Over S itself they
+    generate S as an F-algebra topologically (``_close``); the bound 2 is
+    what makes e_br and t * e_br both appear when c_S = 0."""
     out = list(s.scalar_basis())
     for br in range(s.branches):
-        for m in range(max(base_ring.conductor[br], 1) + 1):
+        for m in range(max(base_ring.conductor[br], 2)):
             out.append(BranchVector.monomial(s.field, s.branches, br, s.conductor[br] + m))
     return out
 
