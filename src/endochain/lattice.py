@@ -212,10 +212,10 @@ def _branch_tops(ambient, hi):
 
 
 def _close(ws, ech, vecs, cones=(), mults=()):
-    """Add to ``ech`` the window span pi(A * vecs + sum F[[t_br]] * v), for
-    the algebra A generated by the BranchVectors ``mults`` and the cones
-    (br, v); pi truncates at ``ws.hi``.  Returns False when some vector
-    has support below ``ws.lo`` (it is skipped).
+    """Add to ``ech`` the window span pi(A * vecs + sum F[[t_br]] * v) over
+    the cones (br, v), A the F-algebra generated by the BranchVectors
+    ``mults`` and pi the truncation at ``ws.hi``.  Returns False when some
+    vector has support below ``ws.lo`` (it is skipped).
 
     Each cone adds its monomial multiples t^m * v that reach the window.
     Each vector adds its truncated row, and every vector that raised the

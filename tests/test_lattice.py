@@ -358,7 +358,6 @@ def test_module_span_matches_raw_span(name):
         assert ech.rank() > 0 and ech == ref
 
 
-
 def _brute_r_span(ring, amb, gens, cones, lo, hi):
     """Reference R-closure: every generator times every scalar-basis element
     and every tail monomial t^m e_br, c_br <= m < the window top, plus each
