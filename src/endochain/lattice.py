@@ -585,7 +585,7 @@ class LatticeMap:
             b = other.mats[br]
             rows = len(a)
             mid = len(b)
-            cols = len(b[0]) if mid else 0
+            cols = other.source.ambient.ranks[br]
             m = [[LaurentPoly.zero(field) for _ in range(cols)] for _ in range(rows)]
             for i in range(rows):
                 for j in range(cols):

@@ -441,3 +441,21 @@ def test_kernel_embedding_is_exact(name):
         z = [LaurentPoly.monomial(ring.field, f.source.mx(br)) for br in range(ring.branches)]
         mats = [[[z[br] * e for e in row] for row in m] for br, m in enumerate(emb.mats)]
         assert not is_exact_at(LatticeMap(emb.source, emb.target, mats), f)
+
+
+def test_compose_through_branch_of_rank_zero():
+    # on tacnode, X_2 has rank (1, 0): X_0 -> X_2 -> X_0 passes through a
+    # rank-zero middle on branch 1, where the composite is the 1x1 zero map
+    from endochain.chain import chain_family
+    from endochain.lattice import hom_element_as_map, map_as_hom_element
+
+    ring = _corpus_ring("tacnode")
+    x = chain_family(build_chain_tree(ring)).lattices()
+    assert x[0].ambient.ranks == (1, 1) and x[2].ambient.ranks == (1, 0)
+    a = hom_lattice(x[0], x[2]).genset()[0]
+    b = hom_lattice(x[2], x[0]).genset()[0]
+    ba = hom_element_as_map(x[2], x[0], b).compose(hom_element_as_map(x[0], x[2], a))
+    assert map_as_hom_element(ba) == (b[0] * a[0], Z)
+    zero = hom_element_as_map(x[2], x[0], (Z, Z)).compose(hom_element_as_map(x[0], x[2], (Z,)))
+    assert map_as_hom_element(zero) == (Z, Z)
+
