@@ -10,18 +10,23 @@ form (equality as subrings of K).
 from .series import BranchVector
 from .errors import AlreadyNormal, ChainDiverged, ClaimViolation, NotFullRank, NotLocal
 from .curve_ring import build_ring, factor, normalization_lattice
-from .lattice import Ambient, Lattice, direct_sum, hom_lattice, ring_scalar_vectors
+from .lattice import Ambient, Lattice, direct_sum, hom_lattice, minimal_generators
 
 
 def end_of_maximal_ideal(ring):
-    """End_R(m) realized as a subring of K via the rank-one colon."""
+    """End_R(m) realized as a subring of K via the rank-one colon.
+
+    Its algebra generators are the minimal generators of End(m) over R and
+    of m: F[m/m^2 lifts] is m-adically dense in R and m^k lies in t^k E, so
+    they generate End(m) densely modulo t^N E, as ``_close`` needs.
+    """
     if not ring.is_local:
         raise NotLocal("End(m) chain step needs a local ring")
     if ring.is_dvr_product():
         raise AlreadyNormal("ring equals its normalization; m is principal")
     m = ring.maximal_ideal_lattice()
     h = hom_lattice(m, m)
-    gens = [BranchVector(v) for v in h.genset()] + ring_scalar_vectors(ring, ring)
+    gens = [BranchVector(v) for v in minimal_generators(h) + minimal_generators(m)]
     s1 = build_ring(ring.field, ring.branches, gens)
     if s1.delta() >= ring.delta():
         raise ClaimViolation(

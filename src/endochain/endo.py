@@ -8,7 +8,10 @@ are genuine sublattices of direct sums of the P_i: Modules in a ``ProjIndex``
 ambient, which is the hom ambient Hom(M, T) of ``lattice.hom_ambient`` for
 T = (+)_a X_{c_a}.  Minimal covers use Nakayama over Gamma/rad: each cover
 step spans Q and Q * rad once, reads the tops off them, and certifies the
-cover by adding its images to the Q * rad span.  The cover is Hom(M, lam)
+cover by adding its images to the Q * rad span.  Q * rad = Q * A for the
+arrows A of Gamma, lifts of a basis of J/J^2 (J = rad Gamma), as J = Gamma A
+by Nakayama; each algebra certifies J = Gamma A when it is built.  The
+cover is Hom(M, lam)
 for a map lam: T' -> T read off the tops, and its syzygy is the image of
 ``kernel_lattice`` (``lattice.kernel_window_module``).  The source-slot
 grading of the hom ambient makes the type decomposition of tops
@@ -45,6 +48,8 @@ from .lattice import (
     is_surjective_onto,
     kernel_window_module,
     map_as_hom_element,
+    minimal_generators,
+    nakayama_covers,
     placed_sum,
     quotient_dimension,
     raw_span,
@@ -83,19 +88,22 @@ class EndoAlgebra:
                 self.hom[(i, j)] = hom_lattice(self.summands[i], self.summands[j])
         self.rad_diag = [diagonal_radical(self, i) for i in range(self.k)]
         self.P = [_column_lattice(self, self.hom, i) for i in range(self.k)]
-        self._rad_gens = None
+        self.arrows = self.rad_gens()
+        _certify_arrows(self)
 
     def rad_gens(self):
-        """R-module generators of rad(Gamma), each in a single block
-        (source j, target l, hom-vector of Hom(X_j, X_l))."""
-        if self._rad_gens is None:
-            self._rad_gens = [
-                (j, l, g)
-                for (j, l), blk in radical(self).items()
-                for g in blk.genset()
-                if not blk.ambient.vec_is_zero(g)
-            ]
-        return self._rad_gens
+        """The arrows A: per block (j, l) of J = rad Gamma, (j, l, a) for
+        the Nakayama lifts a of J_(j,l) over the composites J_(m,l) o
+        J_(j,m) of minimal generators plus m * J_(j,l) (which lies in J^2),
+        i.e. lifts of an F-basis of J/J^2.  Nakayama over Gamma gives
+        J = Gamma A, so Q * rad = Q * A; ``_certify_arrows`` checks it."""
+        rad = radical(self)
+        gens = {b: minimal_generators(lat) for b, lat in rad.items()}
+        return [
+            (j, l, a)
+            for (j, l), lat in rad.items()
+            for a in _block_cover(self, lat, _products(self, gens, gens, j, l))[0]
+        ]
 
     def mx(self, br):
         return max(self.ring.conductor[br], 1)
@@ -146,22 +154,11 @@ def diagonal_radical(alg, i):
     x = alg.summands[i]
     maps = [hom_element_as_map(x, x, v) for v in rep_vecs]
     lmats = [[acoords(map_as_hom_element(fa.compose(fb))) for fb in maps] for fa in maps]
-    traces = []
-    for a in range(dim_a):
-        tr = field.zero()
-        for b in range(dim_a):
-            tr = tr + lmats[a][b][b]
-        traces.append(tr)
-    gram = []
-    for a in range(dim_a):
-        grow = []
-        for b in range(dim_a):
-            tr = field.zero()
-            for s, c in enumerate(lmats[a][b]):
-                if c:
-                    tr = tr + c * traces[s]
-            grow.append(tr)
-        gram.append(grow)
+    traces = [sum((lmats[a][b][b] for b in range(dim_a)), field.zero()) for a in range(dim_a)]
+    gram = [
+        [sum((c * traces[s] for s, c in enumerate(lmats[a][b]) if c), field.zero()) for b in range(dim_a)]
+        for a in range(dim_a)
+    ]
     null = nullspace_F(gram, dim_a, field)
     rad_reps = []
     for lam in null:
@@ -211,6 +208,43 @@ def radical(alg):
         for l in range(alg.k):
             blocks[(j, l)] = alg.rad_diag[j] if j == l else alg.hom[(j, l)]
     return blocks
+
+
+def _products(alg, left, right, j, l):
+    """The composites b o a, a in left[(j, m)], b in right[(m, l)], over
+    every m, as hom-vectors of Hom(X_j, X_l)."""
+    x = alg.summands
+    out = []
+    for m in range(alg.k):
+        for a in left[(j, m)]:
+            fa = hom_element_as_map(x[j], x[m], a)
+            out += [map_as_hom_element(hom_element_as_map(x[m], x[l], b).compose(fa)) for b in right[(m, l)]]
+    return out
+
+
+def _block_cover(alg, lat, vecs):
+    """``nakayama_covers`` of the block ``lat`` over R * vecs + m * lat at
+    the cut hi + mx, past which every element of ``lat`` lies in m * lat."""
+    amb = lat.ambient
+    mgens = minimal_generators(alg.ring.maximal_ideal_lattice())
+    m_lat = [amb.branch_scale(BranchVector(x), g) for x in mgens for g in minimal_generators(lat)]
+    cut = [h + lat.mx(amb.branch_of(c)) for c, h in enumerate(lat.hi)]
+    return nakayama_covers(lat, [(vecs + m_lat, [])], cut)
+
+
+def _certify_arrows(alg):
+    """J = Gamma A: per block, the composites of the arrows with the minimal
+    generators of the Hom blocks, plus m * J_(j,l), span J_(j,l) at the cut
+    hi + mx and lie in it; Nakayama over R does the rest.  Missing arrows
+    would make covers non-minimal and a pd wrong; an arrow outside J would
+    make Q * rad too large."""
+    rad = radical(alg)
+    arrows = {b: [a for j, l, a in alg.arrows if (j, l) == b] for b in rad}
+    hom = {b: minimal_generators(lat) for b, lat in alg.hom.items()}
+    for (j, l), lat in rad.items():
+        lifts, inside = _block_cover(alg, lat, _products(alg, arrows, hom, j, l))
+        if lifts or not inside:
+            raise ClaimViolation("arrows do not generate rad Gamma", source=alg.labels[j], target=alg.labels[l])
 
 
 def _column_lattice(alg, blocks, i):
@@ -307,16 +341,6 @@ def rad_projective_gamma(alg, i):
     return _gamma_module(alg, i, _column_lattice(alg, radical(alg), i))
 
 
-def _times_rad_gens(q):
-    """R-module generators of Q * rad(Gamma)."""
-    alg = q.ambient.alg
-    out = []
-    for u in q.genset():
-        for j, l, g in alg.rad_gens():
-            out.append(_right_act(alg, q.ambient, u, j, l, g))
-    return out
-
-
 def _top_cut(q):
     """The window cut at which Q is compared with Q * rad: past the tails of
     the ambient P's by mx, and past Q's skeleton and rows."""
@@ -328,8 +352,10 @@ def _top_cut(q):
 
 def _top_spans(q):
     """The spans one cover step compares: (window, Q, Q * rad), cut where
-    Q is compared with Q * rad."""
-    rgens = _times_rad_gens(q)
+    Q is compared with Q * rad.  Q * rad = Q * A is R-generated by the
+    products u * a of Q's generators u with the arrows a."""
+    alg = q.ambient.alg
+    rgens = [_right_act(alg, q.ambient, u, j, l, a) for u in q.genset() for j, l, a in alg.arrows]
     cut = _top_cut(q)
     lo = valuation_floor(rgens, q.lo)
     ws, ech_q = q.span(lo, cut)

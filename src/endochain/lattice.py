@@ -393,7 +393,7 @@ class Lattice(Module):
     """A full lattice in its ambient, in canonical (minimal-tail, RREF) form:
     rows are the RREF ``basis`` on [lo, hi), cones the tails t^hi * e_coord."""
 
-    __slots__ = ("hi", "_ech")
+    __slots__ = ("hi", "_ech", "_mingens")
 
     def __init__(self, ring, ambient, lo, hi, basis):
         cones = [
@@ -403,6 +403,7 @@ class Lattice(Module):
         super().__init__(ring, ambient, basis, cones, lo)
         self.hi = tuple(hi)
         self._ech = None
+        self._mingens = None
 
     @property
     def basis(self):
@@ -700,12 +701,16 @@ def quotient_dimension(n, n0):
 
 
 def minimal_generators(lat):
-    """Nakayama-minimal generators over a local ring."""
+    """Nakayama-minimal generators over a local ring, as a tuple cached on
+    ``lat`` itself: equal ``Lattice.key()``s over R and over an overring
+    have different generators."""
     if not lat.ring.is_local:
         raise NotLocal("minimal generators need a local ring")
-    cut = [h + lat.mx(lat.ambient.branch_of(c)) for c, h in enumerate(lat.hi)]
-    lifts, _ = nakayama_covers(lat, [maximal_ideal_module(lat.ring, lat)], cut)
-    return lifts
+    if lat._mingens is None:
+        cut = [h + lat.mx(lat.ambient.branch_of(c)) for c, h in enumerate(lat.hi)]
+        lifts, _ = nakayama_covers(lat, [maximal_ideal_module(lat.ring, lat)], cut)
+        lat._mingens = tuple(lifts)
+    return lat._mingens
 
 
 def ring_scalar_vectors(s, base_ring):
@@ -874,7 +879,9 @@ def hom_lattice(c, d):
     """Hom_R(C, D) as a lattice in the matrix ambient.
 
     An f with f(generators of C) in D automatically carries all of C into D
-    (C is generated by its genset over R and f is K-linear, hence R-linear).
+    (f is K-linear, hence R-linear), so one constraint stream per R-generator
+    of C suffices: the Nakayama-minimal ones over a local ring, the genset
+    otherwise.
     """
     if c.ring is not d.ring and c.ring.key() != d.ring.key():
         raise AmbientMismatch("hom needs lattices over the same ring")
@@ -893,7 +900,7 @@ def hom_lattice(c, d):
     for i in range(hamb.ncoords):
         hi[i] = max(hi[i], lo[i])
     ws = WindowSpace(field, hamb, lo, hi)
-    gens = c.genset()
+    gens = minimal_generators(c) if ring.is_local else c.genset()
     streams = [
         (lambda h, g=g: hom_apply(src, tgt, hamb, h, g), d) for g in gens
     ]

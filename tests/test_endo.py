@@ -259,3 +259,54 @@ def test_cover_certificate_negative_control(monkeypatch, tamper):
     monkeypatch.setattr(endo, "_top_lifts", tampered)
     with pytest.raises(ClaimViolation, match="minimal cover is not surjective"):
         minimal_cover_syzygy(omega)
+
+
+def _corpus_ring(name):
+    from endochain.verify import corpus
+
+    return dict(corpus())[name]
+
+
+@pytest.mark.parametrize("name,arrows", [("<2,7>", 7), ("<3,5>", 8)])
+def test_arrows_span_radical_mod_square(name, arrows):
+    # the arrows lift an F-basis of J/J^2, J = rad Gamma
+    _, alg = family_algebra(_corpus_ring(name))
+    assert len(alg.arrows) == arrows
+    assert all(j != l or alg.rad_diag[j].member(a) for j, l, a in alg.arrows)
+
+
+def _drop_last_arrow(arrows, alg):
+    return arrows[:-1]
+
+
+def _add_identity_arrow(arrows, alg):
+    return arrows + [(0, 0, alg.hom[(0, 0)].ambient.unit_vec(alg.ring.field, 0, 0))]
+
+
+@pytest.mark.parametrize("name", ["<2,3>", "tacnode"])
+@pytest.mark.parametrize("tamper", [_drop_last_arrow, _add_identity_arrow])
+def test_arrow_certificate_negative_control(monkeypatch, name, tamper):
+    # too few arrows would make Q * rad too small (non-minimal covers, wrong
+    # pd); an arrow outside rad Gamma would make it too large.  Either way
+    # the Gamma A certificate must refuse the algebra.
+    from endochain.endo import EndoAlgebra
+    from endochain.errors import ClaimViolation
+
+    full = EndoAlgebra.rad_gens
+    monkeypatch.setattr(EndoAlgebra, "rad_gens", lambda alg: tamper(full(alg), alg))
+    with pytest.raises(ClaimViolation, match="arrows do not generate rad Gamma"):
+        family_algebra(_corpus_ring(name))
+
+
+@pytest.mark.parametrize("name", ["<2,7>", "<3,5>", "tacnode"])
+def test_gldim_invariant_under_summand_permutation(name):
+    # rotating the non-free summands rotates pd_per_simple the same way
+    ring = _corpus_ring(name)
+    tree = build_chain_tree(ring)
+    lats = chain_family(tree).lattices()
+    perm = [0] + list(range(2, len(lats))) + [1]
+    base = global_dimension(build_endo_algebra(ring, lats), n=tree.n)
+    rep = global_dimension(build_endo_algebra(ring, [lats[i] for i in perm]), n=tree.n)
+    assert len(lats) > 2
+    assert rep.pd_per_simple == [base.pd_per_simple[i] for i in perm]
+    assert rep.gldim == base.gldim

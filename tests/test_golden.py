@@ -22,8 +22,6 @@ RINGS = sorted(
     os.path.splitext(name)[0] for name in os.listdir(os.path.join(DATA, "rings"))
 )
 MODULES = (("j_over_3_4", "semigroup_3_4"), ("m_over_2_5", "semigroup_2_5"))
-# gldim on this ring is the slowest of the corpus; the benchmark's digests cover it.
-SLOW_GLDIM = ("semigroup_2_9",)
 
 
 def _ring(name):
@@ -39,8 +37,7 @@ def _cases():
         path = os.path.join(DATA, "modules", module + ".json")
         cases.append((f"resolve-{module}", ["resolve", "--ring", _ring(ring), "--module", path]))
     for ring in RINGS:
-        if ring not in SLOW_GLDIM:
-            cases.append((f"gldim-{ring}", ["gldim", "--ring", _ring(ring)]))
+        cases.append((f"gldim-{ring}", ["gldim", "--ring", _ring(ring)]))
     return cases
 
 

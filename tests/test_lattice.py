@@ -459,3 +459,30 @@ def test_compose_through_branch_of_rank_zero():
     zero = hom_element_as_map(x[2], x[0], (Z, Z)).compose(hom_element_as_map(x[0], x[2], (Z,)))
     assert map_as_hom_element(zero) == (Z, Z)
 
+
+def test_minimal_generators_not_shared_with_overring():
+    # E is key-equal as a lattice over <2,3> and as the self lattice of
+    # F[[t]], but needs 2 generators over the first and 1 over the second
+    ring = semigroup_ring(QQ, [2, 3])
+    over = semigroup_ring(QQ, [1])
+    for first in (0, 1):
+        lats = [normalization_lattice(ring), over.self_lattice]
+        lats = [Lattice(l.ring, l.ambient, l.lo, l.hi, l.basis) for l in lats]  # fresh caches
+        assert lats[0].key() == lats[1].key()
+        minimal_generators(lats[first])
+        assert [len(minimal_generators(l)) for l in lats] == [2, 1]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_hom_lattice_minimal_streams_match_genset(name, monkeypatch):
+    # one constraint stream per minimal generator gives the same canonical
+    # lattice as one per genset vector
+    from endochain import lattice
+
+    ring = _corpus_ring(name)
+    lats = [ring.self_lattice, ring.maximal_ideal_lattice()]
+    minimal = [hom_lattice(c, d).key() for c in lats for d in lats]
+    with monkeypatch.context() as mp:
+        mp.setattr(lattice, "minimal_generators", lambda lat: lat.genset())
+        full = [hom_lattice(c, d).key() for c in lats for d in lats]
+    assert minimal == full
