@@ -272,7 +272,6 @@ def test_arrows_span_radical_mod_square(name, arrows):
     # the arrows lift an F-basis of J/J^2, J = rad Gamma
     _, alg = family_algebra(_corpus_ring(name))
     assert len(alg.arrows) == arrows
-    assert all(j != l or alg.rad_diag[j].member(a) for j, l, a in alg.arrows)
 
 
 def _drop_last_arrow(arrows, alg):
