@@ -11,11 +11,10 @@ step spans Q and Q * rad once, reads the tops off them, and certifies the
 cover by adding its images to the Q * rad span.  Q * rad = Q * A for the
 arrows A of Gamma, lifts of a basis of J/J^2 (J = rad Gamma), as J = Gamma A
 by Nakayama; each algebra certifies J = Gamma A when it is built.  The
-cover is Hom(M, lam)
-for a map lam: T' -> T read off the tops, and its syzygy is the image of
-``kernel_lattice`` (``lattice.kernel_window_module``).  The source-slot
-grading of the hom ambient makes the type decomposition of tops
-coordinate-aligned.  ``hom_lattice(M, X_i)`` is recomputed only by
+cover is Hom(M, lam) for a map lam: T' -> T read off the tops, and its
+syzygy is the image of ``kernel_lattice`` (``lattice.kernel_window_module``).
+The source-slot grading of the hom ambient makes the type decomposition of
+tops coordinate-aligned.  ``hom_lattice(M, X_i)`` is recomputed only by
 ``projectivization_check``.
 
 The radical of each End(X_i) is computed two ways and cross-checked: the
