@@ -14,7 +14,6 @@ from .curve_ring import (
     build_ring,
     semigroup_ring,
     maximal_ideal,
-    branch_idempotents,
     factor,
     ring_report,
 )
@@ -31,7 +30,6 @@ from .lattice import (
     direct_sum,
     quotient_dimension,
     minimal_generators,
-    membership,
     free_decomposition_over_dvr_product,
 )
 from .chain import (
@@ -52,9 +50,7 @@ from .endo import (
     build_endo_algebra,
     global_dimension,
     minimal_projective_resolution,
-    projective,
     projectivization_check,
     radical,
-    simple,
     fcmt_check,
 )

@@ -6,7 +6,9 @@ conductor c (every monomial t^m e_i with m >= c_i visible in the window
 span), the complete subalgebra genuinely contains t^c E: deeper monomials
 are obtained by successive approximation inside the closed algebra, so the
 window data determines the ring exactly.  The canonical representation is
-the window basis on [0, c) plus the conductor tail.
+the window basis on [0, c) plus the conductor tail.  The ring keeps the
+generators it was built from as ``CurveRing.gens``: R is the closure of
+F[gens], so they are the multipliers of every later R-closure (``_close``).
 """
 
 import itertools
@@ -23,7 +25,7 @@ from .errors import (
     ResidueFieldTooLarge,
     SchemaError,
 )
-from .lattice import Ambient, WindowSpace, Lattice, _close, minimal_generators, ring_scalar_vectors
+from .lattice import Ambient, WindowSpace, Lattice, _close, minimal_generators
 
 
 class CurveRing:
@@ -31,6 +33,7 @@ class CurveRing:
         "field",
         "branches",
         "conductor",
+        "gens",
         "is_local",
         "atoms",
         "self_lattice",
@@ -39,10 +42,12 @@ class CurveRing:
         "_basis_bv",
     )
 
-    def __init__(self, field, branches, conductor, basis_vectors, atoms, window_bound):
+    def __init__(self, field, branches, conductor, basis_vectors, atoms, window_bound, gens):
         self.field = field
         self.branches = branches
         self.conductor = tuple(conductor)
+        # algebra generators (BranchVectors); not part of key()
+        self.gens = tuple(gens)
         self.atoms = tuple(atoms)
         self.is_local = len(atoms) == 1
         self.window_bound = window_bound
@@ -170,7 +175,7 @@ def build_ring(field, branches, generators, window_hint=None, max_window=192):
     _close(ws2, ech2, [ws.vec_of(r) for r in ech.rows])
     basis = [ws2.vec_of(r) for r in ech2.rows]
     atoms = _branch_atoms(field, branches, ws2, ech2, conductor)
-    ring = CurveRing(field, branches, conductor, basis, atoms, w)
+    ring = CurveRing(field, branches, conductor, basis, atoms, w, gens)
     if ring.is_local and ring.residue_constants_dim() > 1:
         raise ResidueFieldTooLarge(
             "local ring has residue field larger than the coefficient field"
@@ -253,18 +258,16 @@ def maximal_ideal(ring):
     return Lattice._canonicalize(ring, amb, [0] * amb.ncoords, hi, ech2, ws)
 
 
-def branch_idempotents(ring):
-    """The minimal branch subsets whose idempotent lies in the ring."""
-    return list(ring.atoms)
-
-
 def factor(ring, T):
-    """The direct factor e_T * R as a ring on the branches of T."""
+    """The direct factor e_T * R as a ring on the branches of T, built from
+    the parent's generators restricted to T: r -> e_T * r is a continuous
+    surjection onto e_T * R, so it carries a dense F[gens] onto a dense
+    F[e_T * gens]."""
     T = tuple(sorted(set(T)))
     eT = BranchVector.indicator(ring.field, ring.branches, set(T))
     if not ring.self_lattice.member(tuple(eT.parts)):
         raise NotIdempotentFactor("e_T does not lie in the ring", subset=T)
-    gens = [BranchVector([bv.parts[b] for b in T]) for bv in ring_scalar_vectors(ring, ring)]
+    gens = [BranchVector([bv.parts[b] for b in T]) for bv in ring.gens]
     return build_ring(ring.field, len(T), gens)
 
 

@@ -52,7 +52,6 @@ from .lattice import (
     placed_sum,
     quotient_dimension,
     raw_span,
-    ring_scalar_vectors,
     valuation_floor,
     _close,
 )
@@ -227,8 +226,7 @@ def _block_cover(alg, lat, vecs):
     amb = lat.ambient
     mgens = minimal_generators(alg.ring.maximal_ideal_lattice())
     m_lat = [amb.branch_scale(BranchVector(x), g) for x in mgens for g in minimal_generators(lat)]
-    cut = [h + lat.mx(amb.branch_of(c)) for c, h in enumerate(lat.hi)]
-    return nakayama_covers(lat, [(vecs + m_lat, [])], cut)
+    return nakayama_covers(lat, [(vecs + m_lat, [])], lat.nakayama_cut())
 
 
 def _certify_arrows(alg):
@@ -343,10 +341,7 @@ def rad_projective_gamma(alg, i):
 def _top_cut(q):
     """The window cut at which Q is compared with Q * rad: past the tails of
     the ambient P's by mx, and past Q's skeleton and rows."""
-    pidx = q.ambient
-    return q.deep_cut(
-        [pidx.plat.hi[c] + pidx.alg.mx(pidx.branch_of(c)) for c in range(pidx.ncoords)]
-    )
+    return q.deep_cut(q.ambient.plat.nakayama_cut())
 
 
 def _top_spans(q):
@@ -425,7 +420,7 @@ def minimal_cover_syzygy(q):
     # window lies below Q's valuations, so it is not in Q; multiplying by R
     # never lowers a valuation, so no R-multiple of the others is either.
     images = [cover_map.apply(g) for g in pidx.plat.genset()]
-    inside = _close(ws, ech_r, images, mults=ring_scalar_vectors(q.ring, q.ring))
+    inside = _close(ws, ech_r, images, mults=q.ring.gens)
     if not (inside and ech_r.contains_space(ech_q) and ech_q.contains_space(ech_r)):
         raise ClaimViolation("minimal cover is not surjective")
     return pidx.col_types, syz
@@ -453,14 +448,6 @@ class SimpleModule:
     def __init__(self, alg, index):
         self.alg = alg
         self.index = index
-
-
-def projective(alg, i):
-    return projective_gamma(alg, i)
-
-
-def simple(alg, i):
-    return SimpleModule(alg, i)
 
 
 def minimal_projective_resolution(qmod, cap=16):

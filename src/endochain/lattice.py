@@ -25,12 +25,12 @@ Every window span is built by one closure routine, ``_close``: it adds the
 cones' monomials and the truncated rows of given vectors, and closes them
 under a set of multipliers with a worklist.  ``Module.span`` and the
 canonical windows pass no multipliers (their rows are R-closed already);
-``raw_span`` closes generator sets that are not (images, m * N) under R's
-multipliers ``ring_scalar_vectors(R, R)``, and ``curve_ring.build_ring``
-closes 1 under algebra generators.  Truncating between products is exact
-and those multipliers are dense in R, so the span is the truncation of
+``curve_ring.build_ring`` closes 1 under the algebra generators ``gens``,
+and R is by definition the closure of F[gens], so ``raw_span`` closes
+generator sets that are not R-closed (images, m * N) under ``R.gens``.
+Truncating between products is exact, so the span is the truncation of
 R * vectors (see ``_close``).  Surjectivity and exactness are certified by
-one Nakayama span identity, ``nakayama_covers``.
+one Nakayama span identity, ``nakayama_covers``, at ``nakayama_cut``.
 
 Kernels are computed once, by ``kernel_lattice``: a canonical lattice in
 fresh coordinates plus its embedding; ``kernel_window_module`` is its image.
@@ -203,7 +203,7 @@ def raw_span(ring, ambient, rgens, cones, lo, hi):
     """
     ws = WindowSpace(ring.field, ambient, lo, hi)
     ech = ws.echelon()
-    _close(ws, ech, rgens, cones, ring_scalar_vectors(ring, ring))
+    _close(ws, ech, rgens, cones, ring.gens)
     return ws, ech
 
 
@@ -220,13 +220,11 @@ def _close(ws, ech, vecs, cones=(), mults=()):
     Each cone adds its monomial multiples t^m * v that reach the window.
     Each vector adds its truncated row, and every vector that raised the
     rank goes on a worklist, is multiplied by each of ``mults`` and
-    truncated, until no product raises the rank.  With ``mults`` from
-    ``ring_scalar_vectors(R, R)`` the span is pi(R * vecs + cones):
-    (1) pi(a * pi(v)) = pi(a * v) whenever val(a) >= 0, so truncating
-    between products loses nothing; (2) F[mults] is dense in R modulo
-    t^N E for every N (the tail monomials t^m e_br, c_br <= m < c_br +
-    max(c_br, 2), generate every t^m e_br with m >= c_br; with c_br = 0
-    this needs both e_br and t * e_br); (3) the RREF of a span is
+    truncated, until no product raises the rank.  With ``mults = R.gens``
+    the span is pi(R * vecs + cones): (1) pi(a * pi(v)) = pi(a * v)
+    whenever val(a) >= 0, so truncating between products loses nothing;
+    (2) R is the closure of F[R.gens] (``build_ring``), so F[mults] is
+    dense in R modulo t^N E for every N; (3) the RREF of a span is
     canonical, so the result does not depend on the order in which rows
     were added.  Multiplying never lowers a valuation, so no product falls
     below ``ws.lo``.
@@ -500,6 +498,12 @@ class Lattice(Module):
     def rank(self):
         return self.ambient.ranks
 
+    def nakayama_cut(self):
+        """Per coordinate, hi + mx: every element supported at or beyond it
+        lies in m * self, as mx >= max(c_br, 1) puts t^mx * e_br in m and
+        t^(hi + mx) * e_c = t^mx * e_br * t^hi * e_c."""
+        return [h + self.mx(self.ambient.branch_of(c)) for c, h in enumerate(self.hi)]
+
     # -- membership and spans -------------------------------------------------
 
     def member(self, vec):
@@ -528,14 +532,10 @@ class LatticeMap:
 
     __slots__ = ("source", "target", "mats")
 
-    def __init__(self, source, target, mats, check=False):
+    def __init__(self, source, target, mats):
         self.source = source
         self.target = target
         self.mats = tuple(tuple(tuple(row) for row in m) for m in mats)
-        if check:
-            for g in source.genset():
-                if not target.member(self.apply(g)):
-                    raise NotASubmodule("map does not carry source into target")
 
     @classmethod
     def from_entries(cls, source, target, entries):
@@ -621,10 +621,6 @@ class LatticeMap:
 # -- module operations ----------------------------------------------------------
 
 
-def membership(vec, lat):
-    return lat.member(vec)
-
-
 def lattice_sum(l1, l2):
     if l1.ambient != l2.ambient:
         raise AmbientMismatch("sum needs equal ambients")
@@ -707,23 +703,9 @@ def minimal_generators(lat):
     if not lat.ring.is_local:
         raise NotLocal("minimal generators need a local ring")
     if lat._mingens is None:
-        cut = [h + lat.mx(lat.ambient.branch_of(c)) for c, h in enumerate(lat.hi)]
-        lifts, _ = nakayama_covers(lat, [maximal_ideal_module(lat.ring, lat)], cut)
+        lifts, _ = nakayama_covers(lat, [maximal_ideal_module(lat.ring, lat)], lat.nakayama_cut())
         lat._mingens = tuple(lifts)
     return lat._mingens
-
-
-def ring_scalar_vectors(s, base_ring):
-    """Generators of the ring S as a module over a subring (BranchVectors):
-    the window basis plus the tail monomials t^(c_S + m) e_br for
-    0 <= m < max(c, 2), c the subring's conductor.  Over S itself they
-    generate S as an F-algebra topologically (``_close``); the bound 2 is
-    what makes e_br and t * e_br both appear when c_S = 0."""
-    out = list(s.scalar_basis())
-    for br in range(s.branches):
-        for m in range(max(base_ring.conductor[br], 2)):
-            out.append(BranchVector.monomial(s.field, s.branches, br, s.conductor[br] + m))
-    return out
 
 
 def overring_scalars(overring, lat):
@@ -744,9 +726,11 @@ def overring_scalars(overring, lat):
 
 
 def check_overring(overring, ring):
+    """R <= S: S is a closed subalgebra containing 1, so it contains the
+    closure R of F[R.gens] once it contains each of R.gens."""
     if overring.branches != ring.branches:
         raise NotAnOverring("different branch sets")
-    for g in ring_scalar_vectors(ring, ring):
+    for g in ring.gens:
         if not overring.self_lattice.member(tuple(g.parts)):
             raise NotAnOverring("base ring does not embed in the overring")
 
@@ -1072,9 +1056,8 @@ def nakayama_covers(goal, parts, cut):
 def is_surjective_onto(f):
     """Nakayama test: im(f) + m*target = target."""
     tgt = f.target
-    cut = [h + tgt.mx(tgt.ambient.branch_of(c)) + 1 for c, h in enumerate(tgt.hi)]
     parts = [image_module(f), maximal_ideal_module(tgt.ring, tgt)]
-    lifts, inside = nakayama_covers(tgt, parts, cut)
+    lifts, inside = nakayama_covers(tgt, parts, tgt.nakayama_cut())
     return not lifts and inside
 
 

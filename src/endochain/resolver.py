@@ -206,8 +206,7 @@ def iso_scaling(a, b):
     hgens = h.genset()
     prods = [h.ambient.branch_scale(s, g) for s in scalars for g in hgens]
     cones = [(br, h.ambient.mono_scale(br, h.mx(br), v)) for br, v in h.cones]
-    cut = [hi + h.mx(h.ambient.branch_of(c)) for c, hi in enumerate(h.hi)]
-    lifts, _ = nakayama_covers(h, [(prods, cones)], cut)
+    lifts, _ = nakayama_covers(h, [(prods, cones)], h.nakayama_cut())
     if len(lifts) != 1:
         return None
     kappa = as_bv(lifts[0], h.ambient)
@@ -222,7 +221,7 @@ def iso_scaling(a, b):
 
 def _free_cover_data(n, n1):
     """Nakayama lifts of N/(N1 + mN); deterministic via echelon order."""
-    cut = [max(n1.hi[c], h + n.mx(n.ambient.branch_of(c))) for c, h in enumerate(n.hi)]
+    cut = [max(a, b) for a, b in zip(n1.hi, n.nakayama_cut())]
     lifts, _ = nakayama_covers(n, [n1, maximal_ideal_module(n.ring, n)], cut)
     return lifts
 

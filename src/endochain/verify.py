@@ -18,7 +18,6 @@ from .lattice import (
     kernel_lattice,
     scalar_extension_test,
     largest_submodule_over,
-    ring_scalar_vectors,
 )
 from .resolver import keyred_resolve, _relattice
 from .endo import build_endo_algebra, global_dimension, projectivization_check
@@ -111,15 +110,8 @@ def random_fractional_ideal(rng, ring, shift_range=2):
 
 def random_stable_lattice(rng, overring, base_ring):
     """A random overring-stable rank-one lattice over the base ring."""
-    ideal = random_fractional_ideal(rng, overring)
-    # S-module generated: multiply generators with enough S scalars to
-    # generate over the (smaller) base ring, then view over the base
-    amb = ideal.ambient
-    gens = []
-    for s in ring_scalar_vectors(overring, base_ring):
-        for g in ideal.genset():
-            gens.append(amb.branch_scale(s, g))
-    return Lattice.from_generators(base_ring, amb, gens)
+    # an S-lattice is an R-lattice for R <= S: the same canonical set
+    return _relattice(random_fractional_ideal(rng, overring), base_ring)
 
 
 def overrings_of(ring):

@@ -1,12 +1,15 @@
+import os
+
 import pytest
 
+from endochain import ringio
+from endochain.chain import build_chain_tree
 from endochain.field import QQ
 from endochain.series import LaurentPoly, BranchVector
 from endochain.curve_ring import (
     build_ring,
     semigroup_ring,
     maximal_ideal,
-    branch_idempotents,
     factor,
     ring_report,
     normalization_lattice,
@@ -22,6 +25,7 @@ from oracle import sg_conductor, sg_gaps, sg_minimal_generators, sg_values
 
 T = LaurentPoly.monomial(QQ, 1)
 Z = LaurentPoly.zero(QQ)
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "data", "rings")
 
 
 def node_ring():
@@ -95,7 +99,7 @@ def test_fake_conjugate_constants_split_the_ring():
     u = BranchVector([LaurentPoly.from_pairs(QQ, [(0, 1)]), LaurentPoly.from_pairs(QQ, [(0, -1)])])
     r = build_ring(QQ, 2, [u, BranchVector([T, Z]), BranchVector([Z, T])])
     assert not r.is_local
-    assert sorted(branch_idempotents(r)) == [(0,), (1,)]
+    assert sorted(r.atoms) == [(0,), (1,)]
 
 
 def test_maximal_ideal_cusp():
@@ -138,10 +142,10 @@ def test_maximal_ideal_requires_local():
 
 
 def test_branch_idempotents_node_vs_product():
-    assert branch_idempotents(node_ring()) == [(0, 1)]
+    assert list(node_ring().atoms) == [(0, 1)]
     e = build_ring(QQ, 2, [BranchVector([LaurentPoly.one(QQ), Z]), BranchVector([T, Z]), BranchVector([Z, T])])
-    assert sorted(branch_idempotents(e)) == [(0,), (1,)]
-    assert branch_idempotents(semigroup_ring(QQ, [2, 3])) == [(0,)]
+    assert sorted(e.atoms) == [(0,), (1,)]
+    assert list(semigroup_ring(QQ, [2, 3]).atoms) == [(0,)]
 
 
 def test_factor_of_product():
@@ -204,3 +208,20 @@ def test_conductor_tail_membership():
         for m in range(4):
             mono = amb.unit_vec(QQ, br, r.conductor[br] + m)
             assert r.self_lattice.member(mono)
+
+
+@pytest.mark.parametrize("name", ["node", "triple_point", "tacnode", "cusp_line"])
+def test_factor_matches_restricted_window_basis(name):
+    # factor closes the parent's generators restricted to T; the restricted
+    # window basis plus the conductor monomials generate the same ring
+    ring = ringio.ring_from_json(ringio.load_json(os.path.join(CORPUS, name + ".json")))
+    for nd in build_chain_tree(ring).nodes():
+        if nd.r1 is None:
+            continue
+        s1 = nd.r1
+        for T in s1.atoms:
+            gens = [BranchVector([bv.parts[b] for b in T]) for bv in s1.scalar_basis()]
+            for i, b in enumerate(T):
+                c = s1.conductor[b]
+                gens += [BranchVector.monomial(QQ, len(T), i, c + m) for m in range(max(c, 1) + 1)]
+            assert factor(s1, T).key() == build_ring(QQ, len(T), gens).key()

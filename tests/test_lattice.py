@@ -22,7 +22,6 @@ from endochain.lattice import (
     largest_submodule_over,
     lattice_sum,
     maximal_ideal_module,
-    membership,
     minimal_generators,
     quotient_dimension,
     raw_span,
@@ -30,7 +29,7 @@ from endochain.lattice import (
     WindowSpace,
 )
 from endochain.verify import generated_test_lattices
-from endochain.errors import AmbientMismatch, NotASubmodule, NotDvrProduct, NotFullRank
+from endochain.errors import AmbientMismatch, NotAnOverring, NotASubmodule, NotDvrProduct, NotFullRank
 from oracle import sg_values, colon_values, ideal_values, sg_conductor
 
 
@@ -59,9 +58,9 @@ def test_membership_examples():
     r = semigroup_ring(QQ, [2, 3])
     m = r.maximal_ideal_lattice()
     amb = m.ambient
-    assert membership(amb.unit_vec(QQ, 0, 4), m)  # t^4 = t^2 t^2
-    assert not membership(amb.unit_vec(QQ, 0, 1), r.self_lattice)  # gap
-    assert membership(amb.zero_vec(QQ), m)
+    assert m.member(amb.unit_vec(QQ, 0, 4))  # t^4 = t^2 t^2
+    assert not r.self_lattice.member(amb.unit_vec(QQ, 0, 1))  # gap
+    assert m.member(amb.zero_vec(QQ))
 
 
 def test_hom_evaluation_at_one():
@@ -381,38 +380,70 @@ def _brute_r_span(ring, amb, gens, cones, lo, hi):
     return ech
 
 
+def _tree_rings(tree):
+    """Every ring of a chain tree, root first: each node's ring and End(m)."""
+    rings = []
+    for nd in tree.nodes():
+        rings += [r for r in (nd.ring, nd.r1) if r is not None and all(r is not s for s in rings)]
+    return rings
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_raw_span_matches_brute_force(name):
-    # raw_span's worklist closure equals the one-shot product of every
-    # generator with all of R's scalars, on windows past the conductor
-    ring = _corpus_ring(name)
+    # raw_span's worklist closure under R.gens equals the one-shot product of
+    # every generator with all of R's scalars, on windows past the conductor,
+    # for every ring of the chain tree: End(m) rings close under minimal
+    # generators and factors under restricted ones
+    root = _corpus_ring(name)
+    tree = build_chain_tree(root)
     rng = random.Random(name)
-    field = ring.field
-    # R * 1 on [0, top) past the conductor: top per branch less delta (on
-    # F[[t]], semigroup_1, all of F^5)
-    top = 2 * max(ring.conductor) + 5
-    amb1 = ring.self_lattice.ambient
-    one = tuple(BranchVector.one(field, ring.branches).parts)
-    cases = [(amb1, [one], [], [0] * ring.branches, [top] * ring.branches)]
-    _, ech = raw_span(ring, *cases[0])
-    assert ech.rank() == ring.branches * top - ring.delta()
-    # m * L for generated lattices L: generators that are not R-closed
-    tree = build_chain_tree(ring)
-    for _, lat in generated_test_lattices(rng, ring, tree)[:3]:
-        rgens, cones = maximal_ideal_module(ring, lat)
-        cut = [h + lat.mx(lat.ambient.branch_of(c)) + 1 for c, h in enumerate(lat.hi)]
-        cases.append((lat.ambient, rgens, cones, [v - 1 for v in lat.lo], cut))
-    # two random vectors of rank two per branch, one cone past the conductor
-    amb2 = Ambient([2] * ring.branches)
-    vecs = [
-        tuple(LaurentPoly.from_pairs(field, [(e, rng.randint(-2, 2)) for e in range(4)]) for _ in range(amb2.ncoords))
-        for _ in range(2)
-    ]
-    cone = (0, amb2.unit_vec(field, 0, ring.conductor[0] + 1))
-    cases.append((amb2, vecs, [cone], [0] * amb2.ncoords, [top] * amb2.ncoords))
-    for amb, gens, cones, lo, hi in cases:
-        _, ech = raw_span(ring, amb, gens, cones, lo, hi)
-        assert ech.rank() > 0 and ech == _brute_r_span(ring, amb, gens, cones, lo, hi)
+    for ring in _tree_rings(tree):
+        field = ring.field
+        # R * 1 on [0, top) past the conductor: top per branch less delta (on
+        # F[[t]], semigroup_1, all of F^5)
+        top = 2 * max(ring.conductor) + 5
+        amb1 = ring.self_lattice.ambient
+        one = tuple(BranchVector.one(field, ring.branches).parts)
+        cases = [(amb1, [one], [], [0] * ring.branches, [top] * ring.branches)]
+        _, ech = raw_span(ring, *cases[0])
+        assert ech.rank() == ring.branches * top - ring.delta()
+        # m * L: generators that are not R-closed; generated lattices on the
+        # root, R and m on the other local rings
+        if ring is root:
+            lats = [lat for _, lat in generated_test_lattices(rng, ring, tree)[:3]]
+        else:
+            lats = [ring.self_lattice, ring.maximal_ideal_lattice()] if ring.is_local else []
+        for lat in lats:
+            rgens, cones = maximal_ideal_module(ring, lat)
+            cut = [h + lat.mx(lat.ambient.branch_of(c)) + 1 for c, h in enumerate(lat.hi)]
+            cases.append((lat.ambient, rgens, cones, [v - 1 for v in lat.lo], cut))
+        # two random vectors of rank two per branch, one cone past the conductor
+        amb2 = Ambient([2] * ring.branches)
+        vecs = [
+            tuple(LaurentPoly.from_pairs(field, [(e, rng.randint(-2, 2)) for e in range(4)]) for _ in range(amb2.ncoords))
+            for _ in range(2)
+        ]
+        cone = (0, amb2.unit_vec(field, 0, ring.conductor[0] + 1))
+        cases.append((amb2, vecs, [cone], [0] * amb2.ncoords, [top] * amb2.ncoords))
+        for amb, gens, cones, lo, hi in cases:
+            _, ech = raw_span(ring, amb, gens, cones, lo, hi)
+            assert ech.rank() > 0 and ech == _brute_r_span(ring, amb, gens, cones, lo, hi)
+
+
+def test_scalar_extension_rejects_non_overring():
+    # the overring must contain each generator of the base ring: t^2 of
+    # <2,3> and t^5 (the last generator) of <3,4,5> are not in <3,4>
+    s34 = semigroup_ring(QQ, [3, 4])
+    for base in ([2, 3], [3, 4, 5]):
+        with pytest.raises(NotAnOverring):
+            scalar_extension_test(s34, semigroup_ring(QQ, base).maximal_ideal_lattice())
+    # E contains every corpus ring; E is E-stable, R only when R = E
+    for name in CORPUS_NAMES:
+        ring = _corpus_ring(name)
+        egens = [BranchVector.monomial(QQ, ring.branches, br, e) for br in range(ring.branches) for e in (0, 1)]
+        e_ring = build_ring(QQ, ring.branches, egens)
+        assert scalar_extension_test(e_ring, normalization_lattice(ring))
+        assert scalar_extension_test(e_ring, ring.self_lattice) == ring.is_dvr_product()
 
 
 def _shipped_interior_maps():
