@@ -125,7 +125,7 @@ def embedded_lattice(base_ring, positions, lat):
     tail = [0] * amb.ncoords
     for c, c_small in slots:
         tail[c] = lat.hi[c_small]
-        for m in range(max(base_ring.conductor[amb.branch_of(c)], 1)):
+        for m in range(base_ring.mx(amb.branch_of(c))):
             gens.append(amb.unit_vec(field, c, tail[c] + m))
     return Lattice.from_generators(base_ring, amb, gens, known_tail=tail)
 

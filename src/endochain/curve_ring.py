@@ -9,6 +9,8 @@ window data determines the ring exactly.  The canonical representation is
 the window basis on [0, c) plus the conductor tail.  The ring keeps the
 generators it was built from as ``CurveRing.gens``: R is the closure of
 F[gens], so they are the multipliers of every later R-closure (``_close``).
+On a local ring they give m = sum (g - g(0)) * R (``maximal_ideal_gens``),
+which contains t^mx * e_br for the Nakayama depth mx = max(c_br, 1).
 """
 
 import itertools
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .series import BranchVector
-from .linalg import Echelon, nullspace_F
+from .linalg import Echelon
 from .errors import (
     NoFiniteConductor,
     NotCoprime,
@@ -91,6 +93,20 @@ class CurveRing:
     def delta(self):
         """dim_F(E/R)."""
         return sum(self.conductor) - len(self.self_lattice.basis)
+
+    def mx(self, br):
+        """The Nakayama depth max(c_br, 1) of branch br: t^mx * e_br lies
+        in m, since it lies in t^c E and has no constant term."""
+        return max(self.conductor[br], 1)
+
+    def maximal_ideal_gens(self):
+        """The nonzero g - g(0) * 1 over ``gens``: R is the closure of F[gens]
+        and R/m = F (g(0) is the same on every branch), so m = sum (g - g(0)) R."""
+        if not self.is_local:
+            raise NotLocal("maximal ideal needs a local ring")
+        one = BranchVector.one(self.field, self.branches)
+        diffs = [g - one.scale(g[0][0]) for g in self.gens]
+        return [d for d in diffs if not d.is_zero()]
 
     def maximal_ideal_lattice(self):
         if self._mlat is None:
@@ -234,28 +250,13 @@ def semigroup_ring(field, semigroup_generators, **kw):
 
 
 def maximal_ideal(ring):
-    """The Jacobson radical of a local ring as a rank-one lattice."""
-    if not ring.is_local:
-        raise NotLocal("maximal ideal needs a local ring")
-    field = ring.field
+    """The Jacobson radical m = sum (g - g(0)) * R of a local ring as a
+    rank-one lattice, with the cones t^mx * e_br at the valid tail mx."""
     amb = ring.self_lattice.ambient
-    hi = [max(c, 1) for c in ring.conductor]
-    ws, ech = ring.self_lattice.span([0] * ring.branches, hi)
-    # combinations of the span with zero constant term on every branch
-    const_cols = [ws.index[(coord, 0)] for coord in range(amb.ncoords) if (coord, 0) in ws.index]
-    rows = ech.basis()
-    constraints = []
-    for j in const_cols:
-        constraints.append([r[j] for r in rows])
-    lams = nullspace_F(constraints, len(rows), field)
-    ech2 = ws.echelon()
-    for lam in lams:
-        acc = [field.zero()] * ws.ncols()
-        for c, r in zip(lam, rows):
-            if c:
-                acc = [a + c * b for a, b in zip(acc, r)]
-        ech2.add(acc)
-    return Lattice._canonicalize(ring, amb, [0] * amb.ncoords, hi, ech2, ws)
+    gens = [tuple(d.parts) for d in ring.maximal_ideal_gens()]
+    hi = [ring.mx(br) for br in range(ring.branches)]
+    cones = [(br, amb.unit_vec(ring.field, br, h)) for br, h in enumerate(hi)]
+    return Lattice.from_module_data(ring, amb, gens, cones, [0] * ring.branches, hi)
 
 
 def factor(ring, T):
@@ -316,6 +317,6 @@ def normalization_lattice(ring):
     amb = ring.self_lattice.ambient
     gens = []
     for br in range(ring.branches):
-        for mno in range(max(ring.conductor[br], 1)):
+        for mno in range(ring.mx(br)):
             gens.append(amb.unit_vec(field, br, mno))
     return Lattice.from_generators(ring, amb, gens, known_tail=[0] * ring.branches)

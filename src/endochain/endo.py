@@ -47,6 +47,7 @@ from .lattice import (
     is_surjective_onto,
     kernel_window_module,
     map_as_hom_element,
+    maximal_ideal_module,
     minimal_generators,
     nakayama_covers,
     placed_sum,
@@ -100,11 +101,8 @@ class EndoAlgebra:
         return [
             (j, l, a)
             for (j, l), lat in rad.items()
-            for a in _block_cover(self, lat, _products(self, gens, gens, j, l))[0]
+            for a in _block_cover(lat, _products(self, gens, gens, j, l))[0]
         ]
-
-    def mx(self, br):
-        return max(self.ring.conductor[br], 1)
 
 
 def diagonal_radical(alg, i):
@@ -117,7 +115,7 @@ def diagonal_radical(alg, i):
         raise NotIndecomposable("zero summand", label=alg.labels[i])
     lo_min = min(ea.lo)
     m = max(1, 1 - lo_min)
-    zexp = [max(ring.conductor[br], 1) * m for br in range(ring.branches)]
+    zexp = [ring.mx(br) * m for br in range(ring.branches)]
     z = BranchVector([LaurentPoly.monomial(field, e) for e in zexp])
     jgens = [amb.branch_scale(z, g) for g in ea.genset()]
     jtail = [ea.hi[c] + zexp[amb.branch_of(c)] for c in range(amb.ncoords)]
@@ -220,13 +218,10 @@ def _products(alg, left, right, j, l):
     return out
 
 
-def _block_cover(alg, lat, vecs):
+def _block_cover(lat, vecs):
     """``nakayama_covers`` of the block ``lat`` over R * vecs + m * lat at
     the cut hi + mx, past which every element of ``lat`` lies in m * lat."""
-    amb = lat.ambient
-    mgens = minimal_generators(alg.ring.maximal_ideal_lattice())
-    m_lat = [amb.branch_scale(BranchVector(x), g) for x in mgens for g in minimal_generators(lat)]
-    return nakayama_covers(lat, [(vecs + m_lat, [])], lat.nakayama_cut())
+    return nakayama_covers(lat, [(vecs, []), maximal_ideal_module(lat)], lat.nakayama_cut())
 
 
 def _certify_arrows(alg):
@@ -239,7 +234,7 @@ def _certify_arrows(alg):
     arrows = {b: [a for j, l, a in alg.arrows if (j, l) == b] for b in rad}
     hom = {b: minimal_generators(lat) for b, lat in alg.hom.items()}
     for (j, l), lat in rad.items():
-        lifts, inside = _block_cover(alg, lat, _products(alg, arrows, hom, j, l))
+        lifts, inside = _block_cover(lat, _products(alg, arrows, hom, j, l))
         if lifts or not inside:
             raise ClaimViolation("arrows do not generate rad Gamma", source=alg.labels[j], target=alg.labels[l])
 
@@ -324,7 +319,7 @@ def _gamma_module(alg, i, lat):
     skel = []
     for c, h in enumerate(lat.hi):
         br = pidx.branch_of(c)
-        skel.append((br, pidx.unit_vec(field, c, 0), h + alg.mx(br)))
+        skel.append((br, pidx.unit_vec(field, c, 0), h + alg.ring.mx(br)))
     return Module(alg.ring, pidx, lat.basis, lat.cones, lat.lo, skel)
 
 

@@ -30,7 +30,8 @@ and R is by definition the closure of F[gens], so ``raw_span`` closes
 generator sets that are not R-closed (images, m * N) under ``R.gens``.
 Truncating between products is exact, so the span is the truncation of
 R * vectors (see ``_close``).  Surjectivity and exactness are certified by
-one Nakayama span identity, ``nakayama_covers``, at ``nakayama_cut``.
+one Nakayama span identity, ``nakayama_covers``, at ``nakayama_cut``; its
+m * N is always ``maximal_ideal_module``: (g - g(0)) * N over R's gens g.
 
 Kernels are computed once, by ``kernel_lattice``: a canonical lattice in
 fresh coordinates plus its embedding; ``kernel_window_module`` is its image.
@@ -289,9 +290,6 @@ class Module:
         self.lo = tuple(lo)
         self.skel = skel
 
-    def mx(self, br):
-        return max(self.ring.conductor[br], 1)
-
     def is_zero(self):
         return not self.rows and not self.cones
 
@@ -300,7 +298,7 @@ class Module:
         mx monomial multiples (deeper ones are R-multiples of these)."""
         out = list(self.rows)
         for br, v in self.cones:
-            for m in range(self.mx(br)):
+            for m in range(self.ring.mx(br)):
                 out.append(self.ambient.mono_scale(br, m, v))
         return out
 
@@ -500,9 +498,9 @@ class Lattice(Module):
 
     def nakayama_cut(self):
         """Per coordinate, hi + mx: every element supported at or beyond it
-        lies in m * self, as mx >= max(c_br, 1) puts t^mx * e_br in m and
+        lies in m * self, as t^mx * e_br lies in m (``CurveRing.mx``) and
         t^(hi + mx) * e_c = t^mx * e_br * t^hi * e_c."""
-        return [h + self.mx(self.ambient.branch_of(c)) for c, h in enumerate(self.hi)]
+        return [h + self.ring.mx(self.ambient.branch_of(c)) for c, h in enumerate(self.hi)]
 
     # -- membership and spans -------------------------------------------------
 
@@ -703,7 +701,7 @@ def minimal_generators(lat):
     if not lat.ring.is_local:
         raise NotLocal("minimal generators need a local ring")
     if lat._mingens is None:
-        lifts, _ = nakayama_covers(lat, [maximal_ideal_module(lat.ring, lat)], lat.nakayama_cut())
+        lifts, _ = nakayama_covers(lat, [maximal_ideal_module(lat)], lat.nakayama_cut())
         lat._mingens = tuple(lifts)
     return lat._mingens
 
@@ -989,7 +987,7 @@ def kernel_window_module(f):
     skel = []
     for j, h in enumerate(lat.hi):
         br = kamb.branch_of(j)
-        skel.append((br, embed.apply(kamb.unit_vec(lat.ring.field, j)), h + f.source.mx(br)))
+        skel.append((br, embed.apply(kamb.unit_vec(lat.ring.field, j)), h + f.source.ring.mx(br)))
     rows = [embed.apply(r) for r in lat.rows]
     cones = [(br, embed.apply(v)) for br, v in lat.cones]
     ker = Module(f.source.ring, src, rows, cones, f.source.lo, skel)
@@ -1012,14 +1010,15 @@ def image_module(f):
     return rgens, cones
 
 
-def maximal_ideal_module(ring, mod):
-    """R-generator data (rgens, cones) of m * mod for a Module ``mod``."""
-    m = ring.maximal_ideal_lattice()
+def maximal_ideal_module(mod):
+    """R-generator data (rgens, cones) of m * mod for a Module ``mod``: as
+    m = sum (g - g(0)) * R, the differences times mod's genset, and the cone
+    on t^mx * v for each cone v."""
+    ring = mod.ring
     amb = mod.ambient
     gens = mod.genset()
-    # m lives in the rank-one ambient of R: coordinate br is branch br
-    rgens = [amb.branch_scale(BranchVector(s), g) for s in m.genset() for g in gens]
-    cones = [(br, amb.mono_scale(br, m.hi[br], v)) for br, v in mod.cones]
+    rgens = [amb.branch_scale(d, g) for d in ring.maximal_ideal_gens() for g in gens]
+    cones = [(br, amb.mono_scale(br, ring.mx(br), v)) for br, v in mod.cones]
     return rgens, cones
 
 
@@ -1056,7 +1055,7 @@ def nakayama_covers(goal, parts, cut):
 def is_surjective_onto(f):
     """Nakayama test: im(f) + m*target = target."""
     tgt = f.target
-    parts = [image_module(f), maximal_ideal_module(tgt.ring, tgt)]
+    parts = [image_module(f), maximal_ideal_module(tgt)]
     lifts, inside = nakayama_covers(tgt, parts, tgt.nakayama_cut())
     return not lifts and inside
 
@@ -1071,7 +1070,7 @@ def is_exact_at(incoming, outgoing):
     if not outgoing.compose(incoming).is_zero():
         return False
     ker, cut = kernel_window_module(outgoing)
-    parts = [image_module(incoming), maximal_ideal_module(incoming.target.ring, ker)]
+    parts = [image_module(incoming), maximal_ideal_module(ker)]
     lifts, inside = nakayama_covers(ker, parts, cut)
     return not lifts and inside
 

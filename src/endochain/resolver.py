@@ -183,8 +183,8 @@ def iso_scaling(a, b):
             ]
         )
 
-    # generators of the maximal ideal of End(a): genset members with their
-    # residue-constant multiple of the identity removed, plus m_R scalars
+    # m_End(a) * h: End(a)'s genset less residue constants times h's genset,
+    # plus m_R * h (maximal_ideal_module)
     id_vec = tuple(LaurentPoly.one(field) for _ in range(ea.ambient.ncoords))
     scalars = []
     for v in ea.genset():
@@ -199,14 +199,9 @@ def iso_scaling(a, b):
                 return None  # End(a) not local: not comparable this way
         if not ea.ambient.vec_is_zero(v):
             scalars.append(as_bv(v, ea.ambient))
-    mlat = ring.maximal_ideal_lattice()
-    for mu in mlat.genset():
-        scalars.append(as_bv(mu, mlat.ambient))
-
     hgens = h.genset()
     prods = [h.ambient.branch_scale(s, g) for s in scalars for g in hgens]
-    cones = [(br, h.ambient.mono_scale(br, h.mx(br), v)) for br, v in h.cones]
-    lifts, _ = nakayama_covers(h, [(prods, cones)], h.nakayama_cut())
+    lifts, _ = nakayama_covers(h, [(prods, []), maximal_ideal_module(h)], h.nakayama_cut())
     if len(lifts) != 1:
         return None
     kappa = as_bv(lifts[0], h.ambient)
@@ -222,7 +217,7 @@ def iso_scaling(a, b):
 def _free_cover_data(n, n1):
     """Nakayama lifts of N/(N1 + mN); deterministic via echelon order."""
     cut = [max(a, b) for a, b in zip(n1.hi, n.nakayama_cut())]
-    lifts, _ = nakayama_covers(n, [n1, maximal_ideal_module(n.ring, n)], cut)
+    lifts, _ = nakayama_covers(n, [n1, maximal_ideal_module(n)], cut)
     return lifts
 
 

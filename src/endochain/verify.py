@@ -91,7 +91,7 @@ def _random_ring_element(rng, ring, tries=50):
             return BranchVector([acc[amb.coord(br, 0)] for br in range(ring.branches)])
     # fall back to the conductor monomial vector
     return BranchVector(
-        [LaurentPoly.monomial(ring.field, max(c, 1)) for c in ring.conductor]
+        [LaurentPoly.monomial(ring.field, ring.mx(br)) for br in range(ring.branches)]
     )
 
 

@@ -139,6 +139,8 @@ def test_maximal_ideal_requires_local():
     assert not e.is_local
     with pytest.raises(NotLocal):
         maximal_ideal(e)
+    with pytest.raises(NotLocal):
+        e.maximal_ideal_gens()
 
 
 def test_branch_idempotents_node_vs_product():

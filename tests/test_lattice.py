@@ -7,7 +7,8 @@ from endochain import ringio
 from endochain.chain import build_chain_tree
 from endochain.field import QQ
 from endochain.series import INF, LaurentPoly, BranchVector
-from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
+from endochain.curve_ring import CurveRing, build_ring, maximal_ideal, semigroup_ring, normalization_lattice
+from endochain.linalg import nullspace_F
 from endochain.lattice import (
     Ambient,
     Lattice,
@@ -344,7 +345,7 @@ def test_module_span_matches_raw_span(name):
     lats += [lat for _, lat in generated_test_lattices(random.Random(name), ring, tree)]
     cases = []
     for lat in lats:
-        cut = [h + lat.mx(lat.ambient.branch_of(c)) + 1 for c, h in enumerate(lat.hi)]
+        cut = [h + lat.ring.mx(lat.ambient.branch_of(c)) + 1 for c, h in enumerate(lat.hi)]
         cases.append((lat, cut))
     ker, ker_cut = kernel_window_module(_kernel_map(ring))
     # canonical lattices over a DVR product are all tail, with no window rows
@@ -414,8 +415,8 @@ def test_raw_span_matches_brute_force(name):
         else:
             lats = [ring.self_lattice, ring.maximal_ideal_lattice()] if ring.is_local else []
         for lat in lats:
-            rgens, cones = maximal_ideal_module(ring, lat)
-            cut = [h + lat.mx(lat.ambient.branch_of(c)) + 1 for c, h in enumerate(lat.hi)]
+            rgens, cones = maximal_ideal_module(lat)
+            cut = [h + lat.ring.mx(lat.ambient.branch_of(c)) + 1 for c, h in enumerate(lat.hi)]
             cases.append((lat.ambient, rgens, cones, [v - 1 for v in lat.lo], cut))
         # two random vectors of rank two per branch, one cone past the conductor
         amb2 = Ambient([2] * ring.branches)
@@ -428,6 +429,56 @@ def test_raw_span_matches_brute_force(name):
         for amb, gens, cones, lo, hi in cases:
             _, ech = raw_span(ring, amb, gens, cones, lo, hi)
             assert ech.rank() > 0 and ech == _brute_r_span(ring, amb, gens, cones, lo, hi)
+
+
+def _constant_term_kernel(ring):
+    """Reference maximal ideal: the combinations of R's window span on
+    [0, max(c, 1)) with zero constant term on every branch."""
+    field = ring.field
+    amb = ring.self_lattice.ambient
+    hi = [max(c, 1) for c in ring.conductor]
+    ws, ech = ring.self_lattice.span([0] * ring.branches, hi)
+    rows = ech.basis()
+    consts = [[r[ws.index[(br, 0)]] for r in rows] for br in range(ring.branches) if (br, 0) in ws.index]
+    ech2 = ws.echelon()
+    for lam in nullspace_F(consts, len(rows), field):
+        acc = [field.zero()] * ws.ncols()
+        for c, r in zip(lam, rows):
+            acc = [a + c * b for a, b in zip(acc, r)]
+        ech2.add(acc)
+    return Lattice._canonicalize(ring, amb, [0] * amb.ncoords, hi, ech2, ws)
+
+
+def _local_tree_rings(name):
+    return [r for r in _tree_rings(build_chain_tree(_corpus_ring(name))) if r.is_local]
+
+
+def _check_maximal_ideals(rings):
+    for ring in rings:
+        ref = _constant_term_kernel(ring)
+        assert maximal_ideal(ring) == ref
+        assert ring.maximal_ideal_lattice() == ref
+        for d in ring.maximal_ideal_gens():
+            assert not any(p[0] for p in d.parts)
+            assert ring.self_lattice.member(tuple(d.parts))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_maximal_ideal_matches_constant_term_kernel(name):
+    # m = sum (g - g(0)) * R over R.gens equals the constant-term kernel on
+    # every local ring of the chain tree: root, each End(m), each factor
+    _check_maximal_ideals(_local_tree_rings(name))
+
+
+@pytest.mark.parametrize("name", ["semigroup_3_4", "semigroup_3_5"])
+def test_maximal_ideal_reference_catches_dropped_generator(name, monkeypatch):
+    # negative control: without its last generator difference m is too
+    # small (on <2,3> and <2,7> the conductor cone would cover it)
+    rings = _local_tree_rings(name)
+    gens = CurveRing.maximal_ideal_gens
+    monkeypatch.setattr(CurveRing, "maximal_ideal_gens", lambda self: gens(self)[:-1])
+    with pytest.raises(AssertionError):
+        _check_maximal_ideals(rings)
 
 
 def test_scalar_extension_rejects_non_overring():
@@ -469,7 +520,7 @@ def test_kernel_embedding_is_exact(name):
         ring = f.source.ring
         _, emb = kernel_lattice(f)
         assert is_exact_at(emb, f)
-        z = [LaurentPoly.monomial(ring.field, f.source.mx(br)) for br in range(ring.branches)]
+        z = [LaurentPoly.monomial(ring.field, f.source.ring.mx(br)) for br in range(ring.branches)]
         mats = [[[z[br] * e for e in row] for row in m] for br, m in enumerate(emb.mats)]
         assert not is_exact_at(LatticeMap(emb.source, emb.target, mats), f)
 
