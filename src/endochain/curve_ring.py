@@ -100,13 +100,13 @@ class CurveRing:
         return max(self.conductor[br], 1)
 
     def maximal_ideal_gens(self):
-        """The nonzero g - g(0) * 1 over ``gens``: R is the closure of F[gens]
-        and R/m = F (g(0) is the same on every branch), so m = sum (g - g(0)) R."""
+        """The g - g(0) * 1 over ``gens``, nonzero as ``build_ring`` drops
+        constant generators: R is the closure of F[gens] and R/m = F (g(0)
+        is the same on every branch), so m = sum (g - g(0)) R."""
         if not self.is_local:
             raise NotLocal("maximal ideal needs a local ring")
         one = BranchVector.one(self.field, self.branches)
-        diffs = [g - one.scale(g[0][0]) for g in self.gens]
-        return [d for d in diffs if not d.is_zero()]
+        return [g - one.scale(g[0][0]) for g in self.gens]
 
     def maximal_ideal_lattice(self):
         if self._mlat is None:
@@ -131,13 +131,15 @@ class CurveRing:
 
 def build_ring(field, branches, generators, window_hint=None, max_window=192):
     """Construct the complete subalgebra of E generated by the given
-    branch vectors (1 is always adjoined).
+    branch vectors (1 is always adjoined, so constant multiples of 1 are
+    dropped from ``gens``).
 
     Raises NoFiniteConductor when no window up to max_window exhibits a
     conductor, and ResidueFieldTooLarge for local rings with residue field
     bigger than F.  For general generators the cap is the fixed default 192;
     ``semigroup_ring`` passes a cap proven from the conductor bound.
     """
+    unit = BranchVector.one(field, branches)
     gens = []
     for g in generators:
         if not isinstance(g, BranchVector):
@@ -147,7 +149,8 @@ def build_ring(field, branches, generators, window_hint=None, max_window=192):
         for p in g.parts:
             if p and p.valuation() < 0:
                 raise SchemaError("ring generators must have valuation >= 0")
-        gens.append(g)
+        if not (g - unit.scale(g[0][0])).is_zero():
+            gens.append(g)
     maxdeg = 0
     for g in gens:
         for p in g.parts:
@@ -157,7 +160,7 @@ def build_ring(field, branches, generators, window_hint=None, max_window=192):
     w = max(w, 4)
     max_window = max(max_window, 2 * w)
     amb = Ambient([1] * branches)
-    one = tuple(BranchVector.one(field, branches).parts)
+    one = tuple(unit.parts)
     while True:
         # the span of the generated algebra in E / t^w E
         ws = WindowSpace(field, amb, [0] * branches, [w] * branches)

@@ -1,21 +1,23 @@
 """The lattice algebra Gamma = End_R(M)^op and its global dimension.
 
 Gamma is kept as its block data Hom(X_i, X_j); right End(M)-modules stand in
-for Gamma-modules throughout (the opposite-ring convention).  Projectives are
-P_i = Hom(M, X_i), assembled from the blocks Hom(X_j, X_i) (rad P_i from the
-blocks of rad Gamma); a simple sits on top of each P_i.  Syzygies of simples
-are genuine sublattices of direct sums of the P_i: Modules in a ``ProjIndex``
-ambient, which is the hom ambient Hom(M, T) of ``lattice.hom_ambient`` for
-T = (+)_a X_{c_a}.  Minimal covers use Nakayama over Gamma/rad: each cover
-step spans Q and Q * rad once, reads the tops off them, and certifies the
-cover by adding its images to the Q * rad span.  Q * rad = Q * A for the
-arrows A of Gamma, lifts of a basis of J/J^2 (J = rad Gamma), as J = Gamma A
-by Nakayama; each algebra certifies J = Gamma A when it is built.  The
-cover is Hom(M, lam) for a map lam: T' -> T read off the tops, and its
-syzygy is the image of ``kernel_lattice`` (``lattice.kernel_window_module``).
-The source-slot grading of the hom ambient makes the type decomposition of
-tops coordinate-aligned.  ``hom_lattice(M, X_i)`` is recomputed only by
-``projectivization_check``.
+for Gamma-modules throughout (the opposite-ring convention).  Gamma has one
+idempotent e_j per summand, the projection of M onto X_j.  A right
+Gamma-lattice Q in Hom(M, T), T = (+)_a X_{c_a}, contains each Q e_j (it is
+a right module) and is their direct sum (the e_j sum to 1), with Q e_j
+inside Hom(X_j, T); a ``GammaLattice`` stores Q by these parts.  The
+projective P_i = Hom(M, X_i) has the parts Hom(X_j, X_i), rad P_i those of
+rad Gamma; a simple sits on top of each P_i.  Minimal covers use Nakayama
+over Gamma/rad: Q rad = Q A for the arrows A of Gamma, lifts of a basis of
+J/J^2 (J = rad Gamma), as J = Gamma A by Nakayama; each algebra certifies
+J = Gamma A when it is built.  An arrow a: X_j -> X_l carries Q e_l into
+Q e_j, so each cover step spans Q e_j and Q rad e_j once per type, reads the
+tops of type j off them, and certifies the cover there.  The cover is
+Hom(M, lam) for a map lam: T' -> T read off the tops; it maps Hom(X_j, T')
+into Hom(X_j, T) for each j, so its certificate and its syzygy (the image
+of ``kernel_lattice``, ``lattice.kernel_window_module``) split by type as
+well.  ``P_i`` in the Hom(M, X_i) layout and ``hom_lattice(M, X_i)`` are
+kept only for ``projectivization_check``.
 
 The radical of each End(X_i) is computed two ways and cross-checked: the
 trace-form kernel of the finite quotient End(X_i)/z End(X_i) (z a deep
@@ -34,7 +36,6 @@ from .errors import (
     NotIndecomposable,
 )
 from .lattice import (
-    Ambient,
     Lattice,
     LatticeMap,
     Module,
@@ -68,25 +69,13 @@ class EndoAlgebra:
         self.summands = list(summands)
         self.k = len(summands)
         self.labels = list(labels) if labels else [f"X{i}" for i in range(self.k)]
-        self.M, self.M_injections = direct_sum(self.summands)
-        # per branch, m_off[br][j]: slot offset of summand j inside M, and
-        # m_type[br][s]: the summand that M slot s belongs to
-        self.m_off = []
-        self.m_type = []
-        for br in range(ring.branches):
-            offs = []
-            types = []
-            for j, x in enumerate(self.summands):
-                offs.append(len(types))
-                types += [j] * x.ambient.ranks[br]
-            self.m_off.append(offs)
-            self.m_type.append(types)
+        self.M, _ = direct_sum(self.summands)
         self.hom = {}
         for i in range(self.k):
             for j in range(self.k):
                 self.hom[(i, j)] = hom_lattice(self.summands[i], self.summands[j])
         self.rad_diag = [diagonal_radical(self, i) for i in range(self.k)]
-        self.P = [_column_lattice(self, self.hom, i) for i in range(self.k)]
+        self.P = [_column_lattice(self, i) for i in range(self.k)]
         self.arrows = self.rad_gens()
         _certify_arrows(self)
 
@@ -239,186 +228,150 @@ def _certify_arrows(alg):
             raise ClaimViolation("arrows do not generate rad Gamma", source=alg.labels[j], target=alg.labels[l])
 
 
-def _column_lattice(alg, blocks, i):
-    """(+)_j blocks[(j, i)] in the hom ambient of (M, X_i): coordinate
-    (br, k, l) of the Hom(X_j, X_i) block goes to (br, k, m_off[br][j] + l).
-    With the Hom blocks this is P_i = Hom(M, X_i); with radical(alg), rad P_i."""
+def _column_lattice(alg, i):
+    """P_i = Hom(M, X_i) = (+)_j Hom(X_j, X_i) in the hom ambient of (M, X_i):
+    coordinate (br, k, l) of the Hom(X_j, X_i) block goes to (br, k, o + l),
+    o the offset of X_j's slots in M on branch br."""
     M, Xi = alg.M.ambient, alg.summands[i].ambient
     hamb = hom_ambient(M, Xi)
-    lats = [blocks[(j, i)] for j in range(alg.k)]
+    lats = [alg.hom[(j, i)] for j in range(alg.k)]
     placements = []
-    for j, blk in enumerate(lats):
-        bamb, rj = blk.ambient, alg.summands[j].ambient.ranks
+    off = [0] * alg.ring.branches
+    for blk, x in zip(lats, alg.summands):
+        bamb, rj = blk.ambient, x.ambient.ranks
         cmap = []
         for cb in range(bamb.ncoords):
             br = bamb.branch_of(cb)
             k, l = divmod(cb - bamb.offsets[br], rj[br])
-            cmap.append(hom_coord(hamb, M, Xi, br, k, alg.m_off[br][j] + l))
+            cmap.append(hom_coord(hamb, M, Xi, br, k, off[br] + l))
         placements.append(cmap)
+        off = [o + r for o, r in zip(off, rj)]
     return placed_sum(hamb, lats, placements)
 
 
 # -- Gamma-lattices ------------------------------------------------------------------
 
 
-class ProjIndex(Ambient):
-    """The ambient Hom(M, T) = (+)_a Hom(M, X_{c_a}) for T = (+)_a X_{c_a}.
+class GammaLattice:
+    """A right Gamma-lattice Q in Hom(M, T), T = (+)_a X_{c_a}, stored by
+    source type.
 
-    A Gamma-lattice is a Module in this ambient; ``T`` is the direct sum
-    lattice and ``plat`` the lattice (+)_a P_{c_a} itself.
+    The idempotent e_j of Gamma is the projection of M onto X_j, and Q e_j
+    lies in Q because Q is a right Gamma-module; since the e_j sum to 1,
+    Q = (+)_j Q e_j as an R-module, with Q e_j inside Hom(X_j, T).
+    ``parts[j]`` is Q e_j, a Module in ``hom_ambient(X_j, T)``, and
+    ``blocks[j]`` is Hom(X_j, T) = (+)_a Hom(X_j, X_{c_a}), the type-j part
+    of (+)_a P_{c_a}.  Hom(M, lam) acts on each source type separately, so
+    covers, their certificates and syzygies split by type.
     """
 
-    __slots__ = ("alg", "col_types", "T", "_types", "plat")
+    __slots__ = ("alg", "col_types", "T", "parts", "blocks")
 
-    def __init__(self, alg, col_types):
+    def __init__(self, alg, col_types, parts):
         self.alg = alg
         self.col_types = tuple(col_types)
         self.T, _ = direct_sum([alg.summands[c] for c in self.col_types])
-        M = alg.M.ambient
-        super().__init__(hom_ambient(M, self.T.ambient).ranks)
-        types = []
-        for br in range(alg.ring.branches):
-            types += [alg.m_type[br][s % M.ranks[br]] for s in range(self.ranks[br])]
-        self._types = tuple(types)
-        ds, _ = direct_sum([alg.P[c] for c in self.col_types])
-        self.plat = Lattice(alg.ring, self, ds.lo, ds.hi, ds.basis)
+        self.parts = parts
+        self.blocks = [direct_sum([alg.hom[(j, c)] for c in self.col_types])[0] for j in range(alg.k)]
 
-    def source_type(self, coord):
-        return self._types[coord]
+    def is_zero(self):
+        return all(p.is_zero() for p in self.parts)
 
 
-def _right_act(alg, pidx, vec, j, l, g):
-    """vec * gamma for gamma = g in the Hom(X_j, X_l) block of End(M)."""
-    field = alg.ring.field
-    out = [LaurentPoly.zero(field)] * pidx.ncoords
-    M, T = alg.M.ambient, pidx.T.ambient
-    Aj = alg.summands[j].ambient
-    Al = alg.summands[l].ambient
-    hjl = hom_ambient(Aj, Al)
-    for br in range(alg.ring.branches):
-        oj, ol = alg.m_off[br][j], alg.m_off[br][l]
-        for k in range(T.ranks[br]):
-            for k3 in range(Aj.ranks[br]):
-                acc = LaurentPoly.zero(field)
-                for k2 in range(Al.ranks[br]):
-                    phi = vec[hom_coord(pidx, M, T, br, k, ol + k2)]
-                    gg = g[hom_coord(hjl, Aj, Al, br, k2, k3)]
-                    if phi and gg:
-                        acc = acc + phi * gg
-                if acc:
-                    out[hom_coord(pidx, M, T, br, k, oj + k3)] = acc
-    return tuple(out)
-
-
-def _gamma_module(alg, i, lat):
-    """A lattice in the hom ambient of (M, X_i) as a Module in P_i's
-    ProjIndex ambient, with a skeleton unit vector per coordinate at depth
-    tail + mx."""
-    pidx = ProjIndex(alg, (i,))
-    field = alg.ring.field
+def _gamma_part(lat):
+    """A block lattice as a Module with a skeleton unit vector per
+    coordinate at depth tail + mx."""
+    ring, amb = lat.ring, lat.ambient
     skel = []
     for c, h in enumerate(lat.hi):
-        br = pidx.branch_of(c)
-        skel.append((br, pidx.unit_vec(field, c, 0), h + alg.ring.mx(br)))
-    return Module(alg.ring, pidx, lat.basis, lat.cones, lat.lo, skel)
+        br = amb.branch_of(c)
+        skel.append((br, amb.unit_vec(ring.field, c, 0), h + ring.mx(br)))
+    return Module(ring, amb, lat.basis, lat.cones, lat.lo, skel)
 
 
 def projective_gamma(alg, i):
-    """P_i as a Gamma-lattice."""
-    return _gamma_module(alg, i, alg.P[i])
+    """P_i as a Gamma-lattice: P_i e_j = Hom(X_j, X_i)."""
+    return GammaLattice(alg, (i,), [_gamma_part(alg.hom[(j, i)]) for j in range(alg.k)])
 
 
 def rad_projective_gamma(alg, i):
-    """rad P_i = (+)_{j != i} Hom(X_j, X_i)  (+)  rad End(X_i)."""
-    return _gamma_module(alg, i, _column_lattice(alg, radical(alg), i))
+    """rad P_i: (rad P_i) e_j = Hom(X_j, X_i) for j != i, rad End(X_i) for j = i."""
+    rad = radical(alg)
+    return GammaLattice(alg, (i,), [_gamma_part(rad[(j, i)]) for j in range(alg.k)])
 
 
-def _top_cut(q):
-    """The window cut at which Q is compared with Q * rad: past the tails of
-    the ambient P's by mx, and past Q's skeleton and rows."""
-    return q.deep_cut(q.ambient.plat.nakayama_cut())
-
-
-def _top_spans(q):
-    """The spans one cover step compares: (window, Q, Q * rad), cut where
-    Q is compared with Q * rad.  Q * rad = Q * A is R-generated by the
-    products u * a of Q's generators u with the arrows a."""
-    alg = q.ambient.alg
-    rgens = [_right_act(alg, q.ambient, u, j, l, a) for u in q.genset() for j, l, a in alg.arrows]
-    cut = _top_cut(q)
-    lo = valuation_floor(rgens, q.lo)
-    ws, ech_q = q.span(lo, cut)
-    _, ech_r = raw_span(q.ring, q.ambient, rgens, [], lo, cut)
+def _top_spans(q, j):
+    """The spans of type j that one cover step compares: (window, Q e_j,
+    Q rad e_j), cut where Q e_j is compared with Q rad e_j.  Q rad = Q A,
+    and (Q A) e_j is R-generated by the composites phi o a of the arrows
+    a: X_j -> X_l with the generators phi of Q e_l."""
+    x = q.alg.summands
+    rgens = []
+    for jj, l, a in q.alg.arrows:
+        if jj == j:
+            fa = hom_element_as_map(x[j], x[l], a)
+            for u in q.parts[l].genset():
+                rgens.append(map_as_hom_element(hom_element_as_map(x[l], q.T, u).compose(fa)))
+    part = q.parts[j]
+    cut = part.deep_cut(q.blocks[j].nakayama_cut())
+    lo = valuation_floor(rgens, part.lo)
+    ws, ech_q = part.span(lo, cut)
+    _, ech_r = raw_span(q.alg.ring, part.ambient, rgens, [], lo, cut)
     return ws, ech_q, ech_r
 
 
-def _top_lifts(alg, ws, ech_q, ech_r):
-    """Type decomposition of Q/(Q rad) from the spans of ``_top_spans``:
-    list of (type j, lift).  ``ech_r`` is left unchanged."""
-    field = alg.ring.field
+def _top_lifts(spans):
+    """Type decomposition of Q/(Q rad) from the per-type spans of
+    ``_top_spans``: list of (type j, lift), each lift a map X_j -> T.  The
+    Q rad echelons are left unchanged."""
     out = []
-    for j in range(alg.k):
-        # split by source type: coordinate-aligned projections
-        keep = {idx for idx, (coord, e) in enumerate(ws.cols) if ws.ambient.source_type(coord) == j}
-        if not keep:
-            continue
-        zero = field.zero()
-
-        def proj(row):
-            return [c if idx in keep else zero for idx, c in enumerate(row)]
-
-        denom = Echelon(field, ws.ncols())
-        for r in ech_r.rows:
-            denom.add(proj(r))
-        for r in ech_q.rows:
-            pr = proj(r)
-            if denom.add(pr):
-                out.append((j, ws.vec_of(pr)))
+    for j, (ws, ech_q, ech_r) in enumerate(spans):
+        denom = ws.echelon()
+        denom.add_many(ech_r.rows)
+        out += [(j, ws.vec_of(r)) for r in ech_q.rows if denom.add(r)]
     return out
 
 
 def gamma_top(q):
     """Type decomposition of Q/(Q rad): returns list of (type j, lift)."""
-    return _top_lifts(q.ambient.alg, *_top_spans(q))
+    return _top_lifts([_top_spans(q, j) for j in range(q.alg.k)])
 
 
 def minimal_cover_syzygy(q):
     """One step of the minimal projective resolution of Q.
 
-    Returns (cover column types, syzygy Gamma-lattice).  Q and Q * rad are
-    spanned once; the surjectivity certificate adds the cover images to the
-    Q * rad span.
+    Returns (cover column types, syzygy Gamma-lattice).  Per source type,
+    Q e_j and Q rad e_j are spanned once and the surjectivity certificate
+    adds the cover images to the Q rad e_j span.
     """
-    qidx = q.ambient
-    alg = qidx.alg
-    ws, ech_q, ech_r = _top_spans(q)
-    tops = _top_lifts(alg, ws, ech_q, ech_r)
+    alg = q.alg
+    spans = [_top_spans(q, j) for j in range(alg.k)]
+    tops = _top_lifts(spans)
     if not tops:
         raise ClaimViolation("nonzero Gamma-lattice with zero top")
-    pidx = ProjIndex(alg, (j for j, _ in tops))
-    # the cover is Hom(M, lam) for lam: T_p -> T_q, whose summand a of type
-    # j is the restriction of the a-th top lift to the M slots of X_j
-    M, Tq = alg.M.ambient, qidx.T.ambient
-    entries = {}
-    toff = [0] * alg.ring.branches
-    for j, lift in tops:
-        Aj = alg.summands[j].ambient
-        for br in range(alg.ring.branches):
-            for kq in range(Tq.ranks[br]):
-                for k in range(Aj.ranks[br]):
-                    entries[(br, kq, toff[br] + k)] = lift[hom_coord(qidx, M, Tq, br, kq, alg.m_off[br][j] + k)]
-            toff[br] += Aj.ranks[br]
-    lam = LatticeMap.from_entries(pidx.T, qidx.T, entries)
-    cover_map = hom_induced_map(alg.M, lam, pidx.plat, qidx.plat)
-    syz, _ = kernel_window_module(cover_map)
-    # Nakayama over Gamma: im(cover) + Q rad = Q.  An image below the
-    # window lies below Q's valuations, so it is not in Q; multiplying by R
-    # never lowers a valuation, so no R-multiple of the others is either.
-    images = [cover_map.apply(g) for g in pidx.plat.genset()]
-    inside = _close(ws, ech_r, images, mults=q.ring.gens)
-    if not (inside and ech_r.contains_space(ech_q) and ech_q.contains_space(ech_r)):
-        raise ClaimViolation("minimal cover is not surjective")
-    return pidx.col_types, syz
+    syz = GammaLattice(alg, [j for j, _ in tops], [])
+    # the cover is Hom(M, lam) for lam: T_p -> T_q, whose summand a is the
+    # a-th top lift, a map X_{c_a} -> T_q: per branch, lam's matrix is the
+    # lifts' matrices side by side
+    lifts = [hom_element_as_map(alg.summands[j], q.T, lift).mats for j, lift in tops]
+    mats = [
+        [sum((f[br][k] for f in lifts), ()) for k in range(q.T.ambient.ranks[br])]
+        for br in range(alg.ring.branches)
+    ]
+    lam = LatticeMap(syz.T, q.T, mats)
+    for j, (ws, ech_q, ech_r) in enumerate(spans):
+        # Hom(M, lam) maps Hom(X_j, T_p) to Hom(X_j, T_q).  Nakayama over
+        # Gamma: im(cover) e_j + Q rad e_j = Q e_j.  An image below the
+        # window lies below Q's valuations, so it is not in Q; multiplying
+        # by R never lowers a valuation, so no R-multiple of the others is
+        # either.
+        cover = hom_induced_map(alg.summands[j], lam, syz.blocks[j], q.blocks[j])
+        images = [cover.apply(g) for g in syz.blocks[j].genset()]
+        inside = _close(ws, ech_r, images, mults=alg.ring.gens)
+        if not (inside and ech_r.contains_space(ech_q) and ech_q.contains_space(ech_r)):
+            raise ClaimViolation("minimal cover is not surjective")
+        syz.parts.append(kernel_window_module(cover)[0])
+    return syz.col_types, syz
 
 
 @dataclass

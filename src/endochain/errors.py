@@ -29,10 +29,6 @@ class NoFiniteConductor(EndochainError):
     code = "NoFiniteConductor"
 
 
-class NotUnital(EndochainError):
-    code = "NotUnital"
-
-
 class ResidueFieldTooLarge(EndochainError):
     code = "ResidueFieldTooLarge"
 

@@ -44,6 +44,22 @@ def test_end_of_maximal_ideal_2_5():
     assert s.key() == expect.key()
 
 
+def test_ring_generators_drop_constants():
+    # the minimal generators of End(m) over R include the identity, and
+    # build_ring adjoins 1 anyway: End(m) of <3,5> keeps t^7, t^3, t^5, and
+    # no ring of a corpus chain tree keeps a constant multiple of 1
+    from endochain.verify import corpus
+
+    s = end_of_maximal_ideal(semigroup_ring(QQ, [3, 5]))
+    assert [g[0] for g in s.gens] == [LaurentPoly.monomial(QQ, e) for e in (7, 3, 5)]
+    for name, r in corpus():
+        for nd in build_chain_tree(r).nodes():
+            for ring in (nd.ring, nd.r1):
+                for g in ring.gens if ring else ():
+                    constant = set(g[0].coeffs) <= {0} and all(p == g[0] for p in g.parts)
+                    assert not constant, name
+
+
 def test_end_rejects_normal_ring():
     with pytest.raises(AlreadyNormal):
         end_of_maximal_ideal(semigroup_ring(QQ, [1]))

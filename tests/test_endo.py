@@ -108,16 +108,6 @@ def test_simple_resolution_steps_dvr():
     assert cert.cover_types == [[0], [0]]  # P -> S, then P -> rad P = (t)
 
 
-def test_top_of_projective_is_one_dimensional():
-    from endochain.endo import gamma_top
-
-    r = semigroup_ring(QQ, [2, 5])
-    _, alg = family_algebra(r)
-    for i in range(alg.k):
-        tops = gamma_top(projective_gamma(alg, i))
-        assert len(tops) == 1 and tops[0][0] == i
-
-
 def test_syzygy_of_rad_projective_terminates():
     r = semigroup_ring(QQ, [2, 3])
     _, alg = family_algebra(r)
@@ -219,7 +209,10 @@ def test_radical_block_description():
 
 def test_projectives_assembled_from_hom_blocks():
     # P_i is assembled from the Hom(X_j, X_i) blocks; hom_lattice(M, X_i)
-    # computes it from scratch and must give the same canonical lattice
+    # computes it from scratch and must give the same canonical lattice.
+    # The top of P_i as a Gamma-lattice is the simple at i: one lift, of
+    # type i.
+    from endochain.endo import gamma_top
     from endochain.lattice import hom_lattice
     from endochain.verify import corpus
 
@@ -227,6 +220,8 @@ def test_projectives_assembled_from_hom_blocks():
         _, alg = family_algebra(r)
         for i, x in enumerate(alg.summands):
             assert alg.P[i].key() == hom_lattice(alg.M, x).key(), (name, i)
+            tops = gamma_top(projective_gamma(alg, i))
+            assert [j for j, _ in tops] == [i], (name, i)
 
 
 def _drop_last_top(tops):

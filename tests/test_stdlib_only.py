@@ -1,6 +1,7 @@
 """The package is pure Python on the standard library: every absolute
 import in src/endochain is a stdlib module and the project declares no
-runtime dependencies."""
+runtime dependencies.  Every name a module imports is used in it, so a
+deletion leaves no stale import behind."""
 
 import ast
 import os
@@ -11,10 +12,13 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 PKG = os.path.join(ROOT, "src", "endochain")
 
 
-def _absolute_imports(path):
+def _parse(path):
     with open(path) as f:
-        tree = ast.parse(f.read(), path)
-    for node in ast.walk(tree):
+        return ast.parse(f.read(), path)
+
+
+def _absolute_imports(path):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -31,6 +35,26 @@ def test_src_imports_only_stdlib():
         if name.split(".")[0] not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def _unused_imports(path):
+    tree = _parse(path)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            bound |= {alias.asname or alias.name for alias in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return bound - used
+
+
+def test_src_imports_are_used():
+    # __init__.py imports names to re-export them
+    files = sorted(f for f in os.listdir(PKG) if f.endswith(".py") and f != "__init__.py")
+    assert files
+    unused = {(f, name) for f in files for name in _unused_imports(os.path.join(PKG, f))}
+    assert not unused
 
 
 def test_no_runtime_dependencies():
