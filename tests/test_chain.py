@@ -54,8 +54,8 @@ def test_ring_generators_drop_constants():
     assert [g[0] for g in s.gens] == [LaurentPoly.monomial(QQ, e) for e in (7, 3, 5)]
     for name, r in corpus():
         for nd in build_chain_tree(r).nodes():
-            for ring in (nd.ring, nd.r1):
-                for g in ring.gens if ring else ():
+            for ring in filter(None, (nd.ring, nd.r1)):
+                for g in ring.gens:
                     constant = set(g[0].coeffs) <= {0} and all(p == g[0] for p in g.parts)
                     assert not constant, name
 
