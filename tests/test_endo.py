@@ -108,6 +108,16 @@ def test_simple_resolution_steps_dvr():
     assert cert.cover_types == [[0], [0]]  # P -> S, then P -> rad P = (t)
 
 
+def test_top_of_projective_is_one_dimensional():
+    from endochain.endo import gamma_top
+
+    r = semigroup_ring(QQ, [2, 5])
+    _, alg = family_algebra(r)
+    for i in range(alg.k):
+        tops = gamma_top(projective_gamma(alg, i))
+        assert len(tops) == 1 and tops[0][0] == i
+
+
 def test_syzygy_of_rad_projective_terminates():
     r = semigroup_ring(QQ, [2, 3])
     _, alg = family_algebra(r)
