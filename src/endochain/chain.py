@@ -9,7 +9,7 @@ form (equality as subrings of K).
 
 from .series import BranchVector
 from .errors import AlreadyNormal, ChainDiverged, ClaimViolation, NotFullRank, NotLocal
-from .curve_ring import build_ring, factor, normalization_lattice
+from .curve_ring import build_ring, factor, normalization_lattice, ring_report
 from .lattice import Ambient, Lattice, direct_sum, hom_lattice, minimal_generators
 
 
@@ -222,8 +222,6 @@ def normalization_check(tree):
 
 
 def chain_json(tree):
-    from .curve_ring import ring_report
-
     nodes = []
     for node in tree.nodes():
         entry = {

@@ -16,8 +16,8 @@ tops of type j off them, and certifies the cover there.  The cover is
 Hom(M, lam) for a map lam: T' -> T read off the tops; it maps Hom(X_j, T')
 into Hom(X_j, T) for each j, so its certificate and its syzygy (the image
 of ``kernel_lattice``, ``lattice.kernel_window_module``) split by type as
-well.  ``P_i`` in the Hom(M, X_i) layout and ``hom_lattice(M, X_i)`` are
-kept only for ``projectivization_check``.
+well.  Only ``projectivization_check`` builds M and P_i in the
+Hom(M, X_i) layout, as locals, to compare P_i with ``hom_lattice(M, X_i)``.
 
 The radical of each End(X_i) is computed two ways and cross-checked: the
 trace-form kernel of the finite quotient End(X_i)/z End(X_i) (z a deep
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .series import LaurentPoly, BranchVector
 from .linalg import Echelon, nullspace_F
+from .curve_ring import ring_report
 from .errors import (
     CharacteristicTooSmall,
     ClaimViolation,
@@ -57,6 +58,7 @@ from .lattice import (
     valuation_floor,
     _close,
 )
+from .resolver import iso_scaling
 
 
 class EndoAlgebra:
@@ -69,13 +71,11 @@ class EndoAlgebra:
         self.summands = list(summands)
         self.k = len(summands)
         self.labels = list(labels) if labels else [f"X{i}" for i in range(self.k)]
-        self.M, _ = direct_sum(self.summands)
         self.hom = {}
         for i in range(self.k):
             for j in range(self.k):
                 self.hom[(i, j)] = hom_lattice(self.summands[i], self.summands[j])
         self.rad_diag = [diagonal_radical(self, i) for i in range(self.k)]
-        self.P = [_column_lattice(self, i) for i in range(self.k)]
         self.arrows = self.rad_gens()
         _certify_arrows(self)
 
@@ -174,8 +174,6 @@ def diagonal_radical(alg, i):
 
 def build_endo_algebra(ring, summands, labels=None):
     """Assemble Gamma with the summand guards (distinct, non-isomorphic)."""
-    from .resolver import iso_scaling
-
     for a in range(len(summands)):
         for b in range(a + 1, len(summands)):
             if summands[a].key() == summands[b].key():
@@ -228,11 +226,12 @@ def _certify_arrows(alg):
             raise ClaimViolation("arrows do not generate rad Gamma", source=alg.labels[j], target=alg.labels[l])
 
 
-def _column_lattice(alg, i):
-    """P_i = Hom(M, X_i) = (+)_j Hom(X_j, X_i) in the hom ambient of (M, X_i):
-    coordinate (br, k, l) of the Hom(X_j, X_i) block goes to (br, k, o + l),
-    o the offset of X_j's slots in M on branch br."""
-    M, Xi = alg.M.ambient, alg.summands[i].ambient
+def _column_lattice(alg, m, i):
+    """P_i = Hom(M, X_i) = (+)_j Hom(X_j, X_i) in the hom ambient of (M, X_i),
+    M = ``m`` the direct sum of the summands: coordinate (br, k, l) of the
+    Hom(X_j, X_i) block goes to (br, k, o + l), o the offset of X_j's slots
+    in M on branch br."""
+    M, Xi = m.ambient, alg.summands[i].ambient
     hamb = hom_ambient(M, Xi)
     lats = [alg.hom[(j, i)] for j in range(alg.k)]
     placements = []
@@ -458,8 +457,6 @@ def global_dimension(alg, cap=16, n=None, assumptions=None):
         cert = minimal_projective_resolution(SimpleModule(alg, i), cap=cap)
         pds.append(cert.pd)
         capped = capped or cert.capped
-    from .curve_ring import ring_report
-
     rep = ring_report(alg.ring)
     return GldimReport(
         labels=list(alg.labels),
@@ -476,27 +473,22 @@ def global_dimension(alg, cap=16, n=None, assumptions=None):
 
 
 def projectivization_check(alg):
-    """Hom(M, -) is an equivalence from add(M) to projectives: pairwise
-    Hom(M, X_i + X_j) = P_i + P_j, and the free-source block of each P_i
-    recovers X_i (counit)."""
-    for i in range(alg.k):
-        for j in range(alg.k):
-            ds, _ = direct_sum([alg.summands[i], alg.summands[j]])
-            h = hom_lattice(alg.M, ds)
-            pp, _ = direct_sum([alg.P[i], alg.P[j]])
-            if h.key() != pp.key():
-                return False
+    """Hom(M, -) is an equivalence from add(M) to the projectives.
+
+    Hom(M, -) is additive: Hom(M, X_i + X_j) = Hom(M, X_i) + Hom(M, X_j) in
+    the direct-sum layout, so a pair X_i + X_j needs no solve of its own
+    once each column holds.  Per summand, ``hom_lattice(M, X_i)``, a fresh
+    window solve over M's own minimal generators, must equal P_i as
+    assembled from the blocks Hom(X_j, X_i); and the free-source block of
+    each P_i recovers X_i (counit)."""
     # counit against the free summand X_0 = R: Hom(R, X_i) = X_i
-    root = alg.summands[0]
-    if root.ambient.ranks != tuple([1] * alg.ring.branches):
+    if alg.summands[0].ambient.ranks != tuple([1] * alg.ring.branches):
         return False
-    for i in range(alg.k):
-        h = alg.hom[(0, i)]
-        if h.ambient.ranks != alg.summands[i].ambient.ranks:
-            return False
-        if h.key() != alg.summands[i].key():
-            return False
-    return True
+    M, _ = direct_sum(alg.summands)
+    return all(
+        alg.hom[(0, i)].key() == x.key() and hom_lattice(M, x).key() == _column_lattice(alg, M, i).key()
+        for i, x in enumerate(alg.summands)
+    )
 
 
 def fcmt_check(ring, mcm_list, labels=None, cap=16, n=None):

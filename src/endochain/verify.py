@@ -9,11 +9,12 @@ import random
 
 from .field import QQ
 from .series import LaurentPoly, BranchVector
-from .curve_ring import build_ring, semigroup_ring
-from .chain import build_chain_tree, chain_family, normalization_check, chain_json
+from .curve_ring import build_ring, normalization_lattice, semigroup_ring
+from .chain import build_chain_tree, chain_family, chain_json, end_of_maximal_ideal, normalization_check
 from .lattice import (
     Lattice,
     LatticeMap,
+    direct_sum,
     hom_lattice,
     kernel_lattice,
     scalar_extension_test,
@@ -116,9 +117,6 @@ def random_stable_lattice(rng, overring, base_ring):
 
 def overrings_of(ring):
     """Full-support overrings reachable by iterating End(m), plus E."""
-    from .chain import end_of_maximal_ideal
-    from .curve_ring import build_ring as _br
-
     out = []
     s = ring
     while s.is_local and not s.is_dvr_product():
@@ -131,7 +129,7 @@ def overrings_of(ring):
     for br in range(ring.branches):
         egens.append(BranchVector.monomial(field, ring.branches, br, 0))
         egens.append(BranchVector.monomial(field, ring.branches, br, 1))
-    e_ring = _br(field, ring.branches, egens)
+    e_ring = build_ring(field, ring.branches, egens)
     if all(o.key() != e_ring.key() for o in out):
         out.append(e_ring)
     return out
@@ -213,9 +211,6 @@ def generated_test_lattices(rng, ring, tree, count=5):
         ]
         out.append(("shifted_overring", Lattice.from_generators(ring, amb, gens)))
     # kernel of a random map R^2 -> E-lattice
-    from .curve_ring import normalization_lattice
-    from .lattice import direct_sum
-
     f2, _ = direct_sum([ring.self_lattice, ring.self_lattice])
     e = normalization_lattice(ring)
     x1 = _random_ring_element(rng, ring)

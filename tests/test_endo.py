@@ -143,6 +143,18 @@ def test_projectivization_checks():
         r = semigroup_ring(QQ, gens)
         _, alg = family_algebra(r)
         assert projectivization_check(alg)
+    # negative control: End(X_i) replaced by its radical breaks P_i, and for
+    # i = 0 also the counit Hom(R, R) = R; for the last summand only the
+    # column solve Hom(M, X_i) = P_i can notice, as P_i is assembled from
+    # the blocks at check time
+    for name in ["<2,5>", "tacnode"]:
+        _, alg = family_algebra(_corpus_ring(name))
+        assert projectivization_check(alg), name
+        for i in (0, alg.k - 1):
+            block = alg.hom[(i, i)]
+            alg.hom[(i, i)] = alg.rad_diag[i]
+            assert not projectivization_check(alg), (name, i)
+            alg.hom[(i, i)] = block
 
 
 def test_fcmt_a2g_family():
@@ -222,16 +234,38 @@ def test_projectives_assembled_from_hom_blocks():
     # computes it from scratch and must give the same canonical lattice.
     # The top of P_i as a Gamma-lattice is the simple at i: one lift, of
     # type i.
-    from endochain.endo import gamma_top
-    from endochain.lattice import hom_lattice
+    from endochain.endo import _column_lattice, gamma_top
+    from endochain.lattice import direct_sum, hom_lattice
     from endochain.verify import corpus
 
     for name, r in corpus():
         _, alg = family_algebra(r)
+        M, _ = direct_sum(alg.summands)
         for i, x in enumerate(alg.summands):
-            assert alg.P[i].key() == hom_lattice(alg.M, x).key(), (name, i)
+            assert _column_lattice(alg, M, i).key() == hom_lattice(M, x).key(), (name, i)
             tops = gamma_top(projective_gamma(alg, i))
             assert [j for j, _ in tops] == [i], (name, i)
+
+
+def test_hom_into_pair_is_sum_of_columns():
+    # Hom(M, -) is additive, which is why projectivization_check solves
+    # Hom(M, X_i) once per summand and never for a pair X_i + X_j
+    from endochain.lattice import direct_sum, hom_lattice
+    from endochain.verify import corpus
+
+    pairs = 0
+    for name, r in corpus():
+        _, alg = family_algebra(r)
+        if alg.k < 2:
+            continue
+        M, _ = direct_sum(alg.summands)
+        x = alg.summands
+        for i, j in [(alg.k - 2, alg.k - 1), (alg.k - 1, alg.k - 1)]:
+            pair, _ = direct_sum([x[i], x[j]])
+            cols, _ = direct_sum([hom_lattice(M, x[i]), hom_lattice(M, x[j])])
+            assert hom_lattice(M, pair).key() == cols.key(), (name, i, j)
+            pairs += 1
+    assert pairs
 
 
 def _drop_last_top(tops):

@@ -1,7 +1,8 @@
 """The package is pure Python on the standard library: every absolute
 import in src/endochain is a stdlib module and the project declares no
 runtime dependencies.  Every name a module imports is used in it, so a
-deletion leaves no stale import behind."""
+deletion leaves no stale import behind, and sibling modules are imported at
+module level only."""
 
 import ast
 import os
@@ -55,6 +56,23 @@ def test_src_imports_are_used():
     assert files
     unused = {(f, name) for f in files for name in _unused_imports(os.path.join(PKG, f))}
     assert not unused
+
+
+def _local_relative_imports(path):
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.ImportFrom) and inner.level > 0:
+                    yield node.name, inner.lineno
+
+
+def test_src_sibling_imports_at_module_level():
+    # a sibling import inside a function hides a module's dependencies and
+    # re-runs on every call; the package has no import cycle that needs one
+    files = sorted(f for f in os.listdir(PKG) if f.endswith(".py"))
+    assert files
+    local = {(f, name, line) for f in files for name, line in _local_relative_imports(os.path.join(PKG, f))}
+    assert not local
 
 
 def test_no_runtime_dependencies():
