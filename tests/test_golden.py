@@ -21,7 +21,11 @@ GOLDEN = os.path.join(HERE, "golden")
 RINGS = sorted(
     os.path.splitext(name)[0] for name in os.listdir(os.path.join(DATA, "rings"))
 )
-MODULES = (("j_over_3_4", "semigroup_3_4"), ("m_over_2_5", "semigroup_2_5"))
+MODULES = (
+    ("j_over_3_4", "semigroup_3_4"),
+    ("m_over_2_5", "semigroup_2_5"),
+    ("m_frac_over_2_5", "semigroup_2_5"),
+)
 
 
 def _ring(name):
