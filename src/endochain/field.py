@@ -1,9 +1,10 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Coefficients are either ``fractions.Fraction`` or ``GFElement``; both support
-+, -, *, /, ==, bool (nonzero test) and hash, which is all the engine needs.
-A ``FieldSpec`` carries the arithmetic entry points (zero/one/coercion) so the
-rest of the code never branches on the field kind.
+Over QQ a coefficient is an ``int`` until a quotient is not integral, then a
+``fractions.Fraction`` (the two compare, hash and print alike); over GF(p) it
+is a ``GFElement``.  All support +, -, *, ==, bool and hash.  ``FieldSpec``
+carries zero/one/coerce and ``div``, the only coefficient division (``int /
+int`` is a float), so the rest of the code never branches on the field kind.
 """
 
 from fractions import Fraction
@@ -89,7 +90,8 @@ def json_int(x, what):
 
 
 class FieldSpec:
-    """The coefficient field: kind 'rational' (char 0) or 'prime' (GF(p))."""
+    """The coefficient field, 'rational' (char 0) or 'prime' (GF(p)); QQ
+    coefficients are ``int`` until ``div`` (the only division) leaves ZZ."""
 
     __slots__ = ("kind", "characteristic")
 
@@ -107,35 +109,42 @@ class FieldSpec:
 
     def zero(self):
         if self.kind == "rational":
-            return Fraction(0)
+            return 0
         return GFElement(0, self.characteristic)
 
     def one(self):
         if self.kind == "rational":
-            return Fraction(1)
+            return 1
         return GFElement(1, self.characteristic)
 
-    def coerce(self, x):
-        """Coerce an int, Fraction, field element or 'p/q' string."""
+    def div(self, a, b):
+        """The quotient a / b; over QQ an int whenever it is integral."""
         if self.kind == "rational":
-            if isinstance(x, Fraction):
+            q = Fraction(a, b)
+            return q.numerator if q.denominator == 1 else q
+        return a / b
+
+    def coerce(self, x):
+        """Coerce an int (not a bool), Fraction, field element or 'p/q' string."""
+        if self.kind == "rational":
+            if type(x) is int:
                 return x
-            if isinstance(x, int):
-                return Fraction(x)
+            if isinstance(x, Fraction):
+                return self.div(x, 1)
         else:
             p = self.characteristic
             if isinstance(x, GFElement):
                 if x.p != p:
                     raise SchemaError("GF element from wrong field")
                 return x
-            if isinstance(x, int):
+            if type(x) is int:
                 return GFElement(x, p)
         if isinstance(x, str):
             try:
                 if self.kind == "rational":
-                    return Fraction(x)
+                    return self.div(Fraction(x), 1)
                 num, _, den = x.partition("/")
-                return GFElement(int(num), p) / GFElement(int(den or "1"), p)
+                return self.div(GFElement(int(num), p), GFElement(int(den or "1"), p))
             except (ValueError, ZeroDivisionError):
                 raise SchemaError(f"malformed coefficient {x!r} for {self}") from None
         raise SchemaError(f"cannot coerce {x!r} into {self}")

@@ -50,8 +50,9 @@ class Echelon:
         p = self._first_nonzero(row)
         if p is None:
             return False
-        inv = self.field.one() / row[p]
-        row = [c * inv for c in row]
+        div, lead = self.field.div, row[p]
+        if lead != self.field.one():
+            row = [div(c, lead) if c else c for c in row]
         # keep existing rows fully reduced against the new pivot
         for i, r in enumerate(self.rows):
             c = r[p]
@@ -135,9 +136,8 @@ class RatFun:
                 den = laurent_exact_div(den, g)
             lead = den.coeffs.get(den.degree())
             if lead is not None and lead != field.one():
-                inv = field.one() / lead
-                num = num.scale(inv)
-                den = den.scale(inv)
+                num = num.over(lead)
+                den = den.over(lead)
         self.num = num
         self.den = den
 
@@ -160,10 +160,10 @@ class RatFun:
     def __mul__(self, other):
         return RatFun(self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other):
-        if other.is_zero():
+    def inverse(self):
+        if self.is_zero():
             raise ZeroDivisionError("RatFun division by zero")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return RatFun(self.den, self.num)
 
     def __bool__(self):
         return not self.num.is_zero()
@@ -195,8 +195,8 @@ def ratfun_rref(rows, ncols, field):
             col += 1
             continue
         rows_left.remove(pr)
-        inv = pr[col]
-        pr = [e / inv for e in pr]
+        inv = pr[col].inverse()
+        pr = [e * inv for e in pr]
         for rs in (rows_left, reduced):
             for i, r in enumerate(rs):
                 c = r[col]

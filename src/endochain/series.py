@@ -117,6 +117,11 @@ class LaurentPoly:
             res.coeffs = {e: c0 * c for e, c0 in self.coeffs.items()}
         return res
 
+    def over(self, c):
+        """Divide every coefficient by the scalar c."""
+        div = self.field.div
+        return LaurentPoly(self.field, {e: div(c0, c) for e, c0 in self.coeffs.items()})
+
     def shift(self, k):
         """Multiply by t^k."""
         res = LaurentPoly(self.field)
@@ -138,7 +143,7 @@ class LaurentPoly:
             raise NotAUnit("invert_unit needs valuation 0", valuation=str(self.valuation()))
         field = self.field
         a0 = self.coeffs[0]
-        inv = {0: field.one() / a0}
+        inv = {0: field.div(field.one(), a0)}
         # Solve sum_{j<=e} a_j * b_{e-j} = 0 coefficient by coefficient.
         for e in range(1, order):
             acc = field.zero()
@@ -148,7 +153,7 @@ class LaurentPoly:
                     if b is not None:
                         acc = acc + aj * b
             if acc:
-                inv[e] = -acc / a0
+                inv[e] = field.div(-acc, a0)
         return LaurentPoly(field, inv)
 
     # -- rendering ---------------------------------------------------------------
@@ -188,7 +193,7 @@ def poly_divmod(a, b):
     r = a
     while r and r.degree() >= db:
         k = r.degree() - db
-        c = r.coeffs[r.degree()] / lead
+        c = field.div(r.coeffs[r.degree()], lead)
         term = LaurentPoly.monomial(field, k, c)
         q = q + term
         r = r - term * b
@@ -201,7 +206,7 @@ def poly_gcd(a, b):
         _, r = poly_divmod(a, b)
         a, b = b, r
     if a:
-        a = a.scale(a.field.one() / a.coeffs[a.degree()])
+        a = a.over(a.coeffs[a.degree()])
     return a
 
 

@@ -186,6 +186,7 @@ def _with(base, **changes):
 MALFORMED_RINGS = {
     "coefficient_abc": _with(RING_2_3, generators=[[[[2, "abc"]]], [[[3, "1"]]]]),
     "coefficient_1_over_0": _with(RING_2_3, generators=[[[[2, "1/0"]]], [[[3, "1"]]]]),
+    "coefficient_bool": _with(RING_2_3, generators=[[[[2, True]]], [[[3, "1"]]]]),
     "gf_coefficient_1_over_p": _with(
         RING_2_3, field={"kind": "prime", "p": 101}, generators=[[[[2, "1/101"]]], [[[3, "1"]]]]
     ),
@@ -203,6 +204,7 @@ MALFORMED_RINGS = {
 MALFORMED_MODULES = {
     "ambient_rank_not_integer": _with(MODULE_E, ambient_rank=[1.0]),
     "tail_not_integer": _with(MODULE_E, tail=[[0.5]]),
+    "coefficient_bool": _with(MODULE_E, generators=[[[[[2, True]]]], [[[[1, "1"]]]]]),
     "exponent_not_integer": _with(MODULE_E, generators=[[[[[0, "1"]]]], [[[[0.5, "1"]]]]]),
     "generators_not_a_list": _with(MODULE_E, generators=5),
     "generator_not_a_list": _with(MODULE_E, generators=[5]),

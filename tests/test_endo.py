@@ -1,3 +1,6 @@
+import os
+from fractions import Fraction
+
 import pytest
 
 from endochain.field import QQ, FieldSpec
@@ -22,6 +25,7 @@ from endochain.errors import (
 )
 
 
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 T = LaurentPoly.monomial(QQ, 1)
 Z = LaurentPoly.zero(QQ)
 
@@ -184,11 +188,55 @@ def test_fcmt_dvr():
 
 
 def test_prime_field_agrees_with_rationals():
+    # QQ coefficients are ints and Fractions, GF(p) ones GFElements, so the
+    # two fields share no arithmetic: every corpus ring must give the same
+    # chain depth, delta, family size, gldim and pd per simple over both
+    from endochain.verify import corpus
+
     f101 = FieldSpec("prime", 101)
     r = semigroup_ring(f101, [2, 5])
     tree, alg = family_algebra(r)
     rep = global_dimension(alg, n=tree.n)
     assert rep.gldim == 2 and rep.pd_per_simple == [1, 2, 2]
+    rings = zip(corpus(QQ), corpus(FieldSpec("prime", 32003)))
+    for (name, rq), (_, rp) in rings:
+        got = []
+        for r in (rq, rp):
+            tree, alg = family_algebra(r)
+            rep = global_dimension(alg, n=tree.n)
+            got.append((tree.n, r.delta(), alg.k, rep.gldim, rep.pd_per_simple))
+        assert got[0] == got[1], name
+
+
+def _coefficients(rows):
+    """The coefficients of rows of LaurentPoly (lattice vectors, matrices)."""
+    return [c for row in rows for poly in row for c in poly.coeffs.values()]
+
+
+def test_coefficients_are_exact_field_elements():
+    # int / int is a float and a bool is an int: every stored coefficient
+    # must be an int (not a bool) or Fraction over QQ, a GFElement over GF(p)
+    from endochain import ringio
+    from endochain.field import GFElement
+    from endochain.resolver import keyred_resolve
+    from endochain.verify import corpus
+
+    for field, types in ((QQ, {int, Fraction}), (FieldSpec("prime", 32003), {GFElement})):
+        seen = set()
+        for name, r in corpus(field):
+            tree, alg = family_algebra(r)
+            lats = [nd.ring.self_lattice for nd in tree.nodes()]
+            lats += [*alg.summands, *alg.hom.values(), *alg.rad_diag]
+            seen |= {type(c) for lat in lats for c in _coefficients(lat.basis)}
+            assert seen <= types, (field, name, seen)
+        assert seen
+    # a module with non-integral generators takes the Fraction branch
+    ring = ringio.ring_from_json(ringio.load_json(os.path.join(DATA, "rings", "semigroup_2_5.json")))
+    module = ringio.load_json(os.path.join(DATA, "modules", "m_frac_over_2_5.json"))
+    res = keyred_resolve(ringio.lattice_from_json(module, ring))
+    coeffs = [c for t in res.terms for c in _coefficients(t.lattice.basis)]
+    coeffs += [c for f in res.maps for mat in f.mats for c in _coefficients(mat)]
+    assert {type(c) for c in coeffs} == {int, Fraction}
 
 
 def test_characteristic_too_small():

@@ -78,7 +78,7 @@ def test_ratfun_field_ops():
     # a + b = (1 - t + t + t^2) / (1 - t^2) = (1 + t^2)/(1 - t^2)
     prod = s * (RatFun(one - t) * RatFun(one + t))
     assert prod.num == one + t * t
-    q = a / a
+    q = a * a.inverse()
     assert q.num == one and q.den == one
 
 

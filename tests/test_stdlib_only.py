@@ -2,7 +2,7 @@
 import in src/endochain is a stdlib module and the project declares no
 runtime dependencies.  Every name a module imports is used in it, so a
 deletion leaves no stale import behind, and sibling modules are imported at
-module level only."""
+module level only.  The one true division is ``FieldSpec.div``."""
 
 import ast
 import os
@@ -73,6 +73,35 @@ def test_src_sibling_imports_at_module_level():
     assert files
     local = {(f, name, line) for f in files for name, line in _local_relative_imports(os.path.join(PKG, f))}
     assert not local
+
+
+def _divisions(path):
+    """Lines of every ``/`` and ``/=`` outside ``FieldSpec.div``."""
+    tree = _parse(path)
+    allowed = {
+        id(node)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "FieldSpec"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "div"
+        for node in ast.walk(fn)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Div)
+        and id(node) not in allowed
+    ]
+
+
+def test_only_fieldspec_div_divides():
+    # int / int is a float, so every coefficient quotient goes through
+    # FieldSpec.div, which keeps QQ exact and GF(p) in its field
+    files = sorted(f for f in os.listdir(PKG) if f.endswith(".py"))
+    assert files
+    found = {(f, line) for f in files for line in _divisions(os.path.join(PKG, f))}
+    assert not found
 
 
 def test_no_runtime_dependencies():
