@@ -47,6 +47,7 @@ from .lattice import (
     hom_induced_map,
     hom_lattice,
     is_surjective_onto,
+    isomorphism,
     kernel_window_module,
     map_as_hom_element,
     maximal_ideal_module,
@@ -58,7 +59,6 @@ from .lattice import (
     valuation_floor,
     _close,
 )
-from .resolver import iso_scaling
 
 
 class EndoAlgebra:
@@ -173,12 +173,14 @@ def diagonal_radical(alg, i):
 
 
 def build_endo_algebra(ring, summands, labels=None):
-    """Assemble Gamma with the summand guards (distinct, non-isomorphic)."""
+    """Assemble Gamma from pairwise non-isomorphic summands of any rank;
+    ``lattice.isomorphism`` is exact here, as EndoAlgebra then certifies
+    each End(X_i) local (``diagonal_radical``)."""
     for a in range(len(summands)):
         for b in range(a + 1, len(summands)):
             if summands[a].key() == summands[b].key():
                 raise DuplicateSummand("equal summands", i=a, j=b)
-            if iso_scaling(summands[a], summands[b]) is not None:
+            if isomorphism(summands[a], summands[b]) is not None:
                 raise DuplicateSummand("isomorphic summands", i=a, j=b)
     return EndoAlgebra(ring, summands, labels)
 

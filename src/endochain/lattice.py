@@ -105,9 +105,6 @@ class Ambient:
     def add_vec(self, u, v):
         return tuple(a + b for a, b in zip(u, v))
 
-    def sub_vec(self, u, v):
-        return tuple(a - b for a, b in zip(u, v))
-
     def scale_vec(self, c, v):
         return tuple(a.scale(c) for a in v)
 
@@ -1058,6 +1055,25 @@ def is_surjective_onto(f):
     parts = [image_module(f), maximal_ideal_module(tgt)]
     lifts, inside = nakayama_covers(tgt, parts, tgt.nakayama_cut())
     return not lifts and inside
+
+
+def isomorphism(a, b):
+    """An isomorphism a -> b as a LatticeMap, or None (R local, any rank).
+
+    A hit is exact: a surjection between full lattices of equal per-branch
+    rank is injective.  A miss is exact when End(a) is local with residue
+    field F (``endo.diagonal_radical`` certifies it per summand; a family
+    member S has End(S) = S): for an isomorphism phi, the non-isomorphisms
+    phi o rad End(a) are a proper R-submodule of Hom(a, b) holding
+    m * Hom(a, b), so some minimal generator of Hom(a, b) lies outside it.
+    """
+    if a.ambient.ranks != b.ambient.ranks or a.ambient.ncoords == 0:
+        return None
+    for g in minimal_generators(hom_lattice(a, b)):
+        f = hom_element_as_map(a, b, g)
+        if is_surjective_onto(f):
+            return f
+    return None
 
 
 def is_exact_at(incoming, outgoing):

@@ -4,16 +4,16 @@ The algorithm follows the inductive proof shape exactly: over a DVR the
 module is free; if the module is stable under R1 = End(m) it splits along
 the idempotents of R1 and recurses into the factors; otherwise it is covered
 by (minimal free) + (resolution of the largest R1-submodule), and the kernel
-of that cover is again R1-stable, so the recursion drops a level.  A cheap
-isomorphism test against the family members keeps resolutions short when the
-module already lies in the additive closure.
+of that cover is again R1-stable, so the recursion drops a level.  When the
+module is isomorphic to a family member, ``lattice.isomorphism`` returns the
+isomorphism itself, which is the whole resolution; it is exact there, as
+every member is a local ring S with End(S) = S.
 
 Every resolution carries verifiable certificates: exactness at every
 position and exactness after Hom(X, -) for each family member X.
 """
 
-from .errors import ClaimViolation, FailedDecomposition, NotFullRank, NotTorsionFree
-from .series import LaurentPoly, BranchVector
+from .errors import ClaimViolation, FailedDecomposition, NotTorsionFree
 from .lattice import (
     Ambient,
     Lattice,
@@ -24,6 +24,7 @@ from .lattice import (
     hom_lattice,
     is_exact_at,
     is_surjective_onto,
+    isomorphism,
     kernel_lattice,
     largest_submodule_over,
     maximal_ideal_module,
@@ -158,62 +159,6 @@ def _remap(f, src, tgt):
     return LatticeMap(src, tgt, f.mats)
 
 
-def iso_scaling(a, b):
-    """If a and b are rank-<=1 lattices with b = kappa * a, return kappa.
-
-    Exact: Hom(a, b) is tested for cyclicity over End(a) and the single
-    Nakayama generator is tried as the scaling.  Assumes End(a) is local
-    with residue field F (true for rank-one lattices over a local ring
-    with no branch idempotent acting on them).
-    """
-    if a.ambient.ranks != b.ambient.ranks or any(r > 1 for r in a.ambient.ranks):
-        return None
-    if a.ambient.ncoords == 0:
-        return None
-    ring = a.ring
-    field = ring.field
-    h = hom_lattice(a, b)
-    ea = hom_lattice(a, a)
-
-    def as_bv(vec, amb):
-        return BranchVector(
-            [
-                vec[amb.coord(br, 0)] if amb.ranks[br] else LaurentPoly.zero(field)
-                for br in range(ring.branches)
-            ]
-        )
-
-    # m_End(a) * h: End(a)'s genset less residue constants times h's genset,
-    # plus m_R * h (maximal_ideal_module)
-    id_vec = tuple(LaurentPoly.one(field) for _ in range(ea.ambient.ncoords))
-    scalars = []
-    for v in ea.genset():
-        lam = None
-        for c in range(ea.ambient.ncoords):
-            if v[c][0]:
-                lam = v[c][0]
-                break
-        if lam is not None:
-            v = ea.ambient.sub_vec(v, ea.ambient.scale_vec(lam, id_vec))
-            if any(v[c][0] for c in range(ea.ambient.ncoords)):
-                return None  # End(a) not local: not comparable this way
-        if not ea.ambient.vec_is_zero(v):
-            scalars.append(as_bv(v, ea.ambient))
-    hgens = h.genset()
-    prods = [h.ambient.branch_scale(s, g) for s in scalars for g in hgens]
-    lifts, _ = nakayama_covers(h, [(prods, []), maximal_ideal_module(h)], h.nakayama_cut())
-    if len(lifts) != 1:
-        return None
-    kappa = as_bv(lifts[0], h.ambient)
-    try:
-        cand = Lattice.from_generators(ring, a.ambient, [a.ambient.branch_scale(kappa, g) for g in a.genset()])
-    except NotFullRank:
-        return None
-    if cand.key() == b.key():
-        return kappa
-    return None
-
-
 def _free_cover_data(n, n1):
     """Nakayama lifts of N/(N1 + mN); deterministic via echelon order."""
     cut = [max(a, b) for a, b in zip(n1.hi, n.nakayama_cut())]
@@ -251,15 +196,8 @@ def _resolve(ctx, n, depth=0):
 
     # fast path: n is already (isomorphic to) a family member
     for mem in ctx.family().members:
-        kappa = iso_scaling(mem.lattice, n)
-        if kappa is not None:
-            amb = n.ambient
-            entries = {
-                (br, k, k): kappa.parts[br]
-                for br in range(amb.nbranches())
-                for k in range(amb.ranks[br])
-            }
-            f = LatticeMap.from_entries(mem.lattice, n, entries)
+        f = isomorphism(mem.lattice, n)
+        if f is not None:
             return Resolution(ring, n, [Term(mem.lattice, (mem.lattice,))], [f])
 
     r1 = ctx.node.r1

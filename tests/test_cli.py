@@ -128,6 +128,16 @@ def test_fcmt_via_cli(capsys, tmp_path):
     assert rep["assumptions"]
 
 
+def test_isomorphic_rank_two_mcm_exit_1(capsys, tmp_path, e6_syzygy):
+    r, k, tk = e6_syzygy
+    mf = tmp_path / "mcm.json"
+    mf.write_text(json.dumps({"modules": [ringio.lattice_to_json(x) for x in (r.self_lattice, k, tk)]}))
+    status, rep = run_cli(capsys, "gldim", "--ring", ring_path("semigroup_3_4"), "--mcm", str(mf))
+    assert status == 1
+    assert rep["code"] == "DuplicateSummand"
+    assert set(rep) == {"code", "message", "context"}
+
+
 def test_verify_quick_suite(capsys):
     status, rep = run_cli(
         capsys, "verify", "--suite", "chain", "--seed", "3"

@@ -132,7 +132,7 @@ def test_syzygy_of_rad_projective_terminates():
     assert syz2.is_zero()
 
 
-def test_duplicate_summand_guard():
+def test_duplicate_summand_guard(e6_syzygy):
     r = semigroup_ring(QQ, [2, 3])
     e = normalization_lattice(r)
     with pytest.raises(DuplicateSummand):
@@ -140,6 +140,10 @@ def test_duplicate_summand_guard():
     # isomorphic but unequal: m = t^2 E is a twist of E
     with pytest.raises(DuplicateSummand):
         build_endo_algebra(r, [r.self_lattice, e, r.maximal_ideal_lattice()])
+    # rank 2: K and t*K on <3,4>
+    r, k, tk = e6_syzygy
+    with pytest.raises(DuplicateSummand):
+        build_endo_algebra(r, [r.self_lattice, k, tk])
 
 
 def test_projectivization_checks():

@@ -16,8 +16,10 @@ from endochain.lattice import (
     direct_sum,
     free_decomposition_over_dvr_product,
     hom_lattice,
+    image_lattice,
     is_exact_at,
     is_surjective_onto,
+    isomorphism,
     kernel_lattice,
     kernel_window_module,
     largest_submodule_over,
@@ -277,6 +279,17 @@ def test_exactness_machinery_positive_and_negative():
     assert not is_exact_at(tdiag, diff)
 
 
+def test_isomorphism_of_rank_two(e6_syzygy):
+    r, k, tk = e6_syzygy
+    assert k.ambient.ranks == (2,)
+    f = isomorphism(k, tk)
+    assert f is not None and f.is_injective() and image_lattice(f) == tk
+    # same ambient, not isomorphic: K is not free, and m is not R
+    free2, _ = direct_sum([r.self_lattice, r.self_lattice])
+    assert isomorphism(k, free2) is None
+    assert isomorphism(r.self_lattice, r.maximal_ideal_lattice()) is None
+
+
 def test_window_rank_nullity():
     # dim source window = dim kernel + dim image at matching windows for a
     # simple multiplication map
@@ -304,8 +317,6 @@ def test_canonical_equality_is_presentation_independent():
 
 
 def test_image_lattice_examples():
-    from endochain.lattice import image_lattice
-
     r = semigroup_ring(QQ, [2, 3])
     e = normalization_lattice(r)
     t2 = LaurentPoly.monomial(QQ, 2)

@@ -6,13 +6,13 @@ from endochain.field import QQ
 from endochain.series import LaurentPoly, BranchVector
 from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
 from endochain.chain import build_chain_tree, chain_family
-from endochain.lattice import Lattice, LatticeMap, direct_sum, kernel_lattice
+from endochain import lattice
+from endochain.lattice import Lattice, LatticeMap, direct_sum, isomorphism, kernel_lattice
 from endochain.resolver import (
     Resolution,
     keyred_resolve,
     resolve_presented_module,
     verify_hom_exactness,
-    iso_scaling,
 )
 
 
@@ -118,7 +118,7 @@ def test_node_split_resolution():
     assert res.all_certified()
 
 
-def test_iso_scaling_detects_shifts():
+def test_isomorphism_detects_shifts():
     r = semigroup_ring(QQ, [2, 3])
     amb = r.self_lattice.ambient
     a = r.self_lattice
@@ -126,10 +126,10 @@ def test_iso_scaling_detects_shifts():
     b = Lattice.from_generators(
         r, amb, [tuple(p.shift(3) for p in g) for g in a.genset()]
     )
-    kappa = iso_scaling(a, b)
-    assert kappa is not None and kappa.parts[0].valuation() == 3
+    f = isomorphism(a, b)
+    assert f is not None and f.mats[0][0][0].valuation() == 3
     # m = t^2 F[[t]] over the cusp is NOT a twist of R
-    assert iso_scaling(a, r.maximal_ideal_lattice()) is None
+    assert isomorphism(a, r.maximal_ideal_lattice()) is None
 
 
 def test_presented_module_identity_gives_trivial():
@@ -178,16 +178,16 @@ def test_resolutions_deterministic():
     assert [m.render() for m in res.maps] == [m.render() for m in res2.maps]
 
 
-def test_iso_scaling_propagates_engine_errors(monkeypatch):
-    # only NotFullRank means "not isomorphic"; any other error is a bug to surface
+def test_isomorphism_propagates_engine_errors(monkeypatch):
+    # a failing surjectivity test is a bug to surface, never "not isomorphic"
     r = semigroup_ring(QQ, [2, 3])
     a = r.self_lattice
     b = Lattice.from_generators(r, a.ambient, [tuple(p.shift(3) for p in g) for g in a.genset()])
-    assert iso_scaling(a, b) is not None
+    assert isomorphism(a, b) is not None
 
-    def broken(cls, *args, **kwargs):
+    def broken(f):
         raise RuntimeError("engine bug")
 
-    monkeypatch.setattr(Lattice, "from_generators", classmethod(broken))
+    monkeypatch.setattr(lattice, "is_surjective_onto", broken)
     with pytest.raises(RuntimeError, match="engine bug"):
-        iso_scaling(a, b)
+        isomorphism(a, b)

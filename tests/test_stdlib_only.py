@@ -2,7 +2,8 @@
 import in src/endochain is a stdlib module and the project declares no
 runtime dependencies.  Every name a module imports is used in it, so a
 deletion leaves no stale import behind, and sibling modules are imported at
-module level only.  The one true division is ``FieldSpec.div``."""
+module level only; ``endo`` does not import ``resolver``.  The one true
+division is ``FieldSpec.div``."""
 
 import ast
 import os
@@ -73,6 +74,18 @@ def test_src_sibling_imports_at_module_level():
     assert files
     local = {(f, name, line) for f in files for name, line in _local_relative_imports(os.path.join(PKG, f))}
     assert not local
+
+
+def test_endo_does_not_import_resolver():
+    # the summand guard is lattice.isomorphism, so the algebra layer does not
+    # depend on the resolver
+    imported = {
+        name
+        for node in ast.walk(_parse(os.path.join(PKG, "endo.py")))
+        if isinstance(node, ast.ImportFrom)
+        for name in [node.module or ""] + [alias.name for alias in node.names]
+    }
+    assert not {name for name in imported if name.split(".")[-1] == "resolver"}
 
 
 def _divisions(path):
