@@ -115,14 +115,11 @@ class CurveRing:
 
     def residue_constants_dim(self):
         """Dimension of the space of branchwise constant terms of elements."""
-        consts = []
-        for v in self.self_lattice.basis:
-            consts.append([p[0] for p in v])
+        entry = self.field.entry
         ech = Echelon(self.field, self.branches)
-        one = self.field.one()
-        ech.add([one] * self.branches)  # 1 is always there
-        for row in consts:
-            ech.add(row)
+        ech.add(dict.fromkeys(range(self.branches), 1))  # 1 is always there
+        for v in self.self_lattice.basis:
+            ech.add({br: entry(p[0]) for br, p in enumerate(v) if p[0]})
         return ech.rank()
 
     def __repr__(self):

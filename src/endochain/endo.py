@@ -24,6 +24,7 @@ trace-form kernel of the finite quotient End(X_i)/z End(X_i) (z a deep
 conductor-monomial scalar), and the "image is proper" surjectivity test.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .series import LaurentPoly, BranchVector
@@ -63,18 +64,16 @@ from .lattice import (
 
 class EndoAlgebra:
     """Block data of End_R(M) for M = (+) X_i, the X_i pairwise
-    non-isomorphic indecomposable lattices (X_0 free when M is a generator).
+    non-isomorphic indecomposable lattices (X_0 free when M is a generator),
+    from the Hom blocks hom[(i, j)] = Hom(X_i, X_j).
     """
 
-    def __init__(self, ring, summands, labels=None):
+    def __init__(self, ring, summands, labels, hom):
         self.ring = ring
         self.summands = list(summands)
         self.k = len(summands)
         self.labels = list(labels) if labels else [f"X{i}" for i in range(self.k)]
-        self.hom = {}
-        for i in range(self.k):
-            for j in range(self.k):
-                self.hom[(i, j)] = hom_lattice(self.summands[i], self.summands[j])
+        self.hom = hom
         self.rad_diag = [diagonal_radical(self, i) for i in range(self.k)]
         self.arrows = self.rad_gens()
         _certify_arrows(self)
@@ -127,33 +126,29 @@ def diagonal_radical(alg, i):
             dim=dim_a,
         )
     rep_vecs = [ws.vec_of(r) for r in ey.rows]
-    qpivots = list(ey.pivots)
+    qpivots = sorted(ey.by_pivot)
 
     def acoords(vec):
-        """Quotient coordinates of an EA element (window absorbs its tail)."""
+        """Quotient coordinates of an EA element (window absorbs its tail),
+        as kernel entries."""
         row = ws.row_of(amb.truncate_vec(vec, cut))
         y = ech_j.residue(row)
-        return [y[p] for p in qpivots]
+        return [y.get(p, 0) for p in qpivots]
 
-    # lmats[a][b]: quotient coordinates of rep_a o rep_b; traces[a] = tr(L_a)
+    # lmats[a][b]: quotient coordinates of rep_a o rep_b; traces[a] = tr(L_a);
+    # kernel entries, so the trace-form rows are reduced once by clean
     x = alg.summands[i]
     maps = [hom_element_as_map(x, x, v) for v in rep_vecs]
     lmats = [[acoords(map_as_hom_element(fa.compose(fb))) for fb in maps] for fa in maps]
-    traces = [sum((lmats[a][b][b] for b in range(dim_a)), field.zero()) for a in range(dim_a)]
+    traces = [sum(lmats[a][b][b] for b in range(dim_a)) for a in range(dim_a)]
     gram = [
-        [sum((c * traces[s] for s, c in enumerate(lmats[a][b]) if c), field.zero()) for b in range(dim_a)]
+        field.clean({b: sum(c * traces[s] for s, c in enumerate(lmats[a][b])) for b in range(dim_a)})
         for a in range(dim_a)
     ]
-    null = nullspace_F(gram, dim_a, field)
-    rad_reps = []
-    for lam in null:
-        acc = None
-        for c, vec in zip(lam, rep_vecs):
-            if c:
-                term = amb.scale_vec(c, vec)
-                acc = term if acc is None else amb.add_vec(acc, term)
-        if acc is not None:
-            rad_reps.append(acc)
+    rad_reps = [
+        functools.reduce(amb.add_vec, [amb.scale_vec(field.coeff(c), rep_vecs[s]) for s, c in sorted(lam.items())])
+        for lam in nullspace_F(gram, dim_a, field)
+    ]
     rad = Lattice.from_module_data(
         ring, amb, rad_reps + jlat.genset(), [], lo, list(jlat.hi)
     )
@@ -175,14 +170,22 @@ def diagonal_radical(alg, i):
 def build_endo_algebra(ring, summands, labels=None):
     """Assemble Gamma from pairwise non-isomorphic summands of any rank;
     ``lattice.isomorphism`` is exact here, as EndoAlgebra then certifies
-    each End(X_i) local (``diagonal_radical``)."""
+    each End(X_i) local (``diagonal_radical``).  The guard reads the Hom
+    blocks the algebra keeps, so each is solved once."""
+    hom = {}
     for a in range(len(summands)):
         for b in range(a + 1, len(summands)):
             if summands[a].key() == summands[b].key():
                 raise DuplicateSummand("equal summands", i=a, j=b)
-            if isomorphism(summands[a], summands[b]) is not None:
+            hom[(a, b)] = hom_lattice(summands[a], summands[b])
+            if isomorphism(summands[a], summands[b], hom[(a, b)]) is not None:
                 raise DuplicateSummand("isomorphic summands", i=a, j=b)
-    return EndoAlgebra(ring, summands, labels)
+    hom = {
+        (i, j): hom[(i, j)] if (i, j) in hom else hom_lattice(x, y)
+        for i, x in enumerate(summands)
+        for j, y in enumerate(summands)
+    }
+    return EndoAlgebra(ring, summands, labels, hom)
 
 
 def radical(alg):

@@ -5,6 +5,13 @@ Over QQ a coefficient is an ``int`` until a quotient is not integral, then a
 is a ``GFElement``.  All support +, -, *, ==, bool and hash.  ``FieldSpec``
 carries zero/one/coerce and ``div``, the only coefficient division (``int /
 int`` is a float), so the rest of the code never branches on the field kind.
+
+The echelon kernel (``linalg.Echelon``) works on kernel entries instead:
+over QQ the coefficient itself, over GF(p) a plain ``int``, left unreduced
+while a row is combined and reduced mod p once per row by ``clean``.
+``entry`` and ``coeff`` convert between the two; ``monic`` scales a row by
+the inverse of its lead, one modular inverse per row (``_inverse``, the only
+one in the package).
 """
 
 from fractions import Fraction
@@ -32,11 +39,6 @@ class GFElement:
 
     def __mul__(self, other):
         return GFElement(self.v * other.v, self.p)
-
-    def __truediv__(self, other):
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(self.v * pow(other.v, -1, self.p), self.p)
 
     def __eq__(self, other):
         return isinstance(other, GFElement) and self.v == other.v and self.p == other.p
@@ -122,7 +124,38 @@ class FieldSpec:
         if self.kind == "rational":
             q = Fraction(a, b)
             return q.numerator if q.denominator == 1 else q
-        return a / b
+        return GFElement(a.v * self._inverse(b.v), self.characteristic)
+
+    def _inverse(self, x):
+        """The inverse of a kernel entry of GF(p)."""
+        if x % self.characteristic == 0:
+            raise ZeroDivisionError("division by zero in GF(p)")
+        return pow(x, -1, self.characteristic)
+
+    # -- kernel entries ----------------------------------------------------
+
+    def entry(self, c):
+        """The kernel entry of a coefficient: itself over QQ, its int over GF(p)."""
+        return c.v if self.characteristic else c
+
+    def coeff(self, x):
+        """The coefficient of a kernel entry."""
+        return GFElement(x, self.characteristic) if self.characteristic else x
+
+    def clean(self, row):
+        """A kernel row {col: entry} with its entries reduced and zeros dropped."""
+        p = self.characteristic
+        if not p:
+            return {j: x for j, x in row.items() if x}
+        return {j: y for j, x in row.items() if (y := x % p)}
+
+    def monic(self, row, lead):
+        """The kernel row row / lead, for a nonzero kernel entry lead."""
+        p = self.characteristic
+        if not p:
+            return {j: self.div(x, lead) for j, x in row.items()}
+        inv = self._inverse(lead)
+        return {j: x * inv % p for j, x in row.items()}
 
     def coerce(self, x):
         """Coerce an int (not a bool), Fraction, field element or 'p/q' string."""

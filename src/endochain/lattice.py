@@ -161,10 +161,12 @@ class WindowSpace:
         return len(self.cols)
 
     def row_of(self, vec):
-        """Window coefficients of ``vec``; exponents >= hi are dropped
-        (tail absorption).  Returns None if any support lies below lo."""
-        zero = self.field.zero()
-        row = [zero] * len(self.cols)
+        """The kernel row {column: entry} of ``vec``'s window coefficients;
+        exponents >= hi are dropped (tail absorption).  Returns None if any
+        support lies below lo."""
+        entry = self.field.entry
+        index = self.index
+        row = {}
         for coord, a in enumerate(vec):
             if not a:
                 continue
@@ -174,18 +176,17 @@ class WindowSpace:
                 if e < lo:
                     return None
                 if e < hi:
-                    row[self.index[(coord, e)]] = c
+                    row[index[(coord, e)]] = entry(c)
         return row
 
     def vec_of(self, row):
-        polys = {}
-        for (coord, e), c in zip(self.cols, row):
-            if c:
-                polys.setdefault(coord, {})[e] = c
-        out = []
-        for coord in range(self.ambient.ncoords):
-            out.append(LaurentPoly(self.field, polys.get(coord, {})))
-        return tuple(out)
+        """The vector of a kernel row."""
+        coeff = self.field.coeff
+        polys = [{} for _ in range(self.ambient.ncoords)]
+        for j in sorted(row):
+            coord, e = self.cols[j]
+            polys[coord][e] = coeff(row[j])
+        return tuple(LaurentPoly(self.field, p) for p in polys)
 
     def echelon(self):
         return Echelon(self.field, len(self.cols))
@@ -744,34 +745,29 @@ def scalar_extension_test(overring, lat):
 class _ConstraintStream:
     """Linear functionals enforcing transform(x) in target."""
 
-    __slots__ = ("rows", "low_index", "tws", "tech", "target", "ncols")
+    __slots__ = ("rows", "low_index", "tws", "tech", "target")
 
-    def __init__(self, target, ncols, low_positions):
+    def __init__(self, target, low_positions):
         self.target = target
-        self.ncols = ncols
         self.tws, self.tech = target.window()
         self.low_index = {p: i for i, p in enumerate(sorted(low_positions))}
-        field = target.ring.field
         total = len(self.low_index) + self.tws.ncols()
-        self.rows = [[field.zero()] * ncols for _ in range(total)]
+        self.rows = [{} for _ in range(total)]
 
     def put(self, u, img):
         tgt = self.target
-        field = tgt.ring.field
-        masked = []
+        entry = tgt.ring.field.entry
+        row = {}  # the window part of img, a kernel row of the target window
         for coord, a in enumerate(img):
-            keep = {}
             for ee, c in a.coeffs.items():
                 if ee < tgt.lo[coord]:
-                    self.rows[self.low_index[(coord, ee)]][u] = c
+                    self.rows[self.low_index[(coord, ee)]][u] = entry(c)
                 elif ee < tgt.hi[coord]:
-                    keep[ee] = c
-            masked.append(LaurentPoly(field, keep))
-        res = self.tech.residue(self.tws.row_of(tuple(masked)))
+                    row[self.tws.index[(coord, ee)]] = entry(c)
+        res = self.tech.residue(row)
         base = len(self.low_index)
-        for j, c in enumerate(res):
-            if c:
-                self.rows[base + j][u] = c
+        for j, x in res.items():
+            self.rows[base + j][u] = x
 
 
 def solve_constrained_window(ws, streams):
@@ -796,12 +792,10 @@ def solve_constrained_window(ws, streams):
                 for ee in a.coeffs:
                     if ee < target.lo[coord]:
                         low_positions.add((coord, ee))
-        cs = _ConstraintStream(target, ncols, low_positions)
+        cs = _ConstraintStream(target, low_positions)
         for u, img in enumerate(images):
             cs.put(u, img)
-        for r in cs.rows:
-            if any(r):
-                all_rows.append(r)
+        all_rows += [r for r in cs.rows if r]
     return nullspace_F(all_rows, ncols, field)
 
 
@@ -1057,8 +1051,9 @@ def is_surjective_onto(f):
     return not lifts and inside
 
 
-def isomorphism(a, b):
-    """An isomorphism a -> b as a LatticeMap, or None (R local, any rank).
+def isomorphism(a, b, hom=None):
+    """An isomorphism a -> b as a LatticeMap, or None (R local, any rank);
+    ``hom`` is Hom(a, b) when the caller has solved it already.
 
     A hit is exact: a surjection between full lattices of equal per-branch
     rank is injective.  A miss is exact when End(a) is local with residue
@@ -1069,7 +1064,7 @@ def isomorphism(a, b):
     """
     if a.ambient.ranks != b.ambient.ranks or a.ambient.ncoords == 0:
         return None
-    for g in minimal_generators(hom_lattice(a, b)):
+    for g in minimal_generators(hom if hom is not None else hom_lattice(a, b)):
         f = hom_element_as_map(a, b, g)
         if is_surjective_onto(f):
             return f

@@ -3,64 +3,73 @@ Gaussian elimination over the rational function field F(t) per branch.
 
 The field-level ``Echelon`` is the workhorse behind every window
 computation; it maintains fully reduced rows (RREF) so that bases are
-canonical and membership residues are linear.
+canonical and membership residues are linear.  A row is sparse, a dict
+{column: nonzero kernel entry} (``FieldSpec.entry``: the coefficient over
+QQ, an int in [1, p) over GF(p)), and the basis rows are indexed by pivot.
+A basis row is zero at every other pivot, so the residue of a row is the
+row minus, for each pivot in its support, its entry there times that basis
+row: one pass over the row's own pivot columns.  The field supplies the
+row operations (``clean``, ``monic``), so ``Echelon`` never branches on the
+field kind.
 """
-
-import bisect
 
 from .series import LaurentPoly, poly_gcd, laurent_exact_div
 
 
 class Echelon:
-    """A subspace of F^ncols kept in reduced row echelon form."""
+    """A subspace of F^ncols kept in reduced row echelon form.
 
-    __slots__ = ("field", "ncols", "rows", "pivots")
+    ``by_pivot`` maps each pivot column to its basis row, whose entry there
+    is 1.  A basis row is replaced, never mutated, and callers must not
+    mutate the rows they read from ``rows``."""
+
+    __slots__ = ("field", "ncols", "by_pivot")
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self.rows = []
-        self.pivots = []
+        self.by_pivot = {}
+
+    @property
+    def rows(self):
+        """The canonical RREF basis rows, in pivot order."""
+        by_pivot = self.by_pivot
+        return [by_pivot[p] for p in sorted(by_pivot)]
 
     def rank(self):
-        return len(self.rows)
+        return len(self.by_pivot)
 
     def residue(self, row):
         """Reduce a row against the basis; the result is canonical."""
-        row = list(row)
-        for r, p in zip(self.rows, self.pivots):
-            c = row[p]
-            if c:
-                # r[p] == 1, so this zeroes row[p] exactly
-                for j in range(p, self.ncols):
-                    rj = r[j]
-                    if rj:
-                        row[j] = row[j] - c * rj
-        return row
-
-    def _first_nonzero(self, row):
-        for j, c in enumerate(row):
-            if c:
-                return j
-        return None
+        by_pivot = self.by_pivot
+        out = dict(row)
+        hits = [(p, c) for p, c in row.items() if p in by_pivot]
+        if not hits:
+            return out
+        for p, c in hits:
+            for j, b in by_pivot[p].items():
+                out[j] = out.get(j, 0) - c * b
+        return self.field.clean(out)
 
     def add(self, row):
         """Insert the span of ``row``; returns True if the rank grew."""
         row = self.residue(row)
-        p = self._first_nonzero(row)
-        if p is None:
+        if not row:
             return False
-        div, lead = self.field.div, row[p]
-        if lead != self.field.one():
-            row = [div(c, lead) if c else c for c in row]
+        p = min(row)
+        lead = row[p]
+        if lead != 1:
+            row = self.field.monic(row, lead)
         # keep existing rows fully reduced against the new pivot
-        for i, r in enumerate(self.rows):
-            c = r[p]
+        by_pivot = self.by_pivot
+        for q, r in by_pivot.items():
+            c = r.get(p)
             if c:
-                self.rows[i] = [a - c * b for a, b in zip(r, row)]
-        where = bisect.bisect_left(self.pivots, p)
-        self.rows.insert(where, row)
-        self.pivots.insert(where, p)
+                out = dict(r)
+                for j, b in row.items():
+                    out[j] = out.get(j, 0) - c * b
+                by_pivot[q] = self.field.clean(out)
+        by_pivot[p] = row
         return True
 
     def add_many(self, rows):
@@ -68,40 +77,33 @@ class Echelon:
             self.add(row)
 
     def contains(self, row):
-        return self._first_nonzero(self.residue(row)) is None
+        return not self.residue(row)
 
     def contains_space(self, other):
-        return all(self.contains(r) for r in other.rows)
-
-    def basis(self):
-        """The canonical RREF basis rows."""
-        return [list(r) for r in self.rows]
+        return all(self.contains(r) for r in other.by_pivot.values())
 
     def __eq__(self, other):
         return (
             isinstance(other, Echelon)
             and self.ncols == other.ncols
-            and self.pivots == other.pivots
-            and self.rows == other.rows
+            and self.by_pivot == other.by_pivot
         )
 
 
 def nullspace_F(constraint_rows, ncols, field):
-    """Basis of {x in F^ncols : A x = 0} for constraint rows A."""
+    """Basis of {x in F^ncols : A x = 0} for kernel rows A (sparse dicts);
+    one kernel row per free column, in column order."""
     ech = Echelon(field, ncols)
     ech.add_many(constraint_rows)
-    pivot_set = set(ech.pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
     basis = []
-    one = field.one()
-    zero = field.zero()
-    for f in free:
-        x = [zero] * ncols
-        x[f] = one
-        for r, p in zip(ech.rows, ech.pivots):
-            if r[f]:
+    for f in range(ncols):
+        if f in ech.by_pivot:
+            continue
+        x = {f: 1}
+        for p, r in ech.by_pivot.items():
+            if f in r:
                 x[p] = -r[f]
-        basis.append(x)
+        basis.append(field.clean(x))
     return basis
 
 

@@ -1,9 +1,63 @@
-"""Independent oracles for the tests: plain numerical-semigroup arithmetic.
+"""Independent oracles for the tests: plain numerical-semigroup arithmetic,
+and a dense reference for the sparse echelon kernel.
 
-Everything here works on sets of integers (value sets of monomial rings and
-ideals), with no reference to the lattice engine, so expected values for the
-single-branch monomial fixtures are computed by a genuinely different route.
+The semigroup functions work on sets of integers (value sets of monomial
+rings and ideals), with no reference to the lattice engine, so expected
+values for the single-branch monomial fixtures are computed by a genuinely
+different route.  ``DenseEchelon`` keeps RREF rows as dense lists of field
+coefficients and does its arithmetic through the coefficients' own
+operators and ``FieldSpec.div``, so it shares no row code with
+``linalg.Echelon``; ``kernel_row`` and ``dense_row`` convert between the two.
 """
+
+import bisect
+
+
+def kernel_row(field, dense):
+    """The sparse kernel row {col: entry} of a dense list of coefficients."""
+    return {j: field.entry(c) for j, c in enumerate(dense) if c}
+
+
+def dense_row(field, row, ncols):
+    """The dense coefficient list of a sparse kernel row."""
+    return [field.coeff(row[j]) if j in row else field.zero() for j in range(ncols)]
+
+
+class DenseEchelon:
+    """A subspace of F^ncols in RREF, rows as dense coefficient lists."""
+
+    def __init__(self, field, ncols):
+        self.field = field
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    def residue(self, row):
+        row = list(row)
+        for r, p in zip(self.rows, self.pivots):
+            c = row[p]
+            if c:
+                row = [a - c * b for a, b in zip(row, r)]
+        return row
+
+    def add(self, row):
+        row = self.residue(row)
+        p = next((j for j, c in enumerate(row) if c), None)
+        if p is None:
+            return False
+        lead = row[p]
+        row = [self.field.div(c, lead) if c else c for c in row]
+        for i, r in enumerate(self.rows):
+            c = r[p]
+            if c:
+                self.rows[i] = [a - c * b for a, b in zip(r, row)]
+        where = bisect.bisect_left(self.pivots, p)
+        self.rows.insert(where, row)
+        self.pivots.insert(where, p)
+        return True
+
+    def contains(self, row):
+        return not any(self.residue(row))
 
 
 def sg_values(gens, bound):

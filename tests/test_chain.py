@@ -1,6 +1,6 @@
 import pytest
 
-from endochain.field import QQ
+from endochain.field import QQ, FieldSpec
 from endochain.series import LaurentPoly, BranchVector
 from endochain.curve_ring import build_ring, semigroup_ring
 from endochain.chain import (
@@ -77,6 +77,21 @@ def test_chain_depth_matches_value_set_oracle(gens):
     assert normalization_check(tree)
     for leaf in tree.leaves():
         assert leaf.ring.is_dvr_product()
+
+
+@pytest.mark.parametrize("gens", [[4, 7], [5, 6], [6, 7], [5, 9]])
+def test_prime_field_chain_agrees_with_rationals(gens):
+    # the chain_ladder rings past the corpus (delta 9-16): GF(32003) and QQ
+    # share the echelon kernel's int arithmetic up to the reduction mod p,
+    # so chain depth, delta and family size must agree, and the depth must
+    # be the value-set oracle's
+    got = []
+    for field in (QQ, FieldSpec("prime", 32003)):
+        r = semigroup_ring(field, gens)
+        tree = build_chain_tree(r)
+        got.append((tree.n, r.delta(), len(chain_family(tree).lattices())))
+    assert got[0] == got[1]
+    assert got[0][0] == end_chain_value_sets(gens)[1]
 
 
 def test_chain_members_match_value_sets():

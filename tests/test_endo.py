@@ -146,6 +146,27 @@ def test_duplicate_summand_guard(e6_syzygy):
         build_endo_algebra(r, [r.self_lattice, k, tk])
 
 
+def test_build_endo_algebra_solves_each_hom_once(monkeypatch):
+    # the duplicate guard reads the Hom blocks the algebra keeps, so no
+    # (source, target) pair is solved twice in one build
+    from endochain import endo, lattice
+
+    ring = semigroup_ring(QQ, [2, 9])
+    fam = chain_family(build_chain_tree(ring))
+    solved = []
+    real = lattice.hom_lattice
+
+    def counting(c, d):
+        solved.append((c.key(), d.key()))
+        return real(c, d)
+
+    monkeypatch.setattr(lattice, "hom_lattice", counting)
+    monkeypatch.setattr(endo, "hom_lattice", counting)
+    alg = build_endo_algebra(ring, fam.lattices(), fam.labels())
+    assert len(alg.hom) == alg.k**2 and len(solved) >= alg.k**2
+    assert len(solved) == len(set(solved))
+
+
 def test_projectivization_checks():
     for gens in [[2, 3], [2, 5], [3, 4, 5]]:
         r = semigroup_ring(QQ, gens)
@@ -192,9 +213,10 @@ def test_fcmt_dvr():
 
 
 def test_prime_field_agrees_with_rationals():
-    # QQ coefficients are ints and Fractions, GF(p) ones GFElements, so the
-    # two fields share no arithmetic: every corpus ring must give the same
-    # chain depth, delta, family size, gldim and pd per simple over both
+    # inside the echelon kernel both fields do int arithmetic (QQ also on
+    # Fractions) and differ only by the reduction mod p of GF(p) rows, so a
+    # lost or misplaced reduction shows here: every corpus ring must give
+    # the same chain depth, delta, family size, gldim and pd per simple
     from endochain.verify import corpus
 
     f101 = FieldSpec("prime", 101)
@@ -217,23 +239,41 @@ def _coefficients(rows):
     return [c for row in rows for poly in row for c in poly.coeffs.values()]
 
 
+def _is_kernel_entry(field, x):
+    """A stored echelon entry: over GF(p) an int in [1, p), over QQ a
+    nonzero int (not a bool) or Fraction."""
+    if field.characteristic:
+        return type(x) is int and 0 < x < field.characteristic
+    return type(x) in (int, Fraction) and x != 0
+
+
 def test_coefficients_are_exact_field_elements():
     # int / int is a float and a bool is an int: every stored coefficient
-    # must be an int (not a bool) or Fraction over QQ, a GFElement over GF(p)
+    # must be an int (not a bool) or Fraction over QQ, a GFElement over GF(p);
+    # the echelon rows behind the same lattices hold kernel entries instead
     from endochain import ringio
     from endochain.field import GFElement
+    from endochain.lattice import raw_span
     from endochain.resolver import keyred_resolve
     from endochain.verify import corpus
 
     for field, types in ((QQ, {int, Fraction}), (FieldSpec("prime", 32003), {GFElement})):
-        seen = set()
+        seen, entries = set(), 0
         for name, r in corpus(field):
             tree, alg = family_algebra(r)
             lats = [nd.ring.self_lattice for nd in tree.nodes()]
             lats += [*alg.summands, *alg.hom.values(), *alg.rad_diag]
             seen |= {type(c) for lat in lats for c in _coefficients(lat.basis)}
             assert seen <= types, (field, name, seen)
-        assert seen
+            # window() rebuilds from RREF vectors, whose leads are 1 already;
+            # the spans of the Hom blocks' generators times 3 go through monic
+            rows = [row for lat in lats for row in lat.window()[1].rows]
+            for lat in alg.hom.values():
+                gens = [lat.ambient.scale_vec(field.coerce(3), g) for g in lat.genset()]
+                rows += raw_span(r, lat.ambient, gens, [], lat.lo, lat.hi)[1].rows
+            assert all(_is_kernel_entry(field, x) for row in rows for x in row.values()), (field, name)
+            entries += sum(len(row) for row in rows)
+        assert seen and entries
     # a module with non-integral generators takes the Fraction branch
     ring = ringio.ring_from_json(ringio.load_json(os.path.join(DATA, "rings", "semigroup_2_5.json")))
     module = ringio.load_json(os.path.join(DATA, "modules", "m_frac_over_2_5.json"))

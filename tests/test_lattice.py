@@ -449,14 +449,19 @@ def _constant_term_kernel(ring):
     amb = ring.self_lattice.ambient
     hi = [max(c, 1) for c in ring.conductor]
     ws, ech = ring.self_lattice.span([0] * ring.branches, hi)
-    rows = ech.basis()
-    consts = [[r[ws.index[(br, 0)]] for r in rows] for br in range(ring.branches) if (br, 0) in ws.index]
+    rows = ech.rows
+    consts = [
+        field.clean({i: r.get(ws.index[(br, 0)], 0) for i, r in enumerate(rows)})
+        for br in range(ring.branches)
+        if (br, 0) in ws.index
+    ]
     ech2 = ws.echelon()
     for lam in nullspace_F(consts, len(rows), field):
-        acc = [field.zero()] * ws.ncols()
-        for c, r in zip(lam, rows):
-            acc = [a + c * b for a, b in zip(acc, r)]
-        ech2.add(acc)
+        acc = {}
+        for i, c in lam.items():
+            for j, b in rows[i].items():
+                acc[j] = acc.get(j, 0) + c * b
+        ech2.add(field.clean(acc))
     return Lattice._canonicalize(ring, amb, [0] * amb.ncoords, hi, ech2, ws)
 
 

@@ -1,58 +1,66 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from endochain.field import QQ, FieldSpec
 from endochain.series import LaurentPoly
 from endochain.linalg import Echelon, nullspace_F, RatFun, poly_nullspace, poly_matrix_rank
+from oracle import DenseEchelon, dense_row, kernel_row
 
 
 def F(x):
     return Fraction(x)
 
 
+def K(*dense, field=QQ):
+    """The kernel row of a dense list of coefficients."""
+    return kernel_row(field, [field.coerce(c) for c in dense])
+
+
 def test_echelon_rank_and_membership():
     e = Echelon(QQ, 3)
-    assert e.add([F(1), F(2), F(3)])
-    assert e.add([F(0), F(1), F(1)])
-    assert not e.add([F(1), F(3), F(4)])  # dependent
+    assert e.add(K(F(1), F(2), F(3)))
+    assert e.add(K(F(0), F(1), F(1)))
+    assert not e.add(K(F(1), F(3), F(4)))  # dependent
     assert e.rank() == 2
-    assert e.contains([F(2), F(5), F(7)])
-    assert not e.contains([F(0), F(0), F(1)])
+    assert e.contains(K(F(2), F(5), F(7)))
+    assert not e.contains(K(F(0), F(0), F(1)))
 
 
 def test_echelon_rref_is_canonical():
-    rows1 = [[F(1), F(2), F(3)], [F(0), F(1), F(1)]]
-    rows2 = [[F(2), F(5), F(7)], [F(1), F(3), F(4)]]
+    rows1 = [K(F(1), F(2), F(3)), K(F(0), F(1), F(1))]
+    rows2 = [K(F(2), F(5), F(7)), K(F(1), F(3), F(4))]
     e1 = Echelon(QQ, 3)
     e1.add_many(rows1)
     e2 = Echelon(QQ, 3)
     e2.add_many(rows2)
-    assert e1.basis() == e2.basis()
+    assert e1.rows == e2.rows
 
 
 def test_echelon_residue_linear():
     rng = random.Random(3)
     e = Echelon(QQ, 5)
     for _ in range(3):
-        e.add([F(rng.randint(-3, 3)) for _ in range(5)])
+        e.add(K(*[F(rng.randint(-3, 3)) for _ in range(5)]))
     x = [F(rng.randint(-3, 3)) for _ in range(5)]
     y = [F(rng.randint(-3, 3)) for _ in range(5)]
-    rx = e.residue(x)
-    ry = e.residue(y)
-    rxy = e.residue([a + b for a, b in zip(x, y)])
+    rx = dense_row(QQ, e.residue(K(*x)), 5)
+    ry = dense_row(QQ, e.residue(K(*y)), 5)
+    rxy = dense_row(QQ, e.residue(K(*[a + b for a, b in zip(x, y)])), 5)
     assert rxy == [a + b for a, b in zip(rx, ry)]
 
 
 def test_nullspace_F():
-    rows = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
+    rows = [K(F(1), F(1), F(0)), K(F(0), F(1), F(1))]
     basis = nullspace_F(rows, 3, QQ)
     assert len(basis) == 1
-    v = basis[0]
+    v = dense_row(QQ, basis[0], 3)
     assert v[0] + v[1] == 0 and v[1] + v[2] == 0
 
 
 def test_nullspace_full_rank():
-    rows = [[F(1), F(0)], [F(0), F(1)]]
+    rows = [K(F(1), F(0)), K(F(0), F(1))]
     assert nullspace_F(rows, 2, QQ) == []
 
 
@@ -123,7 +131,52 @@ def test_poly_matrix_rank():
 def test_prime_field_echelon():
     F7 = FieldSpec("prime", 7)
     e = Echelon(F7, 2)
-    e.add([F7.coerce(3), F7.coerce(5)])
-    e.add([F7.coerce(6), F7.coerce(10)])
+    e.add(K(3, 5, field=F7))
+    e.add(K(6, 10, field=F7))
     assert e.rank() == 1
-    assert e.contains([F7.coerce(6), F7.coerce(3)])
+    assert e.contains(K(6, 3, field=F7))
+
+
+_FIELDS = (QQ, FieldSpec("prime", 7), FieldSpec("prime", 32003))
+
+
+@st.composite
+def _matrices(draw):
+    """A field, a column count and dense coefficient rows: rational entries
+    with denominators up to 4, prime-field entries of any int; zeros are
+    frequent, and later rows may be combinations of earlier ones."""
+    field = draw(st.sampled_from(_FIELDS))
+    ncols = draw(st.integers(1, 7))
+    if field.characteristic:
+        entry = st.one_of(st.just(0), st.integers(-40000, 40000)).map(field.coerce)
+    else:
+        entry = st.one_of(st.just(0), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))).map(field.coerce)
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(entry)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    probes = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=3))
+    return field, ncols, rows, probes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_matrices())
+def test_sparse_echelon_matches_dense_reference(case):
+    # the sparse kernel and the dense reference agree on every add, on the
+    # pivots and RREF rows (the kernel rows, reduced: ints in [1, p) over
+    # GF(p)), and on residue and contains of the rows and of probes
+    field, ncols, rows, probes = case
+    e, d = Echelon(field, ncols), DenseEchelon(field, ncols)
+    for row in rows:
+        assert e.add(kernel_row(field, row)) == d.add(row)
+    assert sorted(e.by_pivot) == d.pivots
+    assert e.rows == [kernel_row(field, r) for r in d.rows]
+    for row in rows + probes:
+        res = e.residue(kernel_row(field, row))
+        assert res == kernel_row(field, d.residue(row))
+        assert dense_row(field, res, ncols) == d.residue(row)
+        assert e.contains(kernel_row(field, row)) == d.contains(row)

@@ -117,6 +117,27 @@ def test_only_fieldspec_div_divides():
     assert not found
 
 
+def _modular_inverses(path):
+    """Lines of every ``pow(x, -1, p)``."""
+    return [
+        node.lineno
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "pow"
+        and len(node.args) == 3
+        and ast.unparse(node.args[1]) == "-1"
+    ]
+
+
+def test_one_modular_inverse():
+    # GF(p) rows are normalized by one inverse per row, taken in one place:
+    # FieldSpec._inverse, which FieldSpec.div and FieldSpec.monic share
+    files = sorted(f for f in os.listdir(PKG) if f.endswith(".py"))
+    found = [(f, line) for f in files for line in _modular_inverses(os.path.join(PKG, f))]
+    assert [f for f, _ in found] == ["field.py"]
+
+
 def test_no_runtime_dependencies():
     with open(os.path.join(ROOT, "pyproject.toml")) as f:
         text = f.read()
