@@ -7,6 +7,7 @@ window and insists on identical output.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -148,7 +149,9 @@ def cmd_verify(args):
     return payload, 0 if ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The parser, built once per process; ``main`` dispatches by command name."""
     p = argparse.ArgumentParser(
         prog="endochain",
         description="Exact chains of endomorphism rings, lattice resolutions, "
@@ -160,42 +163,36 @@ def build_parser():
     pr = sub.add_parser("ring", help="ring report (multiplicity, conductor, delta)")
     pr.add_argument("--input", required=True)
     pr.add_argument("--double-check", action="store_true")
-    pr.set_defaults(func=cmd_ring)
 
     pc = sub.add_parser("chain", help="iterated endomorphism-ring tree")
     pc.add_argument("--input", required=True)
     pc.add_argument("--double-check", action="store_true")
-    pc.set_defaults(func=cmd_chain)
 
     ps = sub.add_parser("resolve", help="resolve a torsion-free module by the chain family")
     ps.add_argument("--ring", required=True)
     ps.add_argument("--module", required=True)
     ps.add_argument("--double-check", action="store_true")
-    ps.set_defaults(func=cmd_resolve)
 
     pg = sub.add_parser("gldim", help="global dimension of End((+) E(R))^op")
     pg.add_argument("--ring", required=True)
     pg.add_argument("--mcm", help="module-list file for the finite-CM-type check")
     pg.add_argument("--pd-cap", type=int, default=None)
     pg.add_argument("--double-check", action="store_true")
-    pg.set_defaults(func=cmd_gldim)
 
     pv = sub.add_parser("verify", help="run the invariant suites on the corpus")
     pv.add_argument("--suite", default="all", help="all or comma list: lemma,chain,resolver,endo")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--cases", type=int, default=200)
     pv.add_argument("--pd-cap", type=int, default=None)
-    pv.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None):
-    p = build_parser()
-    args = p.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if hasattr(args, "pd_cap") and args.pd_cap is None:
         args.pd_cap = int(os.environ.get("ENDOCHAIN_PD_CAP", "16"))
     try:
-        out = args.func(args)
+        out = globals()[f"cmd_{args.command}"](args)
         if isinstance(out, tuple):
             payload, status = out
         else:

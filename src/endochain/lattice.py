@@ -22,8 +22,9 @@ finite linear algebra over the coefficient field, and canonical forms make
 equality syntactic.
 
 Every window span is built by one closure routine, ``_close``: it adds the
-cones' monomials and the truncated rows of given vectors, and closes them
-under a set of multipliers with a worklist.  ``Module.span`` and the
+rows of the cones' monomial shifts and of given vectors, and closes them
+under a set of multipliers with a worklist of kernel rows, on which a
+multiplier's term c * t^d is a column shift by d.  ``Module.span`` and the
 canonical windows pass no multipliers (their rows are R-closed already);
 ``curve_ring.build_ring`` closes 1 under the algebra generators ``gens``,
 and R is by definition the closure of F[gens], so ``raw_span`` closes
@@ -43,6 +44,7 @@ from .series import LaurentPoly, BranchVector, series_div_mod, INF
 from .linalg import Echelon, nullspace_F, poly_nullspace, poly_matrix_rank
 from .errors import (
     AmbientMismatch,
+    ClaimViolation,
     NotASubmodule,
     NotAnOverring,
     NotDvrProduct,
@@ -216,44 +218,59 @@ def _close(ws, ech, vecs, cones=(), mults=()):
     ``mults`` and pi the truncation at ``ws.hi``.  Returns False when some
     vector has support below ``ws.lo`` (it is skipped).
 
-    Each cone adds its monomial multiples t^m * v that reach the window.
-    Each vector adds its truncated row, and every vector that raised the
-    rank goes on a worklist, is multiplied by each of ``mults`` and
-    truncated, until no product raises the rank.  With ``mults = R.gens``
-    the span is pi(R * vecs + cones): (1) pi(a * pi(v)) = pi(a * v)
-    whenever val(a) >= 0, so truncating between products loses nothing;
-    (2) R is the closure of F[R.gens] (``build_ring``), so F[mults] is
-    dense in R modulo t^N E for every N; (3) the RREF of a span is
-    canonical, so the result does not depend on the order in which rows
-    were added.  Multiplying never lowers a valuation, so no product falls
-    below ``ws.lo``.
+    A coordinate's columns are consecutive, so multiplying a kernel row by
+    c * t^d is a column shift j -> j + d with entry x * c, cut at the end of
+    the coordinate's block; d < 0 would shift into the previous coordinate,
+    so it is a ClaimViolation.  Each cone adds its shifts t^m * v inside the
+    window.  Each vector adds its row, and every row that raised the rank
+    goes on a worklist and is multiplied by each of ``mults``, until no
+    product raises the rank.  With ``mults = R.gens`` the span is
+    pi(R * vecs + cones): (1) pi(a * pi(v)) = pi(a * v) whenever val(a) >= 0,
+    so truncating between products loses nothing; (2) R is the closure of
+    F[R.gens] (``build_ring``), so F[mults] is dense in R modulo t^N E for
+    every N; (3) the RREF of a span is canonical, so the result does not
+    depend on the order in which rows were added.
     """
     amb = ws.ambient
+    field = ws.field
+    neg = [(br, s.valuation()) for a in mults for br, s in enumerate(a.parts) if s.valuation() < 0]
+    if neg:
+        raise ClaimViolation("multiplier with a negative exponent", branch=neg[0][0], exponent=neg[0][1])
+    # per multiplier and branch, its (d, entry) terms by increasing d
+    terms = [[sorted((d, field.entry(x)) for d, x in s.coeffs.items()) for s in a.parts] for a in mults]
+    # per column, its branch and the end of its coordinate's block
+    ends = [(amb.branch_of(c), j + ws.hi[c] - e) for j, (c, e) in enumerate(ws.cols)]
     tops = _branch_tops(amb, ws.hi)
-    cone_vecs = []
+    inside = True
     for br, v in cones:
         mv = amb.branch_min_val(v, br)
-        if mv is not INF:
-            cone_vecs += [amb.mono_scale(br, m, v) for m in range(tops[br] - mv)]
-    inside = True
+        if mv is INF:
+            continue
+        # t^m * v has support below lo exactly for m < s
+        s = max([0] + [ws.lo[c] - v[c].valuation() for c in amb.coords_of(br) if v[c]])
+        inside = inside and not (s and tops[br] > mv)
+        row = ws.row_of(amb.mono_scale(br, s, v))
+        for k in range(tops[br] - mv - s):
+            ech.add({j + k: x for j, x in row.items() if j + k < ends[j][1]})
     work = []
-    for v in cone_vecs:
-        row = ws.row_of(v)
-        if row is None:
-            inside = False
-        else:
-            ech.add(row)
     for v in vecs:
         row = ws.row_of(v)
         if row is None:
             inside = False
-        elif ech.add(row) and mults:
-            work.append(amb.truncate_vec(v, ws.hi))
+        elif ech.add(row) and terms:
+            work.append(row)
     while work:
-        v = work.pop()
-        for a in mults:
-            p = amb.truncate_vec(amb.branch_scale(a, v), ws.hi)
-            if not amb.vec_is_zero(p) and ech.add(ws.row_of(p)):
+        row = work.pop()
+        for per in terms:
+            out = {}
+            for j, x in row.items():
+                br, end = ends[j]
+                for d, c in per[br]:
+                    if j + d >= end:
+                        break
+                    out[j + d] = out.get(j + d, 0) + x * c
+            p = field.clean(out)
+            if p and ech.add(p):
                 work.append(p)
     return inside
 

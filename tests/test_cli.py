@@ -1,10 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from endochain import cli, ringio
 from endochain.cli import main
-from endochain import ringio
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -68,6 +70,36 @@ def test_resolve_worked_example(capsys):
     assert rep["terms"][0]["decomposition"] == ["S1", "S1", "S2"]
     assert rep["terms"][1]["decomposition"] == ["S2", "S2"]
     assert all(rep["certificates"]["hom_exact"].values())
+
+
+def test_one_parser_per_process(capsys, monkeypatch, tmp_path):
+    # gldim, resolve, gldim through one process's main and its one parser:
+    # each report is byte-identical to a fresh interpreter's, each call gets
+    # its own namespace, and ENDOCHAIN_PD_CAP is read on every call
+    mf = tmp_path / "mcm.json"
+    mf.write_text(json.dumps({"modules": [{"ambient_rank": [1], "generators": [[[[[0, "1"]]]]]}]}))
+    ring, module = ring_path("semigroup_3_4"), os.path.join(DATA, "modules", "j_over_3_4.json")
+    calls = [
+        (["gldim", "--ring", ring, "--mcm", str(mf), "--pd-cap", "5"], None, {"mcm": str(mf), "pd_cap": 5}),
+        (["resolve", "--ring", ring, "--module", module], "3", {"module": module}),
+        (["gldim", "--ring", ring], "7", {"mcm": None, "pd_cap": 7}),
+    ]
+    seen = []
+    for name in ("cmd_gldim", "cmd_resolve"):
+        monkeypatch.setattr(cli, name, lambda args, f=getattr(cli, name): seen.append(vars(args).copy()) or f(args))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for argv, cap, expect in calls:
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("ENDOCHAIN_PD_CAP", None)
+        monkeypatch.delenv("ENDOCHAIN_PD_CAP", raising=False)
+        if cap:
+            env["ENDOCHAIN_PD_CAP"] = cap
+            monkeypatch.setenv("ENDOCHAIN_PD_CAP", cap)
+        status = main(argv)
+        fresh = subprocess.run([sys.executable, "-m", "endochain.cli", *argv], env=env, capture_output=True, text=True)
+        assert (status, capsys.readouterr().out) == (fresh.returncode, fresh.stdout)
+        assert seen[-1] == dict(expect, output="json", command=argv[0], ring=ring, double_check=False)
+    assert len(seen) == 3 and cli.build_parser() is cli.build_parser()
 
 
 def test_double_check_flags(capsys):

@@ -1,14 +1,17 @@
+import functools
 import os
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from endochain import ringio
 from endochain.chain import build_chain_tree
-from endochain.field import QQ
+from endochain.field import QQ, FieldSpec
 from endochain.series import INF, LaurentPoly, BranchVector
 from endochain.curve_ring import CurveRing, build_ring, maximal_ideal, semigroup_ring, normalization_lattice
-from endochain.linalg import nullspace_F
+from endochain.linalg import Echelon, nullspace_F
 from endochain.lattice import (
     Ambient,
     Lattice,
@@ -30,9 +33,10 @@ from endochain.lattice import (
     raw_span,
     scalar_extension_test,
     WindowSpace,
+    _close,
 )
 from endochain.verify import generated_test_lattices
-from endochain.errors import AmbientMismatch, NotAnOverring, NotASubmodule, NotDvrProduct, NotFullRank
+from endochain.errors import AmbientMismatch, ClaimViolation, NotAnOverring, NotASubmodule, NotDvrProduct, NotFullRank
 from oracle import sg_values, colon_values, ideal_values, sg_conductor
 
 
@@ -440,6 +444,130 @@ def test_raw_span_matches_brute_force(name):
         for amb, gens, cones, lo, hi in cases:
             _, ech = raw_span(ring, amb, gens, cones, lo, hi)
             assert ech.rank() > 0 and ech == _brute_r_span(ring, amb, gens, cones, lo, hi)
+
+
+def _reference_close(ws, ech, vecs, cones=(), mults=()):
+    """Reference closure on ambient vectors: every product is a LaurentPoly
+    product (``branch_scale``), truncated and read back by ``row_of``."""
+    amb = ws.ambient
+    tops = [max((ws.hi[c] for c in amb.coords_of(br)), default=0) for br in range(amb.nbranches())]
+    cone_vecs = []
+    for br, v in cones:
+        mv = amb.branch_min_val(v, br)
+        if mv is not INF:
+            cone_vecs += [amb.mono_scale(br, m, v) for m in range(tops[br] - mv)]
+    inside = True
+    work = []
+    for v in cone_vecs:
+        row = ws.row_of(v)
+        if row is None:
+            inside = False
+        else:
+            ech.add(row)
+    for v in vecs:
+        row = ws.row_of(v)
+        if row is None:
+            inside = False
+        elif ech.add(row) and mults:
+            work.append(amb.truncate_vec(v, ws.hi))
+    while work:
+        v = work.pop()
+        for a in mults:
+            p = amb.truncate_vec(amb.branch_scale(a, v), ws.hi)
+            if not amb.vec_is_zero(p) and ech.add(ws.row_of(p)):
+                work.append(p)
+    return inside
+
+
+class _RecordingEchelon(Echelon):
+    """An Echelon that keeps every row offered to ``add``, in order."""
+
+    def __init__(self, field, ncols):
+        super().__init__(field, ncols)
+        self.offered = []
+
+    def add(self, row):
+        self.offered.append(dict(row))
+        return super().add(row)
+
+
+_CLOSE_FIELDS = (QQ, FieldSpec("prime", 7), FieldSpec("prime", 32003))
+_GEN_RINGS = {1: ("semigroup_2_3", "semigroup_3_4_5"), 2: ("tacnode", "cusp_line", "node"), 3: ("triple_point",)}
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_gens(name, field):
+    """The generators of a corpus ring over ``field``, read from its file
+    without ``build_ring`` (which runs ``_close`` itself); they are its gens."""
+    obj = ringio.load_json(os.path.join(CORPUS, name + ".json"))
+    if "semigroup" in obj:
+        return [BranchVector.monomial(field, 1, 0, a) for a in obj["semigroup"]]
+    return [BranchVector([LaurentPoly.from_pairs(field, part) for part in g]) for g in obj["generators"]]
+
+
+@st.composite
+def _closures(draw):
+    """A window on a 1- to 3-branch ambient, seed vectors and cones (each
+    may dip below lo or reach past hi) and multipliers: a ring's gens, or
+    random BranchVectors with nonnegative exponents."""
+    field = draw(st.sampled_from(_CLOSE_FIELDS))
+    if field.characteristic:
+        coeff = st.integers(1, 40000).map(field.coerce)
+    else:
+        coeff = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)).map(field.coerce)
+    nb = draw(st.integers(1, 3))
+    amb = Ambient(draw(st.lists(st.integers(1, 3), min_size=nb, max_size=nb)))
+    lo = draw(st.lists(st.integers(-1, 2), min_size=amb.ncoords, max_size=amb.ncoords))
+    hi = [e + draw(st.integers(0, 5)) for e in lo]
+
+    def poly(lo_e, hi_e):
+        return LaurentPoly.from_pairs(field, draw(st.lists(st.tuples(st.integers(lo_e, hi_e), coeff), max_size=3)))
+
+    def vec(coords):
+        v = [poly(lo[c], hi[c]) if c in coords else LaurentPoly.zero(field) for c in range(amb.ncoords)]
+        if draw(st.booleans()) and draw(st.booleans()):  # support below lo
+            c = draw(st.sampled_from(coords))
+            v[c] = v[c] + LaurentPoly.monomial(field, lo[c] - draw(st.integers(1, 2)), draw(coeff))
+        return tuple(v)
+
+    vecs = [vec(range(amb.ncoords)) for _ in range(draw(st.integers(0, 3)))]
+    cones = []
+    for _ in range(draw(st.integers(0, 2))):
+        br = draw(st.integers(0, nb - 1))
+        cones.append((br, vec(list(amb.coords_of(br)))))
+    mults = []
+    if draw(st.booleans()):
+        mults += _ring_gens(draw(st.sampled_from(_GEN_RINGS[nb])), field)
+    for _ in range(draw(st.integers(0, 2))):
+        mults.append(BranchVector([poly(0, 4) for _ in range(nb)]))
+    return WindowSpace(field, amb, lo, hi), vecs, cones, mults
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_closures())
+def test_close_matches_laurent_reference(case):
+    # the kernel-row closure offers the same rows in the same order as the
+    # LaurentPoly reference, so it ends in the same echelon and inside flag
+    ws, vecs, cones, mults = case
+    ech, ref = _RecordingEchelon(ws.field, ws.ncols()), _RecordingEchelon(ws.field, ws.ncols())
+    inside = _close(ws, ech, vecs, cones, mults)
+    assert inside == _reference_close(ws, ref, vecs, cones, mults)
+    assert ech.offered == ref.offered
+    assert ech == ref
+
+
+def test_close_rejects_negative_multiplier_exponent():
+    # a negative exponent would shift a row into the previous coordinate's
+    # columns; it is refused even where no product would reach it
+    amb = Ambient([2, 1])
+    ws = WindowSpace(QQ, amb, [0, 0, 0], [4, 4, 4])
+    one = tuple(LaurentPoly.one(QQ) for _ in range(amb.ncoords))
+    t = LaurentPoly.monomial(QQ, 1)
+    bad = BranchVector([t, LaurentPoly.from_pairs(QQ, [(-1, 1), (2, 3)])])
+    for vecs in ([one], []):
+        with pytest.raises(ClaimViolation) as err:
+            _close(ws, ws.echelon(), vecs, mults=[BranchVector([t, t]), bad])
+        assert err.value.context == {"branch": 1, "exponent": -1}
 
 
 def _constant_term_kernel(ring):
