@@ -85,8 +85,16 @@ def test_one_parser_per_process(capsys, monkeypatch, tmp_path):
         (["gldim", "--ring", ring], "7", {"mcm": None, "pd_cap": 7}),
     ]
     seen = []
+
+    def recording(cmd):
+        def run(args):
+            seen.append(vars(args).copy())
+            return cmd(args)
+
+        return run
+
     for name in ("cmd_gldim", "cmd_resolve"):
-        monkeypatch.setattr(cli, name, lambda args, f=getattr(cli, name): seen.append(vars(args).copy()) or f(args))
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     for argv, cap, expect in calls:
         env = dict(os.environ, PYTHONPATH=src)
