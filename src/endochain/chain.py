@@ -38,7 +38,7 @@ def end_of_maximal_ideal(ring):
 
 
 class ChainNode:
-    __slots__ = ("ring", "global_branches", "r1", "children", "label")
+    __slots__ = ("ring", "global_branches", "r1", "children", "label", "family")
 
     def __init__(self, ring, global_branches):
         self.ring = ring
@@ -46,6 +46,7 @@ class ChainNode:
         self.r1 = None
         self.children = []  # (local branch subset of self, ChainNode)
         self.label = None
+        self.family = None  # chain_family of the subtree, once computed
 
     def is_leaf(self):
         return not self.children
@@ -172,8 +173,11 @@ class EFamily:
 
 
 def chain_family(tree, base_node=None):
-    """The family of a (sub)tree as lattices over the subtree root."""
+    """The family of a (sub)tree as lattices over the subtree root, computed
+    once per node: every later call returns the same EFamily."""
     root = base_node or tree.root
+    if root.family is not None:
+        return root.family
     base = root.ring
     pos_of = {g: i for i, g in enumerate(root.global_branches)}
     members = []
@@ -185,7 +189,8 @@ def chain_family(tree, base_node=None):
             continue
         seen.add(lat.key())
         members.append(FamilyMember(f"S{len(members)}", lat, node))
-    return EFamily(base, members)
+    root.family = EFamily(base, members)
+    return root.family
 
 
 def representation_module(fam):

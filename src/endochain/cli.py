@@ -47,8 +47,27 @@ def _emit_text(payload, indent=0):
         print(f"{pad}{payload}")
 
 
+_rings = {}  # (canonical definition JSON, window_hint) -> ring
+_trees = {}  # id(ring) -> (ring, its chain tree)
+
+
 def _load_ring(path, window_hint=None):
-    return ringio.ring_from_json(ringio.load_json(path), window_hint=window_hint)
+    """The ring defined at ``path``, built once per process and definition:
+    keyed by content, so a file rewritten in place gives a fresh ring."""
+    obj = ringio.load_json(path)
+    key = (json.dumps(obj, sort_keys=True), window_hint)
+    if key not in _rings:
+        _rings[key] = ringio.ring_from_json(obj, window_hint=window_hint)
+    return _rings[key]
+
+
+def _tree(ring):
+    """The chain tree of a loaded ring, built once per ring object.  Keyed
+    by identity, the ring kept so its id is not reused: the doubled-window
+    ring of --double-check is key()-equal to the first but gets its own."""
+    if id(ring) not in _trees:
+        _trees[id(ring)] = (ring, build_chain_tree(ring))
+    return _trees[id(ring)][1]
 
 
 def _double_checked(args, path, report, what):
@@ -105,7 +124,7 @@ def cmd_resolve(args):
 
     def report(ring):
         lat = ringio.lattice_from_json(ringio.load_json(args.module), ring)
-        tree = build_chain_tree(ring)
+        tree = _tree(ring)
         runs.append(keyred_resolve(lat, tree=tree))
         return _resolution_json(runs[-1], tree)
 
@@ -116,7 +135,7 @@ def cmd_resolve(args):
 
 
 def _gldim_payload(ring, args):
-    tree = build_chain_tree(ring)
+    tree = _tree(ring)
     fam = chain_family(tree)
     if args.mcm:
         mcm_defs = ringio.load_json(args.mcm)

@@ -120,13 +120,8 @@ class Ambient:
 
     def mono_scale(self, br, exp, v):
         """Multiply by t_br^exp * e_br (kills all other branches)."""
-        out = []
-        for coord, a in enumerate(v):
-            if self.branch_of(coord) == br:
-                out.append(a.shift(exp))
-            else:
-                out.append(LaurentPoly.zero(a.field))
-        return tuple(out)
+        own = self.coords_of(br)
+        return tuple(a.shift(exp) if c in own else LaurentPoly.zero(a.field) for c, a in enumerate(v))
 
     def truncate_vec(self, v, hi):
         return tuple(a.truncate(h) for a, h in zip(v, hi))
@@ -239,7 +234,8 @@ def _close(ws, ech, vecs, cones=(), mults=()):
     # per multiplier and branch, its (d, entry) terms by increasing d
     terms = [[sorted((d, field.entry(x)) for d, x in s.coeffs.items()) for s in a.parts] for a in mults]
     # per column, its branch and the end of its coordinate's block
-    ends = [(amb.branch_of(c), j + ws.hi[c] - e) for j, (c, e) in enumerate(ws.cols)]
+    branch = [br for br, r in enumerate(amb.ranks) for _ in range(r)]
+    ends = [(branch[c], j + ws.hi[c] - e) for j, (c, e) in enumerate(ws.cols)]
     tops = _branch_tops(amb, ws.hi)
     inside = True
     for br, v in cones:

@@ -135,13 +135,10 @@ class _Ctx:
     def __init__(self, node):
         self.node = node
         self.ring = node.ring
-        self._family = None
         self._children = None
 
     def family(self):
-        if self._family is None:
-            self._family = chain_family(None, base_node=self.node)
-        return self._family
+        return chain_family(None, base_node=self.node)
 
     def children(self):
         if self._children is None:

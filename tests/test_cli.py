@@ -1,12 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from endochain import cli, ringio
+from endochain.chain import build_chain_tree
 from endochain.cli import main
+from endochain.verify import generated_test_lattices
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -108,6 +111,85 @@ def test_one_parser_per_process(capsys, monkeypatch, tmp_path):
         assert (status, capsys.readouterr().out) == (fresh.returncode, fresh.stdout)
         assert seen[-1] == dict(expect, output="json", command=argv[0], ring=ring, double_check=False)
     assert len(seen) == 3 and cli.build_parser() is cli.build_parser()
+
+
+def _fresh(argv):
+    """(exit status, stdout) of ``argv`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("ENDOCHAIN_PD_CAP", None)
+    out = subprocess.run([sys.executable, "-m", "endochain.cli", *argv], env=env, capture_output=True, text=True)
+    return out.returncode, out.stdout
+
+
+@pytest.fixture
+def empty_memos(monkeypatch):
+    """Start from no loaded rings and no chain trees; count tree builds by
+    the ring they were built from."""
+    monkeypatch.delenv("ENDOCHAIN_PD_CAP", raising=False)
+    monkeypatch.setattr(cli, "_rings", {})
+    monkeypatch.setattr(cli, "_trees", {})
+    built = []
+
+    def counting(ring, *a, **kw):
+        built.append(ring)
+        return build_chain_tree(ring, *a, **kw)
+
+    monkeypatch.setattr(cli, "build_chain_tree", counting)
+    return built
+
+
+def test_repeated_commands_match_fresh_processes(capsys, tmp_path, empty_memos):
+    # ring, chain, resolve and gldim on two rings, each twice in a shuffled
+    # order through one process: every report and exit status is the fresh
+    # interpreter's, and resolve and gldim build one tree per ring
+    ring = ringio.ring_from_json(ringio.load_json(ring_path("semigroup_3_4")))
+    _, lat = generated_test_lattices(random.Random("semigroup_3_4/0"), ring, build_chain_tree(ring), count=5)[4]
+    corpus_module = tmp_path / "lattice.json"
+    corpus_module.write_text(json.dumps(ringio.lattice_to_json(lat)))
+    calls = []
+    for name in ("semigroup_3_4", "semigroup_2_5"):
+        calls += [["ring", "--input", ring_path(name)], ["chain", "--input", ring_path(name)], ["gldim", "--ring", ring_path(name)]]
+    for module, name in (("j_over_3_4", "semigroup_3_4"), ("m_over_2_5", "semigroup_2_5")):
+        calls.append(["resolve", "--ring", ring_path(name), "--module", os.path.join(DATA, "modules", module + ".json")])
+    calls.append(["resolve", "--ring", ring_path("semigroup_3_4"), "--module", str(corpus_module)])
+    expected = {tuple(argv): _fresh(argv) for argv in calls}
+    sequence = calls * 2
+    random.Random(15).shuffle(sequence)
+    for argv in sequence:
+        assert (main(argv), capsys.readouterr().out) == expected[tuple(argv)]
+    # per ring (delta 2 and 3): one stored tree, and one per chain report
+    assert sorted(r.delta() for r in empty_memos) == [2, 2, 2, 3, 3, 3]
+
+
+def test_tree_built_once_per_definition_and_window(capsys, empty_memos):
+    for module, name in (("m_over_2_5", "semigroup_2_5"), ("j_over_3_4", "semigroup_3_4")):
+        for _ in range(2):
+            assert main(["gldim", "--ring", ring_path(name)]) == 0
+            assert main(["resolve", "--ring", ring_path(name), "--module", os.path.join(DATA, "modules", module + ".json")]) == 0
+    capsys.readouterr()
+    assert [r.delta() for r in empty_memos] == [2, 3]
+    assert len(cli._rings) == 2 and len(cli._trees) == 2
+
+
+def test_double_check_builds_its_own_tree_once(capsys, empty_memos):
+    argv = ["resolve", "--ring", ring_path("semigroup_2_5"), "--module", os.path.join(DATA, "modules", "m_over_2_5.json"), "--double-check"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert json.loads(first)["double_check"] == "ok"
+    ring, doubled = empty_memos
+    assert doubled is not ring and doubled.key() == ring.key()
+    assert doubled.window_bound == 2 * ring.window_bound
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first and len(empty_memos) == 2
+
+
+def test_ring_file_rewritten_in_place(capsys, tmp_path, empty_memos):
+    path = tmp_path / "ring.json"
+    for sg in ([2, 3], [2, 5], [2, 3]):
+        path.write_text(json.dumps({"semigroup": sg}))
+        for cmd in (["ring", "--input", str(path)], ["gldim", "--ring", str(path)]):
+            assert (main(cmd), capsys.readouterr().out) == _fresh(cmd)
+    assert [r.delta() for r in empty_memos] == [1, 2]
 
 
 def test_double_check_flags(capsys):
