@@ -8,7 +8,7 @@ form (equality as subrings of K).
 """
 
 from .series import BranchVector
-from .errors import AlreadyNormal, ChainDiverged, ClaimViolation, NotFullRank, NotLocal
+from .errors import AlreadyNormal, ClaimViolation, NotFullRank, NotLocal
 from .curve_ring import build_ring, factor, normalization_lattice, ring_report
 from .lattice import Ambient, Lattice, direct_sum, hom_lattice, minimal_generators
 
@@ -78,16 +78,16 @@ class ChainTree:
         return [nd for nd in self.root.walk() if nd.is_leaf()]
 
 
-def build_chain_tree(ring, depth_cap=64):
+def build_chain_tree(ring):
+    """The chain tree of ``ring``, uncapped: every edge drops delta or raises
+    ClaimViolation, so its depth is at most delta(R)."""
     if not ring.is_local:
         raise NotLocal("chain tree needs a local root")
 
-    def grow(nd, cap):
+    def grow(nd):
         s = nd.ring
         if s.is_dvr_product():
             return
-        if cap <= 0:
-            raise ChainDiverged("chain exceeded the depth cap", cap=depth_cap)
         s1 = end_of_maximal_ideal(s)
         nd.r1 = s1
         for T in s1.atoms:
@@ -96,10 +96,10 @@ def build_chain_tree(ring, depth_cap=64):
             nd.children.append((T, child))
             if fac.delta() >= s.delta():
                 raise ClaimViolation("delta did not drop along a chain edge")
-            grow(child, cap - 1)
+            grow(child)
 
     root = ChainNode(ring, tuple(range(ring.branches)))
-    grow(root, depth_cap)
+    grow(root)
     return ChainTree(root)
 
 

@@ -41,6 +41,7 @@ class CurveRing:
         "self_lattice",
         "window_bound",
         "_mlat",
+        "_mterms",
         "_basis_bv",
     )
 
@@ -54,6 +55,7 @@ class CurveRing:
         self.is_local = len(atoms) == 1
         self.window_bound = window_bound
         self._mlat = None
+        self._mterms = None
         amb = Ambient([1] * branches)
         lo = [0] * branches
         self._basis_bv = tuple(BranchVector(v) for v in basis_vectors)
@@ -107,6 +109,13 @@ class CurveRing:
             raise NotLocal("maximal ideal needs a local ring")
         one = BranchVector.one(self.field, self.branches)
         return [g - one.scale(g[0][0]) for g in self.gens]
+
+    def maximal_ideal_terms(self):
+        """Per g - g(0) of ``maximal_ideal_gens``, its (d, entry) terms per
+        branch: the column shifts that multiply a window row by it."""
+        if self._mterms is None:
+            self._mterms = [[p.kernel_terms() for p in d.parts] for d in self.maximal_ideal_gens()]
+        return self._mterms
 
     def maximal_ideal_lattice(self):
         if self._mlat is None:

@@ -51,7 +51,6 @@ from .lattice import (
     isomorphism,
     kernel_window_module,
     map_as_hom_element,
-    maximal_ideal_module,
     minimal_generators,
     nakayama_covers,
     placed_sum,
@@ -213,7 +212,7 @@ def _products(alg, left, right, j, l):
 def _block_cover(lat, vecs):
     """``nakayama_covers`` of the block ``lat`` over R * vecs + m * lat at
     the cut hi + mx, past which every element of ``lat`` lies in m * lat."""
-    return nakayama_covers(lat, [(vecs, []), maximal_ideal_module(lat)], lat.nakayama_cut())
+    return nakayama_covers(lat, [(vecs, [])], lat.nakayama_cut())
 
 
 def _certify_arrows(alg):

@@ -69,10 +69,6 @@ class AlreadyNormal(EndochainError):
     code = "AlreadyNormal"
 
 
-class ChainDiverged(EndochainError):
-    code = "ChainDiverged"
-
-
 class ClaimViolation(EndochainError):
     code = "ClaimViolation"
 

@@ -24,15 +24,19 @@ equality syntactic.
 Every window span is built by one closure routine, ``_close``: it adds the
 rows of the cones' monomial shifts and of given vectors, and closes them
 under a set of multipliers with a worklist of kernel rows, on which a
-multiplier's term c * t^d is a column shift by d.  ``Module.span`` and the
-canonical windows pass no multipliers (their rows are R-closed already);
-``curve_ring.build_ring`` closes 1 under the algebra generators ``gens``,
-and R is by definition the closure of F[gens], so ``raw_span`` closes
-generator sets that are not R-closed (images, m * N) under ``R.gens``.
+multiplier's term c * t^d is a column shift by d (``_shift``).
+``Module.span`` and the canonical windows pass no multipliers (their rows
+are R-closed already); ``curve_ring.build_ring`` closes 1 under the algebra
+generators ``gens``, and R is by definition the closure of F[gens], so
+``raw_span`` closes generator sets that are not R-closed under ``R.gens``.
 Truncating between products is exact, so the span is the truncation of
 R * vectors (see ``_close``).  Surjectivity and exactness are certified by
-one Nakayama span identity, ``nakayama_covers``, at ``nakayama_cut``; its
-m * N is always ``maximal_ideal_module``: (g - g(0)) * N over R's gens g.
+one Nakayama span identity, ``nakayama_covers``, at ``nakayama_cut``.  Its
+images and m * N are R-modules already, spanned without closure; only
+generators that are no such image are R-closed: in ``build_ring``,
+``Lattice.from_module_data`` and ``endo``'s composites and cover
+certificate.  Hom, overring and kernel constraints are column shifts too
+(``_operator``, ``solve_constrained_window``).
 
 Kernels are computed once, by ``kernel_lattice``: a canonical lattice in
 fresh coordinates plus its embedding; ``kernel_window_module`` is its image.
@@ -231,11 +235,8 @@ def _close(ws, ech, vecs, cones=(), mults=()):
     neg = [(br, s.valuation()) for a in mults for br, s in enumerate(a.parts) if s.valuation() < 0]
     if neg:
         raise ClaimViolation("multiplier with a negative exponent", branch=neg[0][0], exponent=neg[0][1])
-    # per multiplier and branch, its (d, entry) terms by increasing d
-    terms = [[sorted((d, field.entry(x)) for d, x in s.coeffs.items()) for s in a.parts] for a in mults]
-    # per column, its branch and the end of its coordinate's block
-    branch = [br for br, r in enumerate(amb.ranks) for _ in range(r)]
-    ends = [(branch[c], j + ws.hi[c] - e) for j, (c, e) in enumerate(ws.cols)]
+    terms = [[s.kernel_terms() for s in a.parts] for a in mults]
+    ends = _column_ends(ws)
     tops = _branch_tops(amb, ws.hi)
     inside = True
     for br, v in cones:
@@ -258,17 +259,30 @@ def _close(ws, ech, vecs, cones=(), mults=()):
     while work:
         row = work.pop()
         for per in terms:
-            out = {}
-            for j, x in row.items():
-                br, end = ends[j]
-                for d, c in per[br]:
-                    if j + d >= end:
-                        break
-                    out[j + d] = out.get(j + d, 0) + x * c
-            p = field.clean(out)
+            p = _shift(field, row, per, ends)
             if p and ech.add(p):
                 work.append(p)
     return inside
+
+
+def _column_ends(ws):
+    """Per window column, its branch and the end of its coordinate's block."""
+    branch = [br for br, r in enumerate(ws.ambient.ranks) for _ in range(r)]
+    return [(branch[c], j + ws.hi[c] - e) for j, (c, e) in enumerate(ws.cols)]
+
+
+def _shift(field, row, per, ends):
+    """The kernel row of pi(s * v) for the window row of v and a scalar s of
+    K with nonnegative exponents, given by ``per[br]``, its (d, entry) terms
+    on branch br by increasing d (``LaurentPoly.kernel_terms``)."""
+    out = {}
+    for j, x in row.items():
+        br, end = ends[j]
+        for d, c in per[br]:
+            if j + d >= end:
+                break
+            out[j + d] = out.get(j + d, 0) + x * c
+    return field.clean(out)
 
 
 def valuation_floor(vecs, lo):
@@ -712,7 +726,7 @@ def minimal_generators(lat):
     if not lat.ring.is_local:
         raise NotLocal("minimal generators need a local ring")
     if lat._mingens is None:
-        lifts, _ = nakayama_covers(lat, [maximal_ideal_module(lat)], lat.nakayama_cut())
+        lifts, _ = nakayama_covers(lat, [], lat.nakayama_cut())
         lat._mingens = tuple(lifts)
     return lat._mingens
 
@@ -755,61 +769,51 @@ def scalar_extension_test(overring, lat):
     return True
 
 
-class _ConstraintStream:
-    """Linear functionals enforcing transform(x) in target."""
-
-    __slots__ = ("rows", "low_index", "tws", "tech", "target")
-
-    def __init__(self, target, low_positions):
-        self.target = target
-        self.tws, self.tech = target.window()
-        self.low_index = {p: i for i, p in enumerate(sorted(low_positions))}
-        total = len(self.low_index) + self.tws.ncols()
-        self.rows = [{} for _ in range(total)]
-
-    def put(self, u, img):
-        tgt = self.target
-        entry = tgt.ring.field.entry
-        row = {}  # the window part of img, a kernel row of the target window
-        for coord, a in enumerate(img):
-            for ee, c in a.coeffs.items():
-                if ee < tgt.lo[coord]:
-                    self.rows[self.low_index[(coord, ee)]][u] = entry(c)
-                elif ee < tgt.hi[coord]:
-                    row[self.tws.index[(coord, ee)]] = entry(c)
-        res = self.tech.residue(row)
-        base = len(self.low_index)
-        for j, x in res.items():
-            self.rows[base + j][u] = x
+def _operator(src, tgt, entries):
+    """The shift operator of the K-linear map from ambient ``src`` to ``tgt``
+    whose matrices are zero except ``entries``, a dict (br, k, l) ->
+    LaurentPoly as in ``LatticeMap.from_entries``: per coordinate of
+    ``src``, a list of (coordinate of ``tgt``, (d, entry) terms).  It sends
+    window column (c, e) to the columns (c', e + d), each with one entry."""
+    op = [[] for _ in range(src.ncoords)]
+    for (br, k, l), a in entries.items():
+        if a:
+            op[src.coord(br, l)].append((tgt.coord(br, k), a.kernel_terms()))
+    return op
 
 
 def solve_constrained_window(ws, streams):
-    """Window vectors x with transform_i(x) in target_i for every stream.
+    """Window vectors x with op(x) in target for every stream.
 
-    ``streams`` is a list of (transform, target_lattice) where transform maps
-    an ambient vector of ``ws`` into the target's ambient.  Returns solution
-    rows (they are exact elements: supported inside the window).
+    ``streams`` is a list of (op, target_lattice), op a shift operator
+    (``_operator``) from the ambient of ``ws`` into the target's.  The image
+    of window column (c, e) is read off op[c]: a term below the target's lo
+    is a constraint of its own, the terms inside its window a row whose
+    residue must vanish, and terms past hi lie in its tail.  Returns the
+    RREF-canonical basis of the solutions (exact elements, supported inside
+    the window), so the order of the constraints does not matter.
     """
-    field = ws.field
-    ncols = ws.ncols()
-    units = []
-    for u in range(ncols):
-        coord, e = ws.cols[u]
-        units.append(ws.ambient.unit_vec(field, coord, e))
-    all_rows = []
-    for transform, target in streams:
-        images = [transform(x) for x in units]
-        low_positions = set()
-        for img in images:
-            for coord, a in enumerate(img):
-                for ee in a.coeffs:
-                    if ee < target.lo[coord]:
-                        low_positions.add((coord, ee))
-        cs = _ConstraintStream(target, low_positions)
-        for u, img in enumerate(images):
-            cs.put(u, img)
-        all_rows += [r for r in cs.rows if r]
-    return nullspace_F(all_rows, ncols, field)
+    rows = []
+    for op, target in streams:
+        tws, tech = target.window()
+        index = tws.index
+        lo, hi = target.lo, target.hi
+        low, res = {}, {}
+        for u, (c, e) in enumerate(ws.cols):
+            row = {}
+            for c2, terms in op[c]:
+                for d, x in terms:
+                    ee = e + d
+                    if ee < lo[c2]:
+                        low.setdefault((c2, ee), {})[u] = x
+                    elif ee < hi[c2]:
+                        row[index[(c2, ee)]] = x
+                    else:
+                        break
+            for j, x in tech.residue(row).items():
+                res.setdefault(j, {})[u] = x
+        rows += list(low.values()) + list(res.values())
+    return nullspace_F(rows, ws.ncols(), ws.field)
 
 
 def largest_submodule_over(overring, lat):
@@ -821,9 +825,11 @@ def largest_submodule_over(overring, lat):
     ring = lat.ring
     amb = lat.ambient
     ws = WindowSpace(ring.field, amb, lat.lo, lat.hi)
-    streams = [(lambda v: v, lat)]
-    for s in overring_scalars(overring, lat):
-        streams.append((lambda v, s=s: amb.branch_scale(s, v), lat))
+    scalars = [BranchVector.one(ring.field, ring.branches)] + overring_scalars(overring, lat)
+    streams = [
+        (_operator(amb, amb, {(br, k, k): x[br] for br in range(amb.nbranches()) for k in range(amb.ranks[br])}), lat)
+        for x in scalars
+    ]
     sols = solve_constrained_window(ws, streams)
     ech = ws.echelon()
     ech.add_many(sols)
@@ -845,29 +851,15 @@ def hom_coord(hamb, src, tgt, br, k, l):
     return hamb.coord(br, k * src.ranks[br] + l)
 
 
-def hom_apply(src, tgt, hamb, h, vec):
-    """Apply a hom-ambient vector h to a src-ambient vector."""
-    field = h[0].field if h else None
-    out = []
-    for br in range(src.nbranches()):
-        for k in range(tgt.ranks[br]):
-            acc = LaurentPoly.zero(field)
-            for l in range(src.ranks[br]):
-                e = h[hom_coord(hamb, src, tgt, br, k, l)]
-                x = vec[src.coord(br, l)]
-                if e and x:
-                    acc = acc + e * x
-            out.append(acc)
-    return tuple(out)
-
-
 def hom_lattice(c, d):
     """Hom_R(C, D) as a lattice in the matrix ambient.
 
     An f with f(generators of C) in D automatically carries all of C into D
     (f is K-linear, hence R-linear), so one constraint stream per R-generator
     of C suffices: the Nakayama-minimal ones over a local ring, the genset
-    otherwise.
+    otherwise.  The stream of a generator g is the evaluation h -> h(g),
+    which sends coordinate (br, k, l) to target coordinate (br, k) by g's
+    coordinate (br, l).
     """
     if c.ring is not d.ring and c.ring.key() != d.ring.key():
         raise AmbientMismatch("hom needs lattices over the same ring")
@@ -875,20 +867,15 @@ def hom_lattice(c, d):
     field = ring.field
     src, tgt = c.ambient, d.ambient
     hamb = hom_ambient(src, tgt)
-    lo = [0] * hamb.ncoords
-    hi = [0] * hamb.ncoords
-    for br in range(src.nbranches()):
-        for k in range(tgt.ranks[br]):
-            for l in range(src.ranks[br]):
-                hc = hom_coord(hamb, src, tgt, br, k, l)
-                lo[hc] = d.lo[tgt.coord(br, k)] - c.hi[src.coord(br, l)]
-                hi[hc] = d.hi[tgt.coord(br, k)] - c.lo[src.coord(br, l)]
-    for i in range(hamb.ncoords):
-        hi[i] = max(hi[i], lo[i])
+    # (br, k, l) in the order of the hom coordinates
+    slots = [(br, k, l) for br in range(src.nbranches()) for k in range(tgt.ranks[br]) for l in range(src.ranks[br])]
+    lo = [d.lo[tgt.coord(br, k)] - c.hi[src.coord(br, l)] for br, k, l in slots]
+    hi = [max(d.hi[tgt.coord(br, k)] - c.lo[src.coord(br, l)], v) for (br, k, l), v in zip(slots, lo)]
     ws = WindowSpace(field, hamb, lo, hi)
     gens = minimal_generators(c) if ring.is_local else c.genset()
     streams = [
-        (lambda h, g=g: hom_apply(src, tgt, hamb, h, g), d) for g in gens
+        (_operator(hamb, tgt, {(br, k, k * src.ranks[br] + l): g[src.coord(br, l)] for br, k, l in slots}), d)
+        for g in gens
     ]
     sols = solve_constrained_window(ws, streams)
     ech = ws.echelon()
@@ -967,13 +954,11 @@ def kernel_lattice(f):
                 entries[(br, l, j)] = a
                 if a:
                     hi[nc] = max(hi[nc], f.source.hi[src.coord(br, l)] - a.valuation())
-    # the embedding on the fresh ambient; its source becomes L once L is known
-    embed = LatticeMap.from_entries(Module(ring, new_amb, (), (), lo), f.source, entries)
     ws = WindowSpace(field, new_amb, lo, hi)
     ech = ws.echelon()
-    ech.add_many(solve_constrained_window(ws, [(embed.apply, f.source)]))
+    ech.add_many(solve_constrained_window(ws, [(_operator(new_amb, src, entries), f.source)]))
     lat = Lattice._canonicalize(ring, new_amb, lo, hi, ech, ws)
-    return lat, LatticeMap(lat, f.source, embed.mats)
+    return lat, LatticeMap.from_entries(lat, f.source, entries)
 
 
 def kernel_window_module(f):
@@ -1001,66 +986,67 @@ def kernel_window_module(f):
 
 def image_lattice(f):
     """im(f) materialized as a canonical lattice (requires full rank in the
-    target ambient; image_module gives generator data in general)."""
+    target ambient; ``nakayama_covers`` spans images of any rank)."""
     return Lattice.from_generators(
         f.source.ring, f.target.ambient, [f.apply(g) for g in f.source.genset()]
     )
 
 
-def image_module(f):
-    """R-generator data (rgens, cones) of im(f) in the target ambient."""
-    rgens = [f.apply(g) for g in f.source.genset()]
-    cones = [(br, f.apply(v)) for br, v in f.source.cones]
-    return rgens, cones
-
-
-def maximal_ideal_module(mod):
-    """R-generator data (rgens, cones) of m * mod for a Module ``mod``: as
-    m = sum (g - g(0)) * R, the differences times mod's genset, and the cone
-    on t^mx * v for each cone v."""
-    ring = mod.ring
-    amb = mod.ambient
-    gens = mod.genset()
-    rgens = [amb.branch_scale(d, g) for d in ring.maximal_ideal_gens() for g in gens]
-    cones = [(br, amb.mono_scale(br, ring.mx(br), v)) for br, v in mod.cones]
-    return rgens, cones
-
-
 def nakayama_covers(goal, parts, cut):
-    """Nakayama comparison of the Module ``goal`` with the sum of ``parts``.
+    """Nakayama comparison of the Module ``goal`` with m * goal plus the sum
+    of ``parts``.
 
-    Each part is a Module or (rgens, cones) generator data, closed under R by
-    raw_span.  ``cut`` must reach deep enough that goal elements beyond it
-    lie in the span of the parts.  Returns (lifts, inside): the goal's RREF
-    window rows outside the span of the parts, as vectors in echelon order,
-    and whether the parts lie inside the goal.  The parts span the goal
-    exactly when ``not lifts and inside``.
+    m * goal is spanned without closure: m = sum (g - g(0)) * R over R's
+    gens g and pi(d * pi(v)) = pi(d * v) for val(d) >= 0 (``_close``, point
+    (1)), so goal's window rows shifted by each d span pi(m * goal), with
+    valuations in goal's window.  A part is a Module; a LatticeMap f whose
+    source C is a Lattice, for its image: C = span(rows) + cones, rows
+    R-closed up to the cones, so f(C) = span f(rows) + sum F[[t_br]] * f(v)
+    over the cones (br, v); or (rgens, cones) generator data, which
+    ``_close`` R-closes under R.gens (only ``endo._block_cover``'s
+    composites need that).  ``cut`` must reach deep enough that goal
+    elements beyond it lie in the span of the parts.  Returns (lifts,
+    inside): the goal's RREF window rows outside the span of the parts, as
+    vectors in echelon order, and whether the parts lie inside the goal.
+    The parts span the goal exactly when ``not lifts and inside``.
     """
-    rgens, cones, mods = [], [], []
+    ring = goal.ring
+    rgens, cones, spans = [], [], []
     for p in parts:
-        if isinstance(p, Module):
-            mods.append(p)
+        if isinstance(p, LatticeMap):
+            if not isinstance(p.source, Lattice):
+                raise TypeError("an image part needs a map whose source is a Lattice")
+            spans.append(([p.apply(v) for v in p.source.rows], [(br, p.apply(v)) for br, v in p.source.cones]))
+        elif isinstance(p, Module):
+            spans.append((p.rows, p.cones))
         else:
             rgens += p[0]
             cones += p[1]
     vecs = rgens + [v for _, v in cones]
-    for p in mods:
-        vecs += list(p.rows) + [v for _, v in p.cones]
+    for rows, pcones in spans:
+        vecs += list(rows) + [v for _, v in pcones]
     lo = valuation_floor(vecs, goal.lo)
     ws, e_goal = goal.span(lo, cut)
-    _, e_parts = raw_span(goal.ring, goal.ambient, rgens, cones, lo, cut)
-    for p in mods:
-        e_parts.add_many(p.span(lo, cut)[1].rows)
+    e_parts = ws.echelon()
+    if rgens or cones:
+        _close(ws, e_parts, rgens, cones, ring.gens)
+    for rows, pcones in spans:
+        _close(ws, e_parts, rows, pcones)
+    grows = e_goal.rows
+    ends = _column_ends(ws)
+    for per in ring.maximal_ideal_terms():
+        for r in grows:
+            p = _shift(ring.field, r, per, ends)
+            if p:
+                e_parts.add(p)
     inside = e_goal.contains_space(e_parts)
-    lifts = [ws.vec_of(r) for r in e_goal.rows if e_parts.add(r)]
+    lifts = [ws.vec_of(r) for r in grows if e_parts.add(r)]
     return lifts, inside
 
 
 def is_surjective_onto(f):
     """Nakayama test: im(f) + m*target = target."""
-    tgt = f.target
-    parts = [image_module(f), maximal_ideal_module(tgt)]
-    lifts, inside = nakayama_covers(tgt, parts, tgt.nakayama_cut())
+    lifts, inside = nakayama_covers(f.target, [f], f.target.nakayama_cut())
     return not lifts and inside
 
 
@@ -1094,8 +1080,7 @@ def is_exact_at(incoming, outgoing):
     if not outgoing.compose(incoming).is_zero():
         return False
     ker, cut = kernel_window_module(outgoing)
-    parts = [image_module(incoming), maximal_ideal_module(ker)]
-    lifts, inside = nakayama_covers(ker, parts, cut)
+    lifts, inside = nakayama_covers(ker, [incoming], cut)
     return not lifts and inside
 
 

@@ -27,7 +27,6 @@ from .lattice import (
     isomorphism,
     kernel_lattice,
     largest_submodule_over,
-    maximal_ideal_module,
     nakayama_covers,
     scalar_extension_test,
 )
@@ -159,7 +158,7 @@ def _remap(f, src, tgt):
 def _free_cover_data(n, n1):
     """Nakayama lifts of N/(N1 + mN); deterministic via echelon order."""
     cut = [max(a, b) for a, b in zip(n1.hi, n.nakayama_cut())]
-    lifts, _ = nakayama_covers(n, [n1, maximal_ideal_module(n)], cut)
+    lifts, _ = nakayama_covers(n, [n1], cut)
     return lifts
 
 

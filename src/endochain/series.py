@@ -122,6 +122,12 @@ class LaurentPoly:
         div = self.field.div
         return LaurentPoly(self.field, {e: div(c0, c) for e, c0 in self.coeffs.items()})
 
+    def kernel_terms(self):
+        """The (exponent, kernel entry) pairs by increasing exponent: the
+        column shifts by which it multiplies a window row."""
+        entry = self.field.entry
+        return sorted((e, entry(c)) for e, c in self.coeffs.items())
+
     def shift(self, k):
         """Multiply by t^k."""
         res = LaurentPoly(self.field)

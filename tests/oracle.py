@@ -8,9 +8,18 @@ different route.  ``DenseEchelon`` keeps RREF rows as dense lists of field
 coefficients and does its arithmetic through the coefficients' own
 operators and ``FieldSpec.div``, so it shares no row code with
 ``linalg.Echelon``; ``kernel_row`` and ``dense_row`` convert between the two.
+
+``reference_solve`` is the former unit-vector route of the window
+constraint solver: it applies a map to one unit vector per window column as
+``LaurentPoly`` arithmetic (``hom_apply`` for Hom constraints) and reads the
+images back through ``ConstraintStream``, where ``lattice`` now reads them
+off a shift operator.
 """
 
 import bisect
+
+from endochain.linalg import nullspace_F
+from endochain.series import LaurentPoly
 
 
 def kernel_row(field, dense):
@@ -148,3 +157,68 @@ def end_chain_value_sets(gens, max_steps=16):
         chain.append(cur)
         steps += 1
     return chain, steps
+
+
+def hom_apply(src, tgt, hamb, h, vec):
+    """Apply a vector h of ``hom_ambient(src, tgt)`` to a ``src`` vector."""
+    field = h[0].field if h else None
+    out = []
+    for br in range(src.nbranches()):
+        for k in range(tgt.ranks[br]):
+            acc = LaurentPoly.zero(field)
+            for l in range(src.ranks[br]):
+                e = h[hamb.coord(br, k * src.ranks[br] + l)]
+                x = vec[src.coord(br, l)]
+                if e and x:
+                    acc = acc + e * x
+            out.append(acc)
+    return tuple(out)
+
+
+class ConstraintStream:
+    """Linear functionals enforcing transform(x) in target."""
+
+    def __init__(self, target, low_positions):
+        self.target = target
+        self.tws, self.tech = target.window()
+        self.low_index = {p: i for i, p in enumerate(sorted(low_positions))}
+        total = len(self.low_index) + self.tws.ncols()
+        self.rows = [{} for _ in range(total)]
+
+    def put(self, u, img):
+        tgt = self.target
+        entry = tgt.ring.field.entry
+        row = {}  # the window part of img, a kernel row of the target window
+        for coord, a in enumerate(img):
+            for ee, c in a.coeffs.items():
+                if ee < tgt.lo[coord]:
+                    self.rows[self.low_index[(coord, ee)]][u] = entry(c)
+                elif ee < tgt.hi[coord]:
+                    row[self.tws.index[(coord, ee)]] = entry(c)
+        res = self.tech.residue(row)
+        base = len(self.low_index)
+        for j, x in res.items():
+            self.rows[base + j][u] = x
+
+
+def reference_solve(ws, streams):
+    """Window vectors x with transform(x) in target for every stream
+    (transform, target lattice), transform a function on ambient vectors;
+    the nullspace basis of ``nullspace_F``."""
+    field = ws.field
+    ncols = ws.ncols()
+    units = [ws.ambient.unit_vec(field, coord, e) for coord, e in ws.cols]
+    all_rows = []
+    for transform, target in streams:
+        images = [transform(x) for x in units]
+        low_positions = set()
+        for img in images:
+            for coord, a in enumerate(img):
+                for ee in a.coeffs:
+                    if ee < target.lo[coord]:
+                        low_positions.add((coord, ee))
+        cs = ConstraintStream(target, low_positions)
+        for u, img in enumerate(images):
+            cs.put(u, img)
+        all_rows += [r for r in cs.rows if r]
+    return nullspace_F(all_rows, ncols, field)

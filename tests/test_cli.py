@@ -53,6 +53,28 @@ def test_gldim_2_3(capsys):
     assert rep["projectivization_check"]
 
 
+def test_chain_deeper_than_64(capsys, tmp_path):
+    # <2,131> = A_130 has chain depth 65 = delta; no depth cap stops it
+    path = tmp_path / "semigroup_2_131.json"
+    path.write_text(json.dumps({"field": {"kind": "rational"}, "semigroup": [2, 131]}))
+    status, rep = run_cli(capsys, "chain", "--input", str(path))
+    assert status == 0
+    assert rep["n"] == 65 and rep["delta"] == 65
+
+
+def test_gldim_4_9_agrees_across_fields(capsys, tmp_path):
+    # gldim and the pd of every simple of <4,9> over QQ and over GF(32003)
+    reps = []
+    for field in ({"kind": "rational"}, {"kind": "prime", "p": 32003}):
+        path = tmp_path / "semigroup_4_9.json"
+        path.write_text(json.dumps({"field": field, "semigroup": [4, 9]}))
+        status, rep = run_cli(capsys, "gldim", "--ring", str(path))
+        assert status == 0
+        reps.append(rep)
+    assert reps[0]["gldim"] == reps[1]["gldim"] == 3
+    assert reps[0]["pd_per_simple"] == reps[1]["pd_per_simple"]
+
+
 def test_gldim_env_pd_cap(capsys, monkeypatch):
     monkeypatch.setenv("ENDOCHAIN_PD_CAP", "7")
     status, rep = run_cli(capsys, "gldim", "--ring", ring_path("semigroup_1"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endochain import ringio
-from endochain.chain import build_chain_tree
+from endochain.chain import build_chain_tree, end_of_maximal_ideal
 from endochain.field import QQ, FieldSpec
 from endochain.series import INF, LaurentPoly, BranchVector
 from endochain.curve_ring import CurveRing, build_ring, maximal_ideal, semigroup_ring, normalization_lattice
@@ -16,8 +16,11 @@ from endochain.lattice import (
     Ambient,
     Lattice,
     LatticeMap,
+    Module,
     direct_sum,
     free_decomposition_over_dvr_product,
+    hom_ambient,
+    hom_element_as_map,
     hom_lattice,
     image_lattice,
     is_exact_at,
@@ -27,17 +30,21 @@ from endochain.lattice import (
     kernel_window_module,
     largest_submodule_over,
     lattice_sum,
-    maximal_ideal_module,
     minimal_generators,
+    nakayama_covers,
+    overring_scalars,
     quotient_dimension,
     raw_span,
     scalar_extension_test,
+    solve_constrained_window,
+    valuation_floor,
     WindowSpace,
     _close,
+    _operator,
 )
 from endochain.verify import generated_test_lattices
 from endochain.errors import AmbientMismatch, ClaimViolation, NotAnOverring, NotASubmodule, NotDvrProduct, NotFullRank
-from oracle import sg_values, colon_values, ideal_values, sg_conductor
+from oracle import sg_values, colon_values, ideal_values, sg_conductor, hom_apply, reference_solve
 
 
 T = LaurentPoly.monomial(QQ, 1)
@@ -396,6 +403,16 @@ def _brute_r_span(ring, amb, gens, cones, lo, hi):
     return ech
 
 
+def _maximal_ideal_data(lat):
+    """Generator data (rgens, cones) of m * lat that is not R-closed: each
+    g - g(0) over R's gens times each genset vector, and the cone on
+    t^mx * v for each cone v."""
+    ring, amb = lat.ring, lat.ambient
+    rgens = [amb.branch_scale(d, g) for d in ring.maximal_ideal_gens() for g in lat.genset()]
+    cones = [(br, amb.mono_scale(br, ring.mx(br), v)) for br, v in lat.cones]
+    return rgens, cones
+
+
 def _tree_rings(tree):
     """Every ring of a chain tree, root first: each node's ring and End(m)."""
     rings = []
@@ -430,7 +447,7 @@ def test_raw_span_matches_brute_force(name):
         else:
             lats = [ring.self_lattice, ring.maximal_ideal_lattice()] if ring.is_local else []
         for lat in lats:
-            rgens, cones = maximal_ideal_module(lat)
+            rgens, cones = _maximal_ideal_data(lat)
             cut = [h + lat.ring.mx(lat.ambient.branch_of(c)) + 1 for c, h in enumerate(lat.hi)]
             cases.append((lat.ambient, rgens, cones, [v - 1 for v in lat.lo], cut))
         # two random vectors of rank two per branch, one cone past the conductor
@@ -505,16 +522,21 @@ def _ring_gens(name, field):
     return [BranchVector([LaurentPoly.from_pairs(field, part) for part in g]) for g in obj["generators"]]
 
 
+def _coeffs(field):
+    """Nonzero coefficients: small Fractions over QQ, most of them not
+    integral; residues of 1..40000 over GF(p)."""
+    if field.characteristic:
+        return st.integers(1, 40000).map(field.coerce)
+    return st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)).map(field.coerce)
+
+
 @st.composite
 def _closures(draw):
     """A window on a 1- to 3-branch ambient, seed vectors and cones (each
     may dip below lo or reach past hi) and multipliers: a ring's gens, or
     random BranchVectors with nonnegative exponents."""
     field = draw(st.sampled_from(_CLOSE_FIELDS))
-    if field.characteristic:
-        coeff = st.integers(1, 40000).map(field.coerce)
-    else:
-        coeff = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)).map(field.coerce)
+    coeff = _coeffs(field)
     nb = draw(st.integers(1, 3))
     amb = Ambient(draw(st.lists(st.integers(1, 3), min_size=nb, max_size=nb)))
     lo = draw(st.lists(st.integers(-1, 2), min_size=amb.ncoords, max_size=amb.ncoords))
@@ -568,6 +590,198 @@ def test_close_rejects_negative_multiplier_exponent():
         with pytest.raises(ClaimViolation) as err:
             _close(ws, ws.echelon(), vecs, mults=[BranchVector([t, t]), bad])
         assert err.value.context == {"branch": 1, "exponent": -1}
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_and_overring(name, field):
+    ring = build_ring(field, len(_ring_gens(name, field)[0]), _ring_gens(name, field))
+    return ring, end_of_maximal_ideal(ring)
+
+
+@st.composite
+def _solves(draw):
+    """One window constraint solve of each caller's kind, on a corpus ring
+    with 1-3 branches: ("hom", C, D), ("scalars", N, S, extra scalars) for
+    the overring S = End(m) and random scalars with exponents down to -1,
+    or ("kernel", f) for a random map f.  Lattices have ranks 1-3 per
+    branch, from unit monomials and random vectors with exponents down to
+    -1, and a window margin (a, b) widens the solve below lo and past hi."""
+    field = draw(st.sampled_from(_CLOSE_FIELDS))
+    coeff = _coeffs(field)
+    nb = draw(st.sampled_from((1, 2, 3)))
+    ring, over = _ring_and_overring(draw(st.sampled_from(_GEN_RINGS[nb])), field)
+
+    def poly(lo_e, hi_e):
+        return LaurentPoly.from_pairs(field, draw(st.lists(st.tuples(st.integers(lo_e, hi_e), coeff), max_size=2)))
+
+    def lattice():
+        amb = Ambient(draw(st.lists(st.sampled_from((1, 2, 3)), min_size=nb, max_size=nb)))
+        gens = [amb.unit_vec(field, c, draw(st.integers(-1, 2))) for c in range(amb.ncoords)]
+        gens += [tuple(poly(-1, 3) for _ in range(amb.ncoords)) for _ in range(draw(st.integers(0, 2)))]
+        return Lattice.from_generators(ring, amb, gens)
+
+    margin = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    kind = draw(st.sampled_from(("hom", "scalars", "kernel")))
+    if kind == "hom":
+        return kind, margin, lattice(), lattice()
+    if kind == "scalars":
+        extra = [BranchVector([poly(-1, 4) for _ in range(nb)]) for _ in range(draw(st.integers(0, 2)))]
+        return kind, margin, lattice(), over, extra
+    src, tgt = lattice(), lattice()
+    entries = {
+        (br, k, l): poly(-1, 3)
+        for br in range(nb)
+        for k in range(tgt.ambient.ranks[br])
+        for l in range(src.ambient.ranks[br])
+    }
+    return kind, margin, LatticeMap.from_entries(src, tgt, entries)
+
+
+def _hom_slots(src, tgt):
+    """(br, k, l) in the coordinate order of ``hom_ambient(src, tgt)``."""
+    return [(br, k, l) for br in range(src.nbranches()) for k in range(tgt.ranks[br]) for l in range(src.ranks[br])]
+
+
+def _diagonal(amb, x):
+    return {(br, k, k): x[br] for br in range(amb.nbranches()) for k in range(amb.ranks[br])}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_solves())
+def test_solve_matches_unit_vector_reference(case):
+    # the shift-operator solve equals the unit-vector LaurentPoly route on
+    # the same window and maps, and the engine's Hom, largest submodule and
+    # kernel lattices equal the reference solve canonicalized: on a window
+    # around a lattice with its tail, the solutions are its truncation.
+    # Hom solves run on hom_lattice's own window, d.lo - c.hi (often < 0)
+    # up to d.hi - c.lo, widened by the margin.
+    kind, (a, b), *data = case
+    if kind == "hom":
+        c, d = data
+        src, tgt = c.ambient, d.ambient
+        result = hom_lattice(c, d)
+        amb = hom_ambient(src, tgt)
+        lo = [d.lo[tgt.coord(br, k)] - c.hi[src.coord(br, l)] for br, k, l in _hom_slots(src, tgt)]
+        hi = [d.hi[tgt.coord(br, k)] - c.lo[src.coord(br, l)] for br, k, l in _hom_slots(src, tgt)]
+        gens = minimal_generators(c)
+        evaluations = [
+            {(br, k, k * src.ranks[br] + l): g[src.coord(br, l)] for br, k, l in _hom_slots(src, tgt)} for g in gens
+        ]
+        ops = [(_operator(amb, tgt, entries), d) for entries in evaluations]
+        refs = [(lambda h, g=g: hom_apply(src, tgt, amb, h, g), d) for g in gens]
+        extra_ops, extra_refs = [], []
+    elif kind == "scalars":
+        lat, over, extra = data
+        result = largest_submodule_over(over, lat)
+        amb = lat.ambient
+        lo, hi = result.lo, result.hi
+        scalars = [BranchVector.one(lat.ring.field, amb.nbranches())] + overring_scalars(over, lat)
+        ops = [(_operator(amb, amb, _diagonal(amb, x)), lat) for x in scalars]
+        refs = [(lambda v, x=x: amb.branch_scale(x, v), lat) for x in scalars]
+        extra_ops = [(_operator(amb, amb, _diagonal(amb, x)), lat) for x in extra]
+        extra_refs = [(lambda v, x=x: amb.branch_scale(x, v), lat) for x in extra]
+    else:
+        (f,) = data
+        result, emb = kernel_lattice(f)
+        amb = result.ambient
+        lo, hi = result.lo, result.hi
+        entries = {
+            (br, k, l): e for br, m in enumerate(emb.mats) for k, row in enumerate(m) for l, e in enumerate(row)
+        }
+        ops = [(_operator(amb, f.source.ambient, entries), f.source)]
+        refs = [(emb.apply, f.source)]
+        extra_ops, extra_refs = [], []
+    ring = result.ring
+    lo = [v - a for v in lo]
+    hi = [max(v, w) + b for v, w in zip(hi, lo)]
+    ws = WindowSpace(ring.field, amb, lo, hi)
+    sols = reference_solve(ws, refs)
+    assert solve_constrained_window(ws, ops) == sols
+    assert solve_constrained_window(ws, ops + extra_ops) == reference_solve(ws, refs + extra_refs)
+    ech = ws.echelon()
+    ech.add_many(sols)
+    assert Lattice._canonicalize(ring, amb, lo, hi, ech, ws).key() == result.key()
+
+
+def _maximal_ideal_covers(goal, parts, cut):
+    """The former route of ``nakayama_covers``: a map part as the generator
+    data f(genset) plus the cones f(v), m * goal as ``_maximal_ideal_data``,
+    both R-closed by raw_span."""
+    rgens, cones, mods = [], [], []
+    for p in parts + [_maximal_ideal_data(goal)]:
+        if isinstance(p, LatticeMap):
+            p = ([p.apply(g) for g in p.source.genset()], [(br, p.apply(v)) for br, v in p.source.cones])
+        if isinstance(p, Module):
+            mods.append(p)
+        else:
+            rgens += p[0]
+            cones += p[1]
+    vecs = rgens + [v for _, v in cones]
+    for p in mods:
+        vecs += list(p.rows) + [v for _, v in p.cones]
+    lo = valuation_floor(vecs, goal.lo)
+    ws, e_goal = goal.span(lo, cut)
+    _, e_parts = raw_span(goal.ring, goal.ambient, rgens, cones, lo, cut)
+    for p in mods:
+        e_parts.add_many(p.span(lo, cut)[1].rows)
+    inside = e_goal.contains_space(e_parts)
+    lifts = [ws.vec_of(r) for r in e_goal.rows if e_parts.add(r)]
+    return lifts, inside
+
+
+def _random_map(rng, src, tgt):
+    field = src.ring.field
+    entries = {
+        (br, k, l): LaurentPoly.from_pairs(field, [(rng.randint(-1, 3), rng.randint(-3, 3))])
+        for br in range(src.ambient.nbranches())
+        for k in range(tgt.ambient.ranks[br])
+        for l in range(src.ambient.ranks[br])
+    }
+    return LatticeMap.from_entries(src, tgt, entries)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_nakayama_covers_match_closure_route(name):
+    # m * goal from shifted window rows and images from the source's rows
+    # and cones give the lifts and inside flag of the R-closure of
+    # f(genset) and (g - g(0)) * genset, for every kind of part: none
+    # (minimal generators), images of Hom elements and random maps
+    # (surjectivity, some not inside), a kernel with its embedding and a
+    # non-exact multiple, a Module, and generator data
+    ring = _corpus_ring(name)
+    tree = build_chain_tree(ring)
+    rng = random.Random(name)
+    lats = [ring.self_lattice, ring.maximal_ideal_lattice()]
+    lats += [lat for _, lat in generated_test_lattices(rng, ring, tree)[:3]]
+    field = ring.field
+    cases = []
+    for lat in lats:
+        cut = lat.nakayama_cut()
+        cases.append((lat, [], cut))
+        for x in lats[:3]:
+            for g in hom_lattice(x, lat).genset()[:2]:
+                cases.append((lat, [hom_element_as_map(x, lat, g)], cut))
+            cases.append((lat, [_random_map(rng, x, lat)], cut))
+        f = _random_map(rng, direct_sum([lat, lat])[0], lat)
+        ker, kcut = kernel_window_module(f)
+        _, emb = kernel_lattice(f)
+        z = [LaurentPoly.monomial(field, ring.mx(br)) for br in range(ring.branches)]
+        zmats = [[[z[br] * e for e in row] for row in m] for br, m in enumerate(emb.mats)]
+        zemb = LatticeMap(emb.source, emb.target, zmats)
+        cases += [(ker, [emb], kcut), (ker, [zemb], kcut)]
+        if lat.ambient == ring.self_lattice.ambient:
+            cases.append((lat, [ring.maximal_ideal_lattice()], cut))
+        vecs = [tuple(LaurentPoly.from_pairs(field, [(rng.randint(0, 4), 1)]) for _ in range(lat.ambient.ncoords))]
+        cases.append((lat, [(vecs, [])], cut))
+    assert any(_maximal_ideal_covers(*c)[1] is False for c in cases)
+    for goal, parts, cut in cases:
+        assert nakayama_covers(goal, parts, cut) == _maximal_ideal_covers(goal, parts, cut)
+    # an image is spanned from its source's rows only when they are a
+    # Lattice's window basis; any other source is refused
+    f = _random_map(rng, ring.self_lattice, ring.self_lattice)
+    bare = LatticeMap(Module(ring, f.source.ambient, f.source.rows, f.source.cones, f.source.lo), f.target, f.mats)
+    with pytest.raises(TypeError):
+        nakayama_covers(f.target, [bare], f.target.nakayama_cut())
 
 
 def _constant_term_kernel(ring):
