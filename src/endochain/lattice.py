@@ -436,8 +436,9 @@ class Lattice(Module):
     def _canonicalize(cls, ring, ambient, lo_bound, valid_hi, ech, ws):
         """Shrink a valid tail to the minimal one and build the RREF basis.
 
-        ``ech``/``ws`` must span the truncation of the module at valid_hi and
-        lo_bound must lower-bound all valuations of the module.
+        ``ech`` must span the truncation of the module on the window ``ws``
+        = [lo_bound, valid_hi), and lo_bound must lower-bound all valuations
+        of the module.
         """
         field = ring.field
         # minimal tail exponents: walk each coordinate down from valid_hi
@@ -445,18 +446,21 @@ class Lattice(Module):
         for coord in range(ambient.ncoords):
             e = valid_hi[coord]
             while e - 1 >= lo_bound[coord]:
-                row = ws.row_of(ambient.unit_vec(field, coord, e - 1))
-                if row is None or not ech.contains(row):
+                if not ech.contains({ws.index[(coord, e - 1)]: 1}):
                     break
                 e -= 1
             hi[coord] = e
         # the truncated rows span the module's window on [lo, hi); the
         # minimal valuations over a spanning set are those over its span
-        vecs = [ambient.truncate_vec(ws.vec_of(r), hi) for r in ech.rows]
-        lo = valuation_floor(vecs, hi)
+        cols = ws.cols
+        rows = [[(cols[j], x) for j, x in r.items() if cols[j][1] < hi[cols[j][0]]] for r in ech.rows]
+        lo = list(hi)
+        for r in rows:
+            for (c, e), _ in r:
+                lo[c] = min(lo[c], e)
         ws2 = WindowSpace(field, ambient, lo, hi)
         ech2 = ws2.echelon()
-        _close(ws2, ech2, vecs)
+        ech2.add_many({ws2.index[ce]: x for ce, x in r} for r in rows)
         basis = tuple(ws2.vec_of(r) for r in ech2.rows)
         lat = cls(ring, ambient, lo, hi, basis)
         lat._ech = (ws2, ech2)
@@ -857,9 +861,9 @@ def hom_lattice(c, d):
     An f with f(generators of C) in D automatically carries all of C into D
     (f is K-linear, hence R-linear), so one constraint stream per R-generator
     of C suffices: the Nakayama-minimal ones over a local ring, the genset
-    otherwise.  The stream of a generator g is the evaluation h -> h(g),
-    which sends coordinate (br, k, l) to target coordinate (br, k) by g's
-    coordinate (br, l).
+    otherwise.  The stream of a generator g is the shift operator of the
+    evaluation h -> h(g): coordinate (br, k, l) goes to target coordinate
+    (br, k) with the terms of g's coordinate (br, l).
     """
     if c.ring is not d.ring and c.ring.key() != d.ring.key():
         raise AmbientMismatch("hom needs lattices over the same ring")
@@ -867,16 +871,22 @@ def hom_lattice(c, d):
     field = ring.field
     src, tgt = c.ambient, d.ambient
     hamb = hom_ambient(src, tgt)
-    # (br, k, l) in the order of the hom coordinates
-    slots = [(br, k, l) for br in range(src.nbranches()) for k in range(tgt.ranks[br]) for l in range(src.ranks[br])]
-    lo = [d.lo[tgt.coord(br, k)] - c.hi[src.coord(br, l)] for br, k, l in slots]
-    hi = [max(d.hi[tgt.coord(br, k)] - c.lo[src.coord(br, l)], v) for (br, k, l), v in zip(slots, lo)]
+    # per hom coordinate (br, k, l), in order: target coordinate (br, k)
+    # and source coordinate (br, l)
+    pairs = [
+        (tgt.coord(br, k), src.coord(br, l))
+        for br in range(src.nbranches())
+        for k in range(tgt.ranks[br])
+        for l in range(src.ranks[br])
+    ]
+    lo = [d.lo[kc] - c.hi[lc] for kc, lc in pairs]
+    hi = [max(d.hi[kc] - c.lo[lc], v) for (kc, lc), v in zip(pairs, lo)]
     ws = WindowSpace(field, hamb, lo, hi)
     gens = minimal_generators(c) if ring.is_local else c.genset()
-    streams = [
-        (_operator(hamb, tgt, {(br, k, k * src.ranks[br] + l): g[src.coord(br, l)] for br, k, l in slots}), d)
-        for g in gens
-    ]
+    streams = []
+    for g in gens:
+        terms = [a.kernel_terms() for a in g]
+        streams.append(([[(kc, terms[lc])] for kc, lc in pairs], d))
     sols = solve_constrained_window(ws, streams)
     ech = ws.echelon()
     ech.add_many(sols)
@@ -1011,27 +1021,21 @@ def nakayama_covers(goal, parts, cut):
     The parts span the goal exactly when ``not lifts and inside``.
     """
     ring = goal.ring
-    rgens, cones, spans = [], [], []
+    spans = []  # per part, the vectors, cones and multipliers of its _close
     for p in parts:
         if isinstance(p, LatticeMap):
             if not isinstance(p.source, Lattice):
                 raise TypeError("an image part needs a map whose source is a Lattice")
-            spans.append(([p.apply(v) for v in p.source.rows], [(br, p.apply(v)) for br, v in p.source.cones]))
+            spans.append(([p.apply(v) for v in p.source.rows], [(br, p.apply(v)) for br, v in p.source.cones], ()))
         elif isinstance(p, Module):
-            spans.append((p.rows, p.cones))
+            spans.append((p.rows, p.cones, ()))
         else:
-            rgens += p[0]
-            cones += p[1]
-    vecs = rgens + [v for _, v in cones]
-    for rows, pcones in spans:
-        vecs += list(rows) + [v for _, v in pcones]
-    lo = valuation_floor(vecs, goal.lo)
-    ws, e_goal = goal.span(lo, cut)
+            spans.append((p[0], p[1], ring.gens))
+    vecs = [v for rows, _, _ in spans for v in rows] + [v for _, cones, _ in spans for _, v in cones]
+    ws, e_goal = goal.span(valuation_floor(vecs, goal.lo), cut)
     e_parts = ws.echelon()
-    if rgens or cones:
-        _close(ws, e_parts, rgens, cones, ring.gens)
-    for rows, pcones in spans:
-        _close(ws, e_parts, rows, pcones)
+    for rows, cones, mults in spans:
+        _close(ws, e_parts, rows, cones, mults)
     grows = e_goal.rows
     ends = _column_ends(ws)
     for per in ring.maximal_ideal_terms():

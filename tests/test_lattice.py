@@ -692,8 +692,8 @@ def test_solve_matches_unit_vector_reference(case):
         refs = [(emb.apply, f.source)]
         extra_ops, extra_refs = [], []
     ring = result.ring
-    lo = [v - a for v in lo]
     hi = [max(v, w) + b for v, w in zip(hi, lo)]
+    lo = [v - a for v in lo]
     ws = WindowSpace(ring.field, amb, lo, hi)
     sols = reference_solve(ws, refs)
     assert solve_constrained_window(ws, ops) == sols
