@@ -830,10 +830,8 @@ def largest_submodule_over(overring, lat):
     amb = lat.ambient
     ws = WindowSpace(ring.field, amb, lat.lo, lat.hi)
     scalars = [BranchVector.one(ring.field, ring.branches)] + overring_scalars(overring, lat)
-    streams = [
-        (_operator(amb, amb, {(br, k, k): x[br] for br in range(amb.nbranches()) for k in range(amb.ranks[br])}), lat)
-        for x in scalars
-    ]
+    diagonal = [(br, k) for br in range(amb.nbranches()) for k in range(amb.ranks[br])]
+    streams = [(_operator(amb, amb, {(br, k, k): x[br] for br, k in diagonal}), lat) for x in scalars]
     sols = solve_constrained_window(ws, streams)
     ech = ws.echelon()
     ech.add_many(sols)
