@@ -145,7 +145,7 @@ def _gldim_payload(ring, args):
         rep = fcmt_check(ring, lats, cap=args.pd_cap, n=tree.n)
     else:
         alg = build_endo_algebra(ring, fam.lattices(), fam.labels())
-        rep = global_dimension(alg, cap=args.pd_cap, n=tree.n)
+        rep = global_dimension(alg, cap=args.pd_cap, n=tree.n, bound=tree.n + 1)
         out = rep.as_json()
         out["projectivization_check"] = projectivization_check(alg)
         return out

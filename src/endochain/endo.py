@@ -12,7 +12,10 @@ over Gamma/rad: Q rad = Q A for the arrows A of Gamma, lifts of a basis of
 J/J^2 (J = rad Gamma), as J = Gamma A by Nakayama; each algebra certifies
 J = Gamma A when it is built.  An arrow a: X_j -> X_l carries Q e_l into
 Q e_j, so each cover step spans Q e_j and Q rad e_j once per type, reads the
-tops of type j off them, and certifies the cover there.  The cover is
+tops of type j off them, and certifies the cover there.  Q rad e_j is the
+sum of the images of Q e_l under Hom(a, T) (``lattice.hom_precompose``),
+R-modules spanned as images with no R-closure, as are the composites that
+give and certify the arrows and the cover's image.  The cover is
 Hom(M, lam) for a map lam: T' -> T read off the tops; it maps Hom(X_j, T')
 into Hom(X_j, T) for each j, so its certificate and its syzygy (the image
 of ``kernel_lattice``, ``lattice.kernel_window_module``) split by type as
@@ -47,17 +50,16 @@ from .lattice import (
     hom_element_as_map,
     hom_induced_map,
     hom_lattice,
+    hom_precompose,
     is_surjective_onto,
     isomorphism,
     kernel_window_module,
-    map_as_hom_element,
     minimal_generators,
     nakayama_covers,
     placed_sum,
     quotient_dimension,
-    raw_span,
-    valuation_floor,
-    _close,
+    _row_map,
+    _span_image,
 )
 
 
@@ -88,7 +90,7 @@ class EndoAlgebra:
         return [
             (j, l, a)
             for (j, l), lat in rad.items()
-            for a in _block_cover(lat, _products(self, gens, gens, j, l))[0]
+            for a in _block_cover(lat, _products(self, gens, rad, j, l))[0]
         ]
 
 
@@ -119,26 +121,20 @@ def diagonal_radical(alg, i):
         ey.add(ech_j.residue(r))
     dim_a = ey.rank()
     if field.kind == "prime" and field.characteristic <= dim_a:
-        raise CharacteristicTooSmall(
-            "prime field must exceed the finite-quotient dimension",
-            p=field.characteristic,
-            dim=dim_a,
-        )
+        raise CharacteristicTooSmall("prime field must exceed the finite-quotient dimension", p=field.characteristic, dim=dim_a)
     rep_vecs = [ws.vec_of(r) for r in ey.rows]
     qpivots = sorted(ey.by_pivot)
 
-    def acoords(vec):
-        """Quotient coordinates of an EA element (window absorbs its tail),
-        as kernel entries."""
-        row = ws.row_of(amb.truncate_vec(vec, cut))
-        y = ech_j.residue(row)
-        return [y.get(p, 0) for p in qpivots]
-
-    # lmats[a][b]: quotient coordinates of rep_a o rep_b; traces[a] = tr(L_a);
-    # kernel entries, so the trace-form rows are reduced once by clean
+    # lmats[a][b]: quotient coordinates of rep_a o rep_b, as kernel entries:
+    # the rows of ey under the operator of left composition with rep_a,
+    # truncated at cut (deeper elements lie in J) and reduced by J;
+    # products have valuations >= 2 * lo_min, inside the window.
+    # traces[a] = tr(L_a); the trace-form rows are reduced once by clean
     x = alg.summands[i]
-    maps = [hom_element_as_map(x, x, v) for v in rep_vecs]
-    lmats = [[acoords(map_as_hom_element(fa.compose(fb))) for fb in maps] for fa in maps]
+    lmats = []
+    for v in rep_vecs:
+        left = _row_map(hom_induced_map(x, hom_element_as_map(x, x, v), ea, ea).operator(), ws, ws)
+        lmats.append([[y.get(p, 0) for p in qpivots] for y in (ech_j.residue(left(r)) for r in ey.rows)])
     traces = [sum(lmats[a][b][b] for b in range(dim_a)) for a in range(dim_a)]
     gram = [
         field.clean({b: sum(c * traces[s] for s, c in enumerate(lmats[a][b])) for b in range(dim_a)})
@@ -148,21 +144,13 @@ def diagonal_radical(alg, i):
         functools.reduce(amb.add_vec, [amb.scale_vec(field.coeff(c), rep_vecs[s]) for s, c in sorted(lam.items())])
         for lam in nullspace_F(gram, dim_a, field)
     ]
-    rad = Lattice.from_module_data(
-        ring, amb, rad_reps + jlat.genset(), [], lo, list(jlat.hi)
-    )
+    rad = Lattice.from_module_data(ring, amb, rad_reps + jlat.genset(), [], lo, list(jlat.hi))
     dim = quotient_dimension(ea, rad)
     if dim != 1:
-        raise NotIndecomposable(
-            "End(X)/rad has F-dimension != 1", label=alg.labels[i], dim=dim
-        )
+        raise NotIndecomposable("End(X)/rad has F-dimension != 1", label=alg.labels[i], dim=dim)
     for v in ea.basis:
-        f = hom_element_as_map(x, x, v)
-        if is_surjective_onto(f) == rad.member(v):
-            raise ClaimViolation(
-                "radical cross-check failed (trace form vs image test)",
-                summand=alg.labels[i],
-            )
+        if is_surjective_onto(hom_element_as_map(x, x, v)) == rad.member(v):
+            raise ClaimViolation("radical cross-check failed (trace form vs image test)", summand=alg.labels[i])
     return rad
 
 
@@ -190,29 +178,22 @@ def build_endo_algebra(ring, summands, labels=None):
 def radical(alg):
     """rad(Gamma) as its block description: every off-diagonal Hom block in
     full, plus rad End(X_i) on the diagonal."""
-    blocks = {}
-    for j in range(alg.k):
-        for l in range(alg.k):
-            blocks[(j, l)] = alg.rad_diag[j] if j == l else alg.hom[(j, l)]
-    return blocks
+    return {(j, l): alg.rad_diag[j] if j == l else alg.hom[(j, l)] for j in range(alg.k) for l in range(alg.k)}
 
 
 def _products(alg, left, right, j, l):
-    """The composites b o a, a in left[(j, m)], b in right[(m, l)], over
-    every m, as hom-vectors of Hom(X_j, X_l)."""
+    """The composites right[(m, l)] o a, a in left[(j, m)], over every m, as
+    image parts in Hom(X_j, X_l): the lattice right[(m, l)] under Hom(a, X_l)
+    (``hom_precompose``), an R-module that needs no closure."""
     x = alg.summands
-    out = []
-    for m in range(alg.k):
-        for a in left[(j, m)]:
-            fa = hom_element_as_map(x[j], x[m], a)
-            out += [map_as_hom_element(hom_element_as_map(x[m], x[l], b).compose(fa)) for b in right[(m, l)]]
-    return out
+    return [hom_precompose(a, x[j], x[m], right[(m, l)], alg.hom[(j, l)]) for m in range(alg.k) for a in left[(j, m)]]
 
 
-def _block_cover(lat, vecs):
-    """``nakayama_covers`` of the block ``lat`` over R * vecs + m * lat at
-    the cut hi + mx, past which every element of ``lat`` lies in m * lat."""
-    return nakayama_covers(lat, [(vecs, [])], lat.nakayama_cut())
+def _block_cover(lat, parts):
+    """``nakayama_covers`` of the block ``lat`` over the image ``parts`` +
+    m * lat at the cut hi + mx, past which every element of ``lat`` lies in
+    m * lat."""
+    return nakayama_covers(lat, parts, lat.nakayama_cut())
 
 
 def _certify_arrows(alg):
@@ -223,9 +204,8 @@ def _certify_arrows(alg):
     make Q * rad too large."""
     rad = radical(alg)
     arrows = {b: [a for j, l, a in alg.arrows if (j, l) == b] for b in rad}
-    hom = {b: minimal_generators(lat) for b, lat in alg.hom.items()}
     for (j, l), lat in rad.items():
-        lifts, inside = _block_cover(lat, _products(alg, arrows, hom, j, l))
+        lifts, inside = _block_cover(lat, _products(alg, arrows, alg.hom, j, l))
         if lifts or not inside:
             raise ClaimViolation("arrows do not generate rad Gamma", source=alg.labels[j], target=alg.labels[l])
 
@@ -303,24 +283,23 @@ def rad_projective_gamma(alg, i):
     return GammaLattice(alg, (i,), [_gamma_part(rad[(j, i)]) for j in range(alg.k)])
 
 
-def _top_spans(q, j):
-    """The spans of type j that one cover step compares: (window, Q e_j,
+def _top_spans(q):
+    """Per type j, the spans that one cover step compares: (window, Q e_j,
     Q rad e_j), cut where Q e_j is compared with Q rad e_j.  Q rad = Q A,
-    and (Q A) e_j is R-generated by the composites phi o a of the arrows
-    a: X_j -> X_l with the generators phi of Q e_l."""
+    and (Q A) e_j is the sum of the images (Q e_l) o a of Q e_l under
+    Hom(a, T) (``hom_precompose``) over the arrows a: X_j -> X_l, each
+    spanned from the rows and cones of Q e_l without closure.  They lie in
+    Q e_j, as Q is a Gamma-module, so they lie in its window."""
     x = q.alg.summands
-    rgens = []
-    for jj, l, a in q.alg.arrows:
-        if jj == j:
-            fa = hom_element_as_map(x[j], x[l], a)
-            for u in q.parts[l].genset():
-                rgens.append(map_as_hom_element(hom_element_as_map(x[l], q.T, u).compose(fa)))
-    part = q.parts[j]
-    cut = part.deep_cut(q.blocks[j].nakayama_cut())
-    lo = valuation_floor(rgens, part.lo)
-    ws, ech_q = part.span(lo, cut)
-    _, ech_r = raw_span(q.alg.ring, part.ambient, rgens, [], lo, cut)
-    return ws, ech_q, ech_r
+    out = []
+    for j, part in enumerate(q.parts):
+        ws, ech_q = part.span(part.lo, part.deep_cut(q.blocks[j].nakayama_cut()))
+        ech_r = ws.echelon()
+        for jj, l, a in q.alg.arrows:
+            if jj == j and not _span_image(ws, ech_r, hom_precompose(a, x[j], x[l], q.parts[l], part)):
+                raise ClaimViolation("Q o a reaches below Q e_j", source=q.alg.labels[j], target=q.alg.labels[l])
+        out.append((ws, ech_q, ech_r))
+    return out
 
 
 def _top_lifts(spans):
@@ -337,7 +316,7 @@ def _top_lifts(spans):
 
 def gamma_top(q):
     """Type decomposition of Q/(Q rad): returns list of (type j, lift)."""
-    return _top_lifts([_top_spans(q, j) for j in range(q.alg.k)])
+    return _top_lifts(_top_spans(q))
 
 
 def minimal_cover_syzygy(q):
@@ -348,7 +327,7 @@ def minimal_cover_syzygy(q):
     adds the cover images to the Q rad e_j span.
     """
     alg = q.alg
-    spans = [_top_spans(q, j) for j in range(alg.k)]
+    spans = _top_spans(q)
     tops = _top_lifts(spans)
     if not tops:
         raise ClaimViolation("nonzero Gamma-lattice with zero top")
@@ -365,12 +344,9 @@ def minimal_cover_syzygy(q):
     for j, (ws, ech_q, ech_r) in enumerate(spans):
         # Hom(M, lam) maps Hom(X_j, T_p) to Hom(X_j, T_q).  Nakayama over
         # Gamma: im(cover) e_j + Q rad e_j = Q e_j.  An image below the
-        # window lies below Q's valuations, so it is not in Q; multiplying
-        # by R never lowers a valuation, so no R-multiple of the others is
-        # either.
+        # window lies below Q's valuations, so it is not in Q.
         cover = hom_induced_map(alg.summands[j], lam, syz.blocks[j], q.blocks[j])
-        images = [cover.apply(g) for g in syz.blocks[j].genset()]
-        inside = _close(ws, ech_r, images, mults=alg.ring.gens)
+        inside = _span_image(ws, ech_r, cover)
         if not (inside and ech_r.contains_space(ech_q) and ech_q.contains_space(ech_r)):
             raise ClaimViolation("minimal cover is not surjective")
         syz.parts.append(kernel_window_module(cover)[0])
@@ -453,12 +429,18 @@ class GldimReport:
         }
 
 
-def global_dimension(alg, cap=16, n=None, assumptions=None):
-    """Exact global dimension: max pd over the simple modules."""
+def global_dimension(alg, cap=16, n=None, assumptions=None, bound=None):
+    """Exact global dimension: max pd over the simple modules.  ``bound`` is
+    a proven bound on every pd (n + 1 for the chain family); while cap >=
+    bound, a syzygy still nonzero after ``bound`` steps contradicts it and
+    raises ClaimViolation instead of a capped report."""
     pds = []
     capped = False
+    proven = bound is not None and cap >= bound
     for i in range(alg.k):
-        cert = minimal_projective_resolution(SimpleModule(alg, i), cap=cap)
+        cert = minimal_projective_resolution(SimpleModule(alg, i), cap=bound if proven else cap)
+        if proven and cert.capped:
+            raise ClaimViolation("pd exceeds the proven bound", simple=alg.labels[i], bound=bound)
         pds.append(cert.pd)
         capped = capped or cert.capped
     rep = ring_report(alg.ring)
@@ -501,25 +483,11 @@ def fcmt_check(ring, mcm_list, labels=None, cap=16, n=None):
     Completeness of the list is not verifiable here and is recorded as an
     assumption.  R itself must be in the list (free summand).
     """
-    root_key = None
-    self_as_member = ring.self_lattice
-    idx = None
-    for a, l in enumerate(mcm_list):
-        if l.key() == self_as_member.key():
-            idx = a
-            break
+    idx = next((a for a, l in enumerate(mcm_list) if l.key() == ring.self_lattice.key()), None)
     if idx is None:
         raise MissingFreeSummand("the ring itself must appear in the MCM list")
     ordered = [mcm_list[idx]] + [l for a, l in enumerate(mcm_list) if a != idx]
     if labels:
         labels = [labels[idx]] + [x for a, x in enumerate(labels) if a != idx]
     alg = build_endo_algebra(ring, ordered, labels)
-    rep = global_dimension(
-        alg,
-        cap=cap,
-        n=n,
-        assumptions=[
-            "mcm_list asserted complete by the caller (classification input)"
-        ],
-    )
-    return rep
+    return global_dimension(alg, cap=cap, n=n, assumptions=["mcm_list asserted complete by the caller (classification input)"])

@@ -23,20 +23,19 @@ equality syntactic.
 
 Every window span is built by one closure routine, ``_close``: it adds the
 rows of the cones' monomial shifts and of given vectors, and closes them
-under a set of multipliers with a worklist of kernel rows, on which a
-multiplier's term c * t^d is a column shift by d (``_shift``).
-``Module.span`` and the canonical windows pass no multipliers (their rows
-are R-closed already); ``curve_ring.build_ring`` closes 1 under the algebra
-generators ``gens``, and R is by definition the closure of F[gens], so
-``raw_span`` closes generator sets that are not R-closed under ``R.gens``.
-Truncating between products is exact, so the span is the truncation of
-R * vectors (see ``_close``).  Surjectivity and exactness are certified by
-one Nakayama span identity, ``nakayama_covers``, at ``nakayama_cut``.  Its
-images and m * N are R-modules already, spanned without closure; only
-generators that are no such image are R-closed: in ``build_ring``,
-``Lattice.from_module_data`` and ``endo``'s composites and cover
-certificate.  Hom, overring and kernel constraints are column shifts too
-(``_operator``, ``solve_constrained_window``).
+under a set of multipliers with a worklist of kernel rows.  Every K-linear
+map acts on kernel rows as one shift operator (``_operator``, ``_row_map``):
+a term c * t^d sends column (coord, e) to (coord', e + d).  ``Module.span``
+and the canonical windows pass no multipliers (their rows are R-closed
+already); ``curve_ring.build_ring`` closes 1 under the algebra generators
+``gens``, and R is by definition the closure of F[gens], so ``raw_span``
+closes generator sets that are not R-closed under ``R.gens``; truncating
+between products is exact (see ``_close``).  An image f(C) is spanned from
+C's rows and cones without closure (``_span_image``): so are the Nakayama
+span identity ``nakayama_covers``, which certifies surjectivity and
+exactness, and ``endo``'s composites with arrows (``hom_precompose``).
+Hom, overring and kernel constraints are read off operators too
+(``solve_constrained_window``).
 
 Kernels are computed once, by ``kernel_lattice``: a canonical lattice in
 fresh coordinates plus its embedding; ``kernel_window_module`` is its image.
@@ -144,7 +143,7 @@ class Ambient:
 class WindowSpace:
     """The F-vector space of window-supported vectors for a (lo, hi) window."""
 
-    __slots__ = ("ambient", "lo", "hi", "cols", "index", "field")
+    __slots__ = ("ambient", "lo", "hi", "cols", "index", "field", "starts")
 
     def __init__(self, field, ambient, lo, hi):
         self.field = field
@@ -152,9 +151,12 @@ class WindowSpace:
         self.lo = tuple(lo)
         self.hi = tuple(hi)
         cols = []
+        starts = []  # per coordinate, its first column; then the column count
         for coord in range(ambient.ncoords):
+            starts.append(len(cols))
             for e in range(self.lo[coord], self.hi[coord]):
                 cols.append((coord, e))
+        self.starts = starts + [len(cols)]
         self.cols = cols
         self.index = {ce: i for i, ce in enumerate(cols)}
 
@@ -219,11 +221,11 @@ def _close(ws, ech, vecs, cones=(), mults=()):
 
     A coordinate's columns are consecutive, so multiplying a kernel row by
     c * t^d is a column shift j -> j + d with entry x * c, cut at the end of
-    the coordinate's block; d < 0 would shift into the previous coordinate,
-    so it is a ClaimViolation.  Each cone adds its shifts t^m * v inside the
-    window.  Each vector adds its row, and every row that raised the rank
-    goes on a worklist and is multiplied by each of ``mults``, until no
-    product raises the rank.  With ``mults = R.gens`` the span is
+    the coordinate's block (``_row_map`` of a scalar); d < 0 would shift
+    below lo, so it is a ClaimViolation.  Each cone adds its shifts t^m * v
+    inside the window.  Each vector adds its row, and every row that raised
+    the rank goes on a worklist and is multiplied by each of ``mults``, until
+    no product raises the rank.  With ``mults = R.gens`` the span is
     pi(R * vecs + cones): (1) pi(a * pi(v)) = pi(a * v) whenever val(a) >= 0,
     so truncating between products loses nothing; (2) R is the closure of
     F[R.gens] (``build_ring``), so F[mults] is dense in R modulo t^N E for
@@ -231,12 +233,10 @@ def _close(ws, ech, vecs, cones=(), mults=()):
     depend on the order in which rows were added.
     """
     amb = ws.ambient
-    field = ws.field
     neg = [(br, s.valuation()) for a in mults for br, s in enumerate(a.parts) if s.valuation() < 0]
     if neg:
         raise ClaimViolation("multiplier with a negative exponent", branch=neg[0][0], exponent=neg[0][1])
-    terms = [[s.kernel_terms() for s in a.parts] for a in mults]
-    ends = _column_ends(ws)
+    maps = [_row_map(_scalar_op(amb, [s.kernel_terms() for s in a.parts]), ws, ws) for a in mults]
     tops = _branch_tops(amb, ws.hi)
     inside = True
     for br, v in cones:
@@ -247,42 +247,92 @@ def _close(ws, ech, vecs, cones=(), mults=()):
         s = max([0] + [ws.lo[c] - v[c].valuation() for c in amb.coords_of(br) if v[c]])
         inside = inside and not (s and tops[br] > mv)
         row = ws.row_of(amb.mono_scale(br, s, v))
+        ends = {j: ws.starts[ws.cols[j][0] + 1] for j in row}
         for k in range(tops[br] - mv - s):
-            ech.add({j + k: x for j, x in row.items() if j + k < ends[j][1]})
+            ech.add({j + k: x for j, x in row.items() if j + k < ends[j]})
     work = []
     for v in vecs:
         row = ws.row_of(v)
         if row is None:
             inside = False
-        elif ech.add(row) and terms:
+        elif ech.add(row) and maps:
             work.append(row)
     while work:
         row = work.pop()
-        for per in terms:
-            p = _shift(field, row, per, ends)
+        for f in maps:
+            p = f(row)
             if p and ech.add(p):
                 work.append(p)
     return inside
 
 
-def _column_ends(ws):
-    """Per window column, its branch and the end of its coordinate's block."""
-    branch = [br for br, r in enumerate(ws.ambient.ranks) for _ in range(r)]
-    return [(branch[c], j + ws.hi[c] - e) for j, (c, e) in enumerate(ws.cols)]
+def _scalar_op(amb, per):
+    """The shift operator of the scalar of K with (d, entry) terms per[br]."""
+    return [[(c, per[br])] for br in range(amb.nbranches()) for c in amb.coords_of(br)]
 
 
-def _shift(field, row, per, ends):
-    """The kernel row of pi(s * v) for the window row of v and a scalar s of
-    K with nonnegative exponents, given by ``per[br]``, its (d, entry) terms
-    on branch br by increasing d (``LaurentPoly.kernel_terms``)."""
-    out = {}
-    for j, x in row.items():
-        br, end = ends[j]
-        for d, c in per[br]:
-            if j + d >= end:
-                break
-            out[j + d] = out.get(j + d, 0) + x * c
-    return field.clean(out)
+def _row_map(op, ws, tws):
+    """The shift operator ``op`` (``_operator``) on kernel rows, from window
+    ``ws`` into ``tws``: the row of v goes to the row of pi(op(v)), pi the
+    truncation at tws.hi, or to None when op(v) has support below tws.lo.
+    A coordinate's columns are consecutive, so the term (d, y) of op[c] at
+    c' sends column j = (c, e) to j + off + d = (c', e + d); the terms go by
+    increasing d, so the first past the block's end ends the list.  Terms
+    below the block are summed apart, so cancellation there is exact."""
+    plan = []
+    for c, per in enumerate(op):
+        entries = []
+        for c2, terms in per:
+            if terms:
+                off = tws.starts[c2] - tws.lo[c2] - ws.starts[c] + ws.lo[c]
+                # the test for terms below the block only where one can occur
+                low = c2 if ws.lo[c] + terms[0][0] < tws.lo[c2] else None
+                entries.append((low, off, tws.starts[c2], tws.starts[c2 + 1], terms))
+        plan.append(entries)
+    cols = ws.cols
+    clean = ws.field.clean
+
+    def apply(row):
+        out, low = {}, {}
+        for j, x in row.items():
+            for c2, off, start, end, terms in plan[cols[j][0]]:
+                k0 = j + off
+                if c2 is None:
+                    for d, y in terms:
+                        k = k0 + d
+                        if k >= end:
+                            break
+                        out[k] = out.get(k, 0) + x * y
+                    continue
+                for d, y in terms:
+                    k = k0 + d
+                    if k >= end:
+                        break
+                    if k >= start:
+                        out[k] = out.get(k, 0) + x * y
+                    else:
+                        low[c2, k] = low.get((c2, k), 0) + x * y
+        return None if low and clean(low) else clean(out)
+
+    return apply
+
+
+def _span_image(ws, ech, f):
+    """Add to ``ech`` the window span of f(C), C = f.source: C = span(rows) +
+    the cones (br, v), rows R-closed up to the cones, so f(C) = span f(rows)
+    + sum F[[t_br]] * f(v) needs no R-closure; the rows go through f's
+    operator as kernel rows.  Returns False when some image has support
+    below ``ws.lo`` (it is skipped)."""
+    sws, rows = f.source.row_window()
+    image = _row_map(f.operator(), sws, ws)
+    inside = True
+    for r in rows:
+        p = image(r)
+        if p is None:
+            inside = False
+        elif p:
+            ech.add(p)
+    return _close(ws, ech, (), [(br, f.apply(v)) for br, v in f.source.cones]) and inside
 
 
 def valuation_floor(vecs, lo):
@@ -305,7 +355,7 @@ class Module:
     supported at depth >= H + deg(vector) on that branch lies in m * module.
     """
 
-    __slots__ = ("ring", "ambient", "rows", "cones", "lo", "skel")
+    __slots__ = ("ring", "ambient", "rows", "cones", "lo", "skel", "_win")
 
     def __init__(self, ring, ambient, rows, cones, lo, skel=()):
         self.ring = ring
@@ -314,6 +364,7 @@ class Module:
         self.cones = [(br, v) for br, v in cones if not ambient.vec_is_zero(v)]
         self.lo = tuple(lo)
         self.skel = skel
+        self._win = None
 
     def is_zero(self):
         return not self.rows and not self.cones
@@ -333,6 +384,14 @@ class Module:
         ech = ws.echelon()
         _close(ws, ech, self.rows, self.cones)
         return ws, ech
+
+    def row_window(self):
+        """(WindowSpace, kernel rows) of ``rows`` on [lo, deep_cut(lo)),
+        which holds each exactly; built once."""
+        if self._win is None:
+            ws = WindowSpace(self.ring.field, self.ambient, self.lo, self.deep_cut(self.lo))
+            self._win = (ws, [ws.row_of(v) for v in self.rows])
+        return self._win
 
     def deep_cut(self, base):
         """Per-coordinate cut at least ``base``, past every row and past every
@@ -357,28 +416,16 @@ def dvr_triangularize(field, vecs, nslots, cut):
     the inputs truncated at cut.  ``full`` is True when every slot got a
     pivot.
     """
-    work = []
-    for v in vecs:
-        w = [a.truncate(cut) for a in v]
-        if any(w):
-            work.append(w)
+    work = [w for w in ([a.truncate(cut) for a in v] for v in vecs) if any(w)]
     pivots = []
     used = set()
     while work:
-        best = None
-        for v in work:
-            for slot in range(nslots):
-                if slot in used or not v[slot]:
-                    continue
-                val = v[slot].valuation()
-                key = (val, slot)
-                if best is None or key < best[0]:
-                    best = (key, v, slot)
-        if best is None:
+        # the pivot of least (valuation, slot), first among equal ones
+        keys = [(v[slot].valuation(), slot, i) for i, v in enumerate(work) for slot in range(nslots) if slot not in used and v[slot]]
+        if not keys:
             break
-        _key, pv, slot = best
-        val = pv[slot].valuation()
-        work.remove(pv)
+        val, slot, i = min(keys)
+        pv = work.pop(i)
         used.add(slot)
         pivots.append((slot, val, pv))
         nxt = []
@@ -587,57 +634,34 @@ class LatticeMap:
         return cls.from_entries(lat, lat, diagonal)
 
     def apply(self, vec):
-        src, tgt = self.source.ambient, self.target.ambient
-        field = self.source.ring.field
-        out = [LaurentPoly.zero(field)] * tgt.ncoords
-        for br in range(src.nbranches()):
-            m = self.mats[br]
-            so = src.offsets[br]
-            to = tgt.offsets[br]
-            for k in range(tgt.ranks[br]):
-                acc = LaurentPoly.zero(field)
-                row = m[k]
-                for l in range(src.ranks[br]):
-                    e = row[l]
-                    if e and vec[so + l]:
-                        acc = acc + e * vec[so + l]
-                out[to + k] = acc
+        src = self.source.ambient
+        zero = LaurentPoly.zero(self.source.ring.field)
+        out = []
+        for br, m in enumerate(self.mats):
+            part = vec[src.offsets[br] : src.offsets[br] + src.ranks[br]]
+            out += [sum((e * x for e, x in zip(row, part) if e and x), zero) for row in m]
         return tuple(out)
 
     def compose(self, other):
         """self o other (other is applied first)."""
-        field = self.source.ring.field
-        mats = []
-        for br in range(other.source.ambient.nbranches()):
-            a = self.mats[br]
-            b = other.mats[br]
-            rows = len(a)
-            mid = len(b)
-            cols = other.source.ambient.ranks[br]
-            m = [[LaurentPoly.zero(field) for _ in range(cols)] for _ in range(rows)]
-            for i in range(rows):
-                for j in range(cols):
-                    acc = LaurentPoly.zero(field)
-                    for l in range(mid):
-                        if a[i][l] and b[l][j]:
-                            acc = acc + a[i][l] * b[l][j]
-                    m[i][j] = acc
-            mats.append(m)
+        zero = LaurentPoly.zero(self.source.ring.field)
+        mats = [
+            [[sum((a[i][l] * b[l][j] for l in range(len(b)) if a[i][l] and b[l][j]), zero) for j in range(cols)] for i in range(len(a))]
+            for a, b, cols in zip(self.mats, other.mats, other.source.ambient.ranks)
+        ]
         return LatticeMap(other.source, self.target, mats)
+
+    def operator(self):
+        """The shift operator of the map (``_operator``)."""
+        entries = {(br, k, l): e for br, m in enumerate(self.mats) for k, row in enumerate(m) for l, e in enumerate(row)}
+        return _operator(self.source.ambient, self.target.ambient, entries)
 
     def is_zero(self):
         return all(not e for m in self.mats for row in m for e in row)
 
     def is_injective(self):
         field = self.source.ring.field
-        for br in range(self.source.ambient.nbranches()):
-            ncols = self.source.ambient.ranks[br]
-            if ncols == 0:
-                continue
-            rows = [list(r) for r in self.mats[br]]
-            if poly_matrix_rank(rows, ncols, field) < ncols:
-                return False
-        return True
+        return all(poly_matrix_rank([list(r) for r in m], n, field) == n for m, n in zip(self.mats, self.source.ambient.ranks) if n)
 
     def render(self):
         return [
@@ -830,8 +854,7 @@ def largest_submodule_over(overring, lat):
     amb = lat.ambient
     ws = WindowSpace(ring.field, amb, lat.lo, lat.hi)
     scalars = [BranchVector.one(ring.field, ring.branches)] + overring_scalars(overring, lat)
-    diagonal = [(br, k) for br in range(amb.nbranches()) for k in range(amb.ranks[br])]
-    streams = [(_operator(amb, amb, {(br, k, k): x[br] for br, k in diagonal}), lat) for x in scalars]
+    streams = [(_scalar_op(amb, [p.kernel_terms() for p in x.parts]), lat) for x in scalars]
     sols = solve_constrained_window(ws, streams)
     ech = ws.echelon()
     ech.add_many(sols)
@@ -895,39 +918,43 @@ def hom_element_as_map(c, d, h):
     """Turn a hom-ambient vector into a LatticeMap C -> D."""
     src, tgt = c.ambient, d.ambient
     hamb = hom_ambient(src, tgt)
-    mats = []
-    for br in range(src.nbranches()):
-        m = []
-        for k in range(tgt.ranks[br]):
-            m.append([h[hom_coord(hamb, src, tgt, br, k, l)] for l in range(src.ranks[br])])
-        mats.append(m)
+    mats = [
+        [[h[hom_coord(hamb, src, tgt, br, k, l)] for l in range(src.ranks[br])] for k in range(tgt.ranks[br])]
+        for br in range(src.nbranches())
+    ]
     return LatticeMap(c, d, mats)
-
-
-def map_as_hom_element(f):
-    """Flatten a LatticeMap into its hom-ambient vector."""
-    src, tgt = f.source.ambient, f.target.ambient
-    hamb = hom_ambient(src, tgt)
-    field = f.source.ring.field
-    out = [LaurentPoly.zero(field)] * hamb.ncoords
-    for br in range(src.nbranches()):
-        for k in range(tgt.ranks[br]):
-            for l in range(src.ranks[br]):
-                out[hom_coord(hamb, src, tgt, br, k, l)] = f.mats[br][k][l]
-    return tuple(out)
 
 
 def hom_induced_map(x, f, hom_src, hom_tgt):
     """Hom(X, f): Hom(X, C) -> Hom(X, D) for f: C -> D (left composition);
     ``hom_src``, ``hom_tgt`` are the lattices Hom(X, C), Hom(X, D)."""
     xa, ca, da = x.ambient, f.source.ambient, f.target.ambient
-    entries = {}
-    for br in range(xa.nbranches()):
-        # (f o phi)_{kd,l} = sum_kc f_{kd,kc} phi_{kc,l}
-        for kd in range(da.ranks[br]):
-            for l in range(xa.ranks[br]):
-                for kc in range(ca.ranks[br]):
-                    entries[(br, kd * xa.ranks[br] + l, kc * xa.ranks[br] + l)] = f.mats[br][kd][kc]
+    # (f o phi)_{kd,l} = sum_kc f_{kd,kc} phi_{kc,l}
+    entries = {
+        (br, kd * rx + l, kc * rx + l): f.mats[br][kd][kc]
+        for br, rx in enumerate(xa.ranks)
+        for kd in range(da.ranks[br])
+        for l in range(rx)
+        for kc in range(ca.ranks[br])
+    }
+    return LatticeMap.from_entries(hom_src, hom_tgt, entries)
+
+
+def hom_precompose(a, x, y, hom_src, hom_tgt):
+    """Hom(a, T): Hom(Y, T) -> Hom(X, T), phi -> phi o a, for a vector ``a``
+    of ``hom_ambient(X, Y)`` (right composition, the twin of
+    ``hom_induced_map``); ``hom_src``, ``hom_tgt`` are modules in
+    Hom(Y, T), Hom(X, T)."""
+    xa, ya = x.ambient, y.ambient
+    hamb = hom_ambient(xa, ya)
+    # (phi o a)_{k,l} = sum_m phi_{k,m} a_{m,l}, k a slot of T
+    entries = {
+        (br, k * rx + l, k * ry + m): a[hom_coord(hamb, xa, ya, br, m, l)]
+        for br, (rx, ry) in enumerate(zip(xa.ranks, ya.ranks))
+        for k in range(hom_tgt.ambient.ranks[br] // rx if rx else 0)
+        for l in range(rx)
+        for m in range(ry)
+    }
     return LatticeMap.from_entries(hom_src, hom_tgt, entries)
 
 
@@ -1002,46 +1029,48 @@ def image_lattice(f):
 
 def nakayama_covers(goal, parts, cut):
     """Nakayama comparison of the Module ``goal`` with m * goal plus the sum
-    of ``parts``.
+    of ``parts``, none of which needs R-closure.
 
-    m * goal is spanned without closure: m = sum (g - g(0)) * R over R's
-    gens g and pi(d * pi(v)) = pi(d * v) for val(d) >= 0 (``_close``, point
-    (1)), so goal's window rows shifted by each d span pi(m * goal), with
-    valuations in goal's window.  A part is a Module; a LatticeMap f whose
-    source C is a Lattice, for its image: C = span(rows) + cones, rows
-    R-closed up to the cones, so f(C) = span f(rows) + sum F[[t_br]] * f(v)
-    over the cones (br, v); or (rgens, cones) generator data, which
-    ``_close`` R-closes under R.gens (only ``endo._block_cover``'s
-    composites need that).  ``cut`` must reach deep enough that goal
-    elements beyond it lie in the span of the parts.  Returns (lifts,
-    inside): the goal's RREF window rows outside the span of the parts, as
-    vectors in echelon order, and whether the parts lie inside the goal.
-    The parts span the goal exactly when ``not lifts and inside``.
-    """
+    m = sum (g - g(0)) * R over R's gens g and pi(d * pi(v)) = pi(d * v) for
+    val(d) >= 0 (``_close``, point (1)), so goal's window rows shifted by
+    each d span pi(m * goal).  A part is a Module (rows R-closed up to its
+    cones) or a LatticeMap f whose source C is a Lattice, for f(C)
+    (``_span_image``); anything else is a TypeError.  When C's minimal
+    generators are known, f of them spans f(C) modulo m * f(C), which lies
+    in m * goal when f(C) lies in goal; they bound f(C)'s valuations, and
+    f(C) is spanned in full only when the parts are not inside.  lo is
+    floored by the parts' valuations (again if some other image reaches
+    below it).  ``cut`` must reach deep enough that goal elements beyond it
+    lie in the span of the parts.  Returns (lifts, inside): the goal's RREF
+    window rows outside the span of the parts, as vectors in echelon order,
+    and whether the parts lie inside the goal; they span it exactly when
+    ``not lifts and inside``."""
     ring = goal.ring
-    spans = []  # per part, the vectors, cones and multipliers of its _close
-    for p in parts:
-        if isinstance(p, LatticeMap):
-            if not isinstance(p.source, Lattice):
-                raise TypeError("an image part needs a map whose source is a Lattice")
-            spans.append(([p.apply(v) for v in p.source.rows], [(br, p.apply(v)) for br, v in p.source.cones], ()))
-        elif isinstance(p, Module):
-            spans.append((p.rows, p.cones, ()))
-        else:
-            spans.append((p[0], p[1], ring.gens))
-    vecs = [v for rows, _, _ in spans for v in rows] + [v for _, cones, _ in spans for _, v in cones]
-    ws, e_goal = goal.span(valuation_floor(vecs, goal.lo), cut)
-    e_parts = ws.echelon()
-    for rows, cones, mults in spans:
-        _close(ws, e_parts, rows, cones, mults)
+    maps = [p for p in parts if isinstance(p, LatticeMap)]
+    mods = [p for p in parts if not isinstance(p, LatticeMap)]
+    if not all(isinstance(f.source, Lattice) for f in maps) or not all(isinstance(p, Module) for p in mods):
+        raise TypeError("a part is a Module or a LatticeMap whose source is a Lattice")
+    known = [f for f in maps if f.source._mingens is not None]
+    full = [f for f in maps if f.source._mingens is None]
+    gens = [f.apply(g) for f in known for g in f.source._mingens]
+    lo = valuation_floor(gens + [v for p in mods for v in p.rows + tuple(v for _, v in p.cones)], goal.lo)
+    for floored in (False, True):
+        ws, e_goal = goal.span(lo, cut)
+        e_parts = ws.echelon()
+        for p in mods:
+            _close(ws, e_parts, p.rows, p.cones)
+        _close(ws, e_parts, gens)
+        if all(_span_image(ws, e_parts, f) for f in full) or floored:
+            break
+        lo = valuation_floor([f.apply(v) for f in full for v in f.source.rows + tuple(v for _, v in f.source.cones)], lo)
     grows = e_goal.rows
-    ends = _column_ends(ws)
     for per in ring.maximal_ideal_terms():
-        for r in grows:
-            p = _shift(ring.field, r, per, ends)
-            if p:
-                e_parts.add(p)
+        shift = _row_map(_scalar_op(ws.ambient, per), ws, ws)
+        for p in filter(None, map(shift, grows)):
+            e_parts.add(p)
     inside = e_goal.contains_space(e_parts)
+    for f in known if not inside else ():
+        _span_image(ws, e_parts, f)
     lifts = [ws.vec_of(r) for r in grows if e_parts.add(r)]
     return lifts, inside
 

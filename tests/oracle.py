@@ -13,11 +13,15 @@ operators and ``FieldSpec.div``, so it shares no row code with
 constraint solver: it applies a map to one unit vector per window column as
 ``LaurentPoly`` arithmetic (``hom_apply`` for Hom constraints) and reads the
 images back through ``ConstraintStream``, where ``lattice`` now reads them
-off a shift operator.
+off a shift operator.  ``composite`` is the former composition route of
+``endo``: Hom elements as ``LatticeMap``s, composed entry by entry as
+``LaurentPoly`` products and flattened back into hom vectors, where
+``lattice.hom_precompose`` and ``hom_induced_map`` now give operators.
 """
 
 import bisect
 
+from endochain.lattice import hom_ambient, hom_coord, hom_element_as_map
 from endochain.linalg import nullspace_F
 from endochain.series import LaurentPoly
 
@@ -222,3 +226,21 @@ def reference_solve(ws, streams):
             cs.put(u, img)
         all_rows += [r for r in cs.rows if r]
     return nullspace_F(all_rows, ncols, field)
+
+
+def flatten(f):
+    """The hom-ambient vector of a LatticeMap."""
+    src, tgt = f.source.ambient, f.target.ambient
+    hamb = hom_ambient(src, tgt)
+    out = [LaurentPoly.zero(f.source.ring.field)] * hamb.ncoords
+    for br in range(src.nbranches()):
+        for k in range(tgt.ranks[br]):
+            for l in range(src.ranks[br]):
+                out[hom_coord(hamb, src, tgt, br, k, l)] = f.mats[br][k][l]
+    return tuple(out)
+
+
+def composite(x, y, z, b, a):
+    """The hom vector of b o a, for hom vectors a of Hom(X, Y) and b of
+    Hom(Y, Z)."""
+    return flatten(hom_element_as_map(y, z, b).compose(hom_element_as_map(x, y, a)))

@@ -81,6 +81,49 @@ def test_gldim_env_pd_cap(capsys, monkeypatch):
     assert status == 0 and rep["gldim"] == 1
 
 
+_CUSP_MCM = {
+    "modules": [
+        {"ambient_rank": [1], "generators": [[[[[0, "1"]]]], [[[[2, "1"]]]], [[[[3, "1"]]]]]},
+        {"ambient_rank": [1], "generators": [[[[[0, "1"]]]], [[[[1, "1"]]]]]},
+    ]
+}
+
+
+@pytest.fixture
+def endless_syzygies(monkeypatch):
+    """Minimal covers whose syzygy never vanishes: each step returns its
+    input, so every simple's resolution runs into a cap."""
+    from endochain import endo
+
+    monkeypatch.delenv("ENDOCHAIN_PD_CAP", raising=False)
+    monkeypatch.setattr(endo, "minimal_cover_syzygy", lambda q: ((0,), q))
+
+
+def test_pd_past_chain_bound_is_claim_violation(capsys, endless_syzygies):
+    # on the chain family gldim <= n + 1 is proven: a syzygy still nonzero
+    # after n + 1 = 2 steps on <2,3> is an engine fault, at any cap >= 2
+    for cap in ([], ["--pd-cap", "2"]):
+        status, rep = run_cli(capsys, "gldim", "--ring", ring_path("semigroup_2_3"), *cap)
+        assert status == 1
+        assert rep["code"] == "ClaimViolation" and rep["context"] == {"simple": "S0", "bound": 2}
+
+
+def test_pd_cap_below_chain_bound_reports_capped(capsys, endless_syzygies):
+    # a user cap below n + 1 keeps the capped report
+    status, rep = run_cli(capsys, "gldim", "--ring", ring_path("semigroup_2_3"), "--pd-cap", "1")
+    assert status == 0
+    assert rep["capped"] and rep["gldim"] is None
+
+
+def test_pd_cap_on_mcm_list_reports_capped(capsys, tmp_path, endless_syzygies):
+    # no bound is proven for a user's MCM list: the cap gives a capped report
+    mf = tmp_path / "mcm.json"
+    mf.write_text(json.dumps(_CUSP_MCM))
+    status, rep = run_cli(capsys, "gldim", "--ring", ring_path("semigroup_2_3"), "--mcm", str(mf))
+    assert status == 0
+    assert rep["capped"] and rep["gldim"] is None
+
+
 def test_resolve_worked_example(capsys):
     status, rep = run_cli(
         capsys,

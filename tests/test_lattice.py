@@ -21,7 +21,9 @@ from endochain.lattice import (
     free_decomposition_over_dvr_product,
     hom_ambient,
     hom_element_as_map,
+    hom_induced_map,
     hom_lattice,
+    hom_precompose,
     image_lattice,
     is_exact_at,
     is_surjective_onto,
@@ -41,10 +43,12 @@ from endochain.lattice import (
     WindowSpace,
     _close,
     _operator,
+    _row_map,
+    _span_image,
 )
 from endochain.verify import generated_test_lattices
 from endochain.errors import AmbientMismatch, ClaimViolation, NotAnOverring, NotASubmodule, NotDvrProduct, NotFullRank
-from oracle import sg_values, colon_values, ideal_values, sg_conductor, hom_apply, reference_solve
+from oracle import sg_values, colon_values, ideal_values, sg_conductor, composite, flatten, hom_apply, reference_solve
 
 
 T = LaurentPoly.monomial(QQ, 1)
@@ -703,6 +707,103 @@ def test_solve_matches_unit_vector_reference(case):
     assert Lattice._canonicalize(ring, amb, lo, hi, ech, ws).key() == result.key()
 
 
+@st.composite
+def _images(draw):
+    """A map f and a window around its target, on a corpus ring with 1-3
+    branches: a random LatticeMap; Hom(X, g) (``hom_induced_map``) for a
+    random g: C -> D; or Hom(a, T) (``hom_precompose``) for a random vector
+    a of hom_ambient(X, Y).  Lattices are drawn as in ``_solves``, map
+    entries have exponents down to -1.  The window moves the target's lo by
+    -1..2, so images can fall below it, and its hi by -2..2.  Returns (f,
+    reference, window, rng): the reference gives f(phi) by the composition
+    route of ``oracle.composite`` (None for a plain map)."""
+    field = draw(st.sampled_from(_CLOSE_FIELDS))
+    coeff = _coeffs(field)
+    nb = draw(st.sampled_from((1, 2, 3)))
+    ring, _ = _ring_and_overring(draw(st.sampled_from(_GEN_RINGS[nb])), field)
+
+    def poly(lo_e, hi_e):
+        return LaurentPoly.from_pairs(field, draw(st.lists(st.tuples(st.integers(lo_e, hi_e), coeff), max_size=2)))
+
+    def lattice():
+        amb = Ambient(draw(st.lists(st.sampled_from((1, 2, 3)), min_size=nb, max_size=nb)))
+        gens = [amb.unit_vec(field, c, draw(st.integers(-1, 2))) for c in range(amb.ncoords)]
+        gens += [tuple(poly(-1, 3) for _ in range(amb.ncoords)) for _ in range(draw(st.integers(0, 2)))]
+        return Lattice.from_generators(ring, amb, gens)
+
+    def random_map(src, tgt):
+        slots = _hom_slots(src.ambient, tgt.ambient)
+        return LatticeMap.from_entries(src, tgt, {s: poly(-1, 3) for s in slots})
+
+    kind = draw(st.sampled_from(("map", "induced", "precompose")))
+    if kind == "map":
+        f, ref = random_map(lattice(), lattice()), None
+    elif kind == "induced":
+        x, c, d = lattice(), lattice(), lattice()
+        g = random_map(c, d)
+        f = hom_induced_map(x, g, hom_lattice(x, c), hom_lattice(x, d))
+        ref = lambda phi: composite(x, c, d, flatten(g), phi)
+    else:
+        x, y, t = lattice(), lattice(), lattice()
+        a = tuple(poly(-1, 3) for _ in range(hom_ambient(x.ambient, y.ambient).ncoords))
+        f = hom_precompose(a, x, y, hom_lattice(y, t), hom_lattice(x, t))
+        ref = lambda phi: composite(x, y, t, phi, a)
+    lo = [v + draw(st.integers(-1, 2)) for v in f.target.lo]
+    hi = [max(v, h + draw(st.integers(-2, 2))) for v, h in zip(lo, f.target.hi)]
+    return f, ref, WindowSpace(field, f.target.ambient, lo, hi), draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_images())
+def test_span_image_matches_closure_of_genset(case):
+    # the row kernel equals row_of of the LaurentPoly image (None below lo
+    # included), the operators equal the composition route, and the image
+    # span equals the R-closure of f(genset) with the same inside flag, on
+    # the drawn window and on one floored to the images' valuations
+    f, ref, ws, rng = case
+    ring, field = f.source.ring, ws.field
+    sws, rows = f.source.row_window()
+    image = _row_map(f.operator(), sws, ws)
+    mixes = [field.clean({j: x * rng.randint(-3, 3) for r in rows for j, x in r.items()}) for _ in range(2)]
+    for r in rows + mixes:
+        v = sws.vec_of(r)
+        assert image(r) == ws.row_of(f.apply(v))
+        if ref is not None:
+            assert f.apply(v) == ref(v)
+    gens = [f.apply(g) for g in f.source.genset()]
+    inside = all(ws.row_of(v) is not None for v in gens)
+    ech = ws.echelon()
+    assert _span_image(ws, ech, f) == inside
+    if inside:
+        assert ech == raw_span(ring, ws.ambient, gens, [], ws.lo, ws.hi)[1]
+    lo = valuation_floor(gens, ws.lo)
+    floored = WindowSpace(field, ws.ambient, lo, ws.hi)
+    ech = floored.echelon()
+    assert _span_image(floored, ech, f)
+    assert ech == raw_span(ring, ws.ambient, gens, [], lo, ws.hi)[1]
+
+
+def test_span_image_below_the_window():
+    # t^-1 * identity on R carries 1 below R's window: the row kernel gives
+    # None there and the image span reports it, as row_of and the closure do
+    ring = _corpus_ring("semigroup_2_3")
+    lat = ring.self_lattice
+    f = LatticeMap(lat, lat, [[[LaurentPoly.monomial(QQ, -1)]]])
+    ws, ech = lat.window()
+    image = _row_map(f.operator(), ws, ws)
+    assert [image(r) is None for r in ech.rows] == [ws.row_of(f.apply(v)) is None for v in lat.rows]
+    assert image(ech.rows[0]) is None
+    assert not _span_image(ws, ws.echelon(), f)
+    # terms below the window that cancel leave no support there: (1, 1)
+    # goes to t^-1 - t^-1 = 0 under (t^-1, -t^-1): R^2 -> R
+    src, _ = direct_sum([lat, lat])
+    t1 = LaurentPoly.monomial(QQ, -1)
+    g = LatticeMap(src, lat, [[[t1, -t1]]])
+    sws, _ = src.window()
+    row = {sws.index[(0, 0)]: 1, sws.index[(1, 0)]: 1}
+    assert _row_map(g.operator(), sws, ws)(row) == ws.row_of(g.apply(sws.vec_of(row))) == {}
+
+
 def _maximal_ideal_covers(goal, parts, cut):
     """The former route of ``nakayama_covers``: a map part as the generator
     data f(genset) plus the cones f(v), m * goal as ``_maximal_ideal_data``,
@@ -747,7 +848,7 @@ def test_nakayama_covers_match_closure_route(name):
     # f(genset) and (g - g(0)) * genset, for every kind of part: none
     # (minimal generators), images of Hom elements and random maps
     # (surjectivity, some not inside), a kernel with its embedding and a
-    # non-exact multiple, a Module, and generator data
+    # non-exact multiple, and a Module; generator data is refused
     ring = _corpus_ring(name)
     tree = build_chain_tree(ring)
     rng = random.Random(name)
@@ -771,17 +872,44 @@ def test_nakayama_covers_match_closure_route(name):
         cases += [(ker, [emb], kcut), (ker, [zemb], kcut)]
         if lat.ambient == ring.self_lattice.ambient:
             cases.append((lat, [ring.maximal_ideal_lattice()], cut))
-        vecs = [tuple(LaurentPoly.from_pairs(field, [(rng.randint(0, 4), 1)]) for _ in range(lat.ambient.ncoords))]
-        cases.append((lat, [(vecs, [])], cut))
     assert any(_maximal_ideal_covers(*c)[1] is False for c in cases)
     for goal, parts, cut in cases:
         assert nakayama_covers(goal, parts, cut) == _maximal_ideal_covers(goal, parts, cut)
     # an image is spanned from its source's rows only when they are a
-    # Lattice's window basis; any other source is refused
+    # Lattice's window basis; any other source is refused, and so is
+    # generator data, which would need R-closure
     f = _random_map(rng, ring.self_lattice, ring.self_lattice)
     bare = LatticeMap(Module(ring, f.source.ambient, f.source.rows, f.source.cones, f.source.lo), f.target, f.mats)
-    with pytest.raises(TypeError):
-        nakayama_covers(f.target, [bare], f.target.nakayama_cut())
+    vecs = [tuple(LaurentPoly.from_pairs(field, [(rng.randint(0, 4), 1)]) for _ in range(f.target.ambient.ncoords))]
+    for part in (bare, (vecs, [])):
+        with pytest.raises(TypeError):
+            nakayama_covers(f.target, [part], f.target.nakayama_cut())
+
+
+@pytest.mark.parametrize("name", ["semigroup_3_5", "tacnode", "triple_point"])
+def test_nakayama_covers_image_routes_agree(name):
+    # an image part is spanned from its source's minimal generators when
+    # they are known, else in full (again on a lower window when an image
+    # falls below it): both routes give the closure route's lifts and
+    # inside flag, inside or not
+    ring = _corpus_ring(name)
+    rng = random.Random(name)
+    lats = [ring.self_lattice, ring.maximal_ideal_lattice()]
+    lats += [lat for _, lat in generated_test_lattices(rng, ring, build_chain_tree(ring))[:2]]
+    outside = below = 0
+    for x in lats:
+        for lat in lats:
+            f = _random_map(rng, x, lat)
+            fresh = Lattice(x.ring, x.ambient, x.lo, x.hi, x.basis)
+            unknown = LatticeMap(fresh, lat, f.mats)
+            minimal_generators(x)
+            cut = lat.nakayama_cut()
+            ref = _maximal_ideal_covers(lat, [f], cut)
+            assert fresh._mingens is None
+            assert nakayama_covers(lat, [f], cut) == nakayama_covers(lat, [unknown], cut) == ref
+            outside += not ref[1]
+            below += any(lat.ambient.branch_min_val(f.apply(v), 0) < min(lat.lo) for v in x.rows)
+    assert outside and below
 
 
 def _constant_term_kernel(ring):
@@ -887,7 +1015,6 @@ def test_compose_through_branch_of_rank_zero():
     # on tacnode, X_2 has rank (1, 0): X_0 -> X_2 -> X_0 passes through a
     # rank-zero middle on branch 1, where the composite is the 1x1 zero map
     from endochain.chain import chain_family
-    from endochain.lattice import hom_element_as_map, map_as_hom_element
 
     ring = _corpus_ring("tacnode")
     x = chain_family(build_chain_tree(ring)).lattices()
@@ -895,9 +1022,9 @@ def test_compose_through_branch_of_rank_zero():
     a = hom_lattice(x[0], x[2]).genset()[0]
     b = hom_lattice(x[2], x[0]).genset()[0]
     ba = hom_element_as_map(x[2], x[0], b).compose(hom_element_as_map(x[0], x[2], a))
-    assert map_as_hom_element(ba) == (b[0] * a[0], Z)
+    assert ba.mats == (((b[0] * a[0],),), ((Z,),))
     zero = hom_element_as_map(x[2], x[0], (Z, Z)).compose(hom_element_as_map(x[0], x[2], (Z,)))
-    assert map_as_hom_element(zero) == (Z, Z)
+    assert zero.mats == (((Z,),), ((Z,),))
 
 
 def test_minimal_generators_not_shared_with_overring():
