@@ -560,6 +560,9 @@ class Lattice(Module):
             self._ech = (ws, ech)
         return self._ech
 
+    def row_window(self):
+        return self.window()[0], self.window()[1].rows
+
     def key(self):
         return (self.ambient.ranks, self.lo, self.hi, self.basis)
 
