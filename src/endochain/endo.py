@@ -81,10 +81,11 @@ class EndoAlgebra:
 
     def rad_gens(self):
         """The arrows A: per block (j, l) of J = rad Gamma, (j, l, a) for
-        the Nakayama lifts a of J_(j,l) over the composites J_(m,l) o
-        J_(j,m) of minimal generators plus m * J_(j,l) (which lies in J^2),
-        i.e. lifts of an F-basis of J/J^2.  Nakayama over Gamma gives
-        J = Gamma A, so Q * rad = Q * A; ``_certify_arrows`` checks it."""
+        the Nakayama lifts a of J_(j,l) over the images of J_(m,l) under
+        Hom(a', X_l) (``hom_precompose``), a' over the minimal generators of
+        J_(j,m), plus m * J_(j,l) (which lies in J^2), i.e. lifts of an
+        F-basis of J/J^2.  Nakayama over Gamma gives J = Gamma A, so
+        Q * rad = Q * A; ``_certify_arrows`` checks it."""
         rad = radical(self)
         gens = {b: minimal_generators(lat) for b, lat in rad.items()}
         return [
@@ -121,7 +122,11 @@ def diagonal_radical(alg, i):
         ey.add(ech_j.residue(r))
     dim_a = ey.rank()
     if field.kind == "prime" and field.characteristic <= dim_a:
-        raise CharacteristicTooSmall("prime field must exceed the finite-quotient dimension", p=field.characteristic, dim=dim_a)
+        raise CharacteristicTooSmall(
+            "prime field must exceed the finite-quotient dimension",
+            p=field.characteristic,
+            dim=dim_a,
+        )
     rep_vecs = [ws.vec_of(r) for r in ey.rows]
     qpivots = sorted(ey.by_pivot)
 
@@ -144,13 +149,21 @@ def diagonal_radical(alg, i):
         functools.reduce(amb.add_vec, [amb.scale_vec(field.coeff(c), rep_vecs[s]) for s, c in sorted(lam.items())])
         for lam in nullspace_F(gram, dim_a, field)
     ]
-    rad = Lattice.from_module_data(ring, amb, rad_reps + jlat.genset(), [], lo, list(jlat.hi))
+    rad = Lattice.from_module_data(
+        ring, amb, rad_reps + jlat.genset(), [], lo, list(jlat.hi)
+    )
     dim = quotient_dimension(ea, rad)
     if dim != 1:
-        raise NotIndecomposable("End(X)/rad has F-dimension != 1", label=alg.labels[i], dim=dim)
+        raise NotIndecomposable(
+            "End(X)/rad has F-dimension != 1", label=alg.labels[i], dim=dim
+        )
     for v in ea.basis:
-        if is_surjective_onto(hom_element_as_map(x, x, v)) == rad.member(v):
-            raise ClaimViolation("radical cross-check failed (trace form vs image test)", summand=alg.labels[i])
+        f = hom_element_as_map(x, x, v)
+        if is_surjective_onto(f) == rad.member(v):
+            raise ClaimViolation(
+                "radical cross-check failed (trace form vs image test)",
+                summand=alg.labels[i],
+            )
     return rad
 
 
@@ -178,7 +191,11 @@ def build_endo_algebra(ring, summands, labels=None):
 def radical(alg):
     """rad(Gamma) as its block description: every off-diagonal Hom block in
     full, plus rad End(X_i) on the diagonal."""
-    return {(j, l): alg.rad_diag[j] if j == l else alg.hom[(j, l)] for j in range(alg.k) for l in range(alg.k)}
+    blocks = {}
+    for j in range(alg.k):
+        for l in range(alg.k):
+            blocks[(j, l)] = alg.rad_diag[j] if j == l else alg.hom[(j, l)]
+    return blocks
 
 
 def _products(alg, left, right, j, l):
@@ -192,8 +209,9 @@ def _products(alg, left, right, j, l):
 def _block_cover(lat, parts):
     """``nakayama_covers`` of the block ``lat`` over the image ``parts`` +
     m * lat at the cut hi + mx, past which every element of ``lat`` lies in
-    m * lat."""
-    return nakayama_covers(lat, parts, lat.nakayama_cut())
+    m * lat.  The images are spanned from the minimal generators of their
+    sources, Hom blocks of the algebra that serve one part per arrow."""
+    return nakayama_covers(lat, parts, lat.nakayama_cut(), minimal=True)
 
 
 def _certify_arrows(alg):
@@ -483,11 +501,25 @@ def fcmt_check(ring, mcm_list, labels=None, cap=16, n=None):
     Completeness of the list is not verifiable here and is recorded as an
     assumption.  R itself must be in the list (free summand).
     """
-    idx = next((a for a, l in enumerate(mcm_list) if l.key() == ring.self_lattice.key()), None)
+    root_key = None
+    self_as_member = ring.self_lattice
+    idx = None
+    for a, l in enumerate(mcm_list):
+        if l.key() == self_as_member.key():
+            idx = a
+            break
     if idx is None:
         raise MissingFreeSummand("the ring itself must appear in the MCM list")
     ordered = [mcm_list[idx]] + [l for a, l in enumerate(mcm_list) if a != idx]
     if labels:
         labels = [labels[idx]] + [x for a, x in enumerate(labels) if a != idx]
     alg = build_endo_algebra(ring, ordered, labels)
-    return global_dimension(alg, cap=cap, n=n, assumptions=["mcm_list asserted complete by the caller (classification input)"])
+    rep = global_dimension(
+        alg,
+        cap=cap,
+        n=n,
+        assumptions=[
+            "mcm_list asserted complete by the caller (classification input)"
+        ],
+    )
+    return rep

@@ -143,7 +143,7 @@ class Ambient:
 class WindowSpace:
     """The F-vector space of window-supported vectors for a (lo, hi) window."""
 
-    __slots__ = ("ambient", "lo", "hi", "cols", "index", "field", "starts")
+    __slots__ = ("ambient", "lo", "hi", "cols", "index", "field", "starts", "_ends")
 
     def __init__(self, field, ambient, lo, hi):
         self.field = field
@@ -159,9 +159,18 @@ class WindowSpace:
         self.starts = starts + [len(cols)]
         self.cols = cols
         self.index = {ce: i for i, ce in enumerate(cols)}
+        self._ends = None
 
     def ncols(self):
         return len(self.cols)
+
+    def column_ends(self):
+        """Per column, its branch and the end of its coordinate's block;
+        built once."""
+        if self._ends is None:
+            branch = [br for br, r in enumerate(self.ambient.ranks) for _ in range(r)]
+            self._ends = [(branch[c], self.starts[c + 1]) for c, _ in self.cols]
+        return self._ends
 
     def row_of(self, vec):
         """The kernel row {column: entry} of ``vec``'s window coefficients;
@@ -221,11 +230,11 @@ def _close(ws, ech, vecs, cones=(), mults=()):
 
     A coordinate's columns are consecutive, so multiplying a kernel row by
     c * t^d is a column shift j -> j + d with entry x * c, cut at the end of
-    the coordinate's block (``_row_map`` of a scalar); d < 0 would shift
-    below lo, so it is a ClaimViolation.  Each cone adds its shifts t^m * v
-    inside the window.  Each vector adds its row, and every row that raised
-    the rank goes on a worklist and is multiplied by each of ``mults``, until
-    no product raises the rank.  With ``mults = R.gens`` the span is
+    the coordinate's block; d < 0 would shift into the previous coordinate,
+    so it is a ClaimViolation.  Each cone adds its shifts t^m * v inside the
+    window.  Each vector adds its row, and every row that raised the rank
+    goes on a worklist and is multiplied by each of ``mults``, until no
+    product raises the rank.  With ``mults = R.gens`` the span is
     pi(R * vecs + cones): (1) pi(a * pi(v)) = pi(a * v) whenever val(a) >= 0,
     so truncating between products loses nothing; (2) R is the closure of
     F[R.gens] (``build_ring``), so F[mults] is dense in R modulo t^N E for
@@ -236,8 +245,9 @@ def _close(ws, ech, vecs, cones=(), mults=()):
     neg = [(br, s.valuation()) for a in mults for br, s in enumerate(a.parts) if s.valuation() < 0]
     if neg:
         raise ClaimViolation("multiplier with a negative exponent", branch=neg[0][0], exponent=neg[0][1])
-    maps = [_row_map(_scalar_op(amb, [s.kernel_terms() for s in a.parts]), ws, ws) for a in mults]
+    maps = [_scalar_map(ws, [s.kernel_terms() for s in a.parts]) for a in mults]
     tops = _branch_tops(amb, ws.hi)
+    ends = ws.column_ends()
     inside = True
     for br, v in cones:
         mv = amb.branch_min_val(v, br)
@@ -247,9 +257,8 @@ def _close(ws, ech, vecs, cones=(), mults=()):
         s = max([0] + [ws.lo[c] - v[c].valuation() for c in amb.coords_of(br) if v[c]])
         inside = inside and not (s and tops[br] > mv)
         row = ws.row_of(amb.mono_scale(br, s, v))
-        ends = {j: ws.starts[ws.cols[j][0] + 1] for j in row}
         for k in range(tops[br] - mv - s):
-            ech.add({j + k: x for j, x in row.items() if j + k < ends[j]})
+            ech.add({j + k: x for j, x in row.items() if j + k < ends[j][1]})
     work = []
     for v in vecs:
         row = ws.row_of(v)
@@ -266,9 +275,24 @@ def _close(ws, ech, vecs, cones=(), mults=()):
     return inside
 
 
-def _scalar_op(amb, per):
-    """The shift operator of the scalar of K with (d, entry) terms per[br]."""
-    return [[(c, per[br])] for br in range(amb.nbranches()) for c in amb.coords_of(br)]
+def _scalar_map(ws, per):
+    """The same-window case of ``_row_map`` for the scalar of K with
+    (d, entry) terms per[br], d >= 0: the term (d, y) shifts column j by d,
+    cut at the end of j's coordinate block (``WindowSpace.column_ends``)."""
+    ends = ws.column_ends()
+    clean = ws.field.clean
+
+    def apply(row):
+        out = {}
+        for j, x in row.items():
+            br, end = ends[j]
+            for d, y in per[br]:
+                if j + d >= end:
+                    break
+                out[j + d] = out.get(j + d, 0) + x * y
+        return clean(out)
+
+    return apply
 
 
 def _row_map(op, ws, tws):
@@ -279,33 +303,19 @@ def _row_map(op, ws, tws):
     c' sends column j = (c, e) to j + off + d = (c', e + d); the terms go by
     increasing d, so the first past the block's end ends the list.  Terms
     below the block are summed apart, so cancellation there is exact."""
-    plan = []
-    for c, per in enumerate(op):
-        entries = []
-        for c2, terms in per:
-            if terms:
-                off = tws.starts[c2] - tws.lo[c2] - ws.starts[c] + ws.lo[c]
-                # the test for terms below the block only where one can occur
-                low = c2 if ws.lo[c] + terms[0][0] < tws.lo[c2] else None
-                entries.append((low, off, tws.starts[c2], tws.starts[c2 + 1], terms))
-        plan.append(entries)
+    plan = [
+        [(tws.starts[c2] - tws.lo[c2] - ws.starts[c] + ws.lo[c], tws.starts[c2], tws.starts[c2 + 1], c2, terms) for c2, terms in per]
+        for c, per in enumerate(op)
+    ]
     cols = ws.cols
     clean = ws.field.clean
 
     def apply(row):
         out, low = {}, {}
         for j, x in row.items():
-            for c2, off, start, end, terms in plan[cols[j][0]]:
-                k0 = j + off
-                if c2 is None:
-                    for d, y in terms:
-                        k = k0 + d
-                        if k >= end:
-                            break
-                        out[k] = out.get(k, 0) + x * y
-                    continue
+            for off, start, end, c2, terms in plan[cols[j][0]]:
                 for d, y in terms:
-                    k = k0 + d
+                    k = j + off + d
                     if k >= end:
                         break
                     if k >= start:
@@ -416,16 +426,28 @@ def dvr_triangularize(field, vecs, nslots, cut):
     the inputs truncated at cut.  ``full`` is True when every slot got a
     pivot.
     """
-    work = [w for w in ([a.truncate(cut) for a in v] for v in vecs) if any(w)]
+    work = []
+    for v in vecs:
+        w = [a.truncate(cut) for a in v]
+        if any(w):
+            work.append(w)
     pivots = []
     used = set()
     while work:
-        # the pivot of least (valuation, slot), first among equal ones
-        keys = [(v[slot].valuation(), slot, i) for i, v in enumerate(work) for slot in range(nslots) if slot not in used and v[slot]]
-        if not keys:
+        best = None
+        for v in work:
+            for slot in range(nslots):
+                if slot in used or not v[slot]:
+                    continue
+                val = v[slot].valuation()
+                key = (val, slot)
+                if best is None or key < best[0]:
+                    best = (key, v, slot)
+        if best is None:
             break
-        val, slot, i = min(keys)
-        pv = work.pop(i)
+        _key, pv, slot = best
+        val = pv[slot].valuation()
+        work.remove(pv)
         used.add(slot)
         pivots.append((slot, val, pv))
         nxt = []
@@ -637,21 +659,42 @@ class LatticeMap:
         return cls.from_entries(lat, lat, diagonal)
 
     def apply(self, vec):
-        src = self.source.ambient
-        zero = LaurentPoly.zero(self.source.ring.field)
-        out = []
-        for br, m in enumerate(self.mats):
-            part = vec[src.offsets[br] : src.offsets[br] + src.ranks[br]]
-            out += [sum((e * x for e, x in zip(row, part) if e and x), zero) for row in m]
+        src, tgt = self.source.ambient, self.target.ambient
+        field = self.source.ring.field
+        out = [LaurentPoly.zero(field)] * tgt.ncoords
+        for br in range(src.nbranches()):
+            m = self.mats[br]
+            so = src.offsets[br]
+            to = tgt.offsets[br]
+            for k in range(tgt.ranks[br]):
+                acc = LaurentPoly.zero(field)
+                row = m[k]
+                for l in range(src.ranks[br]):
+                    e = row[l]
+                    if e and vec[so + l]:
+                        acc = acc + e * vec[so + l]
+                out[to + k] = acc
         return tuple(out)
 
     def compose(self, other):
         """self o other (other is applied first)."""
-        zero = LaurentPoly.zero(self.source.ring.field)
-        mats = [
-            [[sum((a[i][l] * b[l][j] for l in range(len(b)) if a[i][l] and b[l][j]), zero) for j in range(cols)] for i in range(len(a))]
-            for a, b, cols in zip(self.mats, other.mats, other.source.ambient.ranks)
-        ]
+        field = self.source.ring.field
+        mats = []
+        for br in range(other.source.ambient.nbranches()):
+            a = self.mats[br]
+            b = other.mats[br]
+            rows = len(a)
+            mid = len(b)
+            cols = other.source.ambient.ranks[br]
+            m = [[LaurentPoly.zero(field) for _ in range(cols)] for _ in range(rows)]
+            for i in range(rows):
+                for j in range(cols):
+                    acc = LaurentPoly.zero(field)
+                    for l in range(mid):
+                        if a[i][l] and b[l][j]:
+                            acc = acc + a[i][l] * b[l][j]
+                    m[i][j] = acc
+            mats.append(m)
         return LatticeMap(other.source, self.target, mats)
 
     def operator(self):
@@ -659,12 +702,30 @@ class LatticeMap:
         entries = {(br, k, l): e for br, m in enumerate(self.mats) for k, row in enumerate(m) for l, e in enumerate(row)}
         return _operator(self.source.ambient, self.target.ambient, entries)
 
+    def image_floor(self, lo):
+        """``lo`` lowered, per target coordinate, to a lower bound on the
+        valuations of the image, as the source lies in t^source.lo E."""
+        src, tgt = self.source.ambient, self.target.ambient
+        lo = list(lo)
+        for br, m in enumerate(self.mats):
+            for k, row in enumerate(m):
+                c = tgt.offsets[br] + k
+                lo[c] = min([lo[c]] + [e.valuation() + self.source.lo[src.offsets[br] + l] for l, e in enumerate(row) if e])
+        return lo
+
     def is_zero(self):
         return all(not e for m in self.mats for row in m for e in row)
 
     def is_injective(self):
         field = self.source.ring.field
-        return all(poly_matrix_rank([list(r) for r in m], n, field) == n for m, n in zip(self.mats, self.source.ambient.ranks) if n)
+        for br in range(self.source.ambient.nbranches()):
+            ncols = self.source.ambient.ranks[br]
+            if ncols == 0:
+                continue
+            rows = [list(r) for r in self.mats[br]]
+            if poly_matrix_rank(rows, ncols, field) < ncols:
+                return False
+        return True
 
     def render(self):
         return [
@@ -857,7 +918,8 @@ def largest_submodule_over(overring, lat):
     amb = lat.ambient
     ws = WindowSpace(ring.field, amb, lat.lo, lat.hi)
     scalars = [BranchVector.one(ring.field, ring.branches)] + overring_scalars(overring, lat)
-    streams = [(_scalar_op(amb, [p.kernel_terms() for p in x.parts]), lat) for x in scalars]
+    diagonal = [(br, k) for br in range(amb.nbranches()) for k in range(amb.ranks[br])]
+    streams = [(_operator(amb, amb, {(br, k, k): x[br] for br, k in diagonal}), lat) for x in scalars]
     sols = solve_constrained_window(ws, streams)
     ech = ws.echelon()
     ech.add_many(sols)
@@ -921,10 +983,12 @@ def hom_element_as_map(c, d, h):
     """Turn a hom-ambient vector into a LatticeMap C -> D."""
     src, tgt = c.ambient, d.ambient
     hamb = hom_ambient(src, tgt)
-    mats = [
-        [[h[hom_coord(hamb, src, tgt, br, k, l)] for l in range(src.ranks[br])] for k in range(tgt.ranks[br])]
-        for br in range(src.nbranches())
-    ]
+    mats = []
+    for br in range(src.nbranches()):
+        m = []
+        for k in range(tgt.ranks[br]):
+            m.append([h[hom_coord(hamb, src, tgt, br, k, l)] for l in range(src.ranks[br])])
+        mats.append(m)
     return LatticeMap(c, d, mats)
 
 
@@ -932,14 +996,13 @@ def hom_induced_map(x, f, hom_src, hom_tgt):
     """Hom(X, f): Hom(X, C) -> Hom(X, D) for f: C -> D (left composition);
     ``hom_src``, ``hom_tgt`` are the lattices Hom(X, C), Hom(X, D)."""
     xa, ca, da = x.ambient, f.source.ambient, f.target.ambient
-    # (f o phi)_{kd,l} = sum_kc f_{kd,kc} phi_{kc,l}
-    entries = {
-        (br, kd * rx + l, kc * rx + l): f.mats[br][kd][kc]
-        for br, rx in enumerate(xa.ranks)
-        for kd in range(da.ranks[br])
-        for l in range(rx)
-        for kc in range(ca.ranks[br])
-    }
+    entries = {}
+    for br in range(xa.nbranches()):
+        # (f o phi)_{kd,l} = sum_kc f_{kd,kc} phi_{kc,l}
+        for kd in range(da.ranks[br]):
+            for l in range(xa.ranks[br]):
+                for kc in range(ca.ranks[br]):
+                    entries[(br, kd * xa.ranks[br] + l, kc * xa.ranks[br] + l)] = f.mats[br][kd][kc]
     return LatticeMap.from_entries(hom_src, hom_tgt, entries)
 
 
@@ -1030,7 +1093,7 @@ def image_lattice(f):
     )
 
 
-def nakayama_covers(goal, parts, cut):
+def nakayama_covers(goal, parts, cut, minimal=False):
     """Nakayama comparison of the Module ``goal`` with m * goal plus the sum
     of ``parts``, none of which needs R-closure.
 
@@ -1038,41 +1101,41 @@ def nakayama_covers(goal, parts, cut):
     val(d) >= 0 (``_close``, point (1)), so goal's window rows shifted by
     each d span pi(m * goal).  A part is a Module (rows R-closed up to its
     cones) or a LatticeMap f whose source C is a Lattice, for f(C)
-    (``_span_image``); anything else is a TypeError.  When C's minimal
-    generators are known, f of them spans f(C) modulo m * f(C), which lies
-    in m * goal when f(C) lies in goal; they bound f(C)'s valuations, and
-    f(C) is spanned in full only when the parts are not inside.  lo is
-    floored by the parts' valuations (again if some other image reaches
-    below it).  ``cut`` must reach deep enough that goal elements beyond it
-    lie in the span of the parts.  Returns (lifts, inside): the goal's RREF
-    window rows outside the span of the parts, as vectors in echelon order,
-    and whether the parts lie inside the goal; they span it exactly when
-    ``not lifts and inside``."""
+    (``_span_image``); anything else is a TypeError.  lo is floored by the
+    Modules' valuations and by each ``LatticeMap.image_floor``, so no image
+    falls below the window.  With ``minimal`` (C over the goal's ring), f(C)
+    is spanned by f of C's minimal generators, which span it modulo
+    m * f(C), and m * f(C) lies in m * goal when f(C) lies in goal; f(C) is
+    spanned in full only when the parts are not inside.  That pays where
+    the sources serve many parts and their generators are kept, as
+    ``endo``'s Hom blocks are.  ``cut`` must reach deep enough that goal
+    elements beyond it lie in the span of the parts.  Returns (lifts,
+    inside): the goal's RREF window rows outside the span of the parts, as
+    vectors in echelon order, and whether the parts lie inside the goal;
+    they span it exactly when ``not lifts and inside``."""
     ring = goal.ring
     maps = [p for p in parts if isinstance(p, LatticeMap)]
     mods = [p for p in parts if not isinstance(p, LatticeMap)]
     if not all(isinstance(f.source, Lattice) for f in maps) or not all(isinstance(p, Module) for p in mods):
         raise TypeError("a part is a Module or a LatticeMap whose source is a Lattice")
-    known = [f for f in maps if f.source._mingens is not None]
-    full = [f for f in maps if f.source._mingens is None]
-    gens = [f.apply(g) for f in known for g in f.source._mingens]
-    lo = valuation_floor(gens + [v for p in mods for v in p.rows + tuple(v for _, v in p.cones)], goal.lo)
-    for floored in (False, True):
-        ws, e_goal = goal.span(lo, cut)
-        e_parts = ws.echelon()
-        for p in mods:
-            _close(ws, e_parts, p.rows, p.cones)
-        _close(ws, e_parts, gens)
-        if all(_span_image(ws, e_parts, f) for f in full) or floored:
-            break
-        lo = valuation_floor([f.apply(v) for f in full for v in f.source.rows + tuple(v for _, v in f.source.cones)], lo)
+    lo = valuation_floor([v for p in mods for v in p.rows + tuple(v for _, v in p.cones)], goal.lo)
+    for f in maps:
+        lo = f.image_floor(lo)
+    ws, e_goal = goal.span(lo, cut)
+    e_parts = ws.echelon()
+    for p in mods:
+        _close(ws, e_parts, p.rows, p.cones)
+    if minimal:
+        _close(ws, e_parts, [f.apply(g) for f in maps for g in minimal_generators(f.source)])
+    for f in () if minimal else maps:
+        _span_image(ws, e_parts, f)
     grows = e_goal.rows
     for per in ring.maximal_ideal_terms():
-        shift = _row_map(_scalar_op(ws.ambient, per), ws, ws)
+        shift = _scalar_map(ws, per)
         for p in filter(None, map(shift, grows)):
             e_parts.add(p)
     inside = e_goal.contains_space(e_parts)
-    for f in known if not inside else ():
+    for f in maps if minimal and not inside else ():
         _span_image(ws, e_parts, f)
     lifts = [ws.vec_of(r) for r in grows if e_parts.add(r)]
     return lifts, inside

@@ -888,10 +888,12 @@ def test_nakayama_covers_match_closure_route(name):
 
 @pytest.mark.parametrize("name", ["semigroup_3_5", "tacnode", "triple_point"])
 def test_nakayama_covers_image_routes_agree(name):
-    # an image part is spanned from its source's minimal generators when
-    # they are known, else in full (again on a lower window when an image
-    # falls below it): both routes give the closure route's lifts and
-    # inside flag, inside or not
+    # an image part is spanned in full, or with minimal=True from its
+    # source's minimal generators (in full again when the parts are not
+    # inside): both routes give the closure route's lifts and inside flag,
+    # inside or not, with images below the goal's lo or not, and the
+    # minimal route gives the same whether or not the generators were
+    # computed before the call
     ring = _corpus_ring(name)
     rng = random.Random(name)
     lats = [ring.self_lattice, ring.maximal_ideal_lattice()]
@@ -899,17 +901,19 @@ def test_nakayama_covers_image_routes_agree(name):
     outside = below = 0
     for x in lats:
         for lat in lats:
-            f = _random_map(rng, x, lat)
-            fresh = Lattice(x.ring, x.ambient, x.lo, x.hi, x.basis)
-            unknown = LatticeMap(fresh, lat, f.mats)
-            minimal_generators(x)
-            cut = lat.nakayama_cut()
-            ref = _maximal_ideal_covers(lat, [f], cut)
-            assert fresh._mingens is None
-            assert nakayama_covers(lat, [f], cut) == nakayama_covers(lat, [unknown], cut) == ref
-            outside += not ref[1]
-            below += any(lat.ambient.branch_min_val(f.apply(v), 0) < min(lat.lo) for v in x.rows)
-    assert outside and below
+            maps = [_random_map(rng, x, lat)] + [hom_element_as_map(x, lat, g) for g in hom_lattice(x, lat).genset()[:1]]
+            for f in maps:
+                fresh = Lattice(x.ring, x.ambient, x.lo, x.hi, x.basis)
+                unknown = LatticeMap(fresh, lat, f.mats)
+                minimal_generators(x)
+                cut = lat.nakayama_cut()
+                ref = _maximal_ideal_covers(lat, [f], cut)
+                assert nakayama_covers(lat, [f], cut) == ref
+                assert nakayama_covers(lat, [f], cut, minimal=True) == nakayama_covers(lat, [unknown], cut, minimal=True) == ref
+                assert fresh._mingens == x._mingens
+                outside += not ref[1]
+                below += any(lat.ambient.branch_min_val(f.apply(v), 0) < min(lat.lo) for v in x.rows)
+    assert 0 < outside < len(lats) ** 2 * 2 and below
 
 
 def _constant_term_kernel(ring):
