@@ -21,15 +21,24 @@ GOLDEN = os.path.join(HERE, "golden")
 RINGS = sorted(
     os.path.splitext(name)[0] for name in os.listdir(os.path.join(DATA, "rings"))
 )
-MODULES = (
-    ("j_over_3_4", "semigroup_3_4"),
-    ("m_over_2_5", "semigroup_2_5"),
-    ("m_frac_over_2_5", "semigroup_2_5"),
-)
 
 
 def _ring(name):
     return os.path.join(DATA, "rings", name + ".json")
+
+
+# (golden name, module, ring file); a ring kept out of data/rings, as the
+# GF(32003) <3,4>, is no input of the ring, chain and gldim cases
+MODULES = (
+    ("resolve-j_over_3_4", "j_over_3_4", _ring("semigroup_3_4")),
+    ("resolve-m_over_2_5", "m_over_2_5", _ring("semigroup_2_5")),
+    ("resolve-m_frac_over_2_5", "m_frac_over_2_5", _ring("semigroup_2_5")),
+    (
+        "resolve-j_over_3_4-gf32003",
+        "j_over_3_4",
+        os.path.join(GOLDEN, "rings", "semigroup_3_4-gf32003.json"),
+    ),
+)
 
 
 def _cases():
@@ -37,9 +46,9 @@ def _cases():
     for ring in RINGS:
         cases.append((f"ring-{ring}", ["ring", "--input", _ring(ring)]))
         cases.append((f"chain-{ring}", ["chain", "--input", _ring(ring)]))
-    for module, ring in MODULES:
+    for name, module, ring in MODULES:
         path = os.path.join(DATA, "modules", module + ".json")
-        cases.append((f"resolve-{module}", ["resolve", "--ring", _ring(ring), "--module", path]))
+        cases.append((name, ["resolve", "--ring", ring, "--module", path]))
     for ring in RINGS:
         cases.append((f"gldim-{ring}", ["gldim", "--ring", _ring(ring)]))
     return cases
