@@ -717,13 +717,12 @@ class LatticeMap:
         return all(not e for m in self.mats for row in m for e in row)
 
     def is_injective(self):
-        field = self.source.ring.field
         for br in range(self.source.ambient.nbranches()):
             ncols = self.source.ambient.ranks[br]
             if ncols == 0:
                 continue
             rows = [list(r) for r in self.mats[br]]
-            if poly_matrix_rank(rows, ncols, field) < ncols:
+            if poly_matrix_rank(rows, ncols) < ncols:
                 return False
         return True
 

@@ -1,5 +1,5 @@
 """Exact linear algebra: echelon forms over the coefficient field and
-Gaussian elimination over the rational function field F(t) per branch.
+fraction-free elimination over F[t, 1/t] for ranks and kernels over F(t).
 
 The field-level ``Echelon`` is the workhorse behind every window
 computation; it maintains fully reduced rows (RREF) so that bases are
@@ -13,6 +13,7 @@ row operations (``clean``, ``monic``), so ``Echelon`` never branches on the
 field kind.
 """
 
+from .errors import ClaimViolation
 from .series import LaurentPoly, poly_gcd, laurent_exact_div
 
 
@@ -107,148 +108,82 @@ def nullspace_F(constraint_rows, ncols, field):
     return basis
 
 
-class RatFun:
-    """An element of F(t): num is a LaurentPoly, den a poly with den(0) != 0.
+def laurent_rref(rows, ncols):
+    """Fraction-free Gauss-Jordan over F[t, 1/t] (Bareiss) of LaurentPoly rows.
 
-    Keeping the denominator away from t = 0 means every RatFun has a genuine
-    t-adic valuation equal to num.valuation(), which downstream valuation
-    bounds rely on.
+    Returns (pivot_cols, reduced): the pivot rows, equal to d times the RREF
+    rows over F(t), d the last pivot entry.  Each step takes as pivot the
+    first remaining row nonzero in the column and updates every other row,
+    earlier pivot rows too, by row <- (p*row - row[c]*pivot_row) / d_prev.
+    Every entry is then an exact minor, so the division is exact and no entry
+    is ever normalized; an inexact one is a ClaimViolation.
     """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        field = num.field
-        if den is None:
-            den = LaurentPoly.one(field)
-        if den.is_zero():
-            raise ZeroDivisionError("RatFun with zero denominator")
-        # push any t-power of the denominator into the numerator
-        v = den.valuation()
-        if v != 0:
-            den = den.shift(-v)
-            num = num.shift(-v)
-        if num.is_zero():
-            den = LaurentPoly.one(field)
-        else:
-            g = poly_gcd(num.shift(-num.valuation()), den)
-            if g.degree() > 0:
-                nv = num.valuation()
-                num = laurent_exact_div(num, g)
-                den = laurent_exact_div(den, g)
-            lead = den.coeffs.get(den.degree())
-            if lead is not None and lead != field.one():
-                num = num.over(lead)
-                den = den.over(lead)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def zero(cls, field):
-        return cls(LaurentPoly.zero(field))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __mul__(self, other):
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("RatFun division by zero")
-        return RatFun(self.den, self.num)
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def __repr__(self):
-        if self.den == LaurentPoly.one(self.num.field):
-            return self.num.render()
-        return f"({self.num.render()})/({self.den.render()})"
-
-
-def ratfun_rref(rows, ncols, field):
-    """RREF over F(t) of a matrix given by LaurentPoly rows.
-
-    Returns (pivot_cols, reduced_rows) with reduced_rows over RatFun,
-    pivot entries normalized to 1.
-    """
-    work = [[RatFun(e) for e in row] for row in rows]
+    rows_left = [list(r) for r in rows if any(r)]
     pivot_cols = []
     reduced = []
-    col = 0
-    rows_left = [r for r in work if any(r)]
-    while col < ncols and rows_left:
-        pr = None
-        for r in rows_left:
-            if r[col]:
-                pr = r
-                break
-        if pr is None:
-            col += 1
+    d_prev = None
+    for col in range(ncols):
+        if not rows_left:
+            break
+        k = next((i for i, r in enumerate(rows_left) if r[col]), None)
+        if k is None:
             continue
-        rows_left.remove(pr)
-        inv = pr[col].inverse()
-        pr = [e * inv for e in pr]
+        pr = rows_left.pop(k)
+        p = pr[col]
         for rs in (rows_left, reduced):
             for i, r in enumerate(rs):
                 c = r[col]
-                if c:
-                    rs[i] = [a - c * b for a, b in zip(r, pr)]
+                out = []
+                for a, b in zip(r, pr):
+                    e = p * a - c * b if c and b else p * a
+                    if d_prev is not None and e:
+                        q = laurent_exact_div(e, d_prev)
+                        if q is None:
+                            raise ClaimViolation("fraction-free elimination: inexact division")
+                        e = q
+                    out.append(e)
+                rs[i] = out
         rows_left = [r for r in rows_left if any(r)]
         reduced.append(pr)
         pivot_cols.append(col)
-        col += 1
+        d_prev = p
     return pivot_cols, reduced
 
 
-def poly_matrix_rank(rows, ncols, field):
-    pivots, _ = ratfun_rref(rows, ncols, field)
-    return len(pivots)
+def poly_matrix_rank(rows, ncols):
+    """Rank over F(t) of a matrix given by LaurentPoly rows."""
+    return len(laurent_rref(rows, ncols)[0])
 
 
 def poly_nullspace(rows, ncols, field):
     """Nullspace basis of a LaurentPoly matrix over F(t).
 
-    Returns a list of (vector, free_col) where ``vector`` has LaurentPoly
-    entries obtained from the RREF basis vector by clearing denominators
-    with a polynomial of t-valuation 0.  Consequently, for any x in the
-    kernel, x = sum_j (x[free_j] / rho_j) * vector_j with val(x[free_j] /
-    rho_j) >= val(x[free_j]).
+    Returns a list of (vector, free_col), one per free column f of the RREF:
+    the primitive vector over F[t, 1/t] of that kernel line whose entry at f
+    has t-valuation 0 and leading coefficient 1.  Consequently, for any x in
+    the kernel, x = sum_j (x[free_j] / rho_j) * vector_j with rho_j =
+    vector_j[free_j] and val(x[free_j] / rho_j) >= val(x[free_j]).
     """
-    pivot_cols, reduced = ratfun_rref(rows, ncols, field)
-    pivot_set = set(pivot_cols)
-    free = [j for j in range(ncols) if j not in pivot_set]
+    pivot_cols, reduced = laurent_rref(rows, ncols)
+    d = reduced[-1][pivot_cols[-1]] if reduced else LaurentPoly.one(field)
+    zero = LaurentPoly.zero(field)
     basis = []
-    one = LaurentPoly.one(field)
-    for f in free:
-        entries = [RatFun.zero(field) for _ in range(ncols)]
-        entries[f] = RatFun(one)
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = [zero] * ncols
+        vec[f] = d
         for prow, p in zip(reduced, pivot_cols):
-            if prow[f]:
-                entries[p] = -prow[f]
-        # common denominator: product of distinct denominators (val 0 each)
-        rho = one
-        for e in entries:
-            if e and e.den.degree() > 0:
-                g = poly_gcd(rho, e.den)
-                extra = laurent_exact_div(e.den, g)
-                rho = rho * extra
-        vec = []
-        for e in entries:
-            if not e:
-                vec.append(LaurentPoly.zero(field))
-            else:
-                q = laurent_exact_div(rho, e.den)
-                vec.append(e.num * q)
-        basis.append((vec, f))
+            vec[p] = -prow[f]
+        # divide out the content: the gcd of the entries, t-powers aside
+        g = None
+        for e in vec:
+            if e:
+                e = e.shift(-e.valuation())
+                g = e if g is None else poly_gcd(g, e)
+        if g.degree() > 0:
+            vec = [laurent_exact_div(e, g) for e in vec]
+        lead = vec[f]
+        v, c = lead.valuation(), lead.coeffs[lead.degree()]
+        basis.append(([e.shift(-v).over(c) for e in vec], f))
     return basis

@@ -17,13 +17,19 @@ off a shift operator.  ``composite`` is the former composition route of
 ``endo``: Hom elements as ``LatticeMap``s, composed entry by entry as
 ``LaurentPoly`` products and flattened back into hom vectors, where
 ``lattice.hom_precompose`` and ``hom_induced_map`` now give operators.
+
+``RatFun``, ``ratfun_rref`` and ``reference_poly_nullspace`` are the former
+Gauss-Jordan over the field F(t), each entry a reduced fraction with a
+``poly_gcd`` per operation, and its kernel vectors with the denominators
+cleared by their lcm; ``linalg`` now eliminates fraction-free over
+F[t, 1/t].
 """
 
 import bisect
 
 from endochain.lattice import hom_ambient, hom_coord, hom_element_as_map
 from endochain.linalg import nullspace_F
-from endochain.series import LaurentPoly
+from endochain.series import LaurentPoly, laurent_exact_div, poly_gcd
 
 
 def kernel_row(field, dense):
@@ -244,3 +250,133 @@ def composite(x, y, z, b, a):
     """The hom vector of b o a, for hom vectors a of Hom(X, Y) and b of
     Hom(Y, Z)."""
     return flatten(hom_element_as_map(y, z, b).compose(hom_element_as_map(x, y, a)))
+
+
+class RatFun:
+    """An element of F(t): num is a LaurentPoly, den a poly with den(0) != 0.
+
+    Keeping the denominator away from t = 0 means every RatFun has a genuine
+    t-adic valuation equal to num.valuation().
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        field = num.field
+        if den is None:
+            den = LaurentPoly.one(field)
+        if den.is_zero():
+            raise ZeroDivisionError("RatFun with zero denominator")
+        # push any t-power of the denominator into the numerator
+        v = den.valuation()
+        if v != 0:
+            den = den.shift(-v)
+            num = num.shift(-v)
+        if num.is_zero():
+            den = LaurentPoly.one(field)
+        else:
+            g = poly_gcd(num.shift(-num.valuation()), den)
+            if g.degree() > 0:
+                num = laurent_exact_div(num, g)
+                den = laurent_exact_div(den, g)
+            lead = den.coeffs.get(den.degree())
+            if lead is not None and lead != field.one():
+                num = num.over(lead)
+                den = den.over(lead)
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def zero(cls, field):
+        return cls(LaurentPoly.zero(field))
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __add__(self, other):
+        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other):
+        return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return RatFun(-self.num, self.den)
+
+    def __mul__(self, other):
+        return RatFun(self.num * other.num, self.den * other.den)
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("RatFun division by zero")
+        return RatFun(self.den, self.num)
+
+    def __bool__(self):
+        return not self.num.is_zero()
+
+
+def ratfun_rref(rows, ncols, field):
+    """RREF over F(t) of a matrix given by LaurentPoly rows.
+
+    Returns (pivot_cols, reduced_rows) with reduced_rows over RatFun,
+    pivot entries normalized to 1.
+    """
+    work = [[RatFun(e) for e in row] for row in rows]
+    pivot_cols = []
+    reduced = []
+    col = 0
+    rows_left = [r for r in work if any(r)]
+    while col < ncols and rows_left:
+        pr = None
+        for r in rows_left:
+            if r[col]:
+                pr = r
+                break
+        if pr is None:
+            col += 1
+            continue
+        rows_left.remove(pr)
+        inv = pr[col].inverse()
+        pr = [e * inv for e in pr]
+        for rs in (rows_left, reduced):
+            for i, r in enumerate(rs):
+                c = r[col]
+                if c:
+                    rs[i] = [a - c * b for a, b in zip(r, pr)]
+        rows_left = [r for r in rows_left if any(r)]
+        reduced.append(pr)
+        pivot_cols.append(col)
+        col += 1
+    return pivot_cols, reduced
+
+
+def reference_poly_nullspace(rows, ncols, field):
+    """(vector, free_col) per free column of the RREF over F(t): the RREF
+    kernel vector with its denominators cleared by their lcm, a monic
+    polynomial of t-valuation 0."""
+    pivot_cols, reduced = ratfun_rref(rows, ncols, field)
+    pivot_set = set(pivot_cols)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    basis = []
+    one = LaurentPoly.one(field)
+    for f in free:
+        entries = [RatFun.zero(field) for _ in range(ncols)]
+        entries[f] = RatFun(one)
+        for prow, p in zip(reduced, pivot_cols):
+            if prow[f]:
+                entries[p] = -prow[f]
+        # common denominator: product of distinct denominators (val 0 each)
+        rho = one
+        for e in entries:
+            if e and e.den.degree() > 0:
+                g = poly_gcd(rho, e.den)
+                extra = laurent_exact_div(e.den, g)
+                rho = rho * extra
+        vec = []
+        for e in entries:
+            if not e:
+                vec.append(LaurentPoly.zero(field))
+            else:
+                q = laurent_exact_div(rho, e.den)
+                vec.append(e.num * q)
+        basis.append((vec, f))
+    return basis
