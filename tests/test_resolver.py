@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from endochain.errors import ClaimViolation
 from endochain.field import QQ
 from endochain.series import LaurentPoly, BranchVector
 from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
 from endochain.chain import build_chain_tree, chain_family
-from endochain import lattice
+from endochain import lattice, resolver
 from endochain.lattice import Lattice, LatticeMap, direct_sum, isomorphism, kernel_lattice
 from endochain.resolver import (
     Resolution,
@@ -191,3 +192,26 @@ def test_isomorphism_propagates_engine_errors(monkeypatch):
     monkeypatch.setattr(lattice, "is_surjective_onto", broken)
     with pytest.raises(RuntimeError, match="engine bug"):
         isomorphism(a, b)
+
+
+def test_recursion_depth_bound_is_twice_the_chain_depth(monkeypatch):
+    # R (+) E over <2,9>, chain depth n = 4: each chain level takes case (c),
+    # then case (b) one level down, so the recursion reaches its bound 2n;
+    # on a tree claiming one level less, the depth check raises
+    r = semigroup_ring(QQ, [2, 9])
+    tree = build_chain_tree(r)
+    lat, _ = direct_sum([r.self_lattice, normalization_lattice(r)])
+    depths = []
+    inner = resolver._resolve
+
+    def spy(ctx, n, depth=0):
+        depths.append(depth)
+        return inner(ctx, n, depth)
+
+    monkeypatch.setattr(resolver, "_resolve", spy)
+    res = keyred_resolve(lat, tree=tree)
+    assert res.length() == tree.n == 4 and res.all_certified()
+    assert max(depths) == 2 * tree.n
+    tree.n -= 1
+    with pytest.raises(ClaimViolation, match="deeper than twice the chain depth"):
+        keyred_resolve(lat, tree=tree, certify=False)
