@@ -717,14 +717,8 @@ class LatticeMap:
         return all(not e for m in self.mats for row in m for e in row)
 
     def is_injective(self):
-        for br in range(self.source.ambient.nbranches()):
-            ncols = self.source.ambient.ranks[br]
-            if ncols == 0:
-                continue
-            rows = [list(r) for r in self.mats[br]]
-            if poly_matrix_rank(rows, ncols) < ncols:
-                return False
-        return True
+        ranks = self.source.ambient.ranks
+        return all(poly_matrix_rank(m, ranks[br]) == ranks[br] for br, m in enumerate(self.mats))
 
     def render(self):
         return [
@@ -1037,10 +1031,7 @@ def kernel_lattice(f):
     ring = f.source.ring
     field = ring.field
     src = f.source.ambient
-    nulls = [
-        poly_nullspace([list(r) for r in f.mats[br]], src.ranks[br], field) if src.ranks[br] else []
-        for br in range(src.nbranches())
-    ]
+    nulls = [poly_nullspace(m, src.ranks[br], field) for br, m in enumerate(f.mats)]
     new_amb = Ambient([len(null) for null in nulls])
     entries = {}
     lo = [0] * new_amb.ncoords
