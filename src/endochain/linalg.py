@@ -11,6 +11,10 @@ row minus, for each pivot in its support, its entry there times that basis
 row: one pass over the row's own pivot columns.  The field supplies the
 row operations (``clean``, ``monic``), so ``Echelon`` never branches on the
 field kind.
+
+A map's matrix per branch has ``LaurentPoly`` entries: ``laurent_rref``
+eliminates it over F[t, 1/t] fraction-free (Bareiss), with no gcd per
+operation, for ``poly_matrix_rank`` and ``poly_nullspace``.
 """
 
 from .errors import ClaimViolation
