@@ -33,6 +33,7 @@ MODULES = (
     ("resolve-j_over_3_4", "j_over_3_4", _ring("semigroup_3_4")),
     ("resolve-m_over_2_5", "m_over_2_5", _ring("semigroup_2_5")),
     ("resolve-m_frac_over_2_5", "m_frac_over_2_5", _ring("semigroup_2_5")),
+    ("resolve-m_over_cusp_line", "m_over_cusp_line", _ring("cusp_line")),
     (
         "resolve-j_over_3_4-gf32003",
         "j_over_3_4",
