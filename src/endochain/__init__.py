@@ -23,7 +23,6 @@ from .lattice import (
     LatticeMap,
     hom_lattice,
     kernel_lattice,
-    image_lattice,
     largest_submodule_over,
     scalar_extension_test,
     lattice_sum,

@@ -8,9 +8,9 @@ form (equality as subrings of K).
 """
 
 from .series import BranchVector
-from .errors import AlreadyNormal, ClaimViolation, NotFullRank, NotLocal
+from .errors import AlreadyNormal, ClaimViolation, NotLocal
 from .curve_ring import build_ring, factor, normalization_lattice, ring_report
-from .lattice import Ambient, Lattice, direct_sum, hom_lattice, minimal_generators
+from .lattice import Ambient, direct_sum, hom_lattice, minimal_generators, placed_sum
 
 
 def end_of_maximal_ideal(ring):
@@ -103,39 +103,25 @@ def build_chain_tree(ring):
     return ChainTree(root)
 
 
-def embedded_lattice(base_ring, positions, lat):
-    """A lattice over a factor ring, living on a subset of base branches, as
-    a base-ring lattice.  ``positions[i]`` is the base branch carrying branch
-    i of the factor."""
+def embedded_lattice(base_ring, parts):
+    """Lattices over factor rings, each living on its own subset of base
+    branches, placed side by side as one base-ring lattice.  ``parts`` are
+    (positions, lattice) pairs; ``positions[i]`` is the base branch carrying
+    branch i of the factor."""
     ranks = [0] * base_ring.branches
-    for i, p in enumerate(positions):
-        ranks[p] = lat.ambient.ranks[i]
+    for positions, lat in parts:
+        for p, r in zip(positions, lat.ambient.ranks):
+            ranks[p] = r
     amb = Ambient(ranks)
-    field = base_ring.field
-    slots = [  # (base coordinate, factor coordinate)
-        (amb.coord(p, s), lat.ambient.coord(i, s))
-        for i, p in enumerate(positions)
-        for s in range(ranks[p])
-    ]
-    gens = []
-    for v in lat.basis:
-        vec = list(amb.zero_vec(field))
-        for c, c_small in slots:
-            vec[c] = v[c_small]
-        gens.append(tuple(vec))
-    tail = [0] * amb.ncoords
-    for c, c_small in slots:
-        tail[c] = lat.hi[c_small]
-        for m in range(base_ring.mx(amb.branch_of(c))):
-            gens.append(amb.unit_vec(field, c, tail[c] + m))
-    return Lattice.from_generators(base_ring, amb, gens, known_tail=tail)
+    placements = [[amb.coord(p, s) for p, r in zip(positions, lat.ambient.ranks) for s in range(r)] for positions, lat in parts]
+    return placed_sum(base_ring, amb, [lat for _, lat in parts], placements)
 
 
 def embedded_ring_lattice(base_ring, positions, s):
     """A chain ring S living on a subset of base branches, as a rank-one
     lattice over the base.  ``positions[i]`` is the base branch carrying
     branch i of S."""
-    return embedded_lattice(base_ring, positions, s.self_lattice)
+    return embedded_lattice(base_ring, [(positions, s.self_lattice)])
 
 
 class FamilyMember:
@@ -199,31 +185,16 @@ def representation_module(fam):
 
 
 def normalization_check(tree):
-    """True iff the leaf rings multiply out to E inside K."""
+    """True iff the leaf rings multiply out to E inside K: the leaves'
+    branches partition the root's, and their self-lattices, placed on
+    their branches, make up the normalization lattice."""
     root = tree.root
-    base = root.ring
+    leaves = tree.leaves()
+    if sorted(g for leaf in leaves for g in leaf.global_branches) != sorted(root.global_branches):
+        return False
     pos_of = {g: i for i, g in enumerate(root.global_branches)}
-    amb = Ambient([1] * base.branches)
-    field = base.field
-    gens = []
-    for leaf in tree.leaves():
-        positions = tuple(pos_of[g] for g in leaf.global_branches)
-        lat = embedded_ring_lattice(base, positions, leaf.ring)
-        for g in lat.genset():
-            vec = list(amb.zero_vec(field))
-            for i, p in enumerate(positions):
-                vec[amb.coord(p, 0)] = g[lat.ambient.coord(p, 0)]
-            gens.append(tuple(vec))
-    covered = set()
-    for leaf in tree.leaves():
-        covered.update(leaf.global_branches)
-    if covered != set(root.global_branches):
-        return False
-    try:
-        produced = Lattice.from_generators(base, amb, gens)
-    except NotFullRank:
-        return False
-    return produced == normalization_lattice(base)
+    parts = [(tuple(pos_of[g] for g in leaf.global_branches), leaf.ring.self_lattice) for leaf in leaves]
+    return embedded_lattice(root.ring, parts) == normalization_lattice(root.ring)
 
 
 def chain_json(tree):

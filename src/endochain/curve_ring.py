@@ -321,11 +321,6 @@ def ring_report(ring):
 
 
 def normalization_lattice(ring):
-    """E = prod F[[t_i]] as an R-lattice (generated by small monomials)."""
-    field = ring.field
-    amb = ring.self_lattice.ambient
-    gens = []
-    for br in range(ring.branches):
-        for mno in range(ring.mx(br)):
-            gens.append(amb.unit_vec(field, br, mno))
-    return Lattice.from_generators(ring, amb, gens, known_tail=[0] * ring.branches)
+    """E = prod F[[t_i]] as an R-lattice: no basis row, every tail at 0."""
+    zeros = (0,) * ring.branches
+    return Lattice(ring, ring.self_lattice.ambient, zeros, zeros, ())

@@ -247,7 +247,7 @@ def _column_lattice(alg, m, i):
             cmap.append(hom_coord(hamb, M, Xi, br, k, off[br] + l))
         placements.append(cmap)
         off = [o + r for o, r in zip(off, rj)]
-    return placed_sum(hamb, lats, placements)
+    return placed_sum(alg.ring, hamb, lats, placements)
 
 
 # -- Gamma-lattices ------------------------------------------------------------------

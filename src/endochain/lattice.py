@@ -35,7 +35,11 @@ C's rows and cones without closure (``_span_image``): so are the Nakayama
 span identity ``nakayama_covers``, which certifies surjectivity and
 exactness, and ``endo``'s composites with arrows (``hom_precompose``).
 Hom, overring and kernel constraints are read off operators too
-(``solve_constrained_window``).
+(``solve_constrained_window``).  A canonical lattice moves between rings
+and coordinate layouts by ``placed_sum``, which places its basis rows and
+tails with no closure: direct sums, a factor ring's lattice on its
+branches, and the projection e_T * N of an R1-stable N.
+``Lattice.from_generators`` R-closes generators from outside the engine.
 
 Kernels are computed once, by ``kernel_lattice``: a canonical lattice in
 fresh coordinates plus its embedding; ``kernel_window_module`` is its image.
@@ -542,8 +546,11 @@ class Lattice(Module):
         return cls._canonicalize(ring, ambient, lo_bound, valid_hi, ech, ws)
 
     @classmethod
-    def from_generators(cls, ring, ambient, gens, known_tail=None):
-        """Build the lattice generated by ``gens`` over ``ring``.
+    def from_generators(cls, ring, ambient, gens):
+        """Build the lattice generated by ``gens`` over ``ring`` by R-closure;
+        for generators from outside the engine (module files, generated test
+        lattices).  Lattices the engine holds move between rings and layouts
+        by ``placed_sum``, which needs no closure.
 
         Requires full per-branch rank (the torsion-free contract); raises
         NotFullRank otherwise.  A valid tail is derived from per-branch
@@ -552,23 +559,20 @@ class Lattice(Module):
         gens = [g for g in gens if not ambient.vec_is_zero(g)]
         lo = valuation_floor(gens, [INF] * ambient.ncoords)
         lo = [0 if v is INF else v for v in lo]
-        if known_tail is not None:
-            hi = list(known_tail)
-        else:
-            hi = [0] * ambient.ncoords
-            for br in range(ambient.nbranches()):
-                if ambient.ranks[br] == 0:
-                    continue
-                vecs = [ambient.branch_parts(g, br) for g in gens]
-                pivots = dvr_pivots(ring.field, [v for v in vecs if any(v)], ambient.ranks[br])
-                if pivots is None:
-                    raise NotFullRank(
-                        "generators do not span the ambient on a branch",
-                        branch=br,
-                    )
-                h = ring.conductor[br] + sum(p[1] for p in pivots)
-                for coord in ambient.coords_of(br):
-                    hi[coord] = h
+        hi = [0] * ambient.ncoords
+        for br in range(ambient.nbranches()):
+            if ambient.ranks[br] == 0:
+                continue
+            vecs = [ambient.branch_parts(g, br) for g in gens]
+            pivots = dvr_pivots(ring.field, [v for v in vecs if any(v)], ambient.ranks[br])
+            if pivots is None:
+                raise NotFullRank(
+                    "generators do not span the ambient on a branch",
+                    branch=br,
+                )
+            h = ring.conductor[br] + sum(p[1] for p in pivots)
+            for coord in ambient.coords_of(br):
+                hi[coord] = h
         hi = [max(h, l) for h, l in zip(hi, lo)]
         return cls.from_module_data(ring, ambient, gens, [], lo, hi)
 
@@ -753,7 +757,7 @@ def direct_sum(lats):
                 cmap[l.ambient.coord(br, s)] = amb.coord(br, used[br] + s)
             used[br] += l.ambient.ranks[br]
         placements.append(cmap)
-    out = placed_sum(amb, lats, placements)
+    out = placed_sum(lats[0].ring, amb, lats, placements)
     one = LaurentPoly.one(out.ring.field)
     injections = []
     for l, cmap in zip(lats, placements):
@@ -765,25 +769,41 @@ def direct_sum(lats):
     return out, injections
 
 
-def placed_sum(amb, lats, placements):
-    """The lattice (+) lats in ``amb``, coordinate c of lats[a] placed at
-    coordinate placements[a][c] (each coordinate of ``amb`` used once)."""
-    ring = lats[0].ring
-    field = ring.field
-    zero = LaurentPoly.zero(field)
+def placed_sum(ring, amb, lats, placements):
+    """The lattice (+) lats over ``ring`` in ``amb``: coordinate c of lats[a]
+    goes to coordinate placements[a][c], or is projected away when that is
+    None; every coordinate of ``amb`` is placed once.
+
+    Placement is the closure-free constructor: each source is canonical and
+    stable under ``ring`` (a subring of its own ring, on the placed
+    branches), so its placed basis rows and tails are those of the sum, with
+    the sources' minimal lo and hi.  A projection is e_T * N, which is a
+    summand exactly when every basis row is kept whole or dropped whole (the
+    RREF basis of a direct sum on disjoint columns is the union of the
+    summands' bases); a row kept in part raises ClaimViolation."""
+    if sorted(c for cmap in placements for c in cmap if c is not None) != list(range(amb.ncoords)):
+        raise ClaimViolation("placements do not cover each coordinate once", ranks=amb.ranks)
+    zero = LaurentPoly.zero(ring.field)
     lo = [0] * amb.ncoords
     hi = [0] * amb.ncoords
     rows = []
     for l, cmap in zip(lats, placements):
         for c_small, c_big in enumerate(cmap):
-            lo[c_big] = l.lo[c_small]
-            hi[c_big] = l.hi[c_small]
+            if c_big is not None:
+                lo[c_big] = l.lo[c_small]
+                hi[c_big] = l.hi[c_small]
         for v in l.basis:
+            kept = [c_big is not None for a, c_big in zip(v, cmap) if a]
+            if not any(kept):
+                continue
+            if not all(kept):
+                raise ClaimViolation("a placement splits a basis row", ranks=l.ambient.ranks)
             big = [zero] * amb.ncoords
-            for c_small, c_big in enumerate(cmap):
-                big[c_big] = v[c_small]
+            for a, c_big in zip(v, cmap):
+                if c_big is not None:
+                    big[c_big] = a
             rows.append(tuple(big))
-    ws = WindowSpace(field, amb, lo, hi)
+    ws = WindowSpace(ring.field, amb, lo, hi)
     ech = ws.echelon()
     _close(ws, ech, rows)
     out = Lattice(ring, amb, lo, hi, tuple(ws.vec_of(r) for r in ech.rows))
@@ -1073,14 +1093,6 @@ def kernel_window_module(f):
     ker = Module(f.source.ring, src, rows, cones, f.source.lo, skel)
     tops = _branch_tops(src, f.source.hi)
     return ker, ker.deep_cut([tops[src.branch_of(c)] for c in range(src.ncoords)])
-
-
-def image_lattice(f):
-    """im(f) materialized as a canonical lattice (requires full rank in the
-    target ambient; ``nakayama_covers`` spans images of any rank)."""
-    return Lattice.from_generators(
-        f.source.ring, f.target.ambient, [f.apply(g) for g in f.source.genset()]
-    )
 
 
 def nakayama_covers(goal, parts, cut, minimal=False):

@@ -28,6 +28,7 @@ from .lattice import (
     kernel_lattice,
     largest_submodule_over,
     nakayama_covers,
+    placed_sum,
     scalar_extension_test,
 )
 from .chain import build_chain_tree, chain_family, embedded_lattice
@@ -162,10 +163,6 @@ def _free_cover_data(n, n1):
     return lifts
 
 
-def _zero_lattice(ring, nbranches):
-    return Lattice(ring, Ambient([0] * nbranches), (), (), ())
-
-
 def _resolve(ctx, n, depth=0):
     """Resolve n over ctx's ring; ``depth`` counts the calls above this one.
 
@@ -254,56 +251,44 @@ def _resolve(ctx, n, depth=0):
 
 
 def _restrict_to_factor(n, positions, child_ring):
-    """e_T * N as a lattice over the factor ring (projection to T-branches)."""
+    """e_T * N as a lattice over the factor ring: the projection of N onto
+    the T-branches, a summand as N is R1-stable."""
     amb = n.ambient
     camb = Ambient([amb.ranks[p] for p in positions])
-    slots = [amb.coord(p, s) for p in positions for s in range(amb.ranks[p])]
-    gens = [tuple(g[c] for c in slots) for g in n.genset()]
-    return Lattice.from_generators(child_ring, camb, gens, known_tail=[n.hi[c] for c in slots])
+    cmap = [None] * amb.ncoords
+    for i, p in enumerate(positions):
+        for s in range(amb.ranks[p]):
+            cmap[amb.coord(p, s)] = camb.coord(i, s)
+    return placed_sum(child_ring, camb, [n], [cmap])
 
 
 def _resolve_split(ctx, n, depth):
     """Case (b) with several idempotent factors: resolve each projection and
-    take the direct sum of the sequences."""
+    place the factors' terms side by side, each on its own branches."""
     ring = ctx.ring
     subs = []
     for T, cctx in ctx.children():
         sub = _resolve(cctx, _restrict_to_factor(n, T, cctx.ring), depth + 1)
-        subs.append((T, cctx, sub))
-    length = max(len(sub.terms) for _, _, sub in subs)
-    terms = []
-    maps = []
-    embedded = []  # per sub: list of embedded term lattices
-    tag_maps = []
-    for positions, cctx, sub in subs:
-        embedded.append([embedded_lattice(ring, positions, t.lattice) for t in sub.terms])
         tmap = {}
         for mem in cctx.family().members:
-            pm = ctx.family().find(embedded_lattice(ring, positions, mem.lattice))
+            pm = ctx.family().find(embedded_lattice(ring, [(T, mem.lattice)]))
             if pm is None:
                 raise FailedDecomposition("factor family member missing upstairs")
             tmap[mem.lattice.key()] = pm.lattice
-        tag_maps.append(tmap)
-    zero = _zero_lattice(ring, ring.branches)
+        subs.append((T, sub, tmap))
+    length = max(len(sub.terms) for _, sub, _ in subs)
+    terms = []
+    maps = []
     for j in range(length):
-        blocks = []
-        tags = []
-        for idx, (positions, cctx, sub) in enumerate(subs):
-            if j < len(sub.terms):
-                blocks.append(embedded[idx][j])
-                tags.extend(
-                    tag_maps[idx][tg.key()] for tg in sub.terms[j].tags
-                )
-            else:
-                blocks.append(zero)
-        cj, _ = direct_sum(blocks)
-        terms.append(Term(cj, tags))
+        parts = [(T, sub.terms[j], tmap) for T, sub, tmap in subs if j < len(sub.terms)]
+        cj = embedded_lattice(ring, [(T, t.lattice) for T, t, _ in parts])
+        terms.append(Term(cj, [tmap[tg.key()] for _, t, tmap in parts for tg in t.tags]))
     # maps: factors live on disjoint branches, so per-branch blocks are just
     # the owning factor's matrices
     for j in range(length):
         tgt = n if j == 0 else terms[j - 1].lattice
         entries = {}
-        for positions, cctx, sub in subs:
+        for positions, sub, _ in subs:
             if j < len(sub.maps):
                 for i, p in enumerate(positions):
                     for k, row in enumerate(sub.maps[j].mats[i]):

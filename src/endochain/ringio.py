@@ -9,7 +9,8 @@ Module file:  {"ambient_rank": [r_i],
                "tail": [[ints per slot] per branch]}   (tail optional)
 
 Coefficients are decimal strings; rationals may be "p/q".  Exponents, ranks,
-tails and semigroup entries are JSON integers.  A module's tail is always
+tails and semigroup entries are JSON integers; branches are positive and
+ranks non-negative.  A module's tail is always
 derived from its generators; a claimed tail below the derived one is a
 SchemaError.
 """
@@ -47,6 +48,8 @@ def ring_from_json(obj, window_hint=None):
         raw_gens = obj["generators"]
     except KeyError as e:
         raise SchemaError(f"ring definition missing {e}")
+    if branches < 1:
+        raise SchemaError("branches must be a positive integer", branches=branches)
     if not isinstance(raw_gens, list):
         raise SchemaError("ring generators must be a list")
     gens = []
@@ -88,6 +91,8 @@ def lattice_from_json(obj, ring):
         raise SchemaError(f"module definition missing {e}")
     if len(ranks) != ring.branches:
         raise SchemaError("ambient_rank must list one rank per branch")
+    if min(ranks) < 0:
+        raise SchemaError("ambient_rank entries must be non-negative", ambient_rank=ranks)
     amb = Ambient(ranks)
     field = ring.field
     if not isinstance(raw, list):

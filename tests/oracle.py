@@ -23,11 +23,14 @@ Gauss-Jordan over the field F(t), each entry a reduced fraction with a
 ``poly_gcd`` per operation, and its kernel vectors with the denominators
 cleared by their lcm; ``linalg`` now eliminates fraction-free over
 F[t, 1/t].
+
+``image_lattice`` materializes an image by R-closure of f of the source's
+generators; the engine spans images without building them as lattices.
 """
 
 import bisect
 
-from endochain.lattice import hom_ambient, hom_coord, hom_element_as_map
+from endochain.lattice import Lattice, hom_ambient, hom_coord, hom_element_as_map
 from endochain.linalg import nullspace_F
 from endochain.series import LaurentPoly, laurent_exact_div, poly_gcd
 
@@ -380,3 +383,8 @@ def reference_poly_nullspace(rows, ncols, field):
                 vec.append(e.num * q)
         basis.append((vec, f))
     return basis
+
+
+def image_lattice(f):
+    """im(f) as a canonical lattice (full rank in the target ambient)."""
+    return Lattice.from_generators(f.source.ring, f.target.ambient, [f.apply(g) for g in f.source.genset()])

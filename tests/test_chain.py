@@ -12,8 +12,9 @@ from endochain.chain import (
     normalization_check,
     representation_module,
 )
+from endochain import chain
 from endochain.errors import AlreadyNormal, NotLocal
-from endochain.lattice import Lattice, minimal_generators
+from endochain.lattice import minimal_generators
 from oracle import end_chain_value_sets
 
 
@@ -202,16 +203,30 @@ def test_embedded_member_lattice():
 
 
 def test_normalization_check_propagates_engine_errors(monkeypatch):
-    # only NotFullRank means "the leaves do not multiply out"; other errors surface
+    # only leaves that do not partition the root's branches give False;
+    # an error from placing the leaf lattices surfaces
     tree = build_chain_tree(semigroup_ring(QQ, [2, 5]))
     assert normalization_check(tree)
-    original = Lattice.from_generators
 
-    def broken(cls, ring, ambient, gens, known_tail=None):
-        if known_tail is None:  # the product of the leaves, not the leaf lattices
-            raise RuntimeError("engine bug")
-        return original(ring, ambient, gens, known_tail=known_tail)
+    def broken(*args):
+        raise RuntimeError("engine bug")
 
-    monkeypatch.setattr(Lattice, "from_generators", classmethod(broken))
+    monkeypatch.setattr(chain, "placed_sum", broken)
     with pytest.raises(RuntimeError, match="engine bug"):
         normalization_check(tree)
+
+
+def test_normalization_check_negative_controls():
+    # doctored trees: two leaves on one branch, a root branch with no leaf,
+    # and a leaf that is not a DVR
+    tree = build_chain_tree(node_ring())
+    assert normalization_check(tree)
+    a, b = tree.leaves()
+    b.global_branches = a.global_branches
+    assert not normalization_check(tree)
+    tree = build_chain_tree(node_ring())
+    tree.root.children.pop()
+    assert not normalization_check(tree)
+    tree = build_chain_tree(semigroup_ring(QQ, [2, 3]))
+    tree.leaves()[0].ring = tree.root.ring
+    assert not normalization_check(tree)

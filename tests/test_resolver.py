@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -6,15 +7,16 @@ from endochain.errors import ClaimViolation
 from endochain.field import QQ
 from endochain.series import LaurentPoly, BranchVector
 from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
-from endochain.chain import build_chain_tree, chain_family
-from endochain import lattice, resolver
-from endochain.lattice import Lattice, LatticeMap, direct_sum, isomorphism, kernel_lattice
+from endochain.chain import build_chain_tree, chain_family, representation_module
+from endochain import lattice, resolver, ringio
+from endochain.lattice import Ambient, Lattice, LatticeMap, direct_sum, isomorphism, kernel_lattice
 from endochain.resolver import (
     Resolution,
     keyred_resolve,
     resolve_presented_module,
     verify_hom_exactness,
 )
+from endochain.verify import generated_test_lattices
 
 
 T = LaurentPoly.monomial(QQ, 1)
@@ -215,3 +217,86 @@ def test_recursion_depth_bound_is_twice_the_chain_depth(monkeypatch):
     tree.n -= 1
     with pytest.raises(ClaimViolation, match="deeper than twice the chain depth"):
         keyred_resolve(lat, tree=tree, certify=False)
+
+
+# -- the placement route against the R-closure route -----------------------------------
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+PLACEMENT_RINGS = sorted(os.path.splitext(n)[0] for n in os.listdir(os.path.join(DATA, "rings"))) + ["gf32003/semigroup_3_4"]
+
+
+def _load_ring(name):
+    if name.startswith("gf32003/"):
+        path = os.path.join(os.path.dirname(__file__), "golden", "rings", name.split("/")[1] + "-gf32003.json")
+    else:
+        path = os.path.join(DATA, "rings", name + ".json")
+    return ringio.ring_from_json(ringio.load_json(path))
+
+
+def _embedding_gens(base, positions, lat):
+    """The former generators of ``embedded_lattice``: the factor's basis rows
+    on the base branches plus each coordinate's tail monomials t^(hi + m),
+    m < mx."""
+    ranks = [0] * base.branches
+    for i, p in enumerate(positions):
+        ranks[p] = lat.ambient.ranks[i]
+    amb = Ambient(ranks)
+    slots = [(amb.coord(p, s), lat.ambient.coord(i, s)) for i, p in enumerate(positions) for s in range(ranks[p])]
+    gens = []
+    for v in lat.basis:
+        vec = list(amb.zero_vec(base.field))
+        for c, c_small in slots:
+            vec[c] = v[c_small]
+        gens.append(tuple(vec))
+    for c, c_small in slots:
+        for m in range(base.mx(amb.branch_of(c))):
+            gens.append(amb.unit_vec(base.field, c, lat.hi[c_small] + m))
+    return amb, gens
+
+
+@pytest.mark.parametrize("name", PLACEMENT_RINGS)
+def test_placement_route_matches_closure_route(monkeypatch, name):
+    # family members, split projections and E, placed without R-closure,
+    # are the R-closures of the generators the former closure route used
+    ring = _load_ring(name)
+    tree = build_chain_tree(ring)
+    for node in tree.nodes():
+        pos_of = {g: i for i, g in enumerate(node.global_branches)}
+        for mem in chain_family(tree, node).members:
+            positions = tuple(pos_of[g] for g in mem.node.global_branches)
+            amb, gens = _embedding_gens(node.ring, positions, mem.node.ring.self_lattice)
+            assert mem.lattice.key() == Lattice.from_generators(node.ring, amb, gens).key()
+    e = normalization_lattice(ring)
+    amb = ring.self_lattice.ambient
+    gens = [amb.unit_vec(ring.field, br, m) for br in range(ring.branches) for m in range(ring.mx(br))]
+    assert e.key() == Lattice.from_generators(ring, amb, gens).key()
+
+    seen = []
+    original = resolver._restrict_to_factor
+
+    def spy(n, positions, child_ring):
+        out = original(n, positions, child_ring)
+        seen.append((n, positions, child_ring, out))
+        return out
+
+    monkeypatch.setattr(resolver, "_restrict_to_factor", spy)
+    lats = [lat for _, lat in generated_test_lattices(random.Random(f"{name}/0"), ring, tree, count=4)]
+    for lat in lats + [representation_module(chain_family(tree))[0]]:
+        keyred_resolve(lat, tree=tree, certify=False)
+    assert bool(seen) == (ring.branches > 1)  # M reaches a split on every multi-branch ring
+    for n, positions, child_ring, out in seen:
+        amb = n.ambient
+        slots = [amb.coord(p, s) for p in positions for s in range(amb.ranks[p])]
+        gens = [tuple(g[c] for c in slots) for g in n.genset()]
+        assert out.key() == Lattice.from_generators(child_ring, out.ambient, gens).key()
+
+
+def test_restriction_keeps_basis_rows_whole():
+    # the node's self-lattice has the basis row 1 = (1, 1), which straddles
+    # both branches: it is no direct sum of its projections
+    r = build_ring(QQ, 2, [BranchVector([T, Z]), BranchVector([Z, T])])
+    tree = build_chain_tree(r)
+    (T0, child), _ = tree.root.children
+    assert T0 == (0,)
+    with pytest.raises(ClaimViolation):
+        resolver._restrict_to_factor(r.self_lattice, T0, child.ring)
