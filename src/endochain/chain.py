@@ -18,7 +18,8 @@ def end_of_maximal_ideal(ring):
 
     Its algebra generators are the minimal generators of End(m) over R and
     of m: F[m/m^2 lifts] is m-adically dense in R and m^k lies in t^k E, so
-    they generate End(m) densely modulo t^N E, as ``_close`` needs.
+    they generate End(m) densely modulo t^N E, as ``_close`` needs.  Its
+    conductor is at most R's, as End(m) contains R, which contains t^c E.
     """
     if not ring.is_local:
         raise NotLocal("End(m) chain step needs a local ring")
@@ -27,7 +28,7 @@ def end_of_maximal_ideal(ring):
     m = ring.maximal_ideal_lattice()
     h = hom_lattice(m, m)
     gens = [BranchVector(v) for v in minimal_generators(h) + minimal_generators(m)]
-    s1 = build_ring(ring.field, ring.branches, gens)
+    s1 = build_ring(ring.field, ring.branches, gens, conductor_bound=ring.conductor)
     if s1.delta() >= ring.delta():
         raise ClaimViolation(
             "End(m) did not strictly enlarge the ring",

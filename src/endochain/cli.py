@@ -2,8 +2,8 @@
 
 Subcommands: ring, chain, resolve, gldim, verify.  Exit status 0 on success,
 1 with a machine-readable error object for engine errors, 2 for I/O or
-schema problems.  --double-check recomputes every report at twice the build
-window and insists on identical output.
+schema problems.  --double-check recomputes every report at twice the root
+ring's build window and insists on identical output.
 """
 
 import argparse
@@ -212,21 +212,22 @@ def main(argv=None):
         args.pd_cap = int(os.environ.get("ENDOCHAIN_PD_CAP", "16"))
     try:
         out = globals()[f"cmd_{args.command}"](args)
-        if isinstance(out, tuple):
-            payload, status = out
-        else:
-            payload, status = out, 0
-        _emit(args, payload)
-        return status
+        payload, status = out if isinstance(out, tuple) else (out, 0)
     except SchemaError as e:
-        _emit(args, e.as_json())
-        return 2
+        payload, status = e.as_json(), 2
     except EndochainError as e:
-        _emit(args, e.as_json())
-        return 1
+        payload, status = e.as_json(), 1
     except OSError as e:
-        _emit(args, {"code": "IOError", "message": str(e), "context": {}})
+        payload, status = {"code": "IOError", "message": str(e), "context": {}}, 2
+    try:
+        _emit(args, payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone, so no report can reach it; on devnull the
+        # exit-time flush of what is left cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -1,16 +1,20 @@
 """Reduced complete one-dimensional rings R inside E = prod_i F[[t_i]].
 
 A ring is built from algebra generators by multiplicative closure on a
-finite exponent window.  Once the closure stabilizes and exhibits a
-conductor c (every monomial t^m e_i with m >= c_i visible in the window
-span), the complete subalgebra genuinely contains t^c E: deeper monomials
-are obtained by successive approximation inside the closed algebra, so the
-window data determines the ring exactly.  The canonical representation is
-the window basis on [0, c) plus the conductor tail.  The ring keeps the
-generators it was built from as ``CurveRing.gens``: R is the closure of
-F[gens], so they are the multipliers of every later R-closure (``_close``).
-On a local ring they give m = sum (g - g(0)) * R (``maximal_ideal_gens``),
-which contains t^mx * e_br for the Nakayama depth mx = max(c_br, 1).
+finite exponent window [0, w).  Once the closure exhibits a conductor c
+(every monomial t^m e_i with m >= c_i visible in the window span) with
+w >= 2c + maxdeg + 2, the complete subalgebra genuinely contains t^c E:
+deeper monomials are obtained by successive approximation inside the closed
+algebra, so the window data determines the ring exactly.  Where a bound
+B >= c(R) is proven (Schur's in ``semigroup_ring``, the parent's conductor
+in ``factor`` and ``chain.end_of_maximal_ideal``), one closure at
+w = 2 max(B) + maxdeg + 2 passes (``build_ring``).  The canonical
+representation is the window basis on [0, c) plus the conductor tail.  The
+ring keeps the generators it was built from as ``CurveRing.gens``: R is the
+closure of F[gens], so they are the multipliers of every later R-closure
+(``_close``).  On a local ring they give m = sum (g - g(0)) * R
+(``maximal_ideal_gens``), which contains t^mx * e_br for the Nakayama depth
+mx = max(c_br, 1).
 """
 
 import itertools
@@ -135,15 +139,22 @@ class CurveRing:
         return f"CurveRing(b={self.branches}, conductor={self.conductor})"
 
 
-def build_ring(field, branches, generators, window_hint=None, max_window=192):
+def build_ring(field, branches, generators, window_hint=None, max_window=192, conductor_bound=None):
     """Construct the complete subalgebra of E generated by the given
     branch vectors (1 is always adjoined, so constant multiples of 1 are
     dropped from ``gens``).
 
-    Raises NoFiniteConductor when no window up to max_window exhibits a
-    conductor, and ResidueFieldTooLarge for local rings with residue field
-    bigger than F.  For general generators the cap is the fixed default 192;
-    ``semigroup_ring`` passes a cap proven from the conductor bound.
+    The closure on [0, w) is accepted once w >= 2 c(w) + maxdeg + 2, c(w)
+    the conductor it shows.  For w > c(R), pi_w(R) contains pi_w(t^c E), so
+    c(w) <= c(R); and c(w) <= c(w') for w < w', as pi_w(R) is the
+    projection of pi_w'(R).  Given a per-branch ``conductor_bound``
+    B >= c(R), the only window (and cap) is w0 = 2 max(B) + maxdeg + 2,
+    accepted at once; a c(w0) above B on some branch (a wrong bound) raises
+    NoFiniteConductor.  Without one, a closure showing c(w) moves to
+    2 c(w) + maxdeg + 2, so never past a window the rule accepts, and one
+    showing none doubles w, up to ``max_window`` (192 for generator input).
+    Raises ResidueFieldTooLarge for local rings with residue field bigger
+    than F.
     """
     unit = BranchVector.one(field, branches)
     gens = []
@@ -162,9 +173,11 @@ def build_ring(field, branches, generators, window_hint=None, max_window=192):
         for p in g.parts:
             if p:
                 maxdeg = max(maxdeg, p.degree())
-    w = window_hint or (2 * maxdeg + 6)
-    w = max(w, 4)
-    max_window = max(max_window, 2 * w)
+    if conductor_bound is None:
+        w = max(window_hint or 2 * maxdeg + 6, 4)
+        max_window = max(max_window, 2 * w)
+    else:
+        w = max_window = max(window_hint or 0, 2 * max(conductor_bound) + maxdeg + 2)
     amb = Ambient([1] * branches)
     one = tuple(unit.parts)
     while True:
@@ -172,32 +185,27 @@ def build_ring(field, branches, generators, window_hint=None, max_window=192):
         ws = WindowSpace(field, amb, [0] * branches, [w] * branches)
         ech = ws.echelon()
         _close(ws, ech, [one], mults=gens)
+        # t^e e_br (column br * w + e) is in the span iff its column is a
+        # pivot whose RREF row is that unit row
         conductor = []
-        ok = True
         for br in range(branches):
             e = w
-            while e - 1 >= 0:
-                mono = amb.unit_vec(field, br, e - 1)
-                if ech.contains(ws.row_of(mono)):
-                    e -= 1
-                else:
-                    break
-            if e == w:
-                ok = False
-                break
+            while e and ech.by_pivot.get(br * w + e - 1) == {br * w + e - 1: 1}:
+                e -= 1
             conductor.append(e)
-        if ok and w >= 2 * max(conductor, default=0) + maxdeg + 2:
+        need = 2 * max(conductor) + maxdeg + 2 if max(conductor) < w else 2 * w
+        if w >= need and all(c <= b for c, b in zip(conductor, conductor_bound or conductor)):
             break
-        w *= 2
-        if w > max_window:
-            raise NoFiniteConductor(
-                "closure exhibits no conductor below the window cap",
-                window=max_window,
-            )
-    # canonical window basis on [0, conductor)
+        if need > max_window or conductor_bound is not None:
+            raise NoFiniteConductor("closure exhibits no conductor below the window cap", window=max_window)
+        w = need
+    # canonical window basis on [0, conductor): every other RREF row is zero
+    # at the unit tail pivots, so the rows pivoting below the tail, cut at
+    # the conductor columns, are the RREF of the span's projection
     ws2 = WindowSpace(field, amb, [0] * branches, conductor)
     ech2 = ws2.echelon()
-    _close(ws2, ech2, [ws.vec_of(r) for r in ech.rows])
+    ix = [ws2.index.get(ce) for ce in ws.cols]
+    ech2.by_pivot = {ix[p]: {ix[j]: x for j, x in r.items()} for p, r in ech.by_pivot.items() if ix[p] is not None}
     basis = [ws2.vec_of(r) for r in ech2.rows]
     atoms = _branch_atoms(field, branches, ws2, ech2, conductor)
     ring = CurveRing(field, branches, conductor, basis, atoms, w, gens)
@@ -237,13 +245,10 @@ def _branch_atoms(field, branches, ws, ech, conductor):
 
 
 def semigroup_ring(field, semigroup_generators, **kw):
-    """Single-branch monomial ring F[[t^a : a in generators]].
-
-    The window cap is proven: by Schur's bound the conductor c is at most
-    (a_min - 1)(a_max - 1), and build_ring stops at the first doubled window
-    w >= 2c + a_max + 2, so w never exceeds 2 (2 (a_min - 1)(a_max - 1) +
-    a_max + 2).
-    """
+    """Single-branch monomial ring F[[t^a : a in generators]], built at the
+    window proven by Schur's bound: the conductor is at most
+    (a_min - 1)(a_max - 1), as every integer from there on is a sum of the
+    generators."""
     gens = [int(a) for a in semigroup_generators]
     if not gens or any(a <= 0 for a in gens):
         raise SchemaError("semigroup generators must be positive integers")
@@ -253,8 +258,7 @@ def semigroup_ring(field, semigroup_generators, **kw):
     if g != 1:
         raise NotCoprime("semigroup generators must have gcd 1", gcd=g)
     bvs = [BranchVector.monomial(field, 1, 0, a) for a in gens]
-    a_min, a_max = min(gens), max(gens)
-    kw.setdefault("max_window", 2 * (2 * (a_min - 1) * (a_max - 1) + a_max + 2))
+    kw.setdefault("conductor_bound", [(min(gens) - 1) * (max(gens) - 1)])
     return build_ring(field, 1, bvs, **kw)
 
 
@@ -272,13 +276,14 @@ def factor(ring, T):
     """The direct factor e_T * R as a ring on the branches of T, built from
     the parent's generators restricted to T: r -> e_T * r is a continuous
     surjection onto e_T * R, so it carries a dense F[gens] onto a dense
-    F[e_T * gens]."""
+    F[e_T * gens].  Its conductor is at most the parent's on T, as e_T * R
+    contains e_T * t^c E."""
     T = tuple(sorted(set(T)))
     eT = BranchVector.indicator(ring.field, ring.branches, set(T))
     if not ring.self_lattice.member(tuple(eT.parts)):
         raise NotIdempotentFactor("e_T does not lie in the ring", subset=T)
     gens = [BranchVector([bv.parts[b] for b in T]) for bv in ring.gens]
-    return build_ring(ring.field, len(T), gens)
+    return build_ring(ring.field, len(T), gens, conductor_bound=[ring.conductor[b] for b in T])
 
 
 @dataclass

@@ -75,6 +75,7 @@ class EndoAlgebra:
         self.k = len(summands)
         self.labels = list(labels) if labels else [f"X{i}" for i in range(self.k)]
         self.hom = hom
+        self.col_blocks = {}  # column types -> (T, blocks) of GammaLattice
         self.rad_diag = [diagonal_radical(self, i) for i in range(self.k)]
         self.arrows = self.rad_gens()
         _certify_arrows(self)
@@ -262,18 +263,24 @@ class GammaLattice:
     Q = (+)_j Q e_j as an R-module, with Q e_j inside Hom(X_j, T).
     ``parts[j]`` is Q e_j, a Module in ``hom_ambient(X_j, T)``, and
     ``blocks[j]`` is Hom(X_j, T) = (+)_a Hom(X_j, X_{c_a}), the type-j part
-    of (+)_a P_{c_a}.  Hom(M, lam) acts on each source type separately, so
-    covers, their certificates and syzygies split by type.
+    of (+)_a P_{c_a}; T and the blocks depend only on the column types, so
+    they are built once per algebra and tuple (``EndoAlgebra.col_blocks``).
+    Hom(M, lam) acts on each source type separately, so covers, their
+    certificates and syzygies split by type.
     """
 
     __slots__ = ("alg", "col_types", "T", "parts", "blocks")
 
     def __init__(self, alg, col_types, parts):
         self.alg = alg
-        self.col_types = tuple(col_types)
-        self.T, _ = direct_sum([alg.summands[c] for c in self.col_types])
+        self.col_types = cols = tuple(col_types)
+        if cols not in alg.col_blocks:
+            alg.col_blocks[cols] = (
+                direct_sum([alg.summands[c] for c in cols])[0],
+                [direct_sum([alg.hom[(j, c)] for c in cols])[0] for j in range(alg.k)],
+            )
+        self.T, self.blocks = alg.col_blocks[cols]
         self.parts = parts
-        self.blocks = [direct_sum([alg.hom[(j, c)] for c in self.col_types])[0] for j in range(alg.k)]
 
     def is_zero(self):
         return all(p.is_zero() for p in self.parts)

@@ -7,8 +7,26 @@ HERE = os.path.dirname(__file__)
 sys.path.insert(0, HERE)
 
 from endochain import ringio
-from endochain.curve_ring import normalization_lattice
+from endochain.curve_ring import build_ring, normalization_lattice
 from endochain.lattice import Lattice, LatticeMap, direct_sum, kernel_lattice, minimal_generators
+
+
+@pytest.fixture
+def rebuilds_agree():
+    """A check that a ring comes out key()-equal, with equal ``gens``, when
+    rebuilt from its generators three ways: bounded by its own conductor,
+    by the unbounded window schedule and at twice its window."""
+
+    def check(ring):
+        f, b, g = ring.field, ring.branches, ring.gens
+        for other in (
+            build_ring(f, b, g, conductor_bound=ring.conductor),
+            build_ring(f, b, g),
+            build_ring(f, b, g, window_hint=2 * ring.window_bound),
+        ):
+            assert other.key() == ring.key() and other.gens == ring.gens
+
+    return check
 
 
 @pytest.fixture(scope="session")

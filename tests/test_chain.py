@@ -12,7 +12,7 @@ from endochain.chain import (
     normalization_check,
     representation_module,
 )
-from endochain import chain
+from endochain import chain, curve_ring
 from endochain.errors import AlreadyNormal, NotLocal
 from endochain.lattice import minimal_generators
 from oracle import end_chain_value_sets
@@ -93,6 +93,47 @@ def test_prime_field_chain_agrees_with_rationals(gens):
         got.append((tree.n, r.delta(), len(chain_family(tree).lattices())))
     assert got[0] == got[1]
     assert got[0][0] == end_chain_value_sets(gens)[1]
+
+
+LADDER = [(4, 7), (5, 6), (5, 7), (5, 8), (6, 7), (4, 9), (5, 9)]
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 32003)], ids=["qq", "gf32003"])
+@pytest.mark.parametrize("gens", LADDER)
+def test_ladder_rings_close_once_at_proven_windows(gens, field, monkeypatch, rebuilds_agree):
+    # every ring of the chain tree is a bounded build (Schur's bound at the
+    # root, then the parent's conductor) that closes F[gens] exactly once;
+    # one branch, so each End(m) is the child ring and nothing is factored
+    real_build, real_close = curve_ring.build_ring, curve_ring._close
+    closures = []  # per build, its closures with multipliers
+
+    def build(*a, conductor_bound=None, **kw):
+        assert conductor_bound is not None
+        closures.append(0)
+        return real_build(*a, conductor_bound=conductor_bound, **kw)
+
+    def close(ws, ech, vecs, cones=(), mults=()):
+        closures[-1] += bool(mults)
+        return real_close(ws, ech, vecs, cones, mults)
+
+    monkeypatch.setattr(curve_ring, "build_ring", build)
+    monkeypatch.setattr(chain, "build_ring", build)
+    monkeypatch.setattr(curve_ring, "_close", close)
+    root = semigroup_ring(field, gens)
+    nodes = build_chain_tree(root).nodes()
+    monkeypatch.undo()
+    assert closures == [1] * len(nodes)
+    a, b = gens
+    assert root.window_bound == 2 * (a - 1) * (b - 1) + b + 2
+    conductors = []
+    for vs in end_chain_value_sets(list(gens))[0]:
+        c = max(vs) + 1
+        while c - 1 in vs:
+            c -= 1
+        conductors.append((c,))
+    assert [nd.ring.conductor for nd in nodes] == conductors
+    for nd in nodes:
+        rebuilds_agree(nd.ring)
 
 
 def test_chain_members_match_value_sets():

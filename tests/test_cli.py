@@ -290,6 +290,21 @@ def test_missing_file_exit_2(capsys):
     assert status == 2
 
 
+def test_closed_stdout_exit_2_without_traceback():
+    # the reader of stdout is closed before the report is written, so the
+    # write fails with EPIPE however fast the process is
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = [sys.executable, "-m", "endochain.cli", "ring", "--input", ring_path("node")]
+    try:
+        out = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "BrokenPipeError" not in out.stderr
+
+
 def test_fcmt_via_cli(capsys, tmp_path):
     # MCM list for the cusp: R and E
     mods = {

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -26,6 +27,7 @@ from oracle import sg_conductor, sg_gaps, sg_minimal_generators, sg_values
 T = LaurentPoly.monomial(QQ, 1)
 Z = LaurentPoly.zero(QQ)
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "data", "rings")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def node_ring():
@@ -90,6 +92,33 @@ def test_no_finite_conductor():
     # the diagonal {(f, f)} inside two branches never reaches a conductor
     with pytest.raises(NoFiniteConductor):
         build_ring(QQ, 2, [BranchVector([T, T])], max_window=128)
+
+
+def test_wrong_conductor_bound_raises():
+    # <4,7> has conductor 18: the bound 17 gives the one window
+    # 2 * 17 + 7 + 2 = 43, below the 2 * 18 + 7 + 2 = 45 the rule needs.  On
+    # the node (conductor (1, 1)) the bound (1, 0) keeps the window, and
+    # the branch it is wrong on is caught
+    assert semigroup_ring(QQ, [4, 7]).conductor == (18,)
+    with pytest.raises(NoFiniteConductor):
+        semigroup_ring(QQ, [4, 7], conductor_bound=[17])
+    with pytest.raises(NoFiniteConductor):
+        build_ring(QQ, 2, node_ring().gens, conductor_bound=[1, 0])
+
+
+@pytest.mark.parametrize("name", sorted(f[: -len(".json")] for f in os.listdir(CORPUS)))
+def test_corpus_chain_rings_rebuild_alike(name, rebuilds_agree):
+    # every ring of a corpus chain tree, End(m) before it splits too: its
+    # conductors against the golden chain report, then rebuilt three ways
+    ring = ringio.ring_from_json(ringio.load_json(os.path.join(CORPUS, name + ".json")))
+    with open(os.path.join(GOLDEN, f"chain-{name}.json")) as f:
+        golden = json.load(f)
+    nodes = build_chain_tree(ring).nodes()
+    assert [list(nd.ring.conductor) for nd in nodes] == [g["conductor"] for g in golden["nodes"]]
+    for nd in nodes:
+        for s in (nd.ring, nd.r1):
+            if s is not None:
+                rebuilds_agree(s)
 
 
 def test_fake_conjugate_constants_split_the_ring():
