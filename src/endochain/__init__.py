@@ -7,7 +7,7 @@ the chain family, and computes the exact global dimension of End(M)^op.
 __version__ = "0.1.0"
 
 from .field import FieldSpec, QQ
-from .series import LaurentPoly, BranchVector
+from .series import LaurentPoly
 from .curve_ring import (
     CurveRing,
     RingReport,

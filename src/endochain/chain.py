@@ -7,7 +7,6 @@ the tree as a rank-one lattice over the root, deduplicated by canonical
 form (equality as subrings of K).
 """
 
-from .series import BranchVector
 from .errors import AlreadyNormal, ClaimViolation, NotLocal
 from .curve_ring import build_ring, factor, normalization_lattice, ring_report
 from .lattice import Ambient, direct_sum, hom_lattice, minimal_generators, placed_sum
@@ -27,7 +26,7 @@ def end_of_maximal_ideal(ring):
         raise AlreadyNormal("ring equals its normalization; m is principal")
     m = ring.maximal_ideal_lattice()
     h = hom_lattice(m, m)
-    gens = [BranchVector(v) for v in minimal_generators(h) + minimal_generators(m)]
+    gens = minimal_generators(h) + minimal_generators(m)
     s1 = build_ring(ring.field, ring.branches, gens, conductor_bound=ring.conductor)
     if s1.delta() >= ring.delta():
         raise ClaimViolation(

@@ -1,27 +1,28 @@
 """Reduced complete one-dimensional rings R inside E = prod_i F[[t_i]].
 
-A ring is built from algebra generators by multiplicative closure on a
-finite exponent window [0, w).  Once the closure exhibits a conductor c
-(every monomial t^m e_i with m >= c_i visible in the window span) with
-w >= 2c + maxdeg + 2, the complete subalgebra genuinely contains t^c E:
-deeper monomials are obtained by successive approximation inside the closed
-algebra, so the window data determines the ring exactly.  Where a bound
-B >= c(R) is proven (Schur's in ``semigroup_ring``, the parent's conductor
-in ``factor`` and ``chain.end_of_maximal_ideal``), one closure at
-w = 2 max(B) + maxdeg + 2 passes (``build_ring``).  The canonical
-representation is the window basis on [0, c) plus the conductor tail.  The
-ring keeps the generators it was built from as ``CurveRing.gens``: R is the
-closure of F[gens], so they are the multipliers of every later R-closure
-(``_close``).  On a local ring they give m = sum (g - g(0)) * R
-(``maximal_ideal_gens``), which contains t^mx * e_br for the Nakayama depth
-mx = max(c_br, 1).
+A ring is built from algebra generators, elements of K given as tuples with
+one LaurentPoly per branch (vectors of the rank-one ``Ambient``), by
+multiplicative closure on a finite exponent window [0, w).  Once the closure
+exhibits a conductor c (every monomial t^m e_i with m >= c_i visible in the
+window span) with w >= 2c + maxdeg + 2, the complete subalgebra genuinely
+contains t^c E: deeper monomials are obtained by successive approximation
+inside the closed algebra, so the window data determines the ring exactly.
+Where a bound B >= c(R) is proven (Schur's or Sylvester's in
+``semigroup_ring``, the parent's conductor in ``factor`` and
+``chain.end_of_maximal_ideal``), one closure at w = 2 max(B) + maxdeg + 2
+passes (``build_ring``).  The canonical representation is the window basis
+on [0, c) plus the conductor tail.  The ring keeps the generators it was
+built from as ``CurveRing.gens``: R is the closure of F[gens], so they are
+the multipliers of every later R-closure (``_close``).  On a local ring they
+give m = sum (g - g(0)) * R (``maximal_ideal_gens``), which contains
+t^mx * e_br for the Nakayama depth mx = max(c_br, 1).
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 
-from .series import BranchVector
+from .series import LaurentPoly
 from .linalg import Echelon
 from .errors import (
     NoFiniteConductor,
@@ -46,40 +47,31 @@ class CurveRing:
         "window_bound",
         "_mlat",
         "_mterms",
-        "_basis_bv",
     )
 
     def __init__(self, field, branches, conductor, basis_vectors, atoms, window_bound, gens):
         self.field = field
         self.branches = branches
         self.conductor = tuple(conductor)
-        # algebra generators (BranchVectors); not part of key()
+        # algebra generators (elements of K); not part of key()
         self.gens = tuple(gens)
         self.atoms = tuple(atoms)
         self.is_local = len(atoms) == 1
         self.window_bound = window_bound
         self._mlat = None
         self._mterms = None
-        amb = Ambient([1] * branches)
-        lo = [0] * branches
-        self._basis_bv = tuple(BranchVector(v) for v in basis_vectors)
-        self.self_lattice = Lattice(
-            self, amb, lo, self.conductor, tuple(tuple(v) for v in basis_vectors)
-        )
+        self.self_lattice = Lattice(self, Ambient([1] * branches), [0] * branches, self.conductor, tuple(basis_vectors))
 
     # -- protocol used by the lattice layer -----------------------------------
 
     def scalar_basis(self):
-        return list(self._basis_bv)
+        return list(self.self_lattice.basis)
 
     def is_dvr_product(self):
         return self.delta() == 0
 
     def key(self):
-        basis_data = tuple(
-            tuple(tuple(sorted(p.coeffs.items())) for p in bv.parts)
-            for bv in self._basis_bv
-        )
+        basis_data = tuple(tuple(tuple(sorted(p.coeffs.items())) for p in v) for v in self.self_lattice.basis)
         return (
             self.field.kind,
             self.field.characteristic,
@@ -92,7 +84,7 @@ class CurveRing:
         return isinstance(other, CurveRing) and self.key() == other.key()
 
     def __hash__(self):
-        return hash((self.branches, self.conductor, len(self._basis_bv)))
+        return hash((self.branches, self.conductor, len(self.self_lattice.basis)))
 
     # -- invariants -------------------------------------------------------------
 
@@ -111,14 +103,13 @@ class CurveRing:
         is the same on every branch), so m = sum (g - g(0)) R."""
         if not self.is_local:
             raise NotLocal("maximal ideal needs a local ring")
-        one = BranchVector.one(self.field, self.branches)
-        return [g - one.scale(g[0][0]) for g in self.gens]
+        return [_sans_constant(g) for g in self.gens]
 
     def maximal_ideal_terms(self):
         """Per g - g(0) of ``maximal_ideal_gens``, its (d, entry) terms per
         branch: the column shifts that multiply a window row by it."""
         if self._mterms is None:
-            self._mterms = [[p.kernel_terms() for p in d.parts] for d in self.maximal_ideal_gens()]
+            self._mterms = [[p.kernel_terms() for p in d] for d in self.maximal_ideal_gens()]
         return self._mterms
 
     def maximal_ideal_lattice(self):
@@ -139,10 +130,19 @@ class CurveRing:
         return f"CurveRing(b={self.branches}, conductor={self.conductor})"
 
 
-def build_ring(field, branches, generators, window_hint=None, max_window=192, conductor_bound=None):
+# the window cap of a build without a conductor bound (generator input)
+MAX_WINDOW = 192
+
+
+def _sans_constant(g):
+    """g - g(0) * 1 for g in K, g(0) its constant term on branch 0."""
+    return tuple(p - LaurentPoly.monomial(p.field, 0, g[0][0]) for p in g)
+
+
+def build_ring(field, branches, generators, window_hint=None, conductor_bound=None):
     """Construct the complete subalgebra of E generated by the given
-    branch vectors (1 is always adjoined, so constant multiples of 1 are
-    dropped from ``gens``).
+    elements of K, tuples with one LaurentPoly per branch (1 is always
+    adjoined, so constant multiples of 1 are dropped from ``gens``).
 
     The closure on [0, w) is accepted once w >= 2 c(w) + maxdeg + 2, c(w)
     the conductor it shows.  For w > c(R), pi_w(R) contains pi_w(t^c E), so
@@ -152,34 +152,29 @@ def build_ring(field, branches, generators, window_hint=None, max_window=192, co
     accepted at once; a c(w0) above B on some branch (a wrong bound) raises
     NoFiniteConductor.  Without one, a closure showing c(w) moves to
     2 c(w) + maxdeg + 2, so never past a window the rule accepts, and one
-    showing none doubles w, up to ``max_window`` (192 for generator input).
+    showing none doubles w, up to MAX_WINDOW (or twice a larger
+    ``window_hint``).
     Raises ResidueFieldTooLarge for local rings with residue field bigger
     than F.
     """
-    unit = BranchVector.one(field, branches)
     gens = []
     for g in generators:
-        if not isinstance(g, BranchVector):
-            raise SchemaError("generators must be BranchVectors")
+        if not isinstance(g, tuple) or not all(isinstance(p, LaurentPoly) for p in g):
+            raise SchemaError("generators must be tuples of LaurentPoly")
         if len(g) != branches:
             raise SchemaError("generator branch count mismatch")
-        for p in g.parts:
-            if p and p.valuation() < 0:
-                raise SchemaError("ring generators must have valuation >= 0")
-        if not (g - unit.scale(g[0][0])).is_zero():
+        if any(p and p.valuation() < 0 for p in g):
+            raise SchemaError("ring generators must have valuation >= 0")
+        if any(_sans_constant(g)):
             gens.append(g)
-    maxdeg = 0
-    for g in gens:
-        for p in g.parts:
-            if p:
-                maxdeg = max(maxdeg, p.degree())
+    maxdeg = max([0] + [p.degree() for g in gens for p in g if p])
     if conductor_bound is None:
         w = max(window_hint or 2 * maxdeg + 6, 4)
-        max_window = max(max_window, 2 * w)
+        cap = max(MAX_WINDOW, 2 * w)
     else:
-        w = max_window = max(window_hint or 0, 2 * max(conductor_bound) + maxdeg + 2)
+        w = cap = max(window_hint or 0, 2 * max(conductor_bound) + maxdeg + 2)
     amb = Ambient([1] * branches)
-    one = tuple(unit.parts)
+    one = amb.idem_vec(field, range(branches))
     while True:
         # the span of the generated algebra in E / t^w E
         ws = WindowSpace(field, amb, [0] * branches, [w] * branches)
@@ -196,8 +191,8 @@ def build_ring(field, branches, generators, window_hint=None, max_window=192, co
         need = 2 * max(conductor) + maxdeg + 2 if max(conductor) < w else 2 * w
         if w >= need and all(c <= b for c, b in zip(conductor, conductor_bound or conductor)):
             break
-        if need > max_window or conductor_bound is not None:
-            raise NoFiniteConductor("closure exhibits no conductor below the window cap", window=max_window)
+        if need > cap or conductor_bound is not None:
+            raise NoFiniteConductor("closure exhibits no conductor below the window cap", window=cap)
         w = need
     # canonical window basis on [0, conductor): every other RREF row is zero
     # at the unit tail pivots, so the rows pivoting below the tail, cut at
@@ -220,8 +215,7 @@ def _branch_atoms(field, branches, ws, ech, conductor):
     """Minimal branch subsets T with e_T in the ring; they partition."""
 
     def has_idem(T):
-        vec = tuple(BranchVector.indicator(field, branches, T).parts)
-        row = ws.row_of(ws.ambient.truncate_vec(vec, conductor))
+        row = ws.row_of(ws.ambient.truncate_vec(ws.ambient.idem_vec(field, T), conductor))
         return ech.contains(row)
 
     remaining = set(range(branches))
@@ -246,9 +240,10 @@ def _branch_atoms(field, branches, ws, ech, conductor):
 
 def semigroup_ring(field, semigroup_generators, **kw):
     """Single-branch monomial ring F[[t^a : a in generators]], built at the
-    window proven by Schur's bound: the conductor is at most
-    (a_min - 1)(a_max - 1), as every integer from there on is a sum of the
-    generators."""
+    window proven by the smaller of two conductor bounds: Schur's
+    (a_min - 1)(a_max - 1), from which on every integer is a sum of the
+    generators, and Sylvester's (a - 1)(b - 1) for each coprime pair a, b
+    of generators, as the semigroup <a, b> lies inside S."""
     gens = [int(a) for a in semigroup_generators]
     if not gens or any(a <= 0 for a in gens):
         raise SchemaError("semigroup generators must be positive integers")
@@ -257,16 +252,19 @@ def semigroup_ring(field, semigroup_generators, **kw):
         g = math.gcd(g, a)
     if g != 1:
         raise NotCoprime("semigroup generators must have gcd 1", gcd=g)
-    bvs = [BranchVector.monomial(field, 1, 0, a) for a in gens]
-    kw.setdefault("conductor_bound", [(min(gens) - 1) * (max(gens) - 1)])
-    return build_ring(field, 1, bvs, **kw)
+    bound = min(
+        [(min(gens) - 1) * (max(gens) - 1)]
+        + [(a - 1) * (b - 1) for a, b in itertools.combinations(gens, 2) if math.gcd(a, b) == 1]
+    )
+    kw.setdefault("conductor_bound", [bound])
+    return build_ring(field, 1, [Ambient([1]).unit_vec(field, 0, a) for a in gens], **kw)
 
 
 def maximal_ideal(ring):
     """The Jacobson radical m = sum (g - g(0)) * R of a local ring as a
     rank-one lattice, with the cones t^mx * e_br at the valid tail mx."""
     amb = ring.self_lattice.ambient
-    gens = [tuple(d.parts) for d in ring.maximal_ideal_gens()]
+    gens = ring.maximal_ideal_gens()
     hi = [ring.mx(br) for br in range(ring.branches)]
     cones = [(br, amb.unit_vec(ring.field, br, h)) for br, h in enumerate(hi)]
     return Lattice.from_module_data(ring, amb, gens, cones, [0] * ring.branches, hi)
@@ -279,10 +277,9 @@ def factor(ring, T):
     F[e_T * gens].  Its conductor is at most the parent's on T, as e_T * R
     contains e_T * t^c E."""
     T = tuple(sorted(set(T)))
-    eT = BranchVector.indicator(ring.field, ring.branches, set(T))
-    if not ring.self_lattice.member(tuple(eT.parts)):
+    if not ring.self_lattice.member(ring.self_lattice.ambient.idem_vec(ring.field, T)):
         raise NotIdempotentFactor("e_T does not lie in the ring", subset=T)
-    gens = [BranchVector([bv.parts[b] for b in T]) for bv in ring.gens]
+    gens = [tuple(g[b] for b in T) for g in ring.gens]
     return build_ring(ring.field, len(T), gens, conductor_bound=[ring.conductor[b] for b in T])
 
 

@@ -30,7 +30,7 @@ conductor-monomial scalar), and the "image is proper" surjectivity test.
 import functools
 from dataclasses import dataclass
 
-from .series import LaurentPoly, BranchVector
+from .series import LaurentPoly
 from .linalg import Echelon, nullspace_F
 from .curve_ring import ring_report
 from .errors import (
@@ -107,7 +107,7 @@ def diagonal_radical(alg, i):
     lo_min = min(ea.lo)
     m = max(1, 1 - lo_min)
     zexp = [ring.mx(br) * m for br in range(ring.branches)]
-    z = BranchVector([LaurentPoly.monomial(field, e) for e in zexp])
+    z = tuple(LaurentPoly.monomial(field, e) for e in zexp)
     jgens = [amb.branch_scale(z, g) for g in ea.genset()]
     jtail = [ea.hi[c] + zexp[amb.branch_of(c)] for c in range(amb.ncoords)]
     jlat = Lattice.from_module_data(ring, amb, jgens, [], list(ea.lo), jtail)

@@ -47,7 +47,7 @@ Hom lattices have one coordinate layout, ``hom_ambient``/``hom_coord``,
 which the Gamma-lattices of ``endo`` use as well (Hom(M, T)).
 """
 
-from .series import LaurentPoly, BranchVector, series_div_mod, INF
+from .series import LaurentPoly, series_div_mod, INF
 from .linalg import Echelon, nullspace_F, poly_nullspace, poly_matrix_rank
 from .errors import (
     AmbientMismatch,
@@ -61,7 +61,8 @@ from .errors import (
 
 
 class Ambient:
-    """Per-branch coordinate counts of a K-module prod_i F((t_i))^{r_i}."""
+    """Per-branch coordinate counts of a K-module prod_i F((t_i))^{r_i}.
+    An element of K itself is a vector of the rank-one ``Ambient([1] * b)``."""
 
     __slots__ = ("ranks", "offsets", "ncoords")
 
@@ -111,16 +112,22 @@ class Ambient:
         parts[coord] = LaurentPoly.monomial(field, exp, coeff)
         return tuple(parts)
 
+    def idem_vec(self, field, branches):
+        """The idempotent e_T, T = ``branches``: 1 on the coordinates of
+        the branches in T, 0 elsewhere; 1 = e_T for T all branches."""
+        one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+        return tuple(one if br in branches else zero for br, r in enumerate(self.ranks) for _ in range(r))
+
     def add_vec(self, u, v):
         return tuple(a + b for a, b in zip(u, v))
 
     def scale_vec(self, c, v):
         return tuple(a.scale(c) for a in v)
 
-    def branch_scale(self, bv, v):
-        """Multiply by an element of K (one scalar per branch)."""
+    def branch_scale(self, x, v):
+        """Multiply by an element x of K (one scalar per branch)."""
         out = list(v)
-        for br, s in enumerate(bv.parts):
+        for br, s in enumerate(x):
             for coord in self.coords_of(br):
                 out[coord] = out[coord] * s
         return tuple(out)
@@ -228,8 +235,8 @@ def _branch_tops(ambient, hi):
 
 def _close(ws, ech, vecs, cones=(), mults=()):
     """Add to ``ech`` the window span pi(A * vecs + sum F[[t_br]] * v) over
-    the cones (br, v), A the F-algebra generated by the BranchVectors
-    ``mults`` and pi the truncation at ``ws.hi``.  Returns False when some
+    the cones (br, v), A the F-algebra generated by the elements ``mults``
+    of K and pi the truncation at ``ws.hi``.  Returns False when some
     vector has support below ``ws.lo`` (it is skipped).
 
     A coordinate's columns are consecutive, so multiplying a kernel row by
@@ -246,10 +253,10 @@ def _close(ws, ech, vecs, cones=(), mults=()):
     depend on the order in which rows were added.
     """
     amb = ws.ambient
-    neg = [(br, s.valuation()) for a in mults for br, s in enumerate(a.parts) if s.valuation() < 0]
+    neg = [(br, s.valuation()) for a in mults for br, s in enumerate(a) if s.valuation() < 0]
     if neg:
         raise ClaimViolation("multiplier with a negative exponent", branch=neg[0][0], exponent=neg[0][1])
-    maps = [_scalar_map(ws, [s.kernel_terms() for s in a.parts]) for a in mults]
+    maps = [_scalar_map(ws, [s.kernel_terms() for s in a]) for a in mults]
     tops = _branch_tops(amb, ws.hi)
     ends = ws.column_ends()
     inside = True
@@ -840,16 +847,15 @@ def overring_scalars(overring, lat):
     """Scalars of S sufficient to test S-stability of ``lat``: the window
     basis plus tail monomials up to the absorption depth (deeper scalars
     push everything into the tail of ``lat`` automatically)."""
-    out = list(overring.scalar_basis())
-    field = overring.field
-    amb = lat.ambient
+    out = overring.scalar_basis()
+    samb, amb = overring.self_lattice.ambient, lat.ambient
     for br in range(overring.branches):
         if amb.ranks[br] == 0:
             continue
         top = max(lat.hi[c] for c in amb.coords_of(br))
         mv = min(lat.lo[c] for c in amb.coords_of(br))
         for m in range(overring.conductor[br], max(overring.conductor[br], top - mv)):
-            out.append(BranchVector.monomial(field, overring.branches, br, m))
+            out.append(samb.unit_vec(overring.field, br, m))
     return out
 
 
@@ -859,7 +865,7 @@ def check_overring(overring, ring):
     if overring.branches != ring.branches:
         raise NotAnOverring("different branch sets")
     for g in ring.gens:
-        if not overring.self_lattice.member(tuple(g.parts)):
+        if not overring.self_lattice.member(g):
             raise NotAnOverring("base ring does not embed in the overring")
 
 
@@ -930,7 +936,7 @@ def largest_submodule_over(overring, lat):
     ring = lat.ring
     amb = lat.ambient
     ws = WindowSpace(ring.field, amb, lat.lo, lat.hi)
-    scalars = [BranchVector.one(ring.field, ring.branches)] + overring_scalars(overring, lat)
+    scalars = [ring.self_lattice.ambient.idem_vec(ring.field, range(ring.branches))] + overring_scalars(overring, lat)
     diagonal = [(br, k) for br in range(amb.nbranches()) for k in range(amb.ranks[br])]
     streams = [(_operator(amb, amb, {(br, k, k): x[br] for br, k in diagonal}), lat) for x in scalars]
     sols = solve_constrained_window(ws, streams)

@@ -60,11 +60,13 @@ class Resolution:
     def length(self):
         return len(self.terms) - 1
 
-    def certify(self, members, check_decomposition=True, skip_cokernel_position=False):
+    def certify(self, members, presentation=False):
         """Fill the certificate dict; ``members`` are the Hom-test lattices.
 
-        ``skip_cokernel_position`` is used for presentation complexes whose
-        rightmost map is not surjective by design.
+        A ``presentation`` complex (``resolve_presented_module``) has a
+        rightmost map that is not surjective by design and terms that are
+        not family sums: it skips the cokernel position and the
+        decompositions.
         """
         certs = {}
         comp = True
@@ -72,7 +74,7 @@ class Resolution:
             if not self.maps[j].compose(self.maps[j + 1]).is_zero():
                 comp = False
         certs["composites_zero"] = comp
-        if skip_cokernel_position:
+        if presentation:
             certs["surjective_onto_target"] = None
         else:
             certs["surjective_onto_target"] = is_surjective_onto(self.maps[0])
@@ -81,11 +83,11 @@ class Resolution:
             exact.append(is_exact_at(self.maps[j + 1], self.maps[j]))
         certs["exact_at_interior"] = exact
         certs["left_injective"] = self.maps[-1].is_injective()
-        if check_decomposition:
+        if not presentation:
             certs["decompositions"] = [t.decomposition_ok() for t in self.terms]
         hom = {}
         for label, x in members:
-            hom[label] = verify_hom_exactness(self, x, skip_cokernel_position)
+            hom[label] = verify_hom_exactness(self, x, presentation)
         certs["hom_exact"] = hom
         self.certificates = certs
         return certs
@@ -343,9 +345,5 @@ def resolve_presented_module(f, tree=None, certify=True):
     res.notes["gamma_pd_bound"] = len(res.terms)
     if certify:
         fam = ctx.family()
-        res.certify(
-            [(m.label, m.lattice) for m in fam.members],
-            check_decomposition=False,
-            skip_cokernel_position=True,
-        )
+        res.certify([(m.label, m.lattice) for m in fam.members], presentation=True)
     return res

@@ -19,7 +19,7 @@ import json
 
 from .errors import SchemaError
 from .field import field_from_json, json_int, QQ
-from .series import LaurentPoly, BranchVector
+from .series import LaurentPoly
 from .curve_ring import build_ring, semigroup_ring
 from .lattice import Ambient, Lattice
 
@@ -56,7 +56,7 @@ def ring_from_json(obj, window_hint=None):
     for g in raw_gens:
         if not isinstance(g, list) or len(g) != branches:
             raise SchemaError("each generator needs one entry per branch")
-        gens.append(BranchVector([poly_from_pairs(fld, p) for p in g]))
+        gens.append(tuple(poly_from_pairs(fld, p) for p in g))
     return build_ring(fld, branches, gens, window_hint=window_hint)
 
 
@@ -64,8 +64,8 @@ def ring_to_json(ring):
     """Round-trippable definition: canonical window basis plus conductor
     monomials regenerate the identical canonical ring."""
     gens = []
-    for bv in ring.scalar_basis():
-        gens.append([p.as_pairs() for p in bv.parts])
+    for v in ring.self_lattice.basis:
+        gens.append([p.as_pairs() for p in v])
     for br in range(ring.branches):
         c = ring.conductor[br]
         for m in range(max(c, 1) + 1):

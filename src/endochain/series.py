@@ -1,10 +1,10 @@
-"""Exact Laurent polynomials and branch vectors.
+"""Exact Laurent polynomials.
 
-Every ring and module element in the engine is a Laurent polynomial with
-exact coefficients (finite support); genuine power series never appear
-because all lattices carry explicit conductor tails.  A ``BranchVector`` is
-one Laurent polynomial per branch and is the element type of
-K = prod_i F((t_i)).
+Every ring and module element in the engine is built from Laurent
+polynomials with exact coefficients (finite support); genuine power series
+never appear because all lattices carry explicit conductor tails.  An
+element of K = prod_i F((t_i)) is a tuple with one Laurent polynomial per
+branch: a vector of the rank-one ``lattice.Ambient``.
 """
 
 import math
@@ -235,75 +235,3 @@ def series_div_mod(a, b, order):
     inv = b.shift(-vb).invert_unit(order + max(0, a.degree() - vb) + 1)
     return (a.shift(-vb) * inv).truncate(order)
 
-
-class BranchVector:
-    """An element of K = prod_i F((t_i)): one LaurentPoly per branch."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    @classmethod
-    def zero(cls, field, nbranches):
-        return cls([LaurentPoly.zero(field)] * nbranches)
-
-    @classmethod
-    def one(cls, field, nbranches):
-        return cls([LaurentPoly.one(field)] * nbranches)
-
-    @classmethod
-    def indicator(cls, field, nbranches, branches):
-        """The idempotent e_T: 1 on the branches in T, 0 elsewhere."""
-        one = LaurentPoly.one(field)
-        zero = LaurentPoly.zero(field)
-        return cls([one if i in branches else zero for i in range(nbranches)])
-
-    @classmethod
-    def monomial(cls, field, nbranches, branch, exp, coeff=1):
-        parts = [LaurentPoly.zero(field)] * nbranches
-        parts[branch] = LaurentPoly.monomial(field, exp, coeff)
-        return cls(parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __add__(self, other):
-        return BranchVector([a + b for a, b in zip(self.parts, other.parts)])
-
-    def __sub__(self, other):
-        return BranchVector([a - b for a, b in zip(self.parts, other.parts)])
-
-    def __neg__(self):
-        return BranchVector([-a for a in self.parts])
-
-    def __mul__(self, other):
-        return BranchVector([a * b for a, b in zip(self.parts, other.parts)])
-
-    def scale(self, c):
-        return BranchVector([a.scale(c) for a in self.parts])
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.parts)
-
-    def valuations(self):
-        return tuple(a.valuation() for a in self.parts)
-
-    def truncate(self, his):
-        return BranchVector([a.truncate(h) for a, h in zip(self.parts, his)])
-
-    def support(self):
-        """Branches where the entry is nonzero."""
-        return frozenset(i for i, a in enumerate(self.parts) if a)
-
-    def __eq__(self, other):
-        return isinstance(other, BranchVector) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "(" + ", ".join(a.render() for a in self.parts) + ")"

@@ -8,7 +8,7 @@ objects are exact, so a (seed, suite) pair is fully reproducible.
 import random
 
 from .field import QQ
-from .series import LaurentPoly, BranchVector
+from .series import LaurentPoly
 from .curve_ring import build_ring, normalization_lattice, semigroup_ring
 from .chain import build_chain_tree, chain_family, chain_json, end_of_maximal_ideal, normalization_check
 from .lattice import (
@@ -45,34 +45,24 @@ def corpus(field=QQ, window_hint=None):
         name = "<" + ",".join(map(str, gens)) + ">"
         out.append((name, semigroup_ring(field, gens, window_hint=window_hint)))
     out.append(
-        ("node", build_ring(field, 2, [BranchVector([t, z]), BranchVector([z, t])], window_hint=window_hint))
+        ("node", build_ring(field, 2, [(t, z), (z, t)], window_hint=window_hint))
     )
     out.append(
         (
             "triple_point",
-            build_ring(
-                field,
-                3,
-                [BranchVector([t, z, z]), BranchVector([z, t, z]), BranchVector([z, z, t])],
-                window_hint=window_hint,
-            ),
+            build_ring(field, 3, [(t, z, z), (z, t, z), (z, z, t)], window_hint=window_hint),
         )
     )
     out.append(
         (
             "tacnode",
-            build_ring(field, 2, [BranchVector([t, t]), BranchVector([t * t, z])], window_hint=window_hint),
+            build_ring(field, 2, [(t, t), (t * t, z)], window_hint=window_hint),
         )
     )
     out.append(
         (
             "cusp_line",
-            build_ring(
-                field,
-                2,
-                [BranchVector([t * t, z]), BranchVector([t * t * t, z]), BranchVector([z, t])],
-                window_hint=window_hint,
-            ),
+            build_ring(field, 2, [(t * t, z), (t * t * t, z), (z, t)], window_hint=window_hint),
         )
     )
     return out
@@ -88,12 +78,10 @@ def _random_ring_element(rng, ring, tries=50):
             c = rng.randint(-2, 2)
             if c:
                 acc = amb.add_vec(acc, amb.scale_vec(ring.field.coerce(c), g))
-        if all(acc[amb.coord(br, 0)] for br in range(ring.branches)):
-            return BranchVector([acc[amb.coord(br, 0)] for br in range(ring.branches)])
+        if all(acc):
+            return acc
     # fall back to the conductor monomial vector
-    return BranchVector(
-        [LaurentPoly.monomial(ring.field, ring.mx(br)) for br in range(ring.branches)]
-    )
+    return tuple(LaurentPoly.monomial(ring.field, ring.mx(br)) for br in range(ring.branches))
 
 
 def random_fractional_ideal(rng, ring, shift_range=2):
@@ -102,10 +90,7 @@ def random_fractional_ideal(rng, ring, shift_range=2):
     y = _random_ring_element(rng, ring)
     amb = ring.self_lattice.ambient
     s = rng.randint(-shift_range, shift_range)
-    gens = [
-        tuple(p.shift(s) for p in x.parts),
-        tuple(p.shift(s) for p in y.parts),
-    ]
+    gens = [tuple(p.shift(s) for p in x), tuple(p.shift(s) for p in y)]
     return Lattice.from_generators(ring, amb, gens)
 
 
@@ -124,12 +109,9 @@ def overrings_of(ring):
         out.append(s)
         if not s.is_local:
             break
-    field = ring.field
-    egens = []
-    for br in range(ring.branches):
-        egens.append(BranchVector.monomial(field, ring.branches, br, 0))
-        egens.append(BranchVector.monomial(field, ring.branches, br, 1))
-    e_ring = build_ring(field, ring.branches, egens)
+    amb = ring.self_lattice.ambient
+    egens = [amb.unit_vec(ring.field, br, e) for br in range(ring.branches) for e in (0, 1)]
+    e_ring = build_ring(ring.field, ring.branches, egens)
     if all(o.key() != e_ring.key() for o in out):
         out.append(e_ring)
     return out
@@ -160,7 +142,7 @@ def suite_lemma_hom_agreement(seed=0, cases=200, field=QQ):
         # image stability: an R-linear map c -> K, image viewed as a lattice
         kappa = _random_ring_element(rng, ring)
         sh = rng.randint(-1, 1)
-        kappa = BranchVector([p.shift(sh) for p in kappa.parts])
+        kappa = tuple(p.shift(sh) for p in kappa)
         img_gens = [c.ambient.branch_scale(kappa, g) for g in c.genset()]
         img = Lattice.from_generators(ring, c.ambient, img_gens)
         if not scalar_extension_test(s, img):
@@ -218,7 +200,7 @@ def generated_test_lattices(rng, ring, tree, count=5):
     field = ring.field
     mats = []
     for br in range(ring.branches):
-        mats.append([[x1.parts[br], x2.parts[br]]])
+        mats.append([[x1[br], x2[br]]])
     fmap = LatticeMap(f2, e, mats)
     ker, _ = kernel_lattice(fmap)
     if not ker.is_zero():

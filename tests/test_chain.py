@@ -1,7 +1,7 @@
 import pytest
 
 from endochain.field import QQ, FieldSpec
-from endochain.series import LaurentPoly, BranchVector
+from endochain.series import LaurentPoly
 from endochain.curve_ring import build_ring, semigroup_ring
 from endochain.chain import (
     build_chain_tree,
@@ -23,7 +23,7 @@ Z = LaurentPoly.zero(QQ)
 
 
 def node_ring():
-    return build_ring(QQ, 2, [BranchVector([T, Z]), BranchVector([Z, T])])
+    return build_ring(QQ, 2, [(T, Z), (Z, T)])
 
 
 def test_end_of_maximal_ideal_cusp():
@@ -57,7 +57,7 @@ def test_ring_generators_drop_constants():
         for nd in build_chain_tree(r).nodes():
             for ring in filter(None, (nd.ring, nd.r1)):
                 for g in ring.gens:
-                    constant = set(g[0].coeffs) <= {0} and all(p == g[0] for p in g.parts)
+                    constant = set(g[0].coeffs) <= {0} and all(p == g[0] for p in g)
                     assert not constant, name
 
 
@@ -162,7 +162,7 @@ def test_node_tree():
 
 def test_triple_point_tree():
     trip = build_ring(
-        QQ, 3, [BranchVector([T, Z, Z]), BranchVector([Z, T, Z]), BranchVector([Z, Z, T])]
+        QQ, 3, [(T, Z, Z), (Z, T, Z), (Z, Z, T)]
     )
     tree = build_chain_tree(trip)
     assert tree.n == 1
@@ -171,7 +171,7 @@ def test_triple_point_tree():
 
 
 def test_tacnode_tree():
-    tac = build_ring(QQ, 2, [BranchVector([T, T]), BranchVector([T * T, Z])])
+    tac = build_ring(QQ, 2, [(T, T), (T * T, Z)])
     tree = build_chain_tree(tac)
     assert tree.n == 2
     # middle ring is the node
@@ -181,7 +181,7 @@ def test_tacnode_tree():
 
 
 def test_chain_tree_requires_local():
-    e = build_ring(QQ, 2, [BranchVector([LaurentPoly.one(QQ), Z]), BranchVector([T, Z]), BranchVector([Z, T])])
+    e = build_ring(QQ, 2, [(LaurentPoly.one(QQ), Z), (T, Z), (Z, T)])
     with pytest.raises(NotLocal):
         build_chain_tree(e)
 

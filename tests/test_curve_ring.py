@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 
 import pytest
@@ -6,8 +8,9 @@ import pytest
 from endochain import ringio
 from endochain.chain import build_chain_tree
 from endochain.field import QQ
-from endochain.series import LaurentPoly, BranchVector
+from endochain.series import LaurentPoly
 from endochain.curve_ring import (
+    MAX_WINDOW,
     build_ring,
     semigroup_ring,
     maximal_ideal,
@@ -20,7 +23,9 @@ from endochain.errors import (
     NotCoprime,
     NotIdempotentFactor,
     NotLocal,
+    SchemaError,
 )
+from endochain.lattice import Ambient, Lattice
 from oracle import sg_conductor, sg_gaps, sg_minimal_generators, sg_values
 
 
@@ -31,7 +36,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def node_ring():
-    return build_ring(QQ, 2, [BranchVector([T, Z]), BranchVector([Z, T])])
+    return build_ring(QQ, 2, [(T, Z), (Z, T)])
 
 
 def test_cusp_window_closure():
@@ -90,8 +95,39 @@ def test_semigroup_requires_gcd_one():
 
 def test_no_finite_conductor():
     # the diagonal {(f, f)} inside two branches never reaches a conductor
-    with pytest.raises(NoFiniteConductor):
-        build_ring(QQ, 2, [BranchVector([T, T])], max_window=128)
+    with pytest.raises(NoFiniteConductor) as exc:
+        build_ring(QQ, 2, [(T, T)])
+    assert exc.value.context == {"window": MAX_WINDOW}
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [[T, Z], (T,), (T, 1), (T, LaurentPoly.from_pairs(QQ, [(-1, 1), (2, 3)]))],
+    ids=["list", "branch_count", "not_laurent", "negative_exponent"],
+)
+def test_build_ring_rejects_malformed_generators(gen):
+    with pytest.raises(SchemaError):
+        build_ring(QQ, 2, [(Z, T), gen])
+
+
+def test_semigroup_bound_takes_coprime_pairs():
+    # a coprime pair a, b of generators bounds the conductor by
+    # (a - 1)(b - 1), often below Schur's (a_min - 1)(a_max - 1): every
+    # semigroup of 3 or 4 generators in 3..11 with gcd 1 builds the same ring
+    # under Schur's bound, and most at a smaller window
+    smaller = 0
+    sets = [g for k in (3, 4) for g in itertools.combinations(range(3, 12), k) if math.gcd(*g) == 1]
+    assert len(sets) == 204
+    for gens in sets:
+        r = semigroup_ring(QQ, gens)
+        schur = semigroup_ring(QQ, gens, conductor_bound=[(gens[0] - 1) * (gens[-1] - 1)])
+        assert r.key() == schur.key() and r.gens == schur.gens
+        smaller += r.window_bound < schur.window_bound
+    assert smaller == 175
+    # (4, 5) gives 12 against Schur's 18: 2 * 12 + 7 + 2 instead of 45
+    assert semigroup_ring(QQ, [4, 5, 6, 7]).window_bound == 33
+    # no coprime pair in <6,10,15>: Schur's 5 * 14 = 70 stays
+    assert semigroup_ring(QQ, [6, 10, 15]).window_bound == 2 * 70 + 15 + 2
 
 
 def test_wrong_conductor_bound_raises():
@@ -125,8 +161,8 @@ def test_fake_conjugate_constants_split_the_ring():
     # (1, -1) is a unit of order two, so (1+u)/2 is an idempotent: over a
     # prime coefficient field "conjugate constants" force a splitting
     # rather than a bigger residue field (kept local, residue is always F).
-    u = BranchVector([LaurentPoly.from_pairs(QQ, [(0, 1)]), LaurentPoly.from_pairs(QQ, [(0, -1)])])
-    r = build_ring(QQ, 2, [u, BranchVector([T, Z]), BranchVector([Z, T])])
+    u = (LaurentPoly.from_pairs(QQ, [(0, 1)]), LaurentPoly.from_pairs(QQ, [(0, -1)]))
+    r = build_ring(QQ, 2, [u, (T, Z), (Z, T)])
     assert not r.is_local
     assert sorted(r.atoms) == [(0,), (1,)]
 
@@ -164,7 +200,7 @@ def test_maximal_ideal_node():
 
 
 def test_maximal_ideal_requires_local():
-    e = build_ring(QQ, 2, [BranchVector([LaurentPoly.one(QQ), Z]), BranchVector([T, Z]), BranchVector([Z, T])])
+    e = build_ring(QQ, 2, [(LaurentPoly.one(QQ), Z), (T, Z), (Z, T)])
     assert not e.is_local
     with pytest.raises(NotLocal):
         maximal_ideal(e)
@@ -174,13 +210,13 @@ def test_maximal_ideal_requires_local():
 
 def test_branch_idempotents_node_vs_product():
     assert list(node_ring().atoms) == [(0, 1)]
-    e = build_ring(QQ, 2, [BranchVector([LaurentPoly.one(QQ), Z]), BranchVector([T, Z]), BranchVector([Z, T])])
+    e = build_ring(QQ, 2, [(LaurentPoly.one(QQ), Z), (T, Z), (Z, T)])
     assert sorted(e.atoms) == [(0,), (1,)]
     assert list(semigroup_ring(QQ, [2, 3]).atoms) == [(0,)]
 
 
 def test_factor_of_product():
-    e = build_ring(QQ, 2, [BranchVector([LaurentPoly.one(QQ), Z]), BranchVector([T, Z]), BranchVector([Z, T])])
+    e = build_ring(QQ, 2, [(LaurentPoly.one(QQ), Z), (T, Z), (Z, T)])
     f0 = factor(e, (0,))
     assert f0.branches == 1 and f0.is_dvr_product()
 
@@ -191,14 +227,12 @@ def test_factor_rejects_non_idempotent():
 
 
 def test_factor_partition_reconstructs():
-    e = build_ring(QQ, 2, [BranchVector([LaurentPoly.one(QQ), Z]), BranchVector([T, Z]), BranchVector([Z, T])])
+    e = build_ring(QQ, 2, [(LaurentPoly.one(QQ), Z), (T, Z), (Z, T)])
     from endochain.chain import embedded_ring_lattice
     from endochain.lattice import lattice_sum
 
     parts = [embedded_ring_lattice(e, (0,), factor(e, (0,))), embedded_ring_lattice(e, (1,), factor(e, (1,)))]
     # the sum of the two factor lattices is E itself; compare generator sets
-    from endochain.lattice import Ambient, Lattice
-
     amb = Ambient([1, 1])
     gens = []
     for lat, pos in zip(parts, [(0,), (1,)]):
@@ -251,8 +285,8 @@ def test_factor_matches_restricted_window_basis(name):
             continue
         s1 = nd.r1
         for T in s1.atoms:
-            gens = [BranchVector([bv.parts[b] for b in T]) for bv in s1.scalar_basis()]
+            gens = [tuple(v[b] for b in T) for v in s1.scalar_basis()]
             for i, b in enumerate(T):
                 c = s1.conductor[b]
-                gens += [BranchVector.monomial(QQ, len(T), i, c + m) for m in range(max(c, 1) + 1)]
+                gens += [Ambient([1] * len(T)).unit_vec(QQ, i, c + m) for m in range(max(c, 1) + 1)]
             assert factor(s1, T).key() == build_ring(QQ, len(T), gens).key()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from endochain.field import QQ, FieldSpec
-from endochain.series import LaurentPoly, BranchVector
+from endochain.series import LaurentPoly
 from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
 from endochain.chain import build_chain_tree, chain_family
 from endochain.endo import (
@@ -82,7 +82,7 @@ def test_gldim_cusp_pd_multiset():
 
 
 def test_gldim_node():
-    node = build_ring(QQ, 2, [BranchVector([T, Z]), BranchVector([Z, T])])
+    node = build_ring(QQ, 2, [(T, Z), (Z, T)])
     tree, alg = family_algebra(node)
     rep = global_dimension(alg, n=tree.n)
     assert rep.gldim == 2 and rep.gldim <= tree.n + 1

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from endochain import ringio
 from endochain.chain import build_chain_tree, end_of_maximal_ideal
 from endochain.field import QQ, FieldSpec
-from endochain.series import INF, LaurentPoly, BranchVector
+from endochain.series import INF, LaurentPoly
 from endochain.curve_ring import CurveRing, build_ring, maximal_ideal, semigroup_ring, normalization_lattice
 from endochain.linalg import Echelon, nullspace_F
 from endochain.lattice import (
@@ -158,10 +158,23 @@ def test_image_is_overring_stable():
     s = semigroup_ring(QQ, [2, 3])
     c = r.maximal_ideal_lattice()  # m = t^2 * <2,3>-module, S-stable
     assert scalar_extension_test(s, c)
-    kappa = BranchVector([LaurentPoly.from_pairs(QQ, [(0, 1), (2, 3)])])
+    kappa = (LaurentPoly.from_pairs(QQ, [(0, 1), (2, 3)]),)
     gens = [c.ambient.branch_scale(kappa, g) for g in c.genset()]
     img = Lattice.from_generators(r, c.ambient, gens)
     assert scalar_extension_test(s, img)
+
+
+def test_idem_vec_is_the_indicator_idempotent():
+    # e_T is 1 on the coordinates of T's branches and 0 elsewhere: an
+    # idempotent of K, orthogonal to e_T' for disjoint T', with 1 = e_all
+    one, zero = LaurentPoly.one(QQ), LaurentPoly.zero(QQ)
+    amb = Ambient([1, 1])
+    e0, e1 = amb.idem_vec(QQ, {0}), amb.idem_vec(QQ, {1})
+    assert e1 == (zero, one)
+    assert amb.branch_scale(e1, e1) == e1
+    assert amb.vec_is_zero(amb.branch_scale(e0, e1))
+    assert amb.add_vec(e0, e1) == amb.idem_vec(QQ, range(2)) == (one, one)
+    assert Ambient([2, 1]).idem_vec(QQ, {0}) == (one, one, zero)
 
 
 def test_sum_and_direct_sum():
@@ -272,7 +285,7 @@ def test_free_decomposition():
 
 
 def test_from_generators_rejects_rank_deficiency():
-    r = build_ring(QQ, 2, [BranchVector([T, Z]), BranchVector([Z, T])])
+    r = build_ring(QQ, 2, [(T, Z), (Z, T)])
     amb = r.self_lattice.ambient
     with pytest.raises(NotFullRank):
         Lattice.from_generators(r, amb, [amb.unit_vec(QQ, 0, 1)])
@@ -451,7 +464,7 @@ def test_raw_span_matches_brute_force(name):
         # F[[t]], semigroup_1, all of F^5)
         top = 2 * max(ring.conductor) + 5
         amb1 = ring.self_lattice.ambient
-        one = tuple(BranchVector.one(field, ring.branches).parts)
+        one = amb1.idem_vec(field, range(ring.branches))
         cases = [(amb1, [one], [], [0] * ring.branches, [top] * ring.branches)]
         _, ech = raw_span(ring, *cases[0])
         assert ech.rank() == ring.branches * top - ring.delta()
@@ -533,8 +546,8 @@ def _ring_gens(name, field):
     without ``build_ring`` (which runs ``_close`` itself); they are its gens."""
     obj = ringio.load_json(os.path.join(CORPUS, name + ".json"))
     if "semigroup" in obj:
-        return [BranchVector.monomial(field, 1, 0, a) for a in obj["semigroup"]]
-    return [BranchVector([LaurentPoly.from_pairs(field, part) for part in g]) for g in obj["generators"]]
+        return [Ambient([1]).unit_vec(field, 0, a) for a in obj["semigroup"]]
+    return [tuple(LaurentPoly.from_pairs(field, part) for part in g) for g in obj["generators"]]
 
 
 def _coeffs(field):
@@ -549,7 +562,7 @@ def _coeffs(field):
 def _closures(draw):
     """A window on a 1- to 3-branch ambient, seed vectors and cones (each
     may dip below lo or reach past hi) and multipliers: a ring's gens, or
-    random BranchVectors with nonnegative exponents."""
+    random elements of K with nonnegative exponents."""
     field = draw(st.sampled_from(_CLOSE_FIELDS))
     coeff = _coeffs(field)
     nb = draw(st.integers(1, 3))
@@ -576,7 +589,7 @@ def _closures(draw):
     if draw(st.booleans()):
         mults += _ring_gens(draw(st.sampled_from(_GEN_RINGS[nb])), field)
     for _ in range(draw(st.integers(0, 2))):
-        mults.append(BranchVector([poly(0, 4) for _ in range(nb)]))
+        mults.append(tuple(poly(0, 4) for _ in range(nb)))
     return WindowSpace(field, amb, lo, hi), vecs, cones, mults
 
 
@@ -600,10 +613,10 @@ def test_close_rejects_negative_multiplier_exponent():
     ws = WindowSpace(QQ, amb, [0, 0, 0], [4, 4, 4])
     one = tuple(LaurentPoly.one(QQ) for _ in range(amb.ncoords))
     t = LaurentPoly.monomial(QQ, 1)
-    bad = BranchVector([t, LaurentPoly.from_pairs(QQ, [(-1, 1), (2, 3)])])
+    bad = (t, LaurentPoly.from_pairs(QQ, [(-1, 1), (2, 3)]))
     for vecs in ([one], []):
         with pytest.raises(ClaimViolation) as err:
-            _close(ws, ws.echelon(), vecs, mults=[BranchVector([t, t]), bad])
+            _close(ws, ws.echelon(), vecs, mults=[(t, t), bad])
         assert err.value.context == {"branch": 1, "exponent": -1}
 
 
@@ -640,7 +653,7 @@ def _solves(draw):
     if kind == "hom":
         return kind, margin, lattice(), lattice()
     if kind == "scalars":
-        extra = [BranchVector([poly(-1, 4) for _ in range(nb)]) for _ in range(draw(st.integers(0, 2)))]
+        extra = [tuple(poly(-1, 4) for _ in range(nb)) for _ in range(draw(st.integers(0, 2)))]
         return kind, margin, lattice(), over, extra
     src, tgt = lattice(), lattice()
     entries = {
@@ -690,7 +703,7 @@ def test_solve_matches_unit_vector_reference(case):
         result = largest_submodule_over(over, lat)
         amb = lat.ambient
         lo, hi = result.lo, result.hi
-        scalars = [BranchVector.one(lat.ring.field, amb.nbranches())] + overring_scalars(over, lat)
+        scalars = [over.self_lattice.ambient.idem_vec(lat.ring.field, range(amb.nbranches()))] + overring_scalars(over, lat)
         ops = [(_operator(amb, amb, _diagonal(amb, x)), lat) for x in scalars]
         refs = [(lambda v, x=x: amb.branch_scale(x, v), lat) for x in scalars]
         extra_ops = [(_operator(amb, amb, _diagonal(amb, x)), lat) for x in extra]
@@ -960,8 +973,8 @@ def _check_maximal_ideals(rings):
         assert maximal_ideal(ring) == ref
         assert ring.maximal_ideal_lattice() == ref
         for d in ring.maximal_ideal_gens():
-            assert not any(p[0] for p in d.parts)
-            assert ring.self_lattice.member(tuple(d.parts))
+            assert not any(p[0] for p in d)
+            assert ring.self_lattice.member(d)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -992,7 +1005,7 @@ def test_scalar_extension_rejects_non_overring():
     # E contains every corpus ring; E is E-stable, R only when R = E
     for name in CORPUS_NAMES:
         ring = _corpus_ring(name)
-        egens = [BranchVector.monomial(QQ, ring.branches, br, e) for br in range(ring.branches) for e in (0, 1)]
+        egens = [ring.self_lattice.ambient.unit_vec(QQ, br, e) for br in range(ring.branches) for e in (0, 1)]
         e_ring = build_ring(QQ, ring.branches, egens)
         assert scalar_extension_test(e_ring, normalization_lattice(ring))
         assert scalar_extension_test(e_ring, ring.self_lattice) == ring.is_dvr_product()

@@ -5,7 +5,7 @@ import pytest
 
 from endochain.errors import ClaimViolation
 from endochain.field import QQ
-from endochain.series import LaurentPoly, BranchVector
+from endochain.series import LaurentPoly
 from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
 from endochain.chain import build_chain_tree, chain_family, representation_module
 from endochain import lattice, resolver, ringio
@@ -114,7 +114,7 @@ def test_minimal_cover_property_case_c():
 
 
 def test_node_split_resolution():
-    node = build_ring(QQ, 2, [BranchVector([T, Z]), BranchVector([Z, T])])
+    node = build_ring(QQ, 2, [(T, Z), (Z, T)])
     m = node.maximal_ideal_lattice()
     res = keyred_resolve(m)
     assert res.length() <= 1
@@ -294,7 +294,7 @@ def test_placement_route_matches_closure_route(monkeypatch, name):
 def test_restriction_keeps_basis_rows_whole():
     # the node's self-lattice has the basis row 1 = (1, 1), which straddles
     # both branches: it is no direct sum of its projections
-    r = build_ring(QQ, 2, [BranchVector([T, Z]), BranchVector([Z, T])])
+    r = build_ring(QQ, 2, [(T, Z), (Z, T)])
     tree = build_chain_tree(r)
     (T0, child), _ = tree.root.children
     assert T0 == (0,)

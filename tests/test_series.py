@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from endochain.field import QQ, FieldSpec
 from endochain.series import (
     LaurentPoly,
-    BranchVector,
     poly_divmod,
     poly_gcd,
     laurent_exact_div,
@@ -131,18 +130,6 @@ def test_series_div_mod():
     den = P((0, 1), (1, -1))  # 1 - t
     q = series_div_mod(num, den, 4)
     assert q == P((1, 1), (2, 1), (3, 1))
-
-
-def test_branch_vector_arithmetic():
-    t = LaurentPoly.monomial(QQ, 1)
-    z = LaurentPoly.zero(QQ)
-    u = BranchVector([t, z])
-    v = BranchVector([z, t])
-    assert (u + v) == BranchVector([t, t])
-    assert (u * v).is_zero()
-    assert u.support() == frozenset({0})
-    e = BranchVector.indicator(QQ, 2, {1})
-    assert e * e == e
 
 
 def test_prime_field_arithmetic():

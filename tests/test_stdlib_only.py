@@ -3,7 +3,8 @@ import in src/endochain is a stdlib module and the project declares no
 runtime dependencies.  Every name a module imports is used in it, so a
 deletion leaves no stale import behind, and sibling modules are imported at
 module level only; ``endo`` does not import ``resolver``.  The one true
-division is ``FieldSpec.div``."""
+division is ``FieldSpec.div``.  An element of K has one type, a tuple of
+LaurentPoly per branch."""
 
 import ast
 import os
@@ -142,3 +143,18 @@ def test_no_runtime_dependencies():
     with open(os.path.join(ROOT, "pyproject.toml")) as f:
         text = f.read()
     assert re.search(r"^dependencies = \[\]$", text, re.M)
+
+
+def test_one_element_type():
+    # an element of K is a vector of the rank-one Ambient; the retired
+    # wrapper class is named nowhere in src/ or tests/
+    name = "Branch" + "Vector"
+    found = []
+    for top in ("src", "tests"):
+        for d, _, files in os.walk(os.path.join(ROOT, top)):
+            for f in files:
+                if f.endswith(".py"):
+                    with open(os.path.join(d, f)) as fh:
+                        if name in fh.read():
+                            found.append(f)
+    assert not found
