@@ -17,8 +17,11 @@ def end_of_maximal_ideal(ring):
 
     Its algebra generators are the minimal generators of End(m) over R and
     of m: F[m/m^2 lifts] is m-adically dense in R and m^k lies in t^k E, so
-    they generate End(m) densely modulo t^N E, as ``_close`` needs.  Its
-    conductor is at most R's, as End(m) contains R, which contains t^c E.
+    they generate End(m) densely modulo t^N E, as ``_close`` needs.  The
+    generating set of R it passes to ``build_ring`` is the minimal
+    generators of m: they span m/m^2, so they generate R as a complete
+    F-algebra, and End(m), which contains them, closes once below R's
+    conductor.
     """
     if not ring.is_local:
         raise NotLocal("End(m) chain step needs a local ring")
@@ -26,8 +29,9 @@ def end_of_maximal_ideal(ring):
         raise AlreadyNormal("ring equals its normalization; m is principal")
     m = ring.maximal_ideal_lattice()
     h = hom_lattice(m, m)
-    gens = minimal_generators(h) + minimal_generators(m)
-    s1 = build_ring(ring.field, ring.branches, gens, conductor_bound=ring.conductor)
+    mgens = minimal_generators(m)
+    gens = minimal_generators(h) + mgens
+    s1 = build_ring(ring.field, ring.branches, gens, parent=(ring, range(ring.branches), mgens))
     if s1.delta() >= ring.delta():
         raise ClaimViolation(
             "End(m) did not strictly enlarge the ring",

@@ -8,10 +8,12 @@ window span) with w >= 2c + maxdeg + 2, the complete subalgebra genuinely
 contains t^c E: deeper monomials are obtained by successive approximation
 inside the closed algebra, so the window data determines the ring exactly.
 Where a bound B >= c(R) is proven (Schur's or Sylvester's in
-``semigroup_ring``, the parent's conductor in ``factor`` and
-``chain.end_of_maximal_ideal``), one closure at w = 2 max(B) + maxdeg + 2
-passes (``build_ring``).  The canonical representation is the window basis
-on [0, c) plus the conductor tail.  The ring keeps the generators it was
+``semigroup_ring``), one closure at w = 2 max(B) + maxdeg + 2 passes.  A
+chain ring (``factor``, ``chain.end_of_maximal_ideal``) is built from its
+parent ring: its generators contain a generating set of the parent, so it
+contains t^c E for the parent's conductor c, and one closure on [0, max(c))
+is exact (``build_ring``).  The canonical representation is the window
+basis on [0, c) plus the conductor tail.  The ring keeps the generators it was
 built from as ``CurveRing.gens``: R is the closure of F[gens], so they are
 the multipliers of every later R-closure (``_close``).  On a local ring they
 give m = sum (g - g(0)) * R (``maximal_ideal_gens``), which contains
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from .series import LaurentPoly
 from .linalg import Echelon
 from .errors import (
+    ClaimViolation,
     NoFiniteConductor,
     NotCoprime,
     NotIdempotentFactor,
@@ -139,21 +142,30 @@ def _sans_constant(g):
     return tuple(p - LaurentPoly.monomial(p.field, 0, g[0][0]) for p in g)
 
 
-def build_ring(field, branches, generators, window_hint=None, conductor_bound=None):
-    """Construct the complete subalgebra of E generated by the given
+def build_ring(field, branches, generators, window_hint=None, conductor_bound=None, parent=None):
+    """Construct the complete subalgebra S of E generated by the given
     elements of K, tuples with one LaurentPoly per branch (1 is always
     adjoined, so constant multiples of 1 are dropped from ``gens``).
 
-    The closure on [0, w) is accepted once w >= 2 c(w) + maxdeg + 2, c(w)
-    the conductor it shows.  For w > c(R), pi_w(R) contains pi_w(t^c E), so
-    c(w) <= c(R); and c(w) <= c(w') for w < w', as pi_w(R) is the
-    projection of pi_w'(R).  Given a per-branch ``conductor_bound``
-    B >= c(R), the only window (and cap) is w0 = 2 max(B) + maxdeg + 2,
-    accepted at once; a c(w0) above B on some branch (a wrong bound) raises
-    NoFiniteConductor.  Without one, a closure showing c(w) moves to
-    2 c(w) + maxdeg + 2, so never past a window the rule accepts, and one
-    showing none doubles w, up to MAX_WINDOW (or twice a larger
-    ``window_hint``).
+    A root build closes F[gens] on [0, w) and accepts once
+    w >= 2 c(w) + maxdeg + 2, c(w) the conductor it shows.  For w > c(S),
+    pi_w(S) contains pi_w(t^c E), so c(w) <= c(S); and c(w) <= c(w') for
+    w < w', as pi_w(S) is the projection of pi_w'(S).  Given a per-branch
+    ``conductor_bound`` B >= c(S), the only window (and cap) is
+    w0 = 2 max(B) + maxdeg + 2, accepted at once; a c(w0) above B on some
+    branch (a wrong bound) raises NoFiniteConductor.  Without one, a closure
+    showing c(w) moves to 2 c(w) + maxdeg + 2, so never past a window the
+    rule accepts, and one showing none doubles w, up to MAX_WINDOW (or twice
+    a larger ``window_hint``).
+
+    A chain ring is built from ``parent = (R, T, P)``: R a built ring, T the
+    branches of R that S lives on (``branches == len(T)``), P elements of R
+    that generate it as a complete F-algebra.  Each e_T p, p in P, must be
+    constant or among the generators, else ClaimViolation.  Then S contains
+    the closure of F[e_T P], which is e_T R, which contains t^B E for B the
+    conductor of R on T, certified by R's own build.  So S is the preimage
+    of pi_B(S), and pi_B(S) = pi_B(F[gens]) as F[gens] is dense in S: one
+    closure on [0, max(B)) is exact, with no acceptance rule.
     Raises ResidueFieldTooLarge for local rings with residue field bigger
     than F.
     """
@@ -168,7 +180,13 @@ def build_ring(field, branches, generators, window_hint=None, conductor_bound=No
         if any(_sans_constant(g)):
             gens.append(g)
     maxdeg = max([0] + [p.degree() for g in gens for p in g if p])
-    if conductor_bound is None:
+    if parent is not None:
+        ring, T, pgens = parent
+        if any(any(_sans_constant(g)) and g not in gens for g in (tuple(p[b] for b in T) for p in pgens)):
+            raise ClaimViolation("chain ring generators omit a generating set of its parent", branches=list(T))
+        conductor_bound = [ring.conductor[b] for b in T]
+        w = cap = max(conductor_bound)
+    elif conductor_bound is None:
         w = max(window_hint or 2 * maxdeg + 6, 4)
         cap = max(MAX_WINDOW, 2 * w)
     else:
@@ -189,7 +207,7 @@ def build_ring(field, branches, generators, window_hint=None, conductor_bound=No
                 e -= 1
             conductor.append(e)
         need = 2 * max(conductor) + maxdeg + 2 if max(conductor) < w else 2 * w
-        if w >= need and all(c <= b for c, b in zip(conductor, conductor_bound or conductor)):
+        if (parent is not None or w >= need) and all(c <= b for c, b in zip(conductor, conductor_bound or conductor)):
             break
         if need > cap or conductor_bound is not None:
             raise NoFiniteConductor("closure exhibits no conductor below the window cap", window=cap)
@@ -274,13 +292,14 @@ def factor(ring, T):
     """The direct factor e_T * R as a ring on the branches of T, built from
     the parent's generators restricted to T: r -> e_T * r is a continuous
     surjection onto e_T * R, so it carries a dense F[gens] onto a dense
-    F[e_T * gens].  Its conductor is at most the parent's on T, as e_T * R
-    contains e_T * t^c E."""
+    F[e_T * gens].  The generating set of R it passes to ``build_ring`` is
+    ``R.gens``, whose e_T parts are exactly these generators, so it closes
+    once below R's conductor on T."""
     T = tuple(sorted(set(T)))
     if not ring.self_lattice.member(ring.self_lattice.ambient.idem_vec(ring.field, T)):
         raise NotIdempotentFactor("e_T does not lie in the ring", subset=T)
     gens = [tuple(g[b] for b in T) for g in ring.gens]
-    return build_ring(ring.field, len(T), gens, conductor_bound=[ring.conductor[b] for b in T])
+    return build_ring(ring.field, len(T), gens, parent=(ring, T, ring.gens))
 
 
 @dataclass

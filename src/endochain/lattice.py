@@ -921,8 +921,9 @@ def solve_constrained_window(ws, streams):
                         row[index[(c2, ee)]] = x
                     else:
                         break
-            for j, x in tech.residue(row).items():
-                res.setdefault(j, {})[u] = x
+            if row:
+                for j, x in tech.residue(row).items():
+                    res.setdefault(j, {})[u] = x
         rows += list(low.values()) + list(res.values())
     return nullspace_F(rows, ws.ncols(), ws.field)
 

@@ -97,19 +97,18 @@ class Echelon:
 
 def nullspace_F(constraint_rows, ncols, field):
     """Basis of {x in F^ncols : A x = 0} for kernel rows A (sparse dicts);
-    one kernel row per free column, in column order."""
+    one kernel row per free column f, in column order: e_f minus r_p[f] e_p
+    over the basis rows r_p.  A basis row is zero at every other pivot, so
+    one pass scatters each of its entries into the row of its free column."""
     ech = Echelon(field, ncols)
     ech.add_many(constraint_rows)
-    basis = []
-    for f in range(ncols):
-        if f in ech.by_pivot:
-            continue
-        x = {f: 1}
-        for p, r in ech.by_pivot.items():
-            if f in r:
-                x[p] = -r[f]
-        basis.append(field.clean(x))
-    return basis
+    by_pivot = ech.by_pivot
+    free = {f: {f: 1} for f in range(ncols) if f not in by_pivot}
+    for p, r in by_pivot.items():
+        for j, c in r.items():
+            if j != p:
+                free[j][p] = -c
+    return [field.clean(x) for x in free.values()]
 
 
 def laurent_rref(rows, ncols):

@@ -168,7 +168,9 @@ def _matrices(draw):
 def test_sparse_echelon_matches_dense_reference(case):
     # the sparse kernel and the dense reference agree on every add, on the
     # pivots and RREF rows (the kernel rows, reduced: ints in [1, p) over
-    # GF(p)), and on residue and contains of the rows and of probes
+    # GF(p)), on residue and contains of the rows and of probes, and on the
+    # nullspace: per free column f, e_f minus r_p[f] e_p over the RREF rows,
+    # its keys f first, then the pivots in ``by_pivot`` order
     field, ncols, rows, probes = case
     e, d = Echelon(field, ncols), DenseEchelon(field, ncols)
     for row in rows:
@@ -180,6 +182,15 @@ def test_sparse_echelon_matches_dense_reference(case):
         assert res == kernel_row(field, d.residue(row))
         assert dense_row(field, res, ncols) == d.residue(row)
         assert e.contains(kernel_row(field, row)) == d.contains(row)
+    null = nullspace_F([kernel_row(field, r) for r in rows], ncols, field)
+    free = [f for f in range(ncols) if f not in d.pivots]
+    assert len(null) == len(free)
+    for x, f in zip(null, free):
+        dense = [field.one() if j == f else field.zero() for j in range(ncols)]
+        for r, p in zip(d.rows, d.pivots):
+            dense[p] = -r[f]
+        assert x == kernel_row(field, dense)
+        assert list(x) == [f] + [p for p, r in e.by_pivot.items() if f in r]
 
 
 @st.composite
