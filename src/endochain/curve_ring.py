@@ -106,7 +106,7 @@ class CurveRing:
         is the same on every branch), so m = sum (g - g(0)) R."""
         if not self.is_local:
             raise NotLocal("maximal ideal needs a local ring")
-        return [_sans_constant(g) for g in self.gens]
+        return [tuple(p - LaurentPoly.monomial(p.field, 0, g[0][0]) for p in g) for g in self.gens]
 
     def maximal_ideal_terms(self):
         """Per g - g(0) of ``maximal_ideal_gens``, its (d, entry) terms per
@@ -137,9 +137,10 @@ class CurveRing:
 MAX_WINDOW = 192
 
 
-def _sans_constant(g):
-    """g - g(0) * 1 for g in K, g(0) its constant term on branch 0."""
-    return tuple(p - LaurentPoly.monomial(p.field, 0, g[0][0]) for p in g)
+def _is_constant(g):
+    """Whether g in K is a constant multiple of 1: the same constant on
+    every branch."""
+    return all(p == g[0] and p.coeffs.keys() <= {0} for p in g)
 
 
 def build_ring(field, branches, generators, window_hint=None, conductor_bound=None, parent=None):
@@ -177,12 +178,12 @@ def build_ring(field, branches, generators, window_hint=None, conductor_bound=No
             raise SchemaError("generator branch count mismatch")
         if any(p and p.valuation() < 0 for p in g):
             raise SchemaError("ring generators must have valuation >= 0")
-        if any(_sans_constant(g)):
+        if not _is_constant(g):
             gens.append(g)
     maxdeg = max([0] + [p.degree() for g in gens for p in g if p])
     if parent is not None:
         ring, T, pgens = parent
-        if any(any(_sans_constant(g)) and g not in gens for g in (tuple(p[b] for b in T) for p in pgens)):
+        if any(g not in gens and not _is_constant(g) for g in (tuple(p[b] for b in T) for p in pgens)):
             raise ClaimViolation("chain ring generators omit a generating set of its parent", branches=list(T))
         conductor_bound = [ring.conductor[b] for b in T]
         w = cap = max(conductor_bound)
