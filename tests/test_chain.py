@@ -174,7 +174,7 @@ def test_split_chain_rings_close_once_at_inherited_windows(path, monkeypatch, re
     # e_T End(m) that End(m)'s conductor on T; every ring, End(m) before it
     # splits too, is the one the unbounded generator route builds
     obj = ringio.load_json(path)
-    tree, builds = _tree_counting_closures(monkeypatch, lambda: ringio.ring_from_json(obj, window_hint=None))
+    tree, builds = _tree_counting_closures(monkeypatch, lambda: ringio.ring_from_json(obj))
     windows = _inherited_windows(tree)
     assert [kind for _, kind in builds] == ["open"] + ["parent"] * len(windows)
     assert [n for n, _ in builds[1:]] == [1] * len(windows)
