@@ -109,8 +109,8 @@ class CurveRing:
         return [tuple(p - LaurentPoly.monomial(p.field, 0, g[0][0]) for p in g) for g in self.gens]
 
     def maximal_ideal_terms(self):
-        """Per g - g(0) of ``maximal_ideal_gens``, its (d, entry) terms per
-        branch: the column shifts that multiply a window row by it."""
+        """Per g - g(0) of ``maximal_ideal_gens``, its (d, coefficient) terms
+        per branch: the column shifts that multiply a window row by it."""
         if self._mterms is None:
             self._mterms = [[p.kernel_terms() for p in d] for d in self.maximal_ideal_gens()]
         return self._mterms
@@ -122,11 +122,10 @@ class CurveRing:
 
     def residue_constants_dim(self):
         """Dimension of the space of branchwise constant terms of elements."""
-        entry = self.field.entry
         ech = Echelon(self.field, self.branches)
         ech.add(dict.fromkeys(range(self.branches), 1))  # 1 is always there
         for v in self.self_lattice.basis:
-            ech.add({br: entry(p[0]) for br, p in enumerate(v) if p[0]})
+            ech.add({br: p[0] for br, p in enumerate(v) if p[0]})
         return ech.rank()
 
     def __repr__(self):

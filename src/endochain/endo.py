@@ -131,7 +131,7 @@ def diagonal_radical(alg, i):
     rep_vecs = [ws.vec_of(r) for r in ey.rows]
     qpivots = sorted(ey.by_pivot)
 
-    # lmats[a][b]: quotient coordinates of rep_a o rep_b, as kernel entries:
+    # lmats[a][b]: quotient coordinates of rep_a o rep_b, reduced coefficients:
     # the rows of ey under the operator of left composition with rep_a,
     # truncated at cut (deeper elements lie in J) and reduced by J;
     # products have valuations >= 2 * lo_min, inside the window.
@@ -147,7 +147,7 @@ def diagonal_radical(alg, i):
         for a in range(dim_a)
     ]
     rad_reps = [
-        functools.reduce(amb.add_vec, [amb.scale_vec(field.coeff(c), rep_vecs[s]) for s, c in sorted(lam.items())])
+        functools.reduce(amb.add_vec, [amb.scale_vec(c, rep_vecs[s]) for s, c in sorted(lam.items())])
         for lam in nullspace_F(gram, dim_a, field)
     ]
     rad = Lattice.from_module_data(

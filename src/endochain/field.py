@@ -2,55 +2,20 @@
 
 Over QQ a coefficient is an ``int`` until a quotient is not integral, then a
 ``fractions.Fraction`` (the two compare, hash and print alike); over GF(p) it
-is a ``GFElement``.  All support +, -, *, ==, bool and hash.  ``FieldSpec``
-carries zero/one/coerce and ``div``, the only coefficient division (``int /
-int`` is a float), so the rest of the code never branches on the field kind.
+is an ``int`` in [1, p).  ``FieldSpec`` carries ``coerce`` and ``div``, the
+only coefficient division (``int / int`` is a float), so the rest of the code
+never branches on the field kind.
 
-The echelon kernel (``linalg.Echelon``) works on kernel entries instead:
-over QQ the coefficient itself, over GF(p) a plain ``int``, left unreduced
-while a row is combined and reduced mod p once per row by ``clean``.
-``entry`` and ``coeff`` convert between the two; ``monic`` scales a row by
-the inverse of its lead, one modular inverse per row (``_inverse``, the only
-one in the package).
+Arithmetic combines raw values: a GF(p) sum or product is left unreduced
+until ``clean`` reduces a whole {key: value} dict mod p and drops its zeros,
+once per echelon row or Laurent polynomial.  ``monic`` scales a row by the
+inverse of its lead, one modular inverse per row (``_inverse``, the only one
+in the package).
 """
 
 from fractions import Fraction
 
 from .errors import SchemaError
-
-
-class GFElement:
-    """An element of GF(p), normalized to 0 <= value < p."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p):
-        self.v = v % p
-        self.p = p
-
-    def __add__(self, other):
-        return GFElement(self.v + other.v, self.p)
-
-    def __sub__(self, other):
-        return GFElement(self.v - other.v, self.p)
-
-    def __neg__(self):
-        return GFElement(-self.v, self.p)
-
-    def __mul__(self, other):
-        return GFElement(self.v * other.v, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, GFElement) and self.v == other.v and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v}"
 
 
 # The first 13 primes decide Miller-Rabin deterministically below
@@ -107,50 +72,30 @@ class FieldSpec:
         self.kind = kind
         self.characteristic = characteristic
 
-    # -- arithmetic entry points -------------------------------------------
-
-    def zero(self):
-        if self.kind == "rational":
-            return 0
-        return GFElement(0, self.characteristic)
-
-    def one(self):
-        if self.kind == "rational":
-            return 1
-        return GFElement(1, self.characteristic)
+    # -- arithmetic ----------------------------------------------------------
 
     def div(self, a, b):
         """The quotient a / b; over QQ an int whenever it is integral."""
         if self.kind == "rational":
             q = Fraction(a, b)
             return q.numerator if q.denominator == 1 else q
-        return GFElement(a.v * self._inverse(b.v), self.characteristic)
+        return a * self._inverse(b) % self.characteristic
 
     def _inverse(self, x):
-        """The inverse of a kernel entry of GF(p)."""
+        """The inverse of x in GF(p), x any int."""
         if x % self.characteristic == 0:
             raise ZeroDivisionError("division by zero in GF(p)")
         return pow(x, -1, self.characteristic)
 
-    # -- kernel entries ----------------------------------------------------
-
-    def entry(self, c):
-        """The kernel entry of a coefficient: itself over QQ, its int over GF(p)."""
-        return c.v if self.characteristic else c
-
-    def coeff(self, x):
-        """The coefficient of a kernel entry."""
-        return GFElement(x, self.characteristic) if self.characteristic else x
-
     def clean(self, row):
-        """A kernel row {col: entry} with its entries reduced and zeros dropped."""
+        """A dict {key: raw value} with its values reduced and zeros dropped."""
         p = self.characteristic
         if not p:
             return {j: x for j, x in row.items() if x}
         return {j: y for j, x in row.items() if (y := x % p)}
 
     def monic(self, row, lead):
-        """The kernel row row / lead, for a nonzero kernel entry lead."""
+        """The row row / lead, for a nonzero coefficient lead."""
         p = self.characteristic
         if not p:
             return {j: self.div(x, lead) for j, x in row.items()}
@@ -158,35 +103,25 @@ class FieldSpec:
         return {j: x * inv % p for j, x in row.items()}
 
     def coerce(self, x):
-        """Coerce an int (not a bool), Fraction, field element or 'p/q' string."""
-        if self.kind == "rational":
-            if type(x) is int:
-                return x
-            if isinstance(x, Fraction):
-                return self.div(x, 1)
-        else:
-            p = self.characteristic
-            if isinstance(x, GFElement):
-                if x.p != p:
-                    raise SchemaError("GF element from wrong field")
-                return x
-            if type(x) is int:
-                return GFElement(x, p)
+        """Coerce an int (not a bool), a Fraction over QQ or a 'p/q' string."""
+        p = self.characteristic
+        if type(x) is int:
+            return x % p if p else x
+        if not p and isinstance(x, Fraction):
+            return self.div(x, 1)
         if isinstance(x, str):
             try:
-                if self.kind == "rational":
+                if not p:
                     return self.div(Fraction(x), 1)
                 num, _, den = x.partition("/")
-                return self.div(GFElement(int(num), p), GFElement(int(den or "1"), p))
+                return self.div(int(num), int(den or "1"))
             except (ValueError, ZeroDivisionError):
                 raise SchemaError(f"malformed coefficient {x!r} for {self}") from None
         raise SchemaError(f"cannot coerce {x!r} into {self}")
 
     def format(self, c):
         """Render a coefficient as a decimal string (rationals as 'p/q')."""
-        if self.kind == "rational":
-            return str(c)
-        return str(c.v)
+        return str(c)
 
     # -- plumbing ----------------------------------------------------------
 

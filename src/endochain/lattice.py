@@ -184,10 +184,9 @@ class WindowSpace:
         return self._ends
 
     def row_of(self, vec):
-        """The kernel row {column: entry} of ``vec``'s window coefficients;
+        """The row {column: coefficient} of ``vec``'s window coefficients;
         exponents >= hi are dropped (tail absorption).  Returns None if any
         support lies below lo."""
-        entry = self.field.entry
         index = self.index
         row = {}
         for coord, a in enumerate(vec):
@@ -199,16 +198,15 @@ class WindowSpace:
                 if e < lo:
                     return None
                 if e < hi:
-                    row[index[(coord, e)]] = entry(c)
+                    row[index[(coord, e)]] = c
         return row
 
     def vec_of(self, row):
-        """The vector of a kernel row."""
-        coeff = self.field.coeff
+        """The vector of a row."""
         polys = [{} for _ in range(self.ambient.ncoords)]
         for j in sorted(row):
             coord, e = self.cols[j]
-            polys[coord][e] = coeff(row[j])
+            polys[coord][e] = row[j]
         return tuple(LaurentPoly(self.field, p) for p in polys)
 
     def echelon(self):

@@ -4,8 +4,8 @@ fraction-free elimination over F[t, 1/t] for ranks and kernels over F(t).
 The field-level ``Echelon`` is the workhorse behind every window
 computation; it maintains fully reduced rows (RREF) so that bases are
 canonical and membership residues are linear.  A row is sparse, a dict
-{column: nonzero kernel entry} (``FieldSpec.entry``: the coefficient over
-QQ, an int in [1, p) over GF(p)), and the basis rows are indexed by pivot.
+{column: nonzero coefficient} (over GF(p) an int in [1, p), as in a
+``LaurentPoly``), and the basis rows are indexed by pivot.
 A basis row is zero at every other pivot, so the residue of a row is the
 row minus, for each pivot in its support, its entry there times that basis
 row: one pass over the row's own pivot columns.  The field supplies the
@@ -96,8 +96,8 @@ class Echelon:
 
 
 def nullspace_F(constraint_rows, ncols, field):
-    """Basis of {x in F^ncols : A x = 0} for kernel rows A (sparse dicts);
-    one kernel row per free column f, in column order: e_f minus r_p[f] e_p
+    """Basis of {x in F^ncols : A x = 0} for rows A (sparse dicts); one
+    row per free column f, in column order: e_f minus r_p[f] e_p
     over the basis rows r_p.  A basis row is zero at every other pivot, so
     one pass scatters each of its entries into the row of its free column."""
     ech = Echelon(field, ncols)

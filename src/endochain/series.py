@@ -15,13 +15,17 @@ INF = math.inf
 
 
 class LaurentPoly:
-    """A Laurent polynomial sum c_e * t^e, stored as {e: c} with no zeros."""
+    """A Laurent polynomial sum c_e * t^e, stored as {e: c} with no zeros.
+
+    Arithmetic combines raw coefficients and reduces the result once through
+    ``FieldSpec.clean``, as an echelon row does: over GF(p) every stored
+    coefficient is an int in [1, p)."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=None):
         self.field = field
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
+        self.coeffs = field.clean(coeffs) if coeffs else {}
 
     # -- constructors --------------------------------------------------------
 
@@ -60,7 +64,7 @@ class LaurentPoly:
         return max(self.coeffs) if self.coeffs else -INF
 
     def __getitem__(self, e):
-        return self.coeffs.get(e, self.field.zero())
+        return self.coeffs.get(e, 0)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -76,20 +80,11 @@ class LaurentPoly:
     def __add__(self, other):
         coeffs = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = coeffs.get(e)
-            s = c if s is None else s + c
-            if s:
-                coeffs[e] = s
-            else:
-                del coeffs[e]
-        res = LaurentPoly(self.field)
-        res.coeffs = coeffs
-        return res
+            coeffs[e] = coeffs.get(e, 0) + c
+        return LaurentPoly(self.field, coeffs)
 
     def __neg__(self):
-        res = LaurentPoly(self.field)
-        res.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return res
+        return LaurentPoly(self.field, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -99,23 +94,12 @@ class LaurentPoly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                p = c1 * c2
-                s = coeffs.get(e)
-                s = p if s is None else s + p
-                if s:
-                    coeffs[e] = s
-                elif e in coeffs:
-                    del coeffs[e]
-        res = LaurentPoly(self.field)
-        res.coeffs = coeffs
-        return res
+                coeffs[e] = coeffs.get(e, 0) + c1 * c2
+        return LaurentPoly(self.field, coeffs)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        res = LaurentPoly(self.field)
-        if c:
-            res.coeffs = {e: c0 * c for e, c0 in self.coeffs.items()}
-        return res
+        return LaurentPoly(self.field, {e: c0 * c for e, c0 in self.coeffs.items()})
 
     def over(self, c):
         """Divide every coefficient by the scalar c."""
@@ -123,10 +107,9 @@ class LaurentPoly:
         return LaurentPoly(self.field, {e: div(c0, c) for e, c0 in self.coeffs.items()})
 
     def kernel_terms(self):
-        """The (exponent, kernel entry) pairs by increasing exponent: the
+        """The (exponent, coefficient) pairs by increasing exponent: the
         column shifts by which it multiplies a window row."""
-        entry = self.field.entry
-        return sorted((e, entry(c)) for e, c in self.coeffs.items())
+        return sorted(self.coeffs.items())
 
     def shift(self, k):
         """Multiply by t^k."""
@@ -149,10 +132,10 @@ class LaurentPoly:
             raise NotAUnit("invert_unit needs valuation 0", valuation=str(self.valuation()))
         field = self.field
         a0 = self.coeffs[0]
-        inv = {0: field.div(field.one(), a0)}
+        inv = {0: field.div(1, a0)}
         # Solve sum_{j<=e} a_j * b_{e-j} = 0 coefficient by coefficient.
         for e in range(1, order):
-            acc = field.zero()
+            acc = 0
             for j, aj in self.coeffs.items():
                 if 0 < j <= e:
                     b = inv.get(e - j)

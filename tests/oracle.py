@@ -5,9 +5,10 @@ The semigroup functions work on sets of integers (value sets of monomial
 rings and ideals), with no reference to the lattice engine, so expected
 values for the single-branch monomial fixtures are computed by a genuinely
 different route.  ``DenseEchelon`` keeps RREF rows as dense lists of field
-coefficients and does its arithmetic through the coefficients' own
-operators and ``FieldSpec.div``, so it shares no row code with
-``linalg.Echelon``; ``kernel_row`` and ``dense_row`` convert between the two.
+coefficients, combines them with Python's operators, reducing mod p itself,
+and divides by ``FieldSpec.div``, so it shares no row code with
+``linalg.Echelon``; ``kernel_row`` and ``dense_row`` convert between dense
+lists and sparse rows.
 
 ``reference_solve`` is the former unit-vector route of the window
 constraint solver: it applies a map to one unit vector per window column as
@@ -35,14 +36,14 @@ from endochain.linalg import nullspace_F
 from endochain.series import LaurentPoly, laurent_exact_div, poly_gcd
 
 
-def kernel_row(field, dense):
-    """The sparse kernel row {col: entry} of a dense list of coefficients."""
-    return {j: field.entry(c) for j, c in enumerate(dense) if c}
+def kernel_row(dense):
+    """The sparse row {col: coefficient} of a dense list of coefficients."""
+    return {j: c for j, c in enumerate(dense) if c}
 
 
-def dense_row(field, row, ncols):
-    """The dense coefficient list of a sparse kernel row."""
-    return [field.coeff(row[j]) if j in row else field.zero() for j in range(ncols)]
+def dense_row(row, ncols):
+    """The dense coefficient list of a sparse row."""
+    return [row.get(j, 0) for j in range(ncols)]
 
 
 class DenseEchelon:
@@ -54,12 +55,18 @@ class DenseEchelon:
         self.rows = []
         self.pivots = []
 
+    def _sub(self, row, c, r):
+        """row - c * r, reduced mod p over GF(p)."""
+        p = self.field.characteristic
+        out = [a - c * b for a, b in zip(row, r)]
+        return [x % p for x in out] if p else out
+
     def residue(self, row):
         row = list(row)
         for r, p in zip(self.rows, self.pivots):
             c = row[p]
             if c:
-                row = [a - c * b for a, b in zip(row, r)]
+                row = self._sub(row, c, r)
         return row
 
     def add(self, row):
@@ -72,7 +79,7 @@ class DenseEchelon:
         for i, r in enumerate(self.rows):
             c = r[p]
             if c:
-                self.rows[i] = [a - c * b for a, b in zip(r, row)]
+                self.rows[i] = self._sub(r, c, row)
         where = bisect.bisect_left(self.pivots, p)
         self.rows.insert(where, row)
         self.pivots.insert(where, p)
@@ -200,14 +207,13 @@ class ConstraintStream:
 
     def put(self, u, img):
         tgt = self.target
-        entry = tgt.ring.field.entry
-        row = {}  # the window part of img, a kernel row of the target window
+        row = {}  # the window part of img, a row of the target window
         for coord, a in enumerate(img):
             for ee, c in a.coeffs.items():
                 if ee < tgt.lo[coord]:
-                    self.rows[self.low_index[(coord, ee)]][u] = entry(c)
+                    self.rows[self.low_index[(coord, ee)]][u] = c
                 elif ee < tgt.hi[coord]:
-                    row[self.tws.index[(coord, ee)]] = entry(c)
+                    row[self.tws.index[(coord, ee)]] = c
         res = self.tech.residue(row)
         base = len(self.low_index)
         for j, x in res.items():
@@ -283,7 +289,7 @@ class RatFun:
                 num = laurent_exact_div(num, g)
                 den = laurent_exact_div(den, g)
             lead = den.coeffs.get(den.degree())
-            if lead is not None and lead != field.one():
+            if lead is not None and lead != 1:
                 num = num.over(lead)
                 den = den.over(lead)
         self.num = num

@@ -213,10 +213,11 @@ def test_fcmt_dvr():
 
 
 def test_prime_field_agrees_with_rationals():
-    # inside the echelon kernel both fields do int arithmetic (QQ also on
-    # Fractions) and differ only by the reduction mod p of GF(p) rows, so a
-    # lost or misplaced reduction shows here: every corpus ring must give
-    # the same chain depth, delta, family size, gldim and pd per simple
+    # both fields do int arithmetic, in Laurent polynomials and echelon rows
+    # alike (QQ also on Fractions), and differ only by the reduction mod p
+    # that ``FieldSpec.clean`` applies over GF(p), so a lost or misplaced
+    # reduction shows here: every corpus ring must give the same chain
+    # depth, delta, family size, gldim and pd per simple
     from endochain.verify import corpus
 
     f101 = FieldSpec("prime", 101)
@@ -240,31 +241,31 @@ def _coefficients(rows):
 
 
 def _is_kernel_entry(field, x):
-    """A stored echelon entry: over GF(p) an int in [1, p), over QQ a
-    nonzero int (not a bool) or Fraction."""
+    """A stored coefficient, of a LaurentPoly or an echelon row: over GF(p)
+    an int in [1, p), over QQ a nonzero int (not a bool) or Fraction."""
     if field.characteristic:
         return type(x) is int and 0 < x < field.characteristic
     return type(x) in (int, Fraction) and x != 0
 
 
 def test_coefficients_are_exact_field_elements():
-    # int / int is a float and a bool is an int: every stored coefficient
-    # must be an int (not a bool) or Fraction over QQ, a GFElement over GF(p);
-    # the echelon rows behind the same lattices hold kernel entries instead
+    # int / int is a float and a bool is an int: every stored coefficient,
+    # of the lattice vectors and of the echelon rows behind them, must be a
+    # nonzero int (not a bool) or Fraction over QQ, an int in [1, p) over GF(p)
     from endochain import ringio
-    from endochain.field import GFElement
     from endochain.lattice import raw_span
     from endochain.resolver import keyred_resolve
     from endochain.verify import corpus
 
-    for field, types in ((QQ, {int, Fraction}), (FieldSpec("prime", 32003), {GFElement})):
-        seen, entries = set(), 0
+    for field in (QQ, FieldSpec("prime", 32003)):
+        coeffs, entries = 0, 0
         for name, r in corpus(field):
             tree, alg = family_algebra(r)
             lats = [nd.ring.self_lattice for nd in tree.nodes()]
             lats += [*alg.summands, *alg.hom.values(), *alg.rad_diag]
-            seen |= {type(c) for lat in lats for c in _coefficients(lat.basis)}
-            assert seen <= types, (field, name, seen)
+            cs = [c for lat in lats for c in _coefficients(lat.basis)]
+            assert all(_is_kernel_entry(field, c) for c in cs), (field, name)
+            coeffs += len(cs)
             # window() rebuilds from RREF vectors, whose leads are 1 already;
             # the spans of the Hom blocks' generators times 3 go through monic
             rows = [row for lat in lats for row in lat.window()[1].rows]
@@ -273,7 +274,7 @@ def test_coefficients_are_exact_field_elements():
                 rows += raw_span(r, lat.ambient, gens, [], lat.lo, lat.hi)[1].rows
             assert all(_is_kernel_entry(field, x) for row in rows for x in row.values()), (field, name)
             entries += sum(len(row) for row in rows)
-        assert seen and entries
+        assert coeffs and entries
     # a module with non-integral generators takes the Fraction branch
     ring = ringio.ring_from_json(ringio.load_json(os.path.join(DATA, "rings", "semigroup_2_5.json")))
     module = ringio.load_json(os.path.join(DATA, "modules", "m_frac_over_2_5.json"))

@@ -15,7 +15,7 @@ def F(x):
 
 def K(*dense, field=QQ):
     """The kernel row of a dense list of coefficients."""
-    return kernel_row(field, [field.coerce(c) for c in dense])
+    return kernel_row([field.coerce(c) for c in dense])
 
 
 def test_echelon_rank_and_membership():
@@ -45,9 +45,9 @@ def test_echelon_residue_linear():
         e.add(K(*[F(rng.randint(-3, 3)) for _ in range(5)]))
     x = [F(rng.randint(-3, 3)) for _ in range(5)]
     y = [F(rng.randint(-3, 3)) for _ in range(5)]
-    rx = dense_row(QQ, e.residue(K(*x)), 5)
-    ry = dense_row(QQ, e.residue(K(*y)), 5)
-    rxy = dense_row(QQ, e.residue(K(*[a + b for a, b in zip(x, y)])), 5)
+    rx = dense_row(e.residue(K(*x)), 5)
+    ry = dense_row(e.residue(K(*y)), 5)
+    rxy = dense_row(e.residue(K(*[a + b for a, b in zip(x, y)])), 5)
     assert rxy == [a + b for a, b in zip(rx, ry)]
 
 
@@ -55,7 +55,7 @@ def test_nullspace_F():
     rows = [K(F(1), F(1), F(0)), K(F(0), F(1), F(1))]
     basis = nullspace_F(rows, 3, QQ)
     assert len(basis) == 1
-    v = dense_row(QQ, basis[0], 3)
+    v = dense_row(basis[0], 3)
     assert v[0] + v[1] == 0 and v[1] + v[2] == 0
 
 
@@ -156,7 +156,7 @@ def _matrices(draw):
         if rows and draw(st.booleans()):
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             c = draw(entry)
-            rows.append([x + c * y for x, y in zip(a, b)])
+            rows.append([field.coerce(x + c * y) for x, y in zip(a, b)])
         else:
             rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
     probes = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=3))
@@ -174,22 +174,22 @@ def test_sparse_echelon_matches_dense_reference(case):
     field, ncols, rows, probes = case
     e, d = Echelon(field, ncols), DenseEchelon(field, ncols)
     for row in rows:
-        assert e.add(kernel_row(field, row)) == d.add(row)
+        assert e.add(kernel_row(row)) == d.add(row)
     assert sorted(e.by_pivot) == d.pivots
-    assert e.rows == [kernel_row(field, r) for r in d.rows]
+    assert e.rows == [kernel_row(r) for r in d.rows]
     for row in rows + probes:
-        res = e.residue(kernel_row(field, row))
-        assert res == kernel_row(field, d.residue(row))
-        assert dense_row(field, res, ncols) == d.residue(row)
-        assert e.contains(kernel_row(field, row)) == d.contains(row)
-    null = nullspace_F([kernel_row(field, r) for r in rows], ncols, field)
+        res = e.residue(kernel_row(row))
+        assert res == kernel_row(d.residue(row))
+        assert dense_row(res, ncols) == d.residue(row)
+        assert e.contains(kernel_row(row)) == d.contains(row)
+    null = nullspace_F([kernel_row(r) for r in rows], ncols, field)
     free = [f for f in range(ncols) if f not in d.pivots]
     assert len(null) == len(free)
     for x, f in zip(null, free):
-        dense = [field.one() if j == f else field.zero() for j in range(ncols)]
+        dense = [int(j == f) for j in range(ncols)]
         for r, p in zip(d.rows, d.pivots):
-            dense[p] = -r[f]
-        assert x == kernel_row(field, dense)
+            dense[p] = field.coerce(-r[f])
+        assert x == kernel_row(dense)
         assert list(x) == [f] + [p for p, r in e.by_pivot.items() if f in r]
 
 

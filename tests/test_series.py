@@ -141,6 +141,50 @@ def test_prime_field_arithmetic():
     assert (a + LaurentPoly.from_pairs(F5, [(0, 2)])).is_zero()
 
 
+@st.composite
+def _zz_pairs(draw):
+    """A prime p, integer (exponent, coefficient) pairs for two polynomials,
+    with coefficients well outside [0, p) and repeated exponents, and an
+    integer scalar."""
+    p = draw(st.sampled_from((5, 7, 32003)))
+    coeff = st.integers(-3 * p, 3 * p)
+    pairs = st.lists(st.tuples(st.integers(-3, 4), coeff), max_size=5)
+    return p, draw(pairs), draw(pairs), draw(coeff)
+
+
+def _mod(p, poly):
+    """The coefficients of a QQ polynomial reduced mod p, zeros dropped; its
+    denominators must be prime to p."""
+    out = {}
+    for e, c in poly.coeffs.items():
+        c = Fraction(c)
+        if x := c.numerator * pow(c.denominator, -1, p) % p:
+            out[e] = x
+    return out
+
+
+@given(_zz_pairs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_prime_field_coefficients_are_reduced_ints(case):
+    # over GF(p) a coefficient is an int in [1, p): every result holds such
+    # ints and equals the same operation over ZZ, reduced mod p (over QQ for
+    # ``over`` and ``invert_unit``, whose denominators are powers of c)
+    p, xs, ys, c = case
+    field = FieldSpec("prime", p)
+    a, b = LaurentPoly.from_pairs(field, xs), LaurentPoly.from_pairs(field, ys)
+    za, zb = LaurentPoly.from_pairs(QQ, xs), LaurentPoly.from_pairs(QQ, ys)
+    got = [(a, za), (b, zb), (a + b, za + zb), (a - b, za - zb), (-a, -za)]
+    got += [(a * b, za * zb), (a.scale(c), za.scale(c))]
+    if c % p:
+        got.append((a.over(c), za.over(c)))
+        unit = [(0, c)] + [(e, x) for e, x in xs if e > 0]
+        u, zu = LaurentPoly.from_pairs(field, unit), LaurentPoly.from_pairs(QQ, unit)
+        got.append((u.invert_unit(6), zu.invert_unit(6)))
+    for r, z in got:
+        assert all(type(x) is int and 0 < x < p for x in r.coeffs.values()), r.coeffs
+        assert r.coeffs == _mod(p, z)
+
+
 def test_rendering():
     assert P((2, 3), (0, 1)).render() == "1 + 3*t^2"
     assert LaurentPoly.zero(QQ).render() == "0"
