@@ -126,28 +126,6 @@ def verify_hom_exactness(res, x, skip_cokernel_position=False):
     return True
 
 
-# -- context ------------------------------------------------------------------------
-
-
-class _Ctx:
-    """Per-chain-node resolution context; ``max_depth`` is the recursion
-    bound of ``_resolve``, twice the depth of the whole chain tree."""
-
-    def __init__(self, node, max_depth):
-        self.node = node
-        self.ring = node.ring
-        self.max_depth = max_depth
-        self._children = None
-
-    def family(self):
-        return chain_family(None, base_node=self.node)
-
-    def children(self):
-        if self._children is None:
-            self._children = [(T, _Ctx(ch, self.max_depth)) for T, ch in self.node.children]
-        return self._children
-
-
 def _relattice(lat, ring):
     """The same canonical lattice viewed over a different (over)ring."""
     out = Lattice(ring, lat.ambient, lat.lo, lat.hi, lat.basis)
@@ -165,21 +143,24 @@ def _free_cover_data(n, n1):
     return lifts
 
 
-def _resolve(ctx, n, depth=0):
-    """Resolve n over ctx's ring; ``depth`` counts the calls above this one.
+def _resolve(node, n, bound, depth=0):
+    """Resolve n over the ring of the chain node ``node``; ``depth`` counts
+    the calls above this one and may not exceed ``bound``.
 
     Case (b) recurses one chain level down.  Case (c) recurses at the same
     node into n1 and ker, both R1-stable (n1 by construction, ker by the
     check below), so each of those calls ends in the base case, the fast path
     or case (b).  A chain level thus adds at most 2 to the depth, and a leaf
     is a DVR product, the base case: on a chain of depth n the depth is at
-    most 2n, and a deeper call is a ClaimViolation.
+    most 2n, the ``bound`` callers pass, and a deeper call is a
+    ClaimViolation.
     """
-    ring = ctx.ring
-    if depth > ctx.max_depth:
-        raise ClaimViolation("resolver recursion deeper than twice the chain depth", depth=depth, bound=ctx.max_depth)
+    ring = node.ring
+    if depth > bound:
+        raise ClaimViolation("resolver recursion deeper than twice the chain depth", depth=depth, bound=bound)
     if n.is_zero():
         raise NotTorsionFree("cannot resolve the zero module here")
+    family = chain_family(None, base_node=node)
 
     # (a) base case: torsion-free over a DVR is free (local leaves have a
     # single branch, so the free cover is an isomorphism)
@@ -195,33 +176,33 @@ def _resolve(ctx, n, depth=0):
                     entries[(br, k, j)] = a
                 j += 1
         f = LatticeMap.from_entries(c0, n, entries)
-        mem = ctx.family().members[0].lattice
+        mem = family.members[0].lattice
         return Resolution(ring, n, [Term(c0, (mem,) * total)], [f])
 
     # fast path: n is already (isomorphic to) a family member
-    for mem in ctx.family().members:
+    for mem in family.members:
         f = isomorphism(mem.lattice, n)
         if f is not None:
             return Resolution(ring, n, [Term(mem.lattice, (mem.lattice,))], [f])
 
-    r1 = ctx.node.r1
+    r1 = node.r1
     if scalar_extension_test(r1, n):
-        children = ctx.children()
+        children = node.children
         if len(children) == 1 and children[0][1].ring.branches == ring.branches:
             # R1 local on the same branches: resolve over R1 and restrict back
-            _, cctx = children[0]
-            sub = _resolve(cctx, _relattice(n, cctx.ring), depth + 1)
+            _, child = children[0]
+            sub = _resolve(child, _relattice(n, child.ring), bound, depth + 1)
             terms = [Term(_relattice(t.lattice, ring), t.tags) for t in sub.terms]
             maps = []
             maps.append(_remap(sub.maps[0], terms[0].lattice, n))
             for j in range(1, len(sub.maps)):
                 maps.append(_remap(sub.maps[j], terms[j].lattice, terms[j - 1].lattice))
             return Resolution(ring, n, terms, maps)
-        return _resolve_split(ctx, n, depth)
+        return _resolve_split(node, n, bound, depth)
 
     # (c): cover by free + resolution of the largest R1-submodule
     n1 = largest_submodule_over(r1, n)
-    res1 = _resolve(ctx, n1, depth + 1)
+    res1 = _resolve(node, n1, bound, depth + 1)
     cp_term = res1.terms[0]
     f = _remap(res1.maps[0], cp_term.lattice, n)
     lifts = _free_cover_data(n, n1)
@@ -239,12 +220,12 @@ def _resolve(ctx, n, depth=0):
     pi = LatticeMap.from_entries(c0, n, entries)
     lk, emb = kernel_lattice(pi)
     if lk.is_zero():
-        term0 = Term(c0, (ctx.family().members[0].lattice,) * d + cp_term.tags)
+        term0 = Term(c0, (family.members[0].lattice,) * d + cp_term.tags)
         return Resolution(ring, n, [term0], [pi], notes={"case": "c", "kernel": "zero"})
     if not scalar_extension_test(r1, lk):
         raise ClaimViolation("kernel of the cover is not R1-stable")
-    res_l = _resolve(ctx, lk, depth + 1)
-    term0 = Term(c0, (ctx.family().members[0].lattice,) * d + cp_term.tags)
+    res_l = _resolve(node, lk, bound, depth + 1)
+    term0 = Term(c0, (family.members[0].lattice,) * d + cp_term.tags)
     terms = [term0] + res_l.terms
     maps = [pi, emb.compose(res_l.maps[0])]
     for j in range(1, len(res_l.maps)):
@@ -264,16 +245,17 @@ def _restrict_to_factor(n, positions, child_ring):
     return placed_sum(child_ring, camb, [n], [cmap])
 
 
-def _resolve_split(ctx, n, depth):
+def _resolve_split(node, n, bound, depth):
     """Case (b) with several idempotent factors: resolve each projection and
     place the factors' terms side by side, each on its own branches."""
-    ring = ctx.ring
+    ring = node.ring
+    family = chain_family(None, base_node=node)
     subs = []
-    for T, cctx in ctx.children():
-        sub = _resolve(cctx, _restrict_to_factor(n, T, cctx.ring), depth + 1)
+    for T, child in node.children:
+        sub = _resolve(child, _restrict_to_factor(n, T, child.ring), bound, depth + 1)
         tmap = {}
-        for mem in cctx.family().members:
-            pm = ctx.family().find(embedded_lattice(ring, [(T, mem.lattice)]))
+        for mem in chain_family(None, base_node=child).members:
+            pm = family.find(embedded_lattice(ring, [(T, mem.lattice)]))
             if pm is None:
                 raise FailedDecomposition("factor family member missing upstairs")
             tmap[mem.lattice.key()] = pm.lattice
@@ -309,14 +291,13 @@ def keyred_resolve(n, tree=None, certify=True):
     ring = n.ring
     if tree is None:
         tree = build_chain_tree(ring)
-    ctx = _Ctx(tree.root, 2 * tree.n)
-    res = _resolve(ctx, n)
+    res = _resolve(tree.root, n, 2 * tree.n)
     if res.length() > tree.n:
         raise ClaimViolation(
             "resolution longer than the chain depth", length=res.length(), n=tree.n
         )
     if certify:
-        fam = ctx.family()
+        fam = chain_family(tree)
         res.certify([(m.label, m.lattice) for m in fam.members])
     return res
 
@@ -330,13 +311,12 @@ def resolve_presented_module(f, tree=None, certify=True):
     ring = f.source.ring
     if tree is None:
         tree = build_chain_tree(ring)
-    ctx = _Ctx(tree.root, 2 * tree.n)
     lk, emb = kernel_lattice(f)
     m0, m1 = f.target, f.source
     if lk.is_zero():
         res = Resolution(ring, m0, [Term(m1, ())], [f], notes={"kernel": "zero"})
     else:
-        res_l = _resolve(ctx, lk)
+        res_l = _resolve(tree.root, lk, 2 * tree.n)
         terms = [Term(m1, ())] + res_l.terms
         maps = [f, _remap(emb.compose(res_l.maps[0]), res_l.terms[0].lattice, m1)]
         for j in range(1, len(res_l.maps)):
@@ -344,6 +324,6 @@ def resolve_presented_module(f, tree=None, certify=True):
         res = Resolution(ring, m0, terms, maps)
     res.notes["gamma_pd_bound"] = len(res.terms)
     if certify:
-        fam = ctx.family()
+        fam = chain_family(tree)
         res.certify([(m.label, m.lattice) for m in fam.members], presentation=True)
     return res

@@ -206,9 +206,9 @@ def test_recursion_depth_bound_is_twice_the_chain_depth(monkeypatch):
     depths = []
     inner = resolver._resolve
 
-    def spy(ctx, n, depth=0):
+    def spy(node, n, bound, depth=0):
         depths.append(depth)
-        return inner(ctx, n, depth)
+        return inner(node, n, bound, depth)
 
     monkeypatch.setattr(resolver, "_resolve", spy)
     res = keyred_resolve(lat, tree=tree)
