@@ -14,7 +14,7 @@ def F(x):
 
 
 def K(*dense, field=QQ):
-    """The kernel row of a dense list of coefficients."""
+    """The sparse row of a dense list of coefficients."""
     return kernel_row([field.coerce(c) for c in dense])
 
 
@@ -167,7 +167,7 @@ def _matrices(draw):
 @given(_matrices())
 def test_sparse_echelon_matches_dense_reference(case):
     # the sparse kernel and the dense reference agree on every add, on the
-    # pivots and RREF rows (the kernel rows, reduced: ints in [1, p) over
+    # pivots and RREF rows (sparse rows, reduced: ints in [1, p) over
     # GF(p)), on residue and contains of the rows and of probes, and on the
     # nullspace: per free column f, e_f minus r_p[f] e_p over the RREF rows,
     # its keys f first, then the pivots in ``by_pivot`` order
