@@ -34,6 +34,9 @@ MODULES = (
     ("resolve-m_over_2_5", "m_over_2_5", _ring("semigroup_2_5")),
     ("resolve-m_frac_over_2_5", "m_frac_over_2_5", _ring("semigroup_2_5")),
     ("resolve-m_over_cusp_line", "m_over_cusp_line", _ring("cusp_line")),
+    # length 2: the only resolve golden that reaches exactness under Hom at
+    # an interior term, C_0
+    ("resolve-m_over_3_5", "m_over_3_5", _ring("semigroup_3_5")),
     (
         "resolve-j_over_3_4-gf32003",
         "j_over_3_4",
