@@ -459,6 +459,8 @@ def dvr_triangularize(field, vecs, nslots, cut):
         work.remove(pv)
         used.add(slot)
         pivots.append((slot, val, pv))
+        if len(used) == nslots:
+            break  # no slot is left for a later round to pivot on
         nxt = []
         for w in work:
             if w[slot] and w[slot].valuation() >= val:
@@ -1154,6 +1156,16 @@ def is_surjective_onto(f):
     return not lifts and inside
 
 
+def _leading_shape(lat):
+    """Per basis row, its first nonzero coordinate c and its valuation there
+    less ``hi[c]``: the leading column of the row, relative to the tail."""
+    out = []
+    for v in lat.basis:
+        c = next(c for c, a in enumerate(v) if a)
+        out.append((c, v[c].valuation() - lat.hi[c]))
+    return sorted(out)
+
+
 def isomorphism(a, b, hom=None):
     """An isomorphism a -> b as a LatticeMap, or None (R local, any rank);
     ``hom`` is Hom(a, b) when the caller has solved it already.
@@ -1164,8 +1176,22 @@ def isomorphism(a, b, hom=None):
     member S has End(S) = S): for an isomorphism phi, the non-isomorphisms
     phi o rad End(a) are a proper R-submodule of Hom(a, b) holding
     m * Hom(a, b), so some minimal generator of Hom(a, b) lies outside it.
+
+    When every ambient rank is at most 1, a miss is first looked for in the
+    leading shape (``_leading_shape``), with no Hom solve.  An isomorphism
+    is then multiplication by x = (t^k_br u_br), u_br units of F[[t_br]].
+    Window columns run coordinate by coordinate, so the leading column
+    (c, e) of an element v (its first nonzero coordinate c, at valuation e)
+    becomes (c, e + k) in x * v, and the minimal tail hi[c] becomes
+    hi[c] + k.  The leading columns of a lattice are its basis pivots plus
+    its tail columns: v less its part at and beyond the tail lies in the
+    window span, with the same leading column unless that lies in the tail.
+    So the leading exponents of the basis rows less hi, per coordinate, are
+    the same for isomorphic a and b.
     """
     if a.ambient.ranks != b.ambient.ranks or a.ambient.ncoords == 0:
+        return None
+    if max(a.ambient.ranks) <= 1 and _leading_shape(a) != _leading_shape(b):
         return None
     for g in minimal_generators(hom if hom is not None else hom_lattice(a, b)):
         f = hom_element_as_map(a, b, g)

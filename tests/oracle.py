@@ -27,13 +27,17 @@ F[t, 1/t].
 
 ``image_lattice`` materializes an image by R-closure of f of the source's
 generators; the engine spans images without building them as lattices.
+
+``reference_dvr_triangularize`` is the former valuation-pivot loop of
+``lattice.dvr_triangularize``, which ran one more elimination round after
+the last slot got its pivot; the engine now stops there.
 """
 
 import bisect
 
 from endochain.lattice import Lattice, hom_ambient, hom_coord, hom_element_as_map
 from endochain.linalg import nullspace_F
-from endochain.series import LaurentPoly, laurent_exact_div, poly_gcd
+from endochain.series import LaurentPoly, laurent_exact_div, poly_gcd, series_div_mod
 
 
 def kernel_row(dense):
@@ -394,3 +398,41 @@ def reference_poly_nullspace(rows, ncols, field):
 def image_lattice(f):
     """im(f) as a canonical lattice (full rank in the target ambient)."""
     return Lattice.from_generators(f.source.ring, f.target.ambient, [f.apply(g) for g in f.source.genset()])
+
+
+def reference_dvr_triangularize(field, vecs, nslots, cut):
+    """(pivots, full) of valuation-pivot elimination over F[[t]] modulo
+    t^cut, eliminating below every pivot, the last one included."""
+    work = []
+    for v in vecs:
+        w = [a.truncate(cut) for a in v]
+        if any(w):
+            work.append(w)
+    pivots = []
+    used = set()
+    while work:
+        best = None
+        for v in work:
+            for slot in range(nslots):
+                if slot in used or not v[slot]:
+                    continue
+                val = v[slot].valuation()
+                key = (val, slot)
+                if best is None or key < best[0]:
+                    best = (key, v, slot)
+        if best is None:
+            break
+        _key, pv, slot = best
+        val = pv[slot].valuation()
+        work.remove(pv)
+        used.add(slot)
+        pivots.append((slot, val, pv))
+        nxt = []
+        for w in work:
+            if w[slot] and w[slot].valuation() >= val:
+                q = series_div_mod(w[slot], pv[slot], cut)
+                w = [(a - q * b).truncate(cut) for a, b in zip(w, pv)]
+            if any(w):
+                nxt.append(w)
+        work = nxt
+    return pivots, len(used) == nslots

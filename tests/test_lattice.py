@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endochain import ringio
-from endochain.chain import build_chain_tree, end_of_maximal_ideal
+from endochain.chain import build_chain_tree, chain_family, end_of_maximal_ideal
 from endochain.field import QQ, FieldSpec
 from endochain.series import INF, LaurentPoly
 from endochain.curve_ring import CurveRing, build_ring, maximal_ideal, semigroup_ring, normalization_lattice
@@ -17,7 +17,9 @@ from endochain.lattice import (
     Lattice,
     LatticeMap,
     Module,
+    _leading_shape,
     direct_sum,
+    dvr_triangularize,
     free_decomposition_over_dvr_product,
     hom_ambient,
     hom_element_as_map,
@@ -46,9 +48,9 @@ from endochain.lattice import (
     _row_map,
     _span_image,
 )
-from endochain.verify import generated_test_lattices
+from endochain.verify import generated_test_lattices, random_fractional_ideal
 from endochain.errors import AmbientMismatch, ClaimViolation, NotAnOverring, NotASubmodule, NotDvrProduct, NotFullRank
-from oracle import sg_values, colon_values, ideal_values, sg_conductor, composite, flatten, hom_apply, image_lattice, reference_solve
+from oracle import sg_values, colon_values, ideal_values, sg_conductor, composite, flatten, hom_apply, image_lattice, reference_dvr_triangularize, reference_solve
 
 
 T = LaurentPoly.monomial(QQ, 1)
@@ -1081,3 +1083,89 @@ def test_hom_lattice_minimal_streams_match_genset(name, monkeypatch):
         mp.setattr(lattice, "minimal_generators", lambda lat: lat.genset())
         full = [hom_lattice(c, d).key() for c in lats for d in lats]
     assert minimal == full
+
+
+# -- valuation pivots and rank-one isomorphism shapes ------------------------------
+
+
+@st.composite
+def _triangularize_cases(draw):
+    """1 to 3 slots over QQ or GF(7), up to 5 vectors of short Laurent
+    polynomials (some zero, some with negative exponents), and a cut."""
+    field = draw(st.sampled_from((QQ, FieldSpec("prime", 7))))
+    nslots = draw(st.integers(1, 3))
+    coeff = _coeffs(field)
+
+    def poly():
+        return LaurentPoly.from_pairs(field, draw(st.lists(st.tuples(st.integers(-1, 6), coeff), max_size=3)))
+
+    vecs = [[poly() for _ in range(nslots)] for _ in range(draw(st.integers(0, 5)))]
+    return field, vecs, nslots, draw(st.integers(1, 10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_triangularize_cases())
+def test_dvr_triangularize_matches_full_elimination(case):
+    # stopping once every slot has a pivot keeps every pivot: the round
+    # after the last one only reduced vectors nothing reads
+    field, vecs, nslots, cut = case
+    assert dvr_triangularize(field, vecs, nslots, cut) == reference_dvr_triangularize(field, vecs, nslots, cut)
+
+
+_SHAPE_RINGS = ("semigroup_2_3", "semigroup_3_4_5", "semigroup_2_9", "node", "tacnode", "triple_point")
+
+
+@functools.lru_cache(maxsize=None)
+def _shape_ring(name):
+    return _corpus_ring(name)
+
+
+@st.composite
+def _rank_one_twists(draw):
+    """A fractional ideal N of a corpus ring and x = t^k u per branch, u a
+    polynomial with nonzero constant term."""
+    ring = _shape_ring(draw(st.sampled_from(_SHAPE_RINGS)))
+    n = random_fractional_ideal(random.Random(draw(st.integers(0, 10**6))), ring)
+    coeff = _coeffs(ring.field)
+    ks, x = [], []
+    for _ in range(ring.branches):
+        k = draw(st.integers(-3, 4))
+        terms = [(0, draw(coeff))] + draw(st.lists(st.tuples(st.integers(1, 4), coeff), max_size=2))
+        ks.append(k)
+        x.append(LaurentPoly.from_pairs(ring.field, terms).shift(k))
+    return n, ks, tuple(x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_rank_one_twists())
+def test_leading_shape_is_invariant_under_rank_one_twists(case):
+    # x * N shifts each tail hi and each leading exponent by k_br
+    n, ks, x = case
+    amb = n.ambient
+    xn = Lattice.from_generators(n.ring, amb, [amb.branch_scale(x, g) for g in n.genset()])
+    assert xn.hi == tuple(h + ks[amb.branch_of(c)] for c, h in enumerate(n.hi))
+    assert _leading_shape(xn) == _leading_shape(n)
+
+
+def _full_search(a, b):
+    """Whether some minimal generator of Hom(a, b) is a surjection."""
+    return any(is_surjective_onto(hom_element_as_map(a, b, g)) for g in minimal_generators(hom_lattice(a, b)))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_isomorphism_miss_matches_full_search(name):
+    # family members against members and against generated rank-one
+    # lattices of equal ranks: a shape miss is a miss of the full search
+    ring = _corpus_ring(name)
+    tree = build_chain_tree(ring)
+    members = [m.lattice for m in chain_family(tree).members]
+    gens = [lat for _, lat in generated_test_lattices(random.Random(f"{name}/0"), ring, tree, count=5)]
+    hits = 0
+    for a in members:
+        for b in members + gens:
+            if a.ambient.ranks != b.ambient.ranks:
+                continue
+            found = isomorphism(a, b) is not None
+            assert found == _full_search(a, b), (a.key(), b.key())
+            hits += found
+    assert hits >= len(members)

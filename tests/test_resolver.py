@@ -12,6 +12,7 @@ from endochain import lattice, resolver, ringio
 from endochain.lattice import Ambient, Lattice, LatticeMap, direct_sum, isomorphism, kernel_lattice
 from endochain.resolver import (
     Resolution,
+    Term,
     keyred_resolve,
     resolve_presented_module,
     verify_hom_exactness,
@@ -300,3 +301,118 @@ def test_restriction_keeps_basis_rows_whole():
     assert T0 == (0,)
     with pytest.raises(ClaimViolation):
         resolver._restrict_to_factor(r.self_lattice, T0, child.ring)
+
+
+# -- Hom(X, -) certificates: the left-exactness route against the full one ------------
+
+
+def _members(tree):
+    return [(m.label, m.lattice) for m in chain_family(tree).members]
+
+
+def _certify_matches_full(res, members, presentation=False):
+    """certify's hom_exact equals the full ``verify_hom_exactness`` (every
+    Hom(X, -) position checked) for every member; returns the certificates."""
+    certs = res.certify(members, presentation)
+    full = {label: verify_hom_exactness(res, x, presentation) for label, x in members}
+    assert certs["hom_exact"] == full
+    return certs
+
+
+CORPUS_RINGS = sorted(os.path.splitext(n)[0] for n in os.listdir(os.path.join(DATA, "rings")))
+
+
+@pytest.mark.parametrize("name", CORPUS_RINGS)
+def test_certify_matches_full_hom_route_on_corpus(name):
+    ring = _load_ring(name)
+    tree = build_chain_tree(ring)
+    members = _members(tree)
+    for kind, lat in generated_test_lattices(random.Random(f"{name}/0"), ring, tree, count=3):
+        res = keyred_resolve(lat, tree=tree, certify=False)
+        assert all(_certify_matches_full(res, members)["hom_exact"].values()), kind
+
+
+SHIPPED_MODULES = (
+    ("j_over_3_4", "semigroup_3_4"),
+    ("m_over_2_5", "semigroup_2_5"),
+    ("m_frac_over_2_5", "semigroup_2_5"),
+    ("m_over_cusp_line", "cusp_line"),
+    ("m_over_3_5", "semigroup_3_5"),
+)
+
+
+def test_certify_matches_full_hom_route_on_shipped_modules():
+    lengths = []
+    for module, name in SHIPPED_MODULES:
+        ring = _load_ring(name)
+        tree = build_chain_tree(ring)
+        lat = ringio.lattice_from_json(ringio.load_json(os.path.join(DATA, "modules", module + ".json")), ring)
+        res = keyred_resolve(lat, tree=tree, certify=False)
+        assert all(_certify_matches_full(res, _members(tree))["hom_exact"].values()), module
+        lengths.append(res.length())
+    # m over <3,5> has length 2, so exactness at Hom(X, C_0) is still checked
+    assert max(lengths) == 2
+
+
+def test_certify_matches_full_hom_route_on_presentations():
+    r = semigroup_ring(QQ, [2, 3])
+    tree = build_chain_tree(r)
+    e = normalization_lattice(r)
+    src, _ = direct_sum([r.self_lattice, e])
+    one = LaurentPoly.one(QQ)
+    maps = [LatticeMap.identity(r.self_lattice), LatticeMap(e, e, [[[T]]]), LatticeMap(src, e, [[[one, one]]])]
+    for f in maps:
+        res = resolve_presented_module(f, tree=tree, certify=False)
+        assert all(_certify_matches_full(res, _members(tree), presentation=True)["hom_exact"].values())
+
+
+def test_certificate_negative_controls():
+    # complexes over <3,4> whose plain certificate fails, and one whose plain
+    # certificate holds but which is no add(M)-resolution: the certificates
+    # are those the route that checks every Hom(X, -) position gave
+    r = semigroup_ring(QQ, [3, 4])
+    tree = build_chain_tree(r)
+    members = _members(tree)
+    one = LaurentPoly.one(QQ)
+    R = r.self_lattice
+    amb = R.ambient
+    m = r.maximal_ideal_lattice()
+    j = Lattice.from_generators(r, amb, [amb.unit_vec(QQ, 0, 0), amb.unit_vec(QQ, 0, 1)])
+    r2, _ = direct_sum([R, R])
+    res = keyred_resolve(j, tree=tree)
+    scaled = list(res.maps)
+    scaled[1] = LatticeMap(scaled[1].source, scaled[1].target, [[[e * T for e in row] for row in mat] for mat in scaled[1].mats])
+    cover = LatticeMap(r2, j, [[[one, T]]])
+    k, emb = kernel_lattice(cover)
+    cases = {
+        # m -> R is injective, not surjective
+        "not_surjective": Resolution(r, R, [Term(m, (m,))], [LatticeMap(m, R, [[[one]]])]),
+        # R^2 -> R, (a, b) -> a + b, is surjective, not injective
+        "not_injective": Resolution(r, R, [Term(r2, (R, R))], [LatticeMap(r2, R, [[[one, one]]])]),
+        # test_hom_exactness_negative_control: not exact at C_0
+        "t_scaled": Resolution(res.ring, res.target, res.terms, scaled),
+        # 0 -> K -> R^2 -> J -> 0 is exact, but J is no quotient of R^2 under
+        # Hom(S1, -) or Hom(S2, -)
+        "free_presentation": Resolution(r, j, [Term(r2, (R, R)), Term(k, (k,))], [cover, emb]),
+    }
+    expected = {
+        "not_surjective": {
+            "composites_zero": True, "surjective_onto_target": False, "exact_at_interior": [], "left_injective": True,
+            "decompositions": [True], "hom_exact": {"S0": False, "S1": True, "S2": True},
+        },
+        "not_injective": {
+            "composites_zero": True, "surjective_onto_target": True, "exact_at_interior": [], "left_injective": False,
+            "decompositions": [True], "hom_exact": {"S0": False, "S1": False, "S2": False},
+        },
+        "t_scaled": {
+            "composites_zero": True, "surjective_onto_target": True, "exact_at_interior": [False], "left_injective": True,
+            "decompositions": [True, True], "hom_exact": {"S0": False, "S1": False, "S2": False},
+        },
+        "free_presentation": {
+            "composites_zero": True, "surjective_onto_target": True, "exact_at_interior": [True], "left_injective": True,
+            "decompositions": [True, True], "hom_exact": {"S0": True, "S1": False, "S2": False},
+        },
+    }
+    for name, c in cases.items():
+        assert _certify_matches_full(c, members) == expected[name], name
+        assert not c.all_certified()
