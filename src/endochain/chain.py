@@ -8,20 +8,20 @@ form (equality as subrings of K).
 """
 
 from .errors import AlreadyNormal, ClaimViolation, NotLocal
-from .curve_ring import build_ring, factor, normalization_lattice, ring_report
+from .curve_ring import factor, normalization_lattice, placed_ring, ring_report
 from .lattice import Ambient, direct_sum, hom_lattice, minimal_generators, placed_sum
 
 
 def end_of_maximal_ideal(ring):
-    """End_R(m) realized as a subring of K via the rank-one colon.
+    """End_R(m) realized as a subring of K via the rank-one colon, placed:
+    it is the lattice h = Hom(m, m) as solved, so its conductor is h.hi and
+    its window basis h.basis.  End(m) is a ring inside E, so h.lo is 0
+    (else ClaimViolation).
 
     Its algebra generators are the minimal generators of End(m) over R and
-    of m: F[m/m^2 lifts] is m-adically dense in R and m^k lies in t^k E, so
-    they generate End(m) densely modulo t^N E, as ``_close`` needs.  The
-    generating set of R it passes to ``build_ring`` is the minimal
-    generators of m: they span m/m^2, so they generate R as a complete
-    F-algebra, and End(m), which contains them, closes once below R's
-    conductor.
+    of m: the latter span m/m^2, so F[m/m^2 lifts] is m-adically dense in R,
+    and m^k lies in t^k E, so together they generate End(m) densely modulo
+    t^N E, as ``_close`` needs; ``placed_ring`` checks that m's are kept.
     """
     if not ring.is_local:
         raise NotLocal("End(m) chain step needs a local ring")
@@ -29,9 +29,10 @@ def end_of_maximal_ideal(ring):
         raise AlreadyNormal("ring equals its normalization; m is principal")
     m = ring.maximal_ideal_lattice()
     h = hom_lattice(m, m)
+    if any(h.lo):
+        raise ClaimViolation("Hom(m, m) has a lowest valuation other than 0", lo=list(h.lo))
     mgens = minimal_generators(m)
-    gens = minimal_generators(h) + mgens
-    s1 = build_ring(ring.field, ring.branches, gens, parent=(ring, range(ring.branches), mgens))
+    s1 = placed_ring(ring.field, h.hi, h.basis, max(h.hi), minimal_generators(h) + mgens, kept=mgens)
     if s1.delta() >= ring.delta():
         raise ClaimViolation(
             "End(m) did not strictly enlarge the ring",

@@ -8,16 +8,17 @@ window span) with w >= 2c + maxdeg + 2, the complete subalgebra genuinely
 contains t^c E: deeper monomials are obtained by successive approximation
 inside the closed algebra, so the window data determines the ring exactly.
 Where a bound B >= c(R) is proven (Schur's or Sylvester's in
-``semigroup_ring``), one closure at w = 2 max(B) + maxdeg + 2 passes.  A
-chain ring (``factor``, ``chain.end_of_maximal_ideal``) is built from its
-parent ring: its generators contain a generating set of the parent, so it
-contains t^c E for the parent's conductor c, and one closure on [0, max(c))
-is exact (``build_ring``).  The canonical representation is the window
-basis on [0, c) plus the conductor tail.  The ring keeps the generators it was
-built from as ``CurveRing.gens``: R is the closure of F[gens], so they are
-the multipliers of every later R-closure (``_close``).  On a local ring they
-give m = sum (g - g(0)) * R (``maximal_ideal_gens``), which contains
-t^mx * e_br for the Nakayama depth mx = max(c_br, 1).
+``semigroup_ring``), one closure at w = 2 max(B) + maxdeg + 2 passes.  That
+closure is the only one with multipliers below a root ring: a chain ring is
+placed, not closed.  End(m) is the lattice Hom(m, m) the chain step has
+solved (``chain.end_of_maximal_ideal``), a factor e_T * R is R's basis rows
+on T (``factor``), and the maximal ideal is R's basis less its constant row
+(``maximal_ideal``); ``placed_ring`` makes every ring from its window basis.
+The canonical representation is the window basis on [0, c) plus the
+conductor tail.  The ring keeps algebra generators as ``CurveRing.gens``: R
+is the closure of F[gens], so they are the multipliers of every later
+R-closure (``_close``).  On a local ring they give m = sum (g - g(0)) * R
+(``maximal_ideal_gens``), the shifts of every m * L in a Nakayama span.
 """
 
 import itertools
@@ -52,18 +53,18 @@ class CurveRing:
         "_mterms",
     )
 
-    def __init__(self, field, branches, conductor, basis_vectors, atoms, window_bound, gens):
+    def __init__(self, field, branches, conductor, basis_vectors, window_bound, gens):
         self.field = field
         self.branches = branches
         self.conductor = tuple(conductor)
         # algebra generators (elements of K); not part of key()
         self.gens = tuple(gens)
-        self.atoms = tuple(atoms)
-        self.is_local = len(atoms) == 1
         self.window_bound = window_bound
         self._mlat = None
         self._mterms = None
         self.self_lattice = Lattice(self, Ambient([1] * branches), [0] * branches, self.conductor, tuple(basis_vectors))
+        self.atoms = _branch_atoms(self.self_lattice)
+        self.is_local = len(self.atoms) == 1
 
     # -- protocol used by the lattice layer -----------------------------------
 
@@ -101,7 +102,7 @@ class CurveRing:
         return max(self.conductor[br], 1)
 
     def maximal_ideal_gens(self):
-        """The g - g(0) * 1 over ``gens``, nonzero as ``build_ring`` drops
+        """The g - g(0) * 1 over ``gens``, nonzero as ``placed_ring`` drops
         constant generators: R is the closure of F[gens] and R/m = F (g(0)
         is the same on every branch), so m = sum (g - g(0)) R."""
         if not self.is_local:
@@ -142,30 +143,23 @@ def _is_constant(g):
     return all(p == g[0] and p.coeffs.keys() <= {0} for p in g)
 
 
-def build_ring(field, branches, generators, window_hint=None, conductor_bound=None, parent=None):
+def build_ring(field, branches, generators, window_hint=None, conductor_bound=None):
     """Construct the complete subalgebra S of E generated by the given
     elements of K, tuples with one LaurentPoly per branch (1 is always
-    adjoined, so constant multiples of 1 are dropped from ``gens``).
+    adjoined, so constant multiples of 1 are dropped from ``gens``).  This
+    is a root build; chain rings are placed from their parents
+    (``placed_ring``).
 
-    A root build closes F[gens] on [0, w) and accepts once
-    w >= 2 c(w) + maxdeg + 2, c(w) the conductor it shows.  For w > c(S),
-    pi_w(S) contains pi_w(t^c E), so c(w) <= c(S); and c(w) <= c(w') for
-    w < w', as pi_w(S) is the projection of pi_w'(S).  Given a per-branch
-    ``conductor_bound`` B >= c(S), the only window (and cap) is
-    w0 = 2 max(B) + maxdeg + 2, accepted at once; a c(w0) above B on some
-    branch (a wrong bound) raises NoFiniteConductor.  Without one, a closure
-    showing c(w) moves to 2 c(w) + maxdeg + 2, so never past a window the
-    rule accepts, and one showing none doubles w, up to MAX_WINDOW (or twice
-    a larger ``window_hint``).
-
-    A chain ring is built from ``parent = (R, T, P)``: R a built ring, T the
-    branches of R that S lives on (``branches == len(T)``), P elements of R
-    that generate it as a complete F-algebra.  Each e_T p, p in P, must be
-    constant or among the generators, else ClaimViolation.  Then S contains
-    the closure of F[e_T P], which is e_T R, which contains t^B E for B the
-    conductor of R on T, certified by R's own build.  So S is the preimage
-    of pi_B(S), and pi_B(S) = pi_B(F[gens]) as F[gens] is dense in S: one
-    closure on [0, max(B)) is exact, with no acceptance rule.
+    It closes F[gens] on [0, w) and accepts once w >= 2 c(w) + maxdeg + 2,
+    c(w) the conductor it shows.  For w > c(S), pi_w(S) contains
+    pi_w(t^c E), so c(w) <= c(S); and c(w) <= c(w') for w < w', as pi_w(S)
+    is the projection of pi_w'(S).  Given a per-branch ``conductor_bound``
+    B >= c(S), the only window (and cap) is w0 = 2 max(B) + maxdeg + 2,
+    accepted at once; a c(w0) above B on some branch (a wrong bound) raises
+    NoFiniteConductor.  Without one, a closure showing c(w) moves to
+    2 c(w) + maxdeg + 2, so never past a window the rule accepts, and one
+    showing none doubles w, up to MAX_WINDOW (or twice a larger
+    ``window_hint``).
     Raises ResidueFieldTooLarge for local rings with residue field bigger
     than F.
     """
@@ -180,13 +174,7 @@ def build_ring(field, branches, generators, window_hint=None, conductor_bound=No
         if not _is_constant(g):
             gens.append(g)
     maxdeg = max([0] + [p.degree() for g in gens for p in g if p])
-    if parent is not None:
-        ring, T, pgens = parent
-        if any(g not in gens and not _is_constant(g) for g in (tuple(p[b] for b in T) for p in pgens)):
-            raise ClaimViolation("chain ring generators omit a generating set of its parent", branches=list(T))
-        conductor_bound = [ring.conductor[b] for b in T]
-        w = cap = max(conductor_bound)
-    elif conductor_bound is None:
+    if conductor_bound is None:
         w = max(window_hint or 2 * maxdeg + 6, 4)
         cap = max(MAX_WINDOW, 2 * w)
     else:
@@ -207,7 +195,7 @@ def build_ring(field, branches, generators, window_hint=None, conductor_bound=No
                 e -= 1
             conductor.append(e)
         need = 2 * max(conductor) + maxdeg + 2 if max(conductor) < w else 2 * w
-        if (parent is not None or w >= need) and all(c <= b for c, b in zip(conductor, conductor_bound or conductor)):
+        if w >= need and all(c <= b for c, b in zip(conductor, conductor_bound or conductor)):
             break
         if need > cap or conductor_bound is not None:
             raise NoFiniteConductor("closure exhibits no conductor below the window cap", window=cap)
@@ -215,28 +203,35 @@ def build_ring(field, branches, generators, window_hint=None, conductor_bound=No
     # canonical window basis on [0, conductor): every other RREF row is zero
     # at the unit tail pivots, so the rows pivoting below the tail, cut at
     # the conductor columns, are the RREF of the span's projection
-    ws2 = WindowSpace(field, amb, [0] * branches, conductor)
-    ech2 = ws2.echelon()
-    ix = [ws2.index.get(ce) for ce in ws.cols]
-    ech2.by_pivot = {ix[p]: {ix[j]: x for j, x in r.items()} for p, r in ech.by_pivot.items() if ix[p] is not None}
-    basis = [ws2.vec_of(r) for r in ech2.rows]
-    atoms = _branch_atoms(field, branches, ws2, ech2, conductor)
-    ring = CurveRing(field, branches, conductor, basis, atoms, w, gens)
+    below = [e < conductor[c] for c, e in ws.cols]
+    basis = [ws.vec_of({j: x for j, x in ech.by_pivot[p].items() if below[j]}) for p in sorted(ech.by_pivot) if below[p]]
+    return placed_ring(field, conductor, basis, w, gens)
+
+
+def placed_ring(field, conductor, basis, window_bound, gens, kept=()):
+    """The ring with RREF window basis ``basis`` on [0, conductor) and tail
+    t^conductor E; every ring is made here, with no closure.  The caller
+    proves that ``gens`` generate it as a complete F-algebra (constants are
+    dropped), from the parent's generating set ``kept``: one missing from
+    ``gens`` raises ClaimViolation.  A local ring with residue field bigger
+    than F raises ResidueFieldTooLarge, so R/m = F wherever R is made."""
+    gens = [g for g in gens if not _is_constant(g)]
+    if any(g not in gens and not _is_constant(g) for g in kept):
+        raise ClaimViolation("chain ring generators omit a generating set of its parent", conductor=list(conductor))
+    ring = CurveRing(field, len(conductor), conductor, basis, window_bound, gens)
     if ring.is_local and ring.residue_constants_dim() > 1:
-        raise ResidueFieldTooLarge(
-            "local ring has residue field larger than the coefficient field"
-        )
+        raise ResidueFieldTooLarge("local ring has residue field larger than the coefficient field")
     return ring
 
 
-def _branch_atoms(field, branches, ws, ech, conductor):
-    """Minimal branch subsets T with e_T in the ring; they partition."""
+def _branch_atoms(lat):
+    """Minimal branch subsets T with e_T in the ring whose self-lattice is
+    ``lat``; they partition."""
 
     def has_idem(T):
-        row = ws.row_of(ws.ambient.truncate_vec(ws.ambient.idem_vec(field, T), conductor))
-        return ech.contains(row)
+        return lat.member(lat.ambient.idem_vec(lat.ring.field, T))
 
-    remaining = set(range(branches))
+    remaining = set(range(lat.ambient.nbranches()))
     atoms = []
     # greedy: smallest subsets first
     while remaining:
@@ -279,27 +274,42 @@ def semigroup_ring(field, semigroup_generators, **kw):
 
 
 def maximal_ideal(ring):
-    """The Jacobson radical m = sum (g - g(0)) * R of a local ring as a
-    rank-one lattice, with the cones t^mx * e_br at the valid tail mx."""
-    amb = ring.self_lattice.ambient
-    gens = ring.maximal_ideal_gens()
+    """The maximal ideal m = ker(R -> F) of a local ring as a rank-one
+    lattice, placed from R's window basis.  R/m = F is certified where R is
+    made (``placed_ring``): the constant terms of an element of R are one
+    scalar on every branch.  The RREF row pivoting at branch 0's constant
+    column is the only basis row nonzero there, so m's window is spanned by
+    the other rows.  Its tail is mx: t^c_br e_br has no constant term for
+    c_br >= 1, and t^(c_br - 1) e_br is not in R; c_br = 0 only on F[[t]],
+    where m = t F[[t]]."""
+    if not ring.is_local:
+        raise NotLocal("maximal ideal needs a local ring")
+    rows = [v for v in ring.self_lattice.basis if not v[0][0]]
     hi = [ring.mx(br) for br in range(ring.branches)]
-    cones = [(br, amb.unit_vec(ring.field, br, h)) for br, h in enumerate(hi)]
-    return Lattice.from_module_data(ring, amb, gens, cones, [0] * ring.branches, hi)
+    lo = [min([h] + [v[br].valuation() for v in rows if v[br]]) for br, h in enumerate(hi)]
+    return Lattice(ring, ring.self_lattice.ambient, lo, hi, tuple(rows))
 
 
 def factor(ring, T):
-    """The direct factor e_T * R as a ring on the branches of T, built from
-    the parent's generators restricted to T: r -> e_T * r is a continuous
-    surjection onto e_T * R, so it carries a dense F[gens] onto a dense
-    F[e_T * gens].  The generating set of R it passes to ``build_ring`` is
-    ``R.gens``, whose e_T parts are exactly these generators, so it closes
-    once below R's conductor on T."""
+    """The direct factor e_T * R as a ring on the branches of T, placed from
+    R's basis.  As e_T lies in R, R's window span is the direct sum of its
+    parts on T and off T, so each RREF basis row lies wholly on T or wholly
+    off it (a row on both raises ClaimViolation), and the rows on T are the
+    RREF basis of e_T * R, whose conductor is R's on T.  r -> e_T * r is a
+    continuous surjection onto e_T * R, so it carries a dense F[R.gens] onto
+    a dense F[e_T * R.gens], the factor's generators."""
     T = tuple(sorted(set(T)))
     if not ring.self_lattice.member(ring.self_lattice.ambient.idem_vec(ring.field, T)):
         raise NotIdempotentFactor("e_T does not lie in the ring", subset=T)
+    basis = []
+    for v in ring.self_lattice.basis:
+        if any(v[b] for b in T):
+            if any(p for b, p in enumerate(v) if b not in T):
+                raise ClaimViolation("a basis row of the ring straddles e_T", subset=list(T))
+            basis.append(tuple(v[b] for b in T))
+    conductor = [ring.conductor[b] for b in T]
     gens = [tuple(g[b] for b in T) for g in ring.gens]
-    return build_ring(ring.field, len(T), gens, parent=(ring, T, ring.gens))
+    return placed_ring(ring.field, conductor, basis, max(conductor), gens)
 
 
 @dataclass

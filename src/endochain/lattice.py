@@ -26,14 +26,16 @@ rows of the cones' monomial shifts and of given vectors, and closes them
 under a set of multipliers with a worklist of kernel rows.  Every K-linear
 map acts on kernel rows as one shift operator (``_operator``, ``_row_map``):
 a term c * t^d sends column (coord, e) to (coord', e + d).  ``Module.span``
-and the canonical windows pass no multipliers (their rows are R-closed
-already); ``curve_ring.build_ring`` closes 1 under the algebra generators
-``gens``, and R is by definition the closure of F[gens], so ``raw_span``
-closes generator sets that are not R-closed under ``R.gens``; truncating
-between products is exact (see ``_close``).  An image f(C) is spanned from
-C's rows and cones without closure (``_span_image``): so are the Nakayama
-span identity ``nakayama_covers``, which certifies surjectivity and
-exactness, and ``endo``'s composites with arrows (``hom_precompose``).
+passes no multipliers (its rows are R-closed already), and a Lattice's
+windows are placed, its RREF basis rows plus its unit tail rows
+(``Lattice.span``); a root ``curve_ring.build_ring`` closes 1 under the
+algebra generators ``gens``, and R is by definition the closure of
+F[gens], so ``raw_span`` closes generator sets that are not R-closed under
+``R.gens``; truncating between products is exact (see ``_close``).  An
+image f(C) is spanned from C's rows and cones without closure
+(``_span_image``): so are the Nakayama span identity ``nakayama_covers``,
+which certifies surjectivity and exactness, and ``endo``'s composites with
+arrows (``hom_precompose``).
 Hom, overring and kernel constraints are read off operators too
 (``solve_constrained_window``).  A canonical lattice moves between rings
 and coordinate layouts by ``placed_sum``, which places its basis rows and
@@ -587,11 +589,22 @@ class Lattice(Module):
 
     def window(self):
         if self._ech is None:
-            ws = WindowSpace(self.ring.field, self.ambient, self.lo, self.hi)
-            ech = ws.echelon()
-            _close(ws, ech, self.basis)
-            self._ech = (ws, ech)
+            self._ech = self.span(self.lo, self.hi)
         return self._ech
+
+    def span(self, lo, cut):
+        """(WindowSpace, Echelon) of the truncation to [lo, cut), lo <= self.lo
+        and cut >= hi (else ClaimViolation; ``Module.span`` closes any window):
+        the basis rows, RREF and ending below hi, plus the unit tail rows
+        t^e e_c, hi_c <= e < cut_c, are RREF already."""
+        if any(a > b for a, b in zip(lo, self.lo)) or any(a < b for a, b in zip(cut, self.hi)):
+            raise ClaimViolation("a placed lattice window must hold the basis and reach the tail", lo=list(lo), cut=list(cut))
+        ws = WindowSpace(self.ring.field, self.ambient, lo, cut)
+        ech = ws.echelon()
+        rows = [ws.row_of(v) for v in self.basis]
+        rows += [{ws.index[(c, e)]: 1} for c, h in enumerate(self.hi) for e in range(h, cut[c])]
+        ech.by_pivot = {min(r): r for r in rows}
+        return ws, ech
 
     def row_window(self):
         return self.window()[0], self.window()[1].rows
@@ -637,15 +650,17 @@ class Lattice(Module):
 class LatticeMap:
     """A K-linear map between ambients carrying source into target.
 
-    ``mats[br]`` is an r_target[br] x r_source[br] matrix of LaurentPoly.
+    ``mats[br]`` is an r_target[br] x r_source[br] matrix of LaurentPoly;
+    ``onto`` is the verdict of ``is_surjective_onto``, once it has run.
     """
 
-    __slots__ = ("source", "target", "mats")
+    __slots__ = ("source", "target", "mats", "onto")
 
     def __init__(self, source, target, mats):
         self.source = source
         self.target = target
         self.mats = tuple(tuple(tuple(row) for row in m) for m in mats)
+        self.onto = None
 
     @classmethod
     def from_entries(cls, source, target, entries):
@@ -1106,11 +1121,14 @@ def nakayama_covers(goal, parts, cut, minimal=False):
     """Nakayama comparison of the Module ``goal`` with m * goal plus the sum
     of ``parts``, none of which needs R-closure.
 
-    m = sum (g - g(0)) * R over R's gens g and pi(d * pi(v)) = pi(d * v) for
-    val(d) >= 0 (``_close``, point (1)), so goal's window rows shifted by
-    each d span pi(m * goal).  A part is a Module (rows R-closed up to its
-    cones) or a LatticeMap f whose source C is a Lattice, for f(C)
-    (``_span_image``); anything else is a TypeError.  lo is floored by the
+    m = sum d * R over d = g - g(0), g in R's gens, so m * goal is spanned by
+    goal's rows times each d plus, per cone, m * F[[t_br]] v = t^v_br
+    F[[t_br]] v, v_br the least valuation of the d on branch br; and
+    pi(d * pi(v)) = pi(d * v) for val(d) >= 0 (``_close``, point (1)).  On a
+    Lattice that is the basis rows shifted and the runs t^(hi + v_br) e_c.
+    A part is a Module (rows R-closed up to its cones) or a LatticeMap f
+    whose source C is a Lattice, for f(C) (``_span_image``); anything else
+    is a TypeError.  lo is floored by the
     Modules' valuations and by each ``LatticeMap.image_floor``, so no image
     falls below the window.  With ``minimal`` (C over the goal's ring), f(C)
     is spanned by f of C's minimal generators, which span it modulo
@@ -1120,8 +1138,8 @@ def nakayama_covers(goal, parts, cut, minimal=False):
     ``endo``'s Hom blocks are.  ``cut`` must reach deep enough that goal
     elements beyond it lie in the span of the parts.  Returns (lifts,
     inside): the goal's RREF window rows outside the span of the parts, as
-    vectors in echelon order, and whether the parts lie inside the goal;
-    they span it exactly when ``not lifts and inside``."""
+    vectors in echelon order, and whether the parts lie inside the goal
+    (no parts do); they span it exactly when ``not lifts and inside``."""
     ring = goal.ring
     maps = [p for p in parts if isinstance(p, LatticeMap)]
     mods = [p for p in parts if not isinstance(p, LatticeMap)]
@@ -1138,22 +1156,27 @@ def nakayama_covers(goal, parts, cut, minimal=False):
         _close(ws, e_parts, [f.apply(g) for f in maps for g in minimal_generators(f.source)])
     for f in () if minimal else maps:
         _span_image(ws, e_parts, f)
-    grows = e_goal.rows
-    for per in ring.maximal_ideal_terms():
+    terms = ring.maximal_ideal_terms()
+    rows = [ws.row_of(v) for v in goal.rows]
+    for per in terms:
         shift = _scalar_map(ws, per)
-        for p in filter(None, map(shift, grows)):
+        for p in filter(None, map(shift, rows)):
             e_parts.add(p)
-    inside = e_goal.contains_space(e_parts)
+    v = [min(per[br][0][0] for per in terms if per[br]) for br in range(ring.branches)]
+    _close(ws, e_parts, (), [(br, goal.ambient.mono_scale(br, v[br], cv)) for br, cv in goal.cones])
+    inside = not parts or e_goal.contains_space(e_parts)
     for f in maps if minimal and not inside else ():
         _span_image(ws, e_parts, f)
-    lifts = [ws.vec_of(r) for r in grows if e_parts.add(r)]
+    lifts = [ws.vec_of(r) for r in e_goal.rows if e_parts.add(r)]
     return lifts, inside
 
 
 def is_surjective_onto(f):
-    """Nakayama test: im(f) + m*target = target."""
-    lifts, inside = nakayama_covers(f.target, [f], f.target.nakayama_cut())
-    return not lifts and inside
+    """Nakayama test: im(f) + m*target = target, run once per map (``onto``)."""
+    if f.onto is None:
+        lifts, inside = nakayama_covers(f.target, [f], f.target.nakayama_cut())
+        f.onto = not lifts and inside
+    return f.onto
 
 
 def _leading_shape(lat):

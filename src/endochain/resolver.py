@@ -46,7 +46,8 @@ class Term:
         self.tags = tuple(tags)  # member lattices, construction order
 
     def decomposition_ok(self):
-        ds, _ = direct_sum(list(self.tags))
+        """The term is the direct sum of its tags; one tag is its own sum."""
+        ds = self.tags[0] if len(self.tags) == 1 else direct_sum(list(self.tags))[0]
         return ds.key() == self.lattice.key()
 
 

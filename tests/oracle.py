@@ -27,6 +27,9 @@ F[t, 1/t].
 
 ``image_lattice`` materializes an image by R-closure of f of the source's
 generators; the engine spans images without building them as lattices.
+``closure_maximal_ideal`` is the former route of ``curve_ring.maximal_ideal``,
+m = sum (g - g(0)) * R R-closed over R's gens; the engine places m from R's
+basis, and those g - g(0) still give every m * L of a Nakayama span.
 
 ``reference_dvr_triangularize`` is the former valuation-pivot loop of
 ``lattice.dvr_triangularize``, which ran one more elimination round after
@@ -393,6 +396,15 @@ def reference_poly_nullspace(rows, ncols, field):
                 vec.append(e.num * q)
         basis.append((vec, f))
     return basis
+
+
+def closure_maximal_ideal(ring):
+    """m as the R-closure of ``ring.maximal_ideal_gens()`` with the cones
+    t^mx e_br at the valid tail mx."""
+    amb = ring.self_lattice.ambient
+    hi = [ring.mx(br) for br in range(ring.branches)]
+    cones = [(br, amb.unit_vec(ring.field, br, h)) for br, h in enumerate(hi)]
+    return Lattice.from_module_data(ring, amb, ring.maximal_ideal_gens(), cones, [0] * ring.branches, hi)
 
 
 def image_lattice(f):

@@ -5,7 +5,7 @@ import pytest
 from endochain import ringio
 from endochain.field import QQ, FieldSpec
 from endochain.series import LaurentPoly
-from endochain.curve_ring import build_ring, factor, semigroup_ring
+from endochain.curve_ring import build_ring, factor, placed_ring, semigroup_ring
 from endochain.chain import (
     build_chain_tree,
     chain_family,
@@ -15,7 +15,7 @@ from endochain.chain import (
     normalization_check,
     representation_module,
 )
-from endochain import chain, curve_ring
+from endochain import chain, curve_ring, lattice
 from endochain.errors import AlreadyNormal, ClaimViolation, NotLocal
 from endochain.lattice import hom_lattice, minimal_generators
 from oracle import end_chain_value_sets
@@ -105,58 +105,58 @@ LADDER = [(4, 7), (5, 6), (5, 7), (5, 8), (6, 7), (4, 9), (5, 9)]
 
 
 def _tree_counting_closures(monkeypatch, make_root):
-    """The chain tree of make_root(), and per build_ring call in it, the
-    closures it made with multipliers and its kind: "parent", "bound" (a
-    conductor bound) or "open" (the unbounded window schedule)."""
-    real_build, real_close = curve_ring.build_ring, curve_ring._close
-    builds = []
+    """The chain tree of make_root(), and for the root build and then for
+    the tree under it, [build_ring calls, closures made with multipliers]."""
+    real_build, real_close = curve_ring.build_ring, lattice._close
+    counts = []
 
-    def build(*a, conductor_bound=None, parent=None, **kw):
-        kind = "parent" if parent is not None else "open" if conductor_bound is None else "bound"
-        builds.append([0, kind])
-        return real_build(*a, conductor_bound=conductor_bound, parent=parent, **kw)
+    def build(*a, **kw):
+        counts[-1][0] += 1
+        return real_build(*a, **kw)
 
     def close(ws, ech, vecs, cones=(), mults=()):
-        builds[-1][0] += bool(mults)
+        counts[-1][1] += bool(mults)
         return real_close(ws, ech, vecs, cones, mults)
 
-    monkeypatch.setattr(curve_ring, "build_ring", build)
-    monkeypatch.setattr(chain, "build_ring", build)
-    monkeypatch.setattr(ringio, "build_ring", build)
-    monkeypatch.setattr(curve_ring, "_close", close)
+    for mod in (curve_ring, ringio):
+        monkeypatch.setattr(mod, "build_ring", build)
+    for mod in (curve_ring, lattice):
+        monkeypatch.setattr(mod, "_close", close)
+    counts.append([0, 0])
     root = make_root()
+    counts.append([0, 0])
     tree = build_chain_tree(root)
     monkeypatch.undo()
-    return tree, builds
+    return tree, counts
 
 
-def _inherited_windows(tree):
-    """Per chain ring below the root, (its window, the max of its parent's
-    conductor on its branches): End(m) is built from its node's ring, a
-    factor from that End(m)."""
-    out = []
+def _placed_from_parents(tree):
+    """Each End(m) below the root is Hom(m, m) of its node's ring, and each
+    factor its End(m)'s basis rows on its branches, with that conductor."""
     for nd in tree.nodes():
-        if nd.r1 is not None:
-            out.append((nd.r1.window_bound, max(nd.ring.conductor)))
+        if nd.r1 is None:
+            continue
+        h = hom_lattice(nd.ring.maximal_ideal_lattice(), nd.ring.maximal_ideal_lattice())
+        assert (nd.r1.conductor, nd.r1.self_lattice.basis) == (h.hi, h.basis)
         for T, ch in nd.children:
-            if ch.ring is not nd.r1:
-                out.append((ch.ring.window_bound, max(nd.r1.conductor[b] for b in T)))
-    return out
+            rows = [tuple(v[b] for b in T) for v in nd.r1.self_lattice.basis if any(v[b] for b in T)]
+            assert ch.ring.conductor == tuple(nd.r1.conductor[b] for b in T)
+            assert ch.ring.self_lattice.basis == tuple(rows)
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 32003)], ids=["qq", "gf32003"])
 @pytest.mark.parametrize("gens", LADDER)
 def test_ladder_rings_close_once_at_proven_windows(gens, field, monkeypatch, rebuilds_agree):
-    # every ring of the chain tree closes F[gens] exactly once: the root at
-    # the self-certifying window of its semigroup bound, each End(m) on
-    # [0, c(parent)) from its parent ring; one branch, so each End(m) is the
-    # child ring and nothing is factored
-    tree, builds = _tree_counting_closures(monkeypatch, lambda: semigroup_ring(field, gens))
+    # the chain tree closes F[gens] exactly once, at the root's
+    # self-certifying window of its semigroup bound; every End(m) below it is
+    # placed from Hom(m, m), with no build_ring call and no closure with
+    # multipliers; one branch, so each End(m) is the child ring
+    tree, counts = _tree_counting_closures(monkeypatch, lambda: semigroup_ring(field, gens))
     nodes = tree.nodes()
-    assert builds == [[1, "bound"]] + [[1, "parent"]] * (len(nodes) - 1)
+    assert counts == [[1, 1], [0, 0]]
     a, b = gens
     assert nodes[0].ring.window_bound == 2 * (a - 1) * (b - 1) + b + 2
-    assert [nd.ring.window_bound for nd in nodes[1:]] == [max(nd.ring.conductor) for nd in nodes[:-1]]
+    _placed_from_parents(tree)
     conductors = []
     for vs in end_chain_value_sets(list(gens))[0]:
         c = max(vs) + 1
@@ -170,15 +170,14 @@ def test_ladder_rings_close_once_at_proven_windows(gens, field, monkeypatch, reb
 
 @pytest.mark.parametrize("path", [os.path.join(DATA, "tacnode.json"), os.path.join(LARGE, "a_21.json")], ids=["tacnode", "a_21"])
 def test_split_chain_rings_close_once_at_inherited_windows(path, monkeypatch, rebuilds_agree):
-    # two branches: End(m) inherits its node's conductor and each factor
-    # e_T End(m) that End(m)'s conductor on T; every ring, End(m) before it
-    # splits too, is the one the unbounded generator route builds
+    # two branches: the root closes once on the unbounded window schedule,
+    # and End(m) and each factor e_T End(m) under it are placed, with no
+    # closure with multipliers; every ring, End(m) before it splits too, is
+    # the one the unbounded generator route builds
     obj = ringio.load_json(path)
-    tree, builds = _tree_counting_closures(monkeypatch, lambda: ringio.ring_from_json(obj))
-    windows = _inherited_windows(tree)
-    assert [kind for _, kind in builds] == ["open"] + ["parent"] * len(windows)
-    assert [n for n, _ in builds[1:]] == [1] * len(windows)
-    assert all(w == b for w, b in windows)
+    tree, counts = _tree_counting_closures(monkeypatch, lambda: ringio.ring_from_json(obj))
+    assert counts[0][0] == 1 and counts[1] == [0, 0]
+    _placed_from_parents(tree)
     factors = [ch for nd in tree.nodes() for _, ch in nd.children if ch.ring is not nd.r1]
     assert len(factors) == 2
     for nd in tree.nodes():
@@ -187,25 +186,23 @@ def test_split_chain_rings_close_once_at_inherited_windows(path, monkeypatch, re
                 rebuilds_agree(s)
 
 
-def test_chain_ring_without_its_parents_generators_raises():
-    # End(m) of <3,5> from the minimal generators of End(m) over R alone,
-    # without m's, or with one of m's dropped, does not contain R
+def test_chain_ring_without_its_parents_generators_raises(monkeypatch):
+    # End(m) of <3,5> placed with the minimal generators of End(m) over R
+    # alone, without m's, or with one of m's dropped: its gens would not be
+    # shown to generate it, and placed_ring refuses them
     r = semigroup_ring(QQ, [3, 5])
     m = r.maximal_ideal_lattice()
-    hgens, mgens = minimal_generators(hom_lattice(m, m)), minimal_generators(m)
+    h = hom_lattice(m, m)
+    hgens, mgens = minimal_generators(h), minimal_generators(m)
     for gens in (hgens, hgens + mgens[1:]):
         with pytest.raises(ClaimViolation):
-            build_ring(QQ, 1, gens, parent=(r, range(1), mgens))
-    assert build_ring(QQ, 1, hgens + mgens, parent=(r, range(1), mgens)).key() == end_of_maximal_ideal(r).key()
-    # a factor of the tacnode's last End(m) without one e_T part of its gens
-    tree = build_chain_tree(ringio.ring_from_json(ringio.load_json(os.path.join(DATA, "tacnode.json"))))
-    nd = next(nd for nd in tree.nodes() if nd.r1 is not None and len(nd.r1.atoms) > 1)
-    s1, T = nd.r1, nd.r1.atoms[0]
-    gens = [tuple(g[b] for b in T) for g in s1.gens]
-    drop = next(g for g in gens if any(p.valuation() > 0 for p in g if p))
-    with pytest.raises(ClaimViolation):
-        build_ring(QQ, len(T), [g for g in gens if g != drop], parent=(s1, T, s1.gens))
-    assert build_ring(QQ, len(T), gens, parent=(s1, T, s1.gens)).key() == factor(s1, T).key()
+            placed_ring(QQ, h.hi, h.basis, max(h.hi), gens, kept=mgens)
+    assert placed_ring(QQ, h.hi, h.basis, max(h.hi), hgens + mgens, kept=mgens).key() == end_of_maximal_ideal(r).key()
+    # a Hom(m, m) whose lowest valuation is not 0 is no ring inside E; here
+    # m itself stands in for it (lo 3), and it is refused before placement
+    monkeypatch.setattr(chain, "hom_lattice", lambda c, d: d)
+    with pytest.raises(ClaimViolation, match="valuation"):
+        end_of_maximal_ideal(semigroup_ring(QQ, [3, 5]))
 
 
 def test_chain_members_match_value_sets():

@@ -46,11 +46,12 @@ from endochain.lattice import (
     _close,
     _operator,
     _row_map,
+    _scalar_map,
     _span_image,
 )
 from endochain.verify import generated_test_lattices, random_fractional_ideal
 from endochain.errors import AmbientMismatch, ClaimViolation, NotAnOverring, NotASubmodule, NotDvrProduct, NotFullRank
-from oracle import sg_values, colon_values, ideal_values, sg_conductor, composite, flatten, hom_apply, image_lattice, reference_dvr_triangularize, reference_solve
+from oracle import sg_values, colon_values, ideal_values, sg_conductor, closure_maximal_ideal, composite, flatten, hom_apply, image_lattice, reference_dvr_triangularize, reference_solve
 
 
 T = LaurentPoly.monomial(QQ, 1)
@@ -847,10 +848,10 @@ def _maximal_ideal_covers(goal, parts, cut):
     for p in mods:
         vecs += list(p.rows) + [v for _, v in p.cones]
     lo = valuation_floor(vecs, goal.lo)
-    ws, e_goal = goal.span(lo, cut)
+    ws, e_goal = Module.span(goal, lo, cut)
     _, e_parts = raw_span(goal.ring, goal.ambient, rgens, cones, lo, cut)
     for p in mods:
-        e_parts.add_many(p.span(lo, cut)[1].rows)
+        e_parts.add_many(Module.span(p, lo, cut)[1].rows)
     inside = e_goal.contains_space(e_parts)
     lifts = [ws.vec_of(r) for r in e_goal.rows if e_parts.add(r)]
     return lifts, inside
@@ -942,13 +943,110 @@ def test_nakayama_covers_image_routes_agree(name):
     assert 0 < outside < len(lats) ** 2 * 2 and below
 
 
+_PLACED_RINGS = ("semigroup_2_3", "semigroup_3_5", "semigroup_3_4_5", "node", "cusp_line", "tacnode", "triple_point")
+_PLACED_FIELDS = (QQ, FieldSpec("prime", 7))
+
+
+@functools.lru_cache(maxsize=None)
+def _placed_lattices(name, field):
+    """A corpus ring built over ``field``, the members of its chain family
+    and its ``generated_test_lattices``."""
+    ring = build_ring(field, len(_ring_gens(name, field)[0]), _ring_gens(name, field))
+    tree = build_chain_tree(ring)
+    lats = [m.lattice for m in chain_family(tree).members]
+    lats += [lat for _, lat in generated_test_lattices(random.Random(f"{name}/{field.characteristic}"), ring, tree)]
+    return ring, tuple(lats)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_PLACED_RINGS), st.sampled_from(_PLACED_FIELDS), st.data())
+def test_placed_span_matches_closure_route(name, field, data):
+    # a lattice's window span with lo at or below its lo and a cut at or
+    # past its tail is its basis rows plus unit tail rows, the span the
+    # closure of its rows and cones gives; a window that cuts into the basis
+    # or short of the tail is refused
+    _, lats = _placed_lattices(name, field)
+    lat = data.draw(st.sampled_from(lats))
+    lo = [e - data.draw(st.integers(0, 2)) for e in lat.lo]
+    cut = [h + data.draw(st.integers(0, 3)) for h in lat.hi]
+    ws, ech = lat.span(lo, cut)
+    ref_ws, ref = Module.span(lat, lo, cut)
+    assert ws.cols == ref_ws.cols and ech == ref
+    fresh = Lattice(lat.ring, lat.ambient, lat.lo, lat.hi, lat.basis)
+    assert fresh.window()[1] == Module.span(lat, lat.lo, lat.hi)[1]
+    c = data.draw(st.integers(0, lat.ambient.ncoords - 1))
+    with pytest.raises(ClaimViolation):
+        lat.span([e + (i == c) for i, e in enumerate(lat.lo)], cut)
+    with pytest.raises(ClaimViolation):
+        lat.span(lo, [h - (i == c) for i, h in enumerate(lat.hi)])
+
+
+def _full_shift_covers(goal, parts, cut, minimal=False):
+    """The former m * goal of ``nakayama_covers``: every RREF row of the
+    goal's window span, its tail rows too, shifted by each g - g(0), and
+    the contains_space pass even with no parts."""
+    maps = [p for p in parts if isinstance(p, LatticeMap)]
+    mods = [p for p in parts if not isinstance(p, LatticeMap)]
+    lo = valuation_floor([v for p in mods for v in p.rows + tuple(v for _, v in p.cones)], goal.lo)
+    for f in maps:
+        lo = f.image_floor(lo)
+    ws, e_goal = Module.span(goal, lo, cut)
+    e_parts = ws.echelon()
+    for p in mods:
+        _close(ws, e_parts, p.rows, p.cones)
+    if minimal:
+        _close(ws, e_parts, [f.apply(g) for f in maps for g in minimal_generators(f.source)])
+    for f in () if minimal else maps:
+        _span_image(ws, e_parts, f)
+    for per in goal.ring.maximal_ideal_terms():
+        shift = _scalar_map(ws, per)
+        for p in filter(None, map(shift, e_goal.rows)):
+            e_parts.add(p)
+    inside = e_goal.contains_space(e_parts)
+    for f in maps if minimal and not inside else ():
+        _span_image(ws, e_parts, f)
+    return [ws.vec_of(r) for r in e_goal.rows if e_parts.add(r)], inside
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_PLACED_RINGS), st.sampled_from(_PLACED_FIELDS), st.data())
+def test_tail_cone_covers_match_full_shift(name, field, data):
+    # m * goal from the goal's rows shifted by each g - g(0) and the cone
+    # runs t^v_br F[[t]] v gives the lifts and inside flag of every window
+    # row shifted: no parts (minimal generators), a random map, a Hom
+    # element (spanned in full or from minimal generators), a Module part,
+    # and a kernel Module goal with its embedding
+    ring, lats = _placed_lattices(name, field)
+    goal = data.draw(st.sampled_from(lats))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    kind = data.draw(st.sampled_from(["none", "map", "hom", "module", "kernel"]))
+    x = data.draw(st.sampled_from([lat for lat in lats if lat.ambient.nbranches() == goal.ambient.nbranches()]))
+    minimal = data.draw(st.booleans())
+    cut = [c + data.draw(st.integers(0, 2)) for c in goal.nakayama_cut()]
+    if kind == "none":
+        parts = []
+    elif kind == "map":
+        parts = [_random_map(rng, x, goal)]
+    elif kind == "hom":
+        parts = [hom_element_as_map(x, goal, g) for g in hom_lattice(x, goal).genset()[:1]]
+    elif kind == "module":
+        parts = [Module(ring, goal.ambient, goal.rows[1:], goal.cones[1:], goal.lo)]
+    else:
+        f = _random_map(rng, direct_sum([goal, goal])[0], goal)
+        goal, cut = kernel_window_module(f)
+        parts = [kernel_lattice(f)[1]]
+    got = nakayama_covers(goal, parts, cut, minimal=minimal)
+    ref = _full_shift_covers(goal, parts, cut, minimal=minimal)
+    assert got == ref
+
+
 def _constant_term_kernel(ring):
     """Reference maximal ideal: the combinations of R's window span on
     [0, max(c, 1)) with zero constant term on every branch."""
     field = ring.field
     amb = ring.self_lattice.ambient
     hi = [max(c, 1) for c in ring.conductor]
-    ws, ech = ring.self_lattice.span([0] * ring.branches, hi)
+    ws, ech = Module.span(ring.self_lattice, [0] * ring.branches, hi)
     rows = ech.rows
     consts = [
         field.clean({i: r.get(ws.index[(br, 0)], 0) for i, r in enumerate(rows)})
@@ -974,6 +1072,7 @@ def _check_maximal_ideals(rings):
         ref = _constant_term_kernel(ring)
         assert maximal_ideal(ring) == ref
         assert ring.maximal_ideal_lattice() == ref
+        assert closure_maximal_ideal(ring) == ref
         for d in ring.maximal_ideal_gens():
             assert not any(p[0] for p in d)
             assert ring.self_lattice.member(d)
@@ -981,15 +1080,17 @@ def _check_maximal_ideals(rings):
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_maximal_ideal_matches_constant_term_kernel(name):
-    # m = sum (g - g(0)) * R over R.gens equals the constant-term kernel on
-    # every local ring of the chain tree: root, each End(m), each factor
+    # m placed from R's basis, and m = sum (g - g(0)) * R over R.gens, equal
+    # the constant-term kernel on every local ring of the chain tree: root,
+    # each End(m), each factor
     _check_maximal_ideals(_local_tree_rings(name))
 
 
 @pytest.mark.parametrize("name", ["semigroup_3_4", "semigroup_3_5"])
 def test_maximal_ideal_reference_catches_dropped_generator(name, monkeypatch):
-    # negative control: without its last generator difference m is too
-    # small (on <2,3> and <2,7> the conductor cone would cover it)
+    # negative control: without its last generator difference the closure
+    # route's m is too small (on <2,3> and <2,7> the conductor cone would
+    # cover it), as every m * L shift would be
     rings = _local_tree_rings(name)
     gens = CurveRing.maximal_ideal_gens
     monkeypatch.setattr(CurveRing, "maximal_ideal_gens", lambda self: gens(self)[:-1])

@@ -416,3 +416,36 @@ def test_certificate_negative_controls():
     for name, c in cases.items():
         assert _certify_matches_full(c, members) == expected[name], name
         assert not c.all_certified()
+
+
+@pytest.mark.parametrize("name", PLACEMENT_RINGS)
+def test_single_tag_direct_sum_is_the_tag(name):
+    # Term.decomposition_ok compares a one-tag term with its tag directly:
+    # the direct sum of one lattice is that lattice, key for key
+    tree = build_chain_tree(_load_ring(name))
+    for mem in chain_family(tree).members:
+        ds, _ = direct_sum([mem.lattice])
+        assert ds.key() == mem.lattice.key()
+        assert Term(mem.lattice, (mem.lattice,)).decomposition_ok()
+    members = chain_family(tree).lattices()
+    if len(members) > 1:
+        assert not Term(members[0], (members[1],)).decomposition_ok()
+
+
+def test_certify_reads_the_isomorphism_verdict(monkeypatch):
+    # the fast path's isomorphism has passed is_surjective_onto, which keeps
+    # its verdict on the map: certify reads it with no second Nakayama test
+    # and fills the same certificate; a fresh map is tested anew
+    r = semigroup_ring(QQ, [2, 5])
+    tree = build_chain_tree(r)
+    res = keyred_resolve(r.maximal_ideal_lattice(), tree=tree, certify=False)
+    assert res.length() == 0 and res.maps[0].onto is True
+    calls = []
+    real = lattice.nakayama_covers
+    monkeypatch.setattr(lattice, "nakayama_covers", lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
+    members = [(m.label, m.lattice) for m in chain_family(tree).members]
+    certs = res.certify(members)
+    assert certs["surjective_onto_target"] is True and res.all_certified()
+    assert all(goal is not res.target for goal in calls)
+    fresh = LatticeMap(res.maps[0].source, res.maps[0].target, res.maps[0].mats)
+    assert fresh.onto is None and lattice.is_surjective_onto(fresh) and calls[-1] is res.target
