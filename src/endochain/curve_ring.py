@@ -36,7 +36,7 @@ from .errors import (
     ResidueFieldTooLarge,
     SchemaError,
 )
-from .lattice import Ambient, WindowSpace, Lattice, _close, minimal_generators
+from .lattice import Ambient, WindowSpace, Lattice, _close, minimal_generators, placed_sum
 
 
 class CurveRing:
@@ -293,23 +293,18 @@ def maximal_ideal(ring):
 def factor(ring, T):
     """The direct factor e_T * R as a ring on the branches of T, placed from
     R's basis.  As e_T lies in R, R's window span is the direct sum of its
-    parts on T and off T, so each RREF basis row lies wholly on T or wholly
-    off it (a row on both raises ClaimViolation), and the rows on T are the
-    RREF basis of e_T * R, whose conductor is R's on T.  r -> e_T * r is a
-    continuous surjection onto e_T * R, so it carries a dense F[R.gens] onto
-    a dense F[e_T * R.gens], the factor's generators."""
+    parts on T and off T, so R's RREF basis rows on T and R's conductor on T
+    are e_T * R's: the projection of ``placed_sum``, which raises
+    ClaimViolation for a row on both sides.  r -> e_T * r is a continuous
+    surjection onto e_T * R, so it carries a dense F[R.gens] onto a dense
+    F[e_T * R.gens], the factor's generators."""
     T = tuple(sorted(set(T)))
     if not ring.self_lattice.member(ring.self_lattice.ambient.idem_vec(ring.field, T)):
         raise NotIdempotentFactor("e_T does not lie in the ring", subset=T)
-    basis = []
-    for v in ring.self_lattice.basis:
-        if any(v[b] for b in T):
-            if any(p for b, p in enumerate(v) if b not in T):
-                raise ClaimViolation("a basis row of the ring straddles e_T", subset=list(T))
-            basis.append(tuple(v[b] for b in T))
-    conductor = [ring.conductor[b] for b in T]
+    cmap = [T.index(b) if b in T else None for b in range(ring.branches)]
+    e_t = placed_sum(ring, Ambient([1] * len(T)), [ring.self_lattice], [cmap])
     gens = [tuple(g[b] for b in T) for g in ring.gens]
-    return placed_ring(ring.field, conductor, basis, max(conductor), gens)
+    return placed_ring(ring.field, e_t.hi, e_t.basis, max(e_t.hi), gens)
 
 
 @dataclass

@@ -1162,8 +1162,8 @@ def nakayama_covers(goal, parts, cut, minimal=False):
         shift = _scalar_map(ws, per)
         for p in filter(None, map(shift, rows)):
             e_parts.add(p)
-    v = [min(per[br][0][0] for per in terms if per[br]) for br in range(ring.branches)]
-    _close(ws, e_parts, (), [(br, goal.ambient.mono_scale(br, v[br], cv)) for br, cv in goal.cones])
+    vmin = [min(per[br][0][0] for per in terms if per[br]) for br in range(ring.branches)]
+    _close(ws, e_parts, (), [(br, goal.ambient.mono_scale(br, vmin[br], v)) for br, v in goal.cones])
     inside = not parts or e_goal.contains_space(e_parts)
     for f in maps if minimal and not inside else ():
         _span_image(ws, e_parts, f)

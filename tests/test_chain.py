@@ -5,7 +5,7 @@ import pytest
 from endochain import ringio
 from endochain.field import QQ, FieldSpec
 from endochain.series import LaurentPoly
-from endochain.curve_ring import build_ring, factor, placed_ring, semigroup_ring
+from endochain.curve_ring import build_ring, placed_ring, semigroup_ring
 from endochain.chain import (
     build_chain_tree,
     chain_family,
