@@ -170,10 +170,11 @@ def test_ladder_rings_close_once_at_proven_windows(gens, field, monkeypatch, reb
 
 @pytest.mark.parametrize("path", [os.path.join(DATA, "tacnode.json"), os.path.join(LARGE, "a_21.json")], ids=["tacnode", "a_21"])
 def test_split_chain_rings_close_once_at_inherited_windows(path, monkeypatch, rebuilds_agree):
-    # two branches: the root closes once on the unbounded window schedule,
-    # and End(m) and each factor e_T End(m) under it are placed, with no
-    # closure with multipliers; every ring, End(m) before it splits too, is
-    # the one the unbounded generator route builds
+    # two branches: the root is built once, on the unbounded window schedule
+    # (A_21 closes at two windows), and End(m) and each factor e_T End(m)
+    # under it are placed, with no closure with multipliers; every ring,
+    # End(m) before it splits too, is the one the unbounded generator route
+    # builds
     obj = ringio.load_json(path)
     tree, counts = _tree_counting_closures(monkeypatch, lambda: ringio.ring_from_json(obj))
     assert counts[0][0] == 1 and counts[1] == [0, 0]
