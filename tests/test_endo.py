@@ -441,3 +441,24 @@ def test_gldim_invariant_under_summand_permutation(name):
     assert len(lats) > 2
     assert rep.pd_per_simple == [base.pd_per_simple[i] for i in perm]
     assert rep.gldim == base.gldim
+
+
+@pytest.mark.parametrize(
+    "name,dim", [("node", 2), ("tacnode", 2), ("cusp_line", 2), ("triple_point", 3), ("<3,4>", 4)]
+)
+def test_decomposable_summand_is_not_indecomposable(name, dim):
+    # End(E) of a ring with b branches is F^b modulo its radical, and
+    # End(m (+) m) over <3,4> is M_2(End(m)), so M_2(F) modulo its radical:
+    # neither is local, and the summand is refused with dim End/rad
+    from endochain.errors import NotIndecomposable
+    from endochain.lattice import direct_sum
+
+    ring = _corpus_ring(name)
+    if name == "<3,4>":
+        m = ring.maximal_ideal_lattice()
+        x = direct_sum([m, m])[0]
+    else:
+        x = normalization_lattice(ring)
+    with pytest.raises(NotIndecomposable) as err:
+        build_endo_algebra(ring, [ring.self_lattice, x])
+    assert err.value.context == {"label": "X1", "dim": dim}
