@@ -25,7 +25,6 @@ from .lattice import (
     kernel_lattice,
     largest_submodule_over,
     scalar_extension_test,
-    lattice_sum,
     direct_sum,
     quotient_dimension,
     minimal_generators,

@@ -142,10 +142,12 @@ def _gldim_payload(ring, args):
         if not isinstance(mcm_defs, dict) or not isinstance(mcm_defs.get("modules"), list):
             raise SchemaError('module-list file must be an object with a "modules" list')
         lats = [ringio.lattice_from_json(obj, ring) for obj in mcm_defs["modules"]]
-        rep = fcmt_check(ring, lats, cap=args.pd_cap, n=tree.n)
+        rep = fcmt_check(ring, lats, cap=16 if args.pd_cap is None else args.pd_cap, n=tree.n)
     else:
         alg = build_endo_algebra(ring, fam.lattices(), fam.labels())
-        rep = global_dimension(alg, cap=args.pd_cap, n=tree.n, bound=tree.n + 1)
+        # with no cap given, the proven bound n + 1 is the cap, so a pd past it raises
+        cap = tree.n + 1 if args.pd_cap is None else args.pd_cap
+        rep = global_dimension(alg, cap=cap, n=tree.n, bound=tree.n + 1)
         out = rep.as_json()
         out["projectivization_check"] = projectivization_check(alg)
         return out
@@ -158,7 +160,7 @@ def cmd_gldim(args):
 
 def cmd_verify(args):
     names = None if args.suite == "all" else args.suite.split(",")
-    results = run_suites(names=names, seed=args.seed, cases=args.cases, pd_cap=args.pd_cap)
+    results = run_suites(names=names, seed=args.seed, cases=args.cases, pd_cap=16 if args.pd_cap is None else args.pd_cap)
     payload = {"seed": args.seed, "checks": []}
     ok = True
     for name, passed, details in results:
@@ -208,8 +210,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if hasattr(args, "pd_cap") and args.pd_cap is None:
-        args.pd_cap = int(os.environ.get("ENDOCHAIN_PD_CAP", "16"))
+    if hasattr(args, "pd_cap") and args.pd_cap is None and "ENDOCHAIN_PD_CAP" in os.environ:
+        args.pd_cap = int(os.environ["ENDOCHAIN_PD_CAP"])
     try:
         out = globals()[f"cmd_{args.command}"](args)
         payload, status = out if isinstance(out, tuple) else (out, 0)

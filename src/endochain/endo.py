@@ -22,16 +22,14 @@ of ``kernel_lattice``, ``lattice.kernel_window_module``) split by type as
 well.  Only ``projectivization_check`` builds M and P_i in the
 Hom(M, X_i) layout, as locals, to compare P_i with ``hom_lattice(M, X_i)``.
 
-The radical of each End(X_i) is computed two ways and cross-checked: the
-trace-form kernel of the finite quotient End(X_i)/z End(X_i) (z a deep
-conductor-monomial scalar), and the "image is proper" surjectivity test.
+The radical of each End(X_i) is the trace-form kernel of its action on the
+top X_i/mX_i, placed with no closure (``diagonal_radical``), and is
+cross-checked by the "image is proper" surjectivity test.
 """
 
-import functools
 from dataclasses import dataclass
 
-from .series import LaurentPoly
-from .linalg import Echelon, nullspace_F
+from .linalg import Echelon
 from .curve_ring import ring_report
 from .errors import (
     CharacteristicTooSmall,
@@ -57,9 +55,8 @@ from .lattice import (
     minimal_generators,
     nakayama_covers,
     placed_sum,
-    quotient_dimension,
-    _row_map,
     _span_image,
+    _span_m,
 )
 
 
@@ -96,75 +93,83 @@ class EndoAlgebra:
         ]
 
 
+def _top_action(x):
+    """The action of End(X) on the top X/mX, on X's window at its Nakayama
+    cut, past which X lies in m * X.  X's window rows reduced modulo m * X
+    give, in RREF, vectors of X whose classes are an F-basis of X/mX; the
+    coordinates of y + mX in it are the entries of y's residue modulo m * X
+    at their pivots.  Returns (dim X/mX, f -> the matrix of f on X/mX as a
+    row, entry (c, a) at a * dim + c)."""
+    ws, e_x = x.span(x.lo, x.nakayama_cut())
+    e_m, e_top = ws.echelon(), ws.echelon()
+    _span_m(ws, e_m, x)
+    e_top.add_many(e_m.residue(r) for r in e_x.rows)
+    pivots = sorted(e_top.by_pivot)
+    tops = [ws.vec_of(r) for r in e_top.rows]
+
+    def bar(f):
+        images = (e_m.residue(ws.row_of(f.apply(y))) for y in tops)
+        return {a * len(tops) + c: res[p] for a, res in enumerate(images) for c, p in enumerate(pivots) if p in res}
+
+    return len(tops), bar
+
+
 def diagonal_radical(alg, i):
-    """rad End(X_i) inside Hom(X_i, X_i), with a two-method cross-check."""
-    ring = alg.ring
-    field = ring.field
-    ea = alg.hom[(i, i)]
+    """rad End(X) inside Hom(X, X), X = X_i, from End(X)'s action on the
+    top X/mX, mu = dim X/mX, cross-checked by the image test.
+
+    An f with f(X) <= mX lies in rad End(X), as 1 - gf is onto by
+    Nakayama; so End(X)/rad = A/rad A for the image A <= M_mu(F) of End(X).
+    For char F = 0 or p > mu, rad A is the kernel of the trace form
+    tr(a b) on A (Dickson's criterion; Cohen, Ivanyos and Wales, J. Pure
+    Appl. Algebra 117-118, 1997), so X is indecomposable exactly when the
+    form has rank dim End(X)/rad = 1.  Then A = F * 1 + rad A, whose
+    nilpotents have trace 0, so rad End(X) is the kernel of phi(f) =
+    tr(f-bar)/mu, an R-submodule as phi(r f) = r(0) phi(f).  Past its
+    Nakayama cut End(X) lies in m * End(X), which kills X/mX and lies in
+    rad: so the rows of End(X)'s window at that cut give A, and their
+    kernel of phi places rad there, the cut a valid tail.
+
+    The guard asks p > dim End/z End, z = (t^zexp_br) a deep conductor
+    monomial; dim L/zL is the sum of zexp_br over L's coordinates for any
+    full lattice L.  As z lies in m, mu = dim X/mX <= dim X/zX <=
+    dim End/z End < p."""
+    ring, field = alg.ring, alg.ring.field
+    x, ea = alg.summands[i], alg.hom[(i, i)]
     amb = ea.ambient
     if amb.ncoords == 0:
         raise NotIndecomposable("zero summand", label=alg.labels[i])
-    lo_min = min(ea.lo)
-    m = max(1, 1 - lo_min)
-    zexp = [ring.mx(br) * m for br in range(ring.branches)]
-    z = tuple(LaurentPoly.monomial(field, e) for e in zexp)
-    jgens = [amb.branch_scale(z, g) for g in ea.genset()]
-    jtail = [ea.hi[c] + zexp[amb.branch_of(c)] for c in range(amb.ncoords)]
-    jlat = Lattice.from_module_data(ring, amb, jgens, [], list(ea.lo), jtail)
-
-    lo = [min(2 * lo_min, lo_min)] * amb.ncoords
-    cut = list(jlat.hi)
-    ws, ech_j = jlat.span(lo, cut)
-    _, ech_full = ea.span(lo, cut)
-    # quotient space A = EA/J: RREF basis of the J-residues; coordinates of
-    # a residue are then its raw entries at the basis pivots
-    ey = Echelon(field, ws.ncols())
-    for r in ech_full.rows:
-        ey.add(ech_j.residue(r))
-    dim_a = ey.rank()
-    if field.kind == "prime" and field.characteristic <= dim_a:
-        raise CharacteristicTooSmall(
-            "prime field must exceed the finite-quotient dimension",
-            p=field.characteristic,
-            dim=dim_a,
-        )
-    rep_vecs = [ws.vec_of(r) for r in ey.rows]
-    qpivots = sorted(ey.by_pivot)
-
-    # lmats[a][b]: quotient coordinates of rep_a o rep_b, reduced coefficients:
-    # the rows of ey under the operator of left composition with rep_a,
-    # truncated at cut (deeper elements lie in J) and reduced by J;
-    # products have valuations >= 2 * lo_min, inside the window.
-    # traces[a] = tr(L_a); the trace-form rows are reduced once by clean
-    x = alg.summands[i]
-    lmats = []
-    for v in rep_vecs:
-        left = _row_map(hom_induced_map(x, hom_element_as_map(x, x, v), ea, ea).operator(), ws, ws)
-        lmats.append([[y.get(p, 0) for p in qpivots] for y in (ech_j.residue(left(r)) for r in ey.rows)])
-    traces = [sum(lmats[a][b][b] for b in range(dim_a)) for a in range(dim_a)]
-    gram = [
-        field.clean({b: sum(c * traces[s] for s, c in enumerate(lmats[a][b])) for b in range(dim_a)})
-        for a in range(dim_a)
-    ]
-    rad_reps = [
-        functools.reduce(amb.add_vec, [amb.scale_vec(c, rep_vecs[s]) for s, c in sorted(lam.items())])
-        for lam in nullspace_F(gram, dim_a, field)
-    ]
-    rad = Lattice.from_module_data(
-        ring, amb, rad_reps + jlat.genset(), [], lo, list(jlat.hi)
+    depth = max(1, 1 - min(ea.lo))
+    dim_z = sum(ring.mx(amb.branch_of(c)) * depth for c in range(amb.ncoords))
+    if field.kind == "prime" and field.characteristic <= dim_z:
+        raise CharacteristicTooSmall("prime field must exceed the finite-quotient dimension", p=field.characteristic, dim=dim_z)
+    n, bar = _top_action(x)
+    cut = ea.nakayama_cut()
+    ws, e_end = ea.span(ea.lo, cut)
+    rows = e_end.rows
+    # the trace form on an F-basis of A, the span of the matrices b-bar
+    bars = [bar(hom_element_as_map(x, x, ws.vec_of(b))) for b in rows]
+    span_a = Echelon(field, n * n)
+    span_a.add_many(bars)
+    gram = Echelon(field, span_a.rank())
+    gram.add_many(
+        field.clean({k: sum(v * q.get(j % n * n + j // n, 0) for j, v in p.items()) for k, q in enumerate(span_a.rows)})
+        for p in span_a.rows
     )
-    dim = quotient_dimension(ea, rad)
-    if dim != 1:
-        raise NotIndecomposable(
-            "End(X)/rad has F-dimension != 1", label=alg.labels[i], dim=dim
-        )
+    if gram.rank() != 1:
+        raise NotIndecomposable("End(X)/rad has F-dimension != 1", label=alg.labels[i], dim=gram.rank())
+    # rad's window rows b - phi(b)/phi(u) * u, u a row with phi(u) != 0
+    traces = field.clean({k: sum(q.get(a * n + a, 0) for a in range(n)) for k, q in enumerate(bars)})
+    k_u = min(traces)
+    u = rows[k_u]
+    ech = ws.echelon()
+    for k, b in enumerate(rows):
+        c = field.div(traces.get(k, 0), traces[k_u])
+        ech.add(field.clean({j: b.get(j, 0) - c * u.get(j, 0) for j in b.keys() | u.keys()}))
+    rad = Lattice._canonicalize(ring, amb, list(ea.lo), cut, ech, ws)
     for v in ea.basis:
-        f = hom_element_as_map(x, x, v)
-        if is_surjective_onto(f) == rad.member(v):
-            raise ClaimViolation(
-                "radical cross-check failed (trace form vs image test)",
-                summand=alg.labels[i],
-            )
+        if is_surjective_onto(hom_element_as_map(x, x, v)) == rad.member(v):
+            raise ClaimViolation("radical cross-check failed (trace form vs image test)", summand=alg.labels[i])
     return rad
 
 

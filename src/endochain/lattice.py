@@ -549,12 +549,6 @@ class Lattice(Module):
         return lat
 
     @classmethod
-    def from_module_data(cls, ring, ambient, rgens, cones, lo_bound, valid_hi):
-        """Build the lattice R*rgens + cones given a known-valid tail."""
-        ws, ech = raw_span(ring, ambient, rgens, cones, lo_bound, valid_hi)
-        return cls._canonicalize(ring, ambient, lo_bound, valid_hi, ech, ws)
-
-    @classmethod
     def from_generators(cls, ring, ambient, gens):
         """Build the lattice generated by ``gens`` over ``ring`` by R-closure;
         for generators from outside the engine (module files, generated test
@@ -583,7 +577,8 @@ class Lattice(Module):
             for coord in ambient.coords_of(br):
                 hi[coord] = h
         hi = [max(h, l) for h, l in zip(hi, lo)]
-        return cls.from_module_data(ring, ambient, gens, [], lo, hi)
+        ws, ech = raw_span(ring, ambient, gens, [], lo, hi)
+        return cls._canonicalize(ring, ambient, lo, hi, ech, ws)
 
     # -- canonical data ------------------------------------------------------
 
@@ -753,16 +748,6 @@ class LatticeMap:
 
 
 # -- module operations ----------------------------------------------------------
-
-
-def lattice_sum(l1, l2):
-    if l1.ambient != l2.ambient:
-        raise AmbientMismatch("sum needs equal ambients")
-    tail = tuple(min(a, b) for a, b in zip(l1.hi, l2.hi))
-    lo = tuple(min(a, b) for a, b in zip(l1.lo, l2.lo))
-    return Lattice.from_module_data(
-        l1.ring, l1.ambient, l1.genset() + l2.genset(), [], lo, tail
-    )
 
 
 def direct_sum(lats):
@@ -1117,15 +1102,30 @@ def kernel_window_module(f):
     return ker, ker.deep_cut([tops[src.branch_of(c)] for c in range(src.ncoords)])
 
 
-def nakayama_covers(goal, parts, cut, minimal=False):
-    """Nakayama comparison of the Module ``goal`` with m * goal plus the sum
-    of ``parts``, none of which needs R-closure.
+def _span_m(ws, ech, goal):
+    """Add to ``ech`` the window span of m * goal, ``goal`` a Module over a
+    local ring, with no R-closure.
 
     m = sum d * R over d = g - g(0), g in R's gens, so m * goal is spanned by
     goal's rows times each d plus, per cone, m * F[[t_br]] v = t^v_br
     F[[t_br]] v, v_br the least valuation of the d on branch br; and
     pi(d * pi(v)) = pi(d * v) for val(d) >= 0 (``_close``, point (1)).  On a
-    Lattice that is the basis rows shifted and the runs t^(hi + v_br) e_c.
+    Lattice that is the basis rows shifted and the runs t^(hi + v_br) e_c."""
+    ring = goal.ring
+    terms = ring.maximal_ideal_terms()
+    rows = [ws.row_of(v) for v in goal.rows]
+    for per in terms:
+        shift = _scalar_map(ws, per)
+        for p in filter(None, map(shift, rows)):
+            ech.add(p)
+    vmin = [min(per[br][0][0] for per in terms if per[br]) for br in range(ring.branches)]
+    _close(ws, ech, (), [(br, goal.ambient.mono_scale(br, vmin[br], v)) for br, v in goal.cones])
+
+
+def nakayama_covers(goal, parts, cut, minimal=False):
+    """Nakayama comparison of the Module ``goal`` with m * goal (``_span_m``)
+    plus the sum of ``parts``, none of which needs R-closure.
+
     A part is a Module (rows R-closed up to its cones) or a LatticeMap f
     whose source C is a Lattice, for f(C) (``_span_image``); anything else
     is a TypeError.  lo is floored by the
@@ -1140,7 +1140,6 @@ def nakayama_covers(goal, parts, cut, minimal=False):
     inside): the goal's RREF window rows outside the span of the parts, as
     vectors in echelon order, and whether the parts lie inside the goal
     (no parts do); they span it exactly when ``not lifts and inside``."""
-    ring = goal.ring
     maps = [p for p in parts if isinstance(p, LatticeMap)]
     mods = [p for p in parts if not isinstance(p, LatticeMap)]
     if not all(isinstance(f.source, Lattice) for f in maps) or not all(isinstance(p, Module) for p in mods):
@@ -1156,14 +1155,7 @@ def nakayama_covers(goal, parts, cut, minimal=False):
         _close(ws, e_parts, [f.apply(g) for f in maps for g in minimal_generators(f.source)])
     for f in () if minimal else maps:
         _span_image(ws, e_parts, f)
-    terms = ring.maximal_ideal_terms()
-    rows = [ws.row_of(v) for v in goal.rows]
-    for per in terms:
-        shift = _scalar_map(ws, per)
-        for p in filter(None, map(shift, rows)):
-            e_parts.add(p)
-    vmin = [min(per[br][0][0] for per in terms if per[br]) for br in range(ring.branches)]
-    _close(ws, e_parts, (), [(br, goal.ambient.mono_scale(br, vmin[br], v)) for br, v in goal.cones])
+    _span_m(ws, e_parts, goal)
     inside = not parts or e_goal.contains_space(e_parts)
     for f in maps if minimal and not inside else ():
         _span_image(ws, e_parts, f)

@@ -37,9 +37,11 @@ the last slot got its pivot; the engine now stops there.
 """
 
 import bisect
+import functools
 
-from endochain.lattice import Lattice, hom_ambient, hom_coord, hom_element_as_map
-from endochain.linalg import nullspace_F
+from endochain.errors import CharacteristicTooSmall, NotIndecomposable
+from endochain.lattice import Lattice, hom_ambient, hom_coord, hom_element_as_map, quotient_dimension, raw_span
+from endochain.linalg import Echelon, nullspace_F
 from endochain.series import LaurentPoly, laurent_exact_div, poly_gcd, series_div_mod
 
 
@@ -398,13 +400,77 @@ def reference_poly_nullspace(rows, ncols, field):
     return basis
 
 
+def closure_lattice(ring, amb, rgens, cones, lo, hi):
+    """The lattice R * rgens + cones, R-closed by ``raw_span`` on [lo, hi)
+    at the valid tail hi."""
+    ws, ech = raw_span(ring, amb, rgens, cones, lo, hi)
+    return Lattice._canonicalize(ring, amb, lo, hi, ech, ws)
+
+
 def closure_maximal_ideal(ring):
     """m as the R-closure of ``ring.maximal_ideal_gens()`` with the cones
     t^mx e_br at the valid tail mx."""
     amb = ring.self_lattice.ambient
     hi = [ring.mx(br) for br in range(ring.branches)]
     cones = [(br, amb.unit_vec(ring.field, br, h)) for br, h in enumerate(hi)]
-    return Lattice.from_module_data(ring, amb, ring.maximal_ideal_gens(), cones, [0] * ring.branches, hi)
+    return closure_lattice(ring, amb, ring.maximal_ideal_gens(), cones, [0] * ring.branches, hi)
+
+
+def reference_diagonal_radical(alg, i):
+    """rad End(X_i) by the former route of ``endo.diagonal_radical``: the
+    trace-form kernel of the regular representation of the finite quotient
+    A = End(X_i)/J, J = z * End(X_i) for the deep conductor monomial
+    z = (t^zexp_br), with J and rad R-closed by ``closure_lattice``.  Raises
+    as the engine does: CharacteristicTooSmall for p <= dim A and
+    NotIndecomposable when dim End/rad != 1 (no image-test cross-check)."""
+    ring = alg.ring
+    field = ring.field
+    ea = alg.hom[(i, i)]
+    amb = ea.ambient
+    if amb.ncoords == 0:
+        raise NotIndecomposable("zero summand", label=alg.labels[i])
+    lo_min = min(ea.lo)
+    m = max(1, 1 - lo_min)
+    zexp = [ring.mx(br) * m for br in range(ring.branches)]
+    z = tuple(LaurentPoly.monomial(field, e) for e in zexp)
+    jgens = [amb.branch_scale(z, g) for g in ea.genset()]
+    jtail = [ea.hi[c] + zexp[amb.branch_of(c)] for c in range(amb.ncoords)]
+    jlat = closure_lattice(ring, amb, jgens, [], list(ea.lo), jtail)
+    lo = [min(2 * lo_min, lo_min)] * amb.ncoords
+    cut = list(jlat.hi)
+    ws, ech_j = jlat.span(lo, cut)
+    _, ech_full = ea.span(lo, cut)
+    # A = EA/J: an RREF basis of the J-residues, whose coordinates are the
+    # raw entries at its pivots
+    ey = Echelon(field, ws.ncols())
+    for r in ech_full.rows:
+        ey.add(ech_j.residue(r))
+    dim_a = ey.rank()
+    if field.kind == "prime" and field.characteristic <= dim_a:
+        raise CharacteristicTooSmall("prime field must exceed the finite-quotient dimension", p=field.characteristic, dim=dim_a)
+    rep_vecs = [ws.vec_of(r) for r in ey.rows]
+    qpivots = sorted(ey.by_pivot)
+    # lmats[a][b]: the coordinates of rep_a o rep_b, each a window row
+    # composed through ``composite`` and reduced by J
+    x = alg.summands[i]
+    lmats = []
+    for u in rep_vecs:
+        prods = (ws.row_of(amb.truncate_vec(composite(x, x, x, u, v), cut)) for v in rep_vecs)
+        lmats.append([[y.get(p, 0) for p in qpivots] for y in map(ech_j.residue, prods)])
+    traces = [sum(lmats[a][b][b] for b in range(dim_a)) for a in range(dim_a)]
+    gram = [
+        field.clean({b: sum(c * traces[s] for s, c in enumerate(lmats[a][b])) for b in range(dim_a)})
+        for a in range(dim_a)
+    ]
+    rad_reps = [
+        functools.reduce(amb.add_vec, [amb.scale_vec(c, rep_vecs[s]) for s, c in sorted(lam.items())])
+        for lam in nullspace_F(gram, dim_a, field)
+    ]
+    rad = closure_lattice(ring, amb, rad_reps + jlat.genset(), [], lo, list(jlat.hi))
+    dim = quotient_dimension(ea, rad)
+    if dim != 1:
+        raise NotIndecomposable("End(X)/rad has F-dimension != 1", label=alg.labels[i], dim=dim)
+    return rad
 
 
 def image_lattice(f):

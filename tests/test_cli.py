@@ -108,6 +108,16 @@ def test_pd_past_chain_bound_is_claim_violation(capsys, endless_syzygies):
         assert rep["code"] == "ClaimViolation" and rep["context"] == {"simple": "S0", "bound": 2}
 
 
+def test_default_cap_keeps_the_chain_bound_past_16(capsys, tmp_path, endless_syzygies):
+    # <2,33> has chain depth 16: with no --pd-cap and no ENDOCHAIN_PD_CAP
+    # the cap is the proven bound n + 1 = 17, so the guard still holds
+    path = tmp_path / "semigroup_2_33.json"
+    path.write_text(json.dumps({"field": {"kind": "rational"}, "semigroup": [2, 33]}))
+    status, rep = run_cli(capsys, "gldim", "--ring", str(path))
+    assert status == 1
+    assert rep["code"] == "ClaimViolation" and rep["context"] == {"simple": "S0", "bound": 17}
+
+
 def test_pd_cap_below_chain_bound_reports_capped(capsys, endless_syzygies):
     # a user cap below n + 1 keeps the capped report
     status, rep = run_cli(capsys, "gldim", "--ring", ring_path("semigroup_2_3"), "--pd-cap", "1")

@@ -229,7 +229,6 @@ def test_factor_rejects_non_idempotent():
 def test_factor_partition_reconstructs():
     e = build_ring(QQ, 2, [(LaurentPoly.one(QQ), Z), (T, Z), (Z, T)])
     from endochain.chain import embedded_ring_lattice
-    from endochain.lattice import lattice_sum
 
     parts = [embedded_ring_lattice(e, (0,), factor(e, (0,))), embedded_ring_lattice(e, (1,), factor(e, (1,)))]
     # the sum of the two factor lattices is E itself; compare generator sets

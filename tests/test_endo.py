@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from endochain.field import QQ, FieldSpec
+from endochain.lattice import Ambient, Lattice, direct_sum, hom_lattice
 from endochain.series import LaurentPoly
 from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
 from endochain.chain import build_chain_tree, chain_family
@@ -22,6 +23,7 @@ from endochain.errors import (
     CharacteristicTooSmall,
     DuplicateSummand,
     MissingFreeSummand,
+    NotIndecomposable,
 )
 
 
@@ -450,9 +452,6 @@ def test_decomposable_summand_is_not_indecomposable(name, dim):
     # End(E) of a ring with b branches is F^b modulo its radical, and
     # End(m (+) m) over <3,4> is M_2(End(m)), so M_2(F) modulo its radical:
     # neither is local, and the summand is refused with dim End/rad
-    from endochain.errors import NotIndecomposable
-    from endochain.lattice import direct_sum
-
     ring = _corpus_ring(name)
     if name == "<3,4>":
         m = ring.maximal_ideal_lattice()
@@ -462,3 +461,64 @@ def test_decomposable_summand_is_not_indecomposable(name, dim):
     with pytest.raises(NotIndecomposable) as err:
         build_endo_algebra(ring, [ring.self_lattice, x])
     assert err.value.context == {"label": "X1", "dim": dim}
+
+
+def _radical_or_error(route, alg, i):
+    """The key of ``route(alg, i)``, or the code and context it raises."""
+    try:
+        return route(alg, i).key()
+    except (NotIndecomposable, CharacteristicTooSmall) as e:
+        return e.code, e.context
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 32003)], ids=["qq", "gf32003"])
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(DATA, "rings"))))
+def test_radical_matches_trace_form_reference(name, field):
+    # the top action X/mX gives the radical of the former trace-form route
+    # on End(X)/z End(X), for every chain family member of every data ring
+    from endochain import ringio
+    from oracle import reference_diagonal_radical
+
+    obj = ringio.load_json(os.path.join(DATA, "rings", name))
+    _, alg = family_algebra(ringio.ring_from_json(dict(obj, field=field.as_json())))
+    for i in range(alg.k):
+        assert alg.rad_diag[i].key() == reference_diagonal_radical(alg, i).key(), (name, i)
+
+
+def _skewed_sum(ring, x, y, k):
+    """g(X (+) Y) in rank two per branch, g = [[1, t^-k], [0, 1]] on every
+    branch: isomorphic to X (+) Y, but with mX rows whose pivot lies before
+    a top pivot and whose entries reach it."""
+    zero = LaurentPoly.zero(ring.field)
+    gens = [tuple(p for a in v for p in (a, zero)) for v in x.genset()]
+    gens += [tuple(p for a in w for p in (a.shift(-k), a)) for w in y.genset()]
+    return Lattice.from_generators(ring, Ambient([2] * ring.branches), gens)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["<1>", "<2,3>", "<2,5>", "<2,7>", "<3,4>", "<3,5>", "<3,4,5>", "<4,5,6,7>", "node", "triple_point", "tacnode", "cusp_line"],
+)
+def test_radical_of_generated_lattices_matches_reference(name):
+    # the rank-one generated lattices, decomposable ones included (both
+    # routes must refuse them with the same dim End/rad), and skewed sums
+    # of two family members: on rank one End(X) acts branch by branch and
+    # no diagonal coordinate of the top takes a correction from mX, so the
+    # skewed sums are what check the reduction modulo mX
+    import random
+    from types import SimpleNamespace
+
+    from endochain.endo import diagonal_radical
+    from endochain.verify import generated_test_lattices
+    from oracle import reference_diagonal_radical
+
+    ring = _corpus_ring(name)
+    tree = build_chain_tree(ring)
+    lats = generated_test_lattices(random.Random(name), ring, tree, count=10)
+    xs = [lat for _, lat in lats if lat.ambient.ranks == (1,) * ring.branches]
+    fam = [lat for lat in chain_family(tree).lattices() if lat.ambient.ranks == (1,) * ring.branches]
+    xs += [_skewed_sum(ring, fam[0], fam[-1], k) for k in (1, 2)]
+    for x in xs:
+        alg = SimpleNamespace(ring=ring, summands=[x], labels=["X"], hom={(0, 0): hom_lattice(x, x)})
+        got = _radical_or_error(diagonal_radical, alg, 0)
+        assert got == _radical_or_error(reference_diagonal_radical, alg, 0), (name, x.key())
