@@ -26,7 +26,6 @@ from .lattice import (
     largest_submodule_over,
     scalar_extension_test,
     direct_sum,
-    quotient_dimension,
     minimal_generators,
     free_decomposition_over_dvr_product,
 )
@@ -44,7 +43,6 @@ from .resolver import Resolution, keyred_resolve, verify_hom_exactness, resolve_
 from .endo import (
     EndoAlgebra,
     GldimReport,
-    SimpleModule,
     build_endo_algebra,
     global_dimension,
     minimal_projective_resolution,

@@ -7,7 +7,10 @@ Gamma-lattice Q in Hom(M, T), T = (+)_a X_{c_a}, contains each Q e_j (it is
 a right module) and is their direct sum (the e_j sum to 1), with Q e_j
 inside Hom(X_j, T); a ``GammaLattice`` stores Q by these parts.  The
 projective P_i = Hom(M, X_i) has the parts Hom(X_j, X_i), rad P_i those of
-rad Gamma; a simple sits on top of each P_i.  Minimal covers use Nakayama
+rad Gamma, each part a block lattice as the algebra keeps it.  The simple
+S_i = P_i/rad P_i has P_i -> S_i as its first minimal cover, so pd S_i =
+1 + pd rad P_i, and every pd is one loop of cover steps over
+Gamma-lattices (``minimal_projective_resolution``).  Minimal covers use Nakayama
 over Gamma/rad: Q rad = Q A for the arrows A of Gamma, lifts of a basis of
 J/J^2 (J = rad Gamma), as J = Gamma A by Nakayama; each algebra certifies
 J = Gamma A when it is built.  An arrow a: X_j -> X_l carries Q e_l into
@@ -41,7 +44,6 @@ from .errors import (
 from .lattice import (
     Lattice,
     LatticeMap,
-    Module,
     direct_sum,
     hom_ambient,
     hom_coord,
@@ -266,7 +268,8 @@ class GammaLattice:
     The idempotent e_j of Gamma is the projection of M onto X_j, and Q e_j
     lies in Q because Q is a right Gamma-module; since the e_j sum to 1,
     Q = (+)_j Q e_j as an R-module, with Q e_j inside Hom(X_j, T).
-    ``parts[j]`` is Q e_j, a Module in ``hom_ambient(X_j, T)``, and
+    ``parts[j]`` is Q e_j, a Module in ``hom_ambient(X_j, T)`` (a block
+    Lattice for P_i and rad P_i, a syzygy's ``kernel_window_module``), and
     ``blocks[j]`` is Hom(X_j, T) = (+)_a Hom(X_j, X_{c_a}), the type-j part
     of (+)_a P_{c_a}; T and the blocks depend only on the column types, so
     they are built once per algebra and tuple (``EndoAlgebra.col_blocks``).
@@ -291,26 +294,15 @@ class GammaLattice:
         return all(p.is_zero() for p in self.parts)
 
 
-def _gamma_part(lat):
-    """A block lattice as a Module with a skeleton unit vector per
-    coordinate at depth tail + mx."""
-    ring, amb = lat.ring, lat.ambient
-    skel = []
-    for c, h in enumerate(lat.hi):
-        br = amb.branch_of(c)
-        skel.append((br, amb.unit_vec(ring.field, c, 0), h + ring.mx(br)))
-    return Module(ring, amb, lat.basis, lat.cones, lat.lo, skel)
-
-
 def projective_gamma(alg, i):
     """P_i as a Gamma-lattice: P_i e_j = Hom(X_j, X_i)."""
-    return GammaLattice(alg, (i,), [_gamma_part(alg.hom[(j, i)]) for j in range(alg.k)])
+    return GammaLattice(alg, (i,), [alg.hom[(j, i)] for j in range(alg.k)])
 
 
 def rad_projective_gamma(alg, i):
     """rad P_i: (rad P_i) e_j = Hom(X_j, X_i) for j != i, rad End(X_i) for j = i."""
     rad = radical(alg)
-    return GammaLattice(alg, (i,), [_gamma_part(rad[(j, i)]) for j in range(alg.k)])
+    return GammaLattice(alg, (i,), [rad[(j, i)] for j in range(alg.k)])
 
 
 def _top_spans(q):
@@ -319,7 +311,8 @@ def _top_spans(q):
     and (Q A) e_j is the sum of the images (Q e_l) o a of Q e_l under
     Hom(a, T) (``hom_precompose``) over the arrows a: X_j -> X_l, each
     spanned from the rows and cones of Q e_l without closure.  They lie in
-    Q e_j, as Q is a Gamma-module, so they lie in its window."""
+    Q e_j, as Q is a Gamma-module, so they lie in its window.  A block
+    Lattice part (P_i, rad P_i) spans its placed window, with no closure."""
     x = q.alg.summands
     out = []
     for j, part in enumerate(q.parts):
@@ -353,8 +346,9 @@ def minimal_cover_syzygy(q):
     """One step of the minimal projective resolution of Q.
 
     Returns (cover column types, syzygy Gamma-lattice).  Per source type,
-    Q e_j and Q rad e_j are spanned once and the surjectivity certificate
-    adds the cover images to the Q rad e_j span.
+    Q e_j and Q rad e_j are spanned once; the surjectivity certificate adds
+    the cover images to the Q rad e_j span and compares its RREF rows with
+    those of Q e_j.
     """
     alg = q.alg
     spans = _top_spans(q)
@@ -374,10 +368,12 @@ def minimal_cover_syzygy(q):
     for j, (ws, ech_q, ech_r) in enumerate(spans):
         # Hom(M, lam) maps Hom(X_j, T_p) to Hom(X_j, T_q).  Nakayama over
         # Gamma: im(cover) e_j + Q rad e_j = Q e_j.  An image below the
-        # window lies below Q's valuations, so it is not in Q.
+        # window lies below Q's valuations, so it is not in Q.  Both spans
+        # are in RREF on one window, so they are equal exactly when their
+        # rows are.
         cover = hom_induced_map(alg.summands[j], lam, syz.blocks[j], q.blocks[j])
         inside = _span_image(ws, ech_r, cover)
-        if not (inside and ech_r.contains_space(ech_q) and ech_q.contains_space(ech_r)):
+        if not (inside and ech_r == ech_q):
             raise ClaimViolation("minimal cover is not surjective")
         syz.parts.append(kernel_window_module(cover)[0])
     return syz.col_types, syz
@@ -389,43 +385,19 @@ class PdCertificate:
     capped: bool
     cover_types: list
 
-    def as_json(self):
-        return {
-            "pd": self.pd if not self.capped else None,
-            "capped": self.capped,
-            "cover_types": self.cover_types,
-        }
 
-
-class SimpleModule:
-    """The simple right Gamma-module at summand i (top of P_i)."""
-
-    __slots__ = ("alg", "index")
-
-    def __init__(self, alg, index):
-        self.alg = alg
-        self.index = index
-
-
-def minimal_projective_resolution(qmod, cap=16):
-    """pd certificate via minimal covers; termination when a syzygy is 0."""
-    if isinstance(qmod, SimpleModule):
-        alg = qmod.alg
-        omega = rad_projective_gamma(alg, qmod.index)
-        steps = 1
-        covers = [[qmod.index]]
-    else:
-        omega = qmod
-        steps = 0
-        covers = []
-    if omega.is_zero():
-        return PdCertificate(pd=steps - 1 if steps else 0, capped=False, cover_types=covers)
+def minimal_projective_resolution(q, cap=16):
+    """pd of the nonzero Gamma-lattice ``q`` by minimal covers, one
+    ``minimal_cover_syzygy`` step per degree, until a syzygy is 0; the
+    cover types are recorded per step.  Past ``cap`` steps the certificate
+    is capped at pd = cap."""
+    steps = 0
+    covers = []
     while True:
-        col_types, syz = minimal_cover_syzygy(omega)
+        col_types, q = minimal_cover_syzygy(q)
         covers.append(list(col_types))
-        if syz.is_zero():
+        if q.is_zero():
             return PdCertificate(pd=steps, capped=False, cover_types=covers)
-        omega = syz
         steps += 1
         if steps > cap:
             return PdCertificate(pd=cap, capped=True, cover_types=covers)
@@ -460,18 +432,23 @@ class GldimReport:
 
 
 def global_dimension(alg, cap=16, n=None, assumptions=None, bound=None):
-    """Exact global dimension: max pd over the simple modules.  ``bound`` is
-    a proven bound on every pd (n + 1 for the chain family); while cap >=
-    bound, a syzygy still nonzero after ``bound`` steps contradicts it and
-    raises ClaimViolation instead of a capped report."""
+    """Exact global dimension: max pd over the simple modules S_i.
+
+    P_i -> S_i is the first minimal cover, with kernel rad P_i, which holds
+    m * P_i and so is never 0: pd S_i = 1 + pd rad P_i, and rad P_i is
+    resolved as a Gamma-lattice with cap - 1, so S_i is capped past ``cap``
+    steps.  ``bound`` is a proven bound on every pd (n + 1 for the chain
+    family); while cap >= bound, a syzygy still nonzero after ``bound``
+    steps contradicts it and raises ClaimViolation instead of a capped
+    report."""
     pds = []
     capped = False
     proven = bound is not None and cap >= bound
     for i in range(alg.k):
-        cert = minimal_projective_resolution(SimpleModule(alg, i), cap=bound if proven else cap)
+        cert = minimal_projective_resolution(rad_projective_gamma(alg, i), cap=(bound if proven else cap) - 1)
         if proven and cert.capped:
             raise ClaimViolation("pd exceeds the proven bound", simple=alg.labels[i], bound=bound)
-        pds.append(cert.pd)
+        pds.append(1 + cert.pd)
         capped = capped or cert.capped
     rep = ring_report(alg.ring)
     return GldimReport(
@@ -513,13 +490,7 @@ def fcmt_check(ring, mcm_list, labels=None, cap=16, n=None):
     Completeness of the list is not verifiable here and is recorded as an
     assumption.  R itself must be in the list (free summand).
     """
-    root_key = None
-    self_as_member = ring.self_lattice
-    idx = None
-    for a, l in enumerate(mcm_list):
-        if l.key() == self_as_member.key():
-            idx = a
-            break
+    idx = next((a for a, l in enumerate(mcm_list) if l.key() == ring.self_lattice.key()), None)
     if idx is None:
         raise MissingFreeSummand("the ring itself must appear in the MCM list")
     ordered = [mcm_list[idx]] + [l for a, l in enumerate(mcm_list) if a != idx]

@@ -54,7 +54,6 @@ from .linalg import Echelon, nullspace_F, poly_nullspace, poly_matrix_rank
 from .errors import (
     AmbientMismatch,
     ClaimViolation,
-    NotASubmodule,
     NotAnOverring,
     NotDvrProduct,
     NotFullRank,
@@ -622,6 +621,11 @@ class Lattice(Module):
         t^(hi + mx) * e_c = t^mx * e_br * t^hi * e_c."""
         return [h + self.ring.mx(self.ambient.branch_of(c)) for c, h in enumerate(self.hi)]
 
+    def deep_cut(self, base):
+        """``base`` raised to the Nakayama cut, past which elements lie in
+        m * self (``Module.deep_cut``)."""
+        return [max(b, c) for b, c in zip(base, self.nakayama_cut())]
+
     # -- membership and spans -------------------------------------------------
 
     def member(self, vec):
@@ -816,19 +820,6 @@ def placed_sum(ring, amb, lats, placements):
     out = Lattice(ring, amb, lo, hi, tuple(ws.vec_of(r) for r in ech.rows))
     out._ech = (ws, ech)
     return out
-
-
-def quotient_dimension(n, n0):
-    """dim_F(N/N0) for lattices n0 <= n with equal ambient."""
-    if n.ambient != n0.ambient:
-        raise AmbientMismatch("quotient needs equal ambients")
-    if not n.contains_lattice(n0):
-        raise NotASubmodule("N0 is not contained in N")
-    lo = tuple(min(a, b) for a, b in zip(n.lo, n0.lo))
-    cut = tuple(max(a, b) for a, b in zip(n.hi, n0.hi))
-    _, e1 = n.span(lo, cut)
-    _, e0 = n0.span(lo, cut)
-    return e1.rank() - e0.rank()
 
 
 def minimal_generators(lat):

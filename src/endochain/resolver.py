@@ -2,9 +2,10 @@
 
 The algorithm follows the inductive proof shape exactly: over a DVR the
 module is free; if the module is stable under R1 = End(m) it splits along
-the idempotents of R1 and recurses into the factors; otherwise it is covered
-by (minimal free) + (resolution of the largest R1-submodule), and the kernel
-of that cover is again R1-stable, so the recursion drops a level.  When the
+the idempotents of R1 and recurses into the factors (one factor when R1 is
+local); otherwise it is covered by (minimal free) + (resolution of the
+largest R1-submodule), and the kernel of that cover is again R1-stable, so
+the recursion drops a level.  When the
 module is isomorphic to a family member, ``lattice.isomorphism`` returns the
 isomorphism itself, which is the whole resolution; it is exact there, as
 every member is a local ring S with End(S) = S.
@@ -20,7 +21,6 @@ at Hom(X, C_j) for j <= n - 2; X = R and a single isomorphism need no check
 from .errors import ClaimViolation, FailedDecomposition, NotTorsionFree
 from .lattice import (
     Ambient,
-    Lattice,
     LatticeMap,
     direct_sum,
     free_decomposition_over_dvr_product,
@@ -163,16 +163,6 @@ def verify_hom_exactness(res, x, skip_cokernel_position=False, exact=False):
     return exact or imaps[-1].is_injective()
 
 
-def _relattice(lat, ring):
-    """The same canonical lattice viewed over a different (over)ring."""
-    out = Lattice(ring, lat.ambient, lat.lo, lat.hi, lat.basis)
-    return out
-
-
-def _remap(f, src, tgt):
-    return LatticeMap(src, tgt, f.mats)
-
-
 def _free_cover_data(n, n1):
     """Nakayama lifts of N/(N1 + mN); deterministic via echelon order."""
     cut = [max(a, b) for a, b in zip(n1.hi, n.nakayama_cut())]
@@ -184,7 +174,9 @@ def _resolve(node, n, bound, depth=0):
     """Resolve n over the ring of the chain node ``node``; ``depth`` counts
     the calls above this one and may not exceed ``bound``.
 
-    Case (b) recurses one chain level down.  Case (c) recurses at the same
+    Case (b), N stable under R1, is the factor route
+    (``_resolve_factors``): it recurses one chain level down, into each
+    factor e_T R1, one factor when R1 is local.  Case (c) recurses at the same
     node into n1 and ker, both R1-stable (n1 by construction, ker by the
     check below), so each of those calls ends in the base case, the fast path
     or case (b).  A chain level thus adds at most 2 to the depth, and a leaf
@@ -222,26 +214,15 @@ def _resolve(node, n, bound, depth=0):
         if f is not None:
             return Resolution(ring, n, [Term(mem.lattice, (mem.lattice,))], [f])
 
+    # (b): N is R1-stable, a lattice over R1's factors
     r1 = node.r1
     if scalar_extension_test(r1, n):
-        children = node.children
-        if len(children) == 1 and children[0][1].ring.branches == ring.branches:
-            # R1 local on the same branches: resolve over R1 and restrict back
-            _, child = children[0]
-            sub = _resolve(child, _relattice(n, child.ring), bound, depth + 1)
-            terms = [Term(_relattice(t.lattice, ring), t.tags) for t in sub.terms]
-            maps = []
-            maps.append(_remap(sub.maps[0], terms[0].lattice, n))
-            for j in range(1, len(sub.maps)):
-                maps.append(_remap(sub.maps[j], terms[j].lattice, terms[j - 1].lattice))
-            return Resolution(ring, n, terms, maps)
-        return _resolve_split(node, n, bound, depth)
+        return _resolve_factors(node, n, bound, depth)
 
     # (c): cover by free + resolution of the largest R1-submodule
     n1 = largest_submodule_over(r1, n)
     res1 = _resolve(node, n1, bound, depth + 1)
     cp_term = res1.terms[0]
-    f = _remap(res1.maps[0], cp_term.lattice, n)
     lifts = _free_cover_data(n, n1)
     d = len(lifts)
     if d == 0:
@@ -252,13 +233,13 @@ def _resolve(node, n, bound, depth=0):
         for k in range(n.ambient.ranks[br]):
             for j, lift in enumerate(lifts):
                 entries[(br, k, j)] = lift[n.ambient.coord(br, k)]
-            for l, e in enumerate(f.mats[br][k]):
+            for l, e in enumerate(res1.maps[0].mats[br][k]):
                 entries[(br, k, d + l)] = -e
     pi = LatticeMap.from_entries(c0, n, entries)
     lk, emb = kernel_lattice(pi)
     if lk.is_zero():
         term0 = Term(c0, (family.members[0].lattice,) * d + cp_term.tags)
-        return Resolution(ring, n, [term0], [pi], notes={"case": "c", "kernel": "zero"})
+        return Resolution(ring, n, [term0], [pi], notes={"kernel": "zero"})
     if not scalar_extension_test(r1, lk):
         raise ClaimViolation("kernel of the cover is not R1-stable")
     res_l = _resolve(node, lk, bound, depth + 1)
@@ -267,7 +248,7 @@ def _resolve(node, n, bound, depth=0):
     maps = [pi, emb.compose(res_l.maps[0])]
     for j in range(1, len(res_l.maps)):
         maps.append(res_l.maps[j])
-    return Resolution(ring, n, terms, maps, notes={"case": "c"})
+    return Resolution(ring, n, terms, maps)
 
 
 def _restrict_to_factor(n, positions, child_ring):
@@ -282,9 +263,12 @@ def _restrict_to_factor(n, positions, child_ring):
     return placed_sum(child_ring, camb, [n], [cmap])
 
 
-def _resolve_split(node, n, bound, depth):
-    """Case (b) with several idempotent factors: resolve each projection and
-    place the factors' terms side by side, each on its own branches."""
+def _resolve_factors(node, n, bound, depth):
+    """Case (b), N stable under R1 = prod e_T R1: resolve each projection
+    e_T N over its factor and place the factors' terms side by side, each on
+    its own branches, with tags lifted to the node's family.  A local R1 is
+    the one-factor case: T is every branch, the projection places N as
+    itself over R1, and the terms come back with the same matrices."""
     ring = node.ring
     family = chain_family(None, base_node=node)
     subs = []
@@ -316,7 +300,7 @@ def _resolve_split(node, n, bound, depth):
                         for l, e in enumerate(row):
                             entries[(p, k, l)] = e
         maps.append(LatticeMap.from_entries(terms[j].lattice, tgt, entries))
-    return Resolution(ring, n, terms, maps, notes={"case": "b-split"})
+    return Resolution(ring, n, terms, maps)
 
 
 def keyred_resolve(n, tree=None, certify=True):
@@ -355,7 +339,7 @@ def resolve_presented_module(f, tree=None, certify=True):
     else:
         res_l = _resolve(tree.root, lk, 2 * tree.n)
         terms = [Term(m1, ())] + res_l.terms
-        maps = [f, _remap(emb.compose(res_l.maps[0]), res_l.terms[0].lattice, m1)]
+        maps = [f, emb.compose(res_l.maps[0])]
         for j in range(1, len(res_l.maps)):
             maps.append(res_l.maps[j])
         res = Resolution(ring, m0, terms, maps)

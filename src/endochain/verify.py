@@ -20,7 +20,7 @@ from .lattice import (
     scalar_extension_test,
     largest_submodule_over,
 )
-from .resolver import keyred_resolve, _relattice
+from .resolver import keyred_resolve
 from .endo import build_endo_algebra, global_dimension, projectivization_check
 
 
@@ -92,6 +92,11 @@ def random_fractional_ideal(rng, ring, shift_range=2):
     s = rng.randint(-shift_range, shift_range)
     gens = [tuple(p.shift(s) for p in x), tuple(p.shift(s) for p in y)]
     return Lattice.from_generators(ring, amb, gens)
+
+
+def _relattice(lat, ring):
+    """The same canonical lattice viewed over a different (over)ring."""
+    return Lattice(ring, lat.ambient, lat.lo, lat.hi, lat.basis)
 
 
 def random_stable_lattice(rng, overring, base_ring):

@@ -25,7 +25,8 @@ Gauss-Jordan over the field F(t), each entry a reduced fraction with a
 cleared by their lcm; ``linalg`` now eliminates fraction-free over
 F[t, 1/t].
 
-``image_lattice`` materializes an image by R-closure of f of the source's
+``quotient_dimension`` is dim_F(N/N0) from the window ranks of N0 <= N;
+the engine compares spans instead.  ``image_lattice`` materializes an image by R-closure of f of the source's
 generators; the engine spans images without building them as lattices.
 ``closure_maximal_ideal`` is the former route of ``curve_ring.maximal_ideal``,
 m = sum (g - g(0)) * R R-closed over R's gens; the engine places m from R's
@@ -39,8 +40,8 @@ the last slot got its pivot; the engine now stops there.
 import bisect
 import functools
 
-from endochain.errors import CharacteristicTooSmall, NotIndecomposable
-from endochain.lattice import Lattice, hom_ambient, hom_coord, hom_element_as_map, quotient_dimension, raw_span
+from endochain.errors import AmbientMismatch, CharacteristicTooSmall, NotASubmodule, NotIndecomposable
+from endochain.lattice import Lattice, hom_ambient, hom_coord, hom_element_as_map, raw_span
 from endochain.linalg import Echelon, nullspace_F
 from endochain.series import LaurentPoly, laurent_exact_div, poly_gcd, series_div_mod
 
@@ -471,6 +472,19 @@ def reference_diagonal_radical(alg, i):
     if dim != 1:
         raise NotIndecomposable("End(X)/rad has F-dimension != 1", label=alg.labels[i], dim=dim)
     return rad
+
+
+def quotient_dimension(n, n0):
+    """dim_F(N/N0) for lattices n0 <= n with equal ambient."""
+    if n.ambient != n0.ambient:
+        raise AmbientMismatch("quotient needs equal ambients")
+    if not n.contains_lattice(n0):
+        raise NotASubmodule("N0 is not contained in N")
+    lo = tuple(min(a, b) for a, b in zip(n.lo, n0.lo))
+    cut = tuple(max(a, b) for a, b in zip(n.hi, n0.hi))
+    _, e1 = n.span(lo, cut)
+    _, e0 = n0.span(lo, cut)
+    return e1.rank() - e0.rank()
 
 
 def image_lattice(f):

@@ -9,7 +9,6 @@ from endochain.series import LaurentPoly
 from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
 from endochain.chain import build_chain_tree, chain_family
 from endochain.endo import (
-    SimpleModule,
     build_endo_algebra,
     fcmt_check,
     global_dimension,
@@ -107,11 +106,13 @@ def test_projective_has_pd_zero():
 
 
 def test_simple_resolution_steps_dvr():
+    # P -> S is the first cover; rad P = (t) is projective, so pd S = 1
     r = semigroup_ring(QQ, [1])
-    _, alg = family_algebra(r)
-    cert = minimal_projective_resolution(SimpleModule(alg, 0), cap=8)
-    assert cert.pd == 1
-    assert cert.cover_types == [[0], [0]]  # P -> S, then P -> rad P = (t)
+    tree, alg = family_algebra(r)
+    cert = minimal_projective_resolution(rad_projective_gamma(alg, 0), cap=8)
+    assert cert.pd == 0 and not cert.capped
+    assert cert.cover_types == [[0]]  # P -> rad P = (t)
+    assert global_dimension(alg, n=tree.n).pd_per_simple == [1]
 
 
 def test_top_of_projective_is_one_dimensional():

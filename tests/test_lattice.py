@@ -36,7 +36,6 @@ from endochain.lattice import (
     nakayama_covers,
     overring_scalars,
     placed_sum,
-    quotient_dimension,
     raw_span,
     scalar_extension_test,
     solve_constrained_window,
@@ -50,7 +49,7 @@ from endochain.lattice import (
 )
 from endochain.verify import generated_test_lattices, random_fractional_ideal
 from endochain.errors import ClaimViolation, NotAnOverring, NotASubmodule, NotDvrProduct, NotFullRank
-from oracle import sg_values, colon_values, ideal_values, sg_conductor, closure_maximal_ideal, composite, flatten, hom_apply, image_lattice, reference_dvr_triangularize, reference_solve
+from oracle import sg_values, colon_values, ideal_values, sg_conductor, closure_maximal_ideal, composite, flatten, hom_apply, image_lattice, quotient_dimension, reference_dvr_triangularize, reference_solve
 
 
 T = LaurentPoly.monomial(QQ, 1)

@@ -257,7 +257,7 @@ def _embedding_gens(base, positions, lat):
 
 @pytest.mark.parametrize("name", PLACEMENT_RINGS)
 def test_placement_route_matches_closure_route(monkeypatch, name):
-    # family members, split projections and E, placed without R-closure,
+    # family members, factor projections and E, placed without R-closure,
     # are the R-closures of the generators the former closure route used
     ring = _load_ring(name)
     tree = build_chain_tree(ring)
@@ -284,7 +284,8 @@ def test_placement_route_matches_closure_route(monkeypatch, name):
     lats = [lat for _, lat in generated_test_lattices(random.Random(f"{name}/0"), ring, tree, count=4)]
     for lat in lats + [representation_module(chain_family(tree))[0]]:
         keyred_resolve(lat, tree=tree, certify=False)
-    assert bool(seen) == (ring.branches > 1)  # M reaches a split on every multi-branch ring
+    # M reaches the factor route on every ring but a DVR, one factor when R1 is local
+    assert bool(seen) == (not ring.is_dvr_product())
     for n, positions, child_ring, out in seen:
         amb = n.ambient
         slots = [amb.coord(p, s) for p in positions for s in range(amb.ranks[p])]
@@ -330,6 +331,18 @@ def test_certify_matches_full_hom_route_on_corpus(name):
     for kind, lat in generated_test_lattices(random.Random(f"{name}/0"), ring, tree, count=3):
         res = keyred_resolve(lat, tree=tree, certify=False)
         assert all(_certify_matches_full(res, members)["hom_exact"].values()), kind
+
+
+@pytest.mark.parametrize("name", CORPUS_RINGS)
+def test_resolution_tags_are_family_lattices(name):
+    # each tag is a lattice of the root family itself, never an equal-key
+    # lattice over a chain ring below the root
+    ring = _load_ring(name)
+    tree = build_chain_tree(ring)
+    members = {id(m.lattice) for m in chain_family(tree).members}
+    for kind, lat in generated_test_lattices(random.Random(f"{name}/0"), ring, tree):
+        res = keyred_resolve(lat, tree=tree, certify=False)
+        assert all(id(tag) in members for t in res.terms for tag in t.tags), kind
 
 
 SHIPPED_MODULES = (
