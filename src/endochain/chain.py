@@ -43,7 +43,7 @@ def end_of_maximal_ideal(ring):
 
 
 class ChainNode:
-    __slots__ = ("ring", "global_branches", "r1", "children", "label", "family")
+    __slots__ = ("ring", "global_branches", "r1", "children", "label", "family", "tags")
 
     def __init__(self, ring, global_branches):
         self.ring = ring
@@ -52,6 +52,7 @@ class ChainNode:
         self.children = []  # (local branch subset of self, ChainNode)
         self.label = None
         self.family = None  # chain_family of the subtree, once computed
+        self.tags = None  # this family's member keys -> the parent's family lattices, once computed
 
     def is_leaf(self):
         return not self.children

@@ -7,13 +7,16 @@ Gamma-lattice Q in Hom(M, T), T = (+)_a X_{c_a}, contains each Q e_j (it is
 a right module) and is their direct sum (the e_j sum to 1), with Q e_j
 inside Hom(X_j, T); a ``GammaLattice`` stores Q by these parts.  The
 projective P_i = Hom(M, X_i) has the parts Hom(X_j, X_i), rad P_i those of
-rad Gamma, each part a block lattice as the algebra keeps it.  The simple
-S_i = P_i/rad P_i has P_i -> S_i as its first minimal cover, so pd S_i =
-1 + pd rad P_i, and every pd is one loop of cover steps over
-Gamma-lattices (``minimal_projective_resolution``).  Minimal covers use Nakayama
-over Gamma/rad: Q rad = Q A for the arrows A of Gamma, lifts of a basis of
-J/J^2 (J = rad Gamma), as J = Gamma A by Nakayama; each algebra certifies
-J = Gamma A when it is built.  An arrow a: X_j -> X_l carries Q e_l into
+J = rad Gamma.  The arrows A of Gamma lift an F-basis of J/J^2, and each
+algebra certifies when it is built that the arrows a: X_s -> X_i into each
+X_i span J under composition (``_certify_sinks``).  So the sink map lam_i =
+(a): (+)_a X_s -> X_i of X_i in add(M) gives S_i its first two minimal
+covers, P_i -> S_i and Hom(M, lam_i), and Omega^2 S_i = Hom(M, ker lam_i)
+by left exactness: one R-side kernel, which decides pd S_i = 1 or 2 when it
+is 0 or a member (``sink_syzygy``).  Any other Omega^2 S_i is resolved by
+one loop of cover steps over Gamma-lattices (``minimal_projective_resolution``).
+Its minimal covers use Nakayama over Gamma/rad: Q rad = Q A, as the same
+certificate gives J = Gamma A.  An arrow a: X_j -> X_l carries Q e_l into
 Q e_j, so each cover step spans Q e_j and Q rad e_j once per type, reads the
 tops of type j off them, and certifies the cover there.  Q rad e_j is the
 sum of the images of Q e_l under Hom(a, T) (``lattice.hom_precompose``),
@@ -53,6 +56,7 @@ from .lattice import (
     hom_precompose,
     is_surjective_onto,
     isomorphism,
+    kernel_lattice,
     kernel_window_module,
     minimal_generators,
     nakayama_covers,
@@ -77,15 +81,14 @@ class EndoAlgebra:
         self.col_blocks = {}  # column types -> (T, blocks) of GammaLattice
         self.rad_diag = [diagonal_radical(self, i) for i in range(self.k)]
         self.arrows = self.rad_gens()
-        _certify_arrows(self)
+        _certify_sinks(self)
 
     def rad_gens(self):
         """The arrows A: per block (j, l) of J = rad Gamma, (j, l, a) for
         the Nakayama lifts a of J_(j,l) over the images of J_(m,l) under
         Hom(a', X_l) (``hom_precompose``), a' over the minimal generators of
         J_(j,m), plus m * J_(j,l) (which lies in J^2), i.e. lifts of an
-        F-basis of J/J^2.  Nakayama over Gamma gives J = Gamma A, so
-        Q * rad = Q * A; ``_certify_arrows`` checks it."""
+        F-basis of J/J^2; ``_certify_sinks`` checks that they generate J."""
         rad = radical(self)
         gens = {b: minimal_generators(lat) for b, lat in rad.items()}
         return [
@@ -222,18 +225,31 @@ def _block_cover(lat, parts):
     return nakayama_covers(lat, parts, lat.nakayama_cut(), minimal=True)
 
 
-def _certify_arrows(alg):
-    """J = Gamma A: per block, the composites of the arrows with the minimal
-    generators of the Hom blocks, plus m * J_(j,l), span J_(j,l) at the cut
-    hi + mx and lie in it; Nakayama over R does the rest.  Missing arrows
-    would make covers non-minimal and a pd wrong; an arrow outside J would
-    make Q * rad too large."""
-    rad = radical(alg)
-    arrows = {b: [a for j, l, a in alg.arrows if (j, l) == b] for b in rad}
-    for (j, l), lat in rad.items():
-        lifts, inside = _block_cover(lat, _products(alg, arrows, alg.hom, j, l))
-        if lifts or not inside:
-            raise ClaimViolation("arrows do not generate rad Gamma", source=alg.labels[j], target=alg.labels[l])
+def _certify_sinks(alg):
+    """Per block (j, i), the images a o Hom(X_j, X_s) of the Hom blocks over
+    the arrows a: X_s -> X_i (``hom_induced_map``, one part per arrow)
+    span J_(j,i) and lie in it: Hom(M, lam_i) maps (+)_a P_s onto rad P_i,
+    lam_i = (a): (+)_a X_s -> X_i the sink map of X_i (``sink_syzygy``).
+
+    This one certificate gives both sides of Nakayama over Gamma.
+    End(X_j) = F * 1 + rad End(X_j) (``diagonal_radical`` certifies the
+    quotient F) and Hom(X_j, X_s) = J_(j,s) for j != s, so each image lies
+    in F * a + J^2: the check gives J = span_F A + J^2 with A inside J.  As
+    J is the Jacobson radical of the module-finite Gamma, Nakayama on
+    J/(A o Gamma) and on J/(Gamma o A) gives every radical map X_j -> X_i
+    as a sum of composites a o phi with arrows a into X_i (the sink cover)
+    and as a sum of composites psi o a with arrows a out of X_j
+    (Q * rad = Q * A in ``_top_spans``).  A missing arrow would make a
+    cover non-minimal and a pd wrong; an arrow outside J would make
+    Q * rad too large."""
+    rad, x = radical(alg), alg.summands
+    for i in range(alg.k):
+        into = [(s, hom_element_as_map(x[s], x[i], a)) for s, l, a in alg.arrows if l == i]
+        for j in range(alg.k):
+            parts = [hom_induced_map(x[j], f, alg.hom[(j, s)], alg.hom[(j, i)]) for s, f in into]
+            lifts, inside = _block_cover(rad[(j, i)], parts)
+            if lifts or not inside:
+                raise ClaimViolation("arrows do not generate rad Gamma", source=alg.labels[j], target=alg.labels[i])
 
 
 def _column_lattice(alg, m, i):
@@ -268,8 +284,8 @@ class GammaLattice:
     The idempotent e_j of Gamma is the projection of M onto X_j, and Q e_j
     lies in Q because Q is a right Gamma-module; since the e_j sum to 1,
     Q = (+)_j Q e_j as an R-module, with Q e_j inside Hom(X_j, T).
-    ``parts[j]`` is Q e_j, a Module in ``hom_ambient(X_j, T)`` (a block
-    Lattice for P_i and rad P_i, a syzygy's ``kernel_window_module``), and
+    ``parts[j]`` is Q e_j, a Module in ``hom_ambient(X_j, T)`` (a syzygy's
+    ``kernel_window_module``, or a block Lattice such as P_i's), and
     ``blocks[j]`` is Hom(X_j, T) = (+)_a Hom(X_j, X_{c_a}), the type-j part
     of (+)_a P_{c_a}; T and the blocks depend only on the column types, so
     they are built once per algebra and tuple (``EndoAlgebra.col_blocks``).
@@ -294,17 +310,6 @@ class GammaLattice:
         return all(p.is_zero() for p in self.parts)
 
 
-def projective_gamma(alg, i):
-    """P_i as a Gamma-lattice: P_i e_j = Hom(X_j, X_i)."""
-    return GammaLattice(alg, (i,), [alg.hom[(j, i)] for j in range(alg.k)])
-
-
-def rad_projective_gamma(alg, i):
-    """rad P_i: (rad P_i) e_j = Hom(X_j, X_i) for j != i, rad End(X_i) for j = i."""
-    rad = radical(alg)
-    return GammaLattice(alg, (i,), [rad[(j, i)] for j in range(alg.k)])
-
-
 def _top_spans(q):
     """Per type j, the spans that one cover step compares: (window, Q e_j,
     Q rad e_j), cut where Q e_j is compared with Q rad e_j.  Q rad = Q A,
@@ -312,7 +317,7 @@ def _top_spans(q):
     Hom(a, T) (``hom_precompose``) over the arrows a: X_j -> X_l, each
     spanned from the rows and cones of Q e_l without closure.  They lie in
     Q e_j, as Q is a Gamma-module, so they lie in its window.  A block
-    Lattice part (P_i, rad P_i) spans its placed window, with no closure."""
+    Lattice part spans its placed window, with no closure."""
     x = q.alg.summands
     out = []
     for j, part in enumerate(q.parts):
@@ -335,11 +340,6 @@ def _top_lifts(spans):
         denom.add_many(ech_r.rows)
         out += [(j, ws.vec_of(r)) for r in ech_q.rows if denom.add(r)]
     return out
-
-
-def gamma_top(q):
-    """Type decomposition of Q/(Q rad): returns list of (type j, lift)."""
-    return _top_lifts(_top_spans(q))
 
 
 def minimal_cover_syzygy(q):
@@ -390,7 +390,10 @@ def minimal_projective_resolution(q, cap=16):
     """pd of the nonzero Gamma-lattice ``q`` by minimal covers, one
     ``minimal_cover_syzygy`` step per degree, until a syzygy is 0; the
     cover types are recorded per step.  Past ``cap`` steps the certificate
-    is capped at pd = cap."""
+    is capped at pd = cap.  A zero ``q`` raises ClaimViolation before any
+    cover step."""
+    if q.is_zero():
+        raise ClaimViolation("the Gamma-lattice to resolve is zero", col_types=list(q.col_types))
     steps = 0
     covers = []
     while True:
@@ -431,25 +434,64 @@ class GldimReport:
         }
 
 
+def sink_syzygy(alg, i):
+    """Omega^2 S_i from the sink map lam_i = (a): T -> X_i of X_i in add(M),
+    T = (+)_a X_s over the arrows a: X_s -> X_i, in their order.
+
+    P_i -> S_i is the first minimal cover, and Hom(M, lam_i) maps
+    (+)_a P_s onto rad P_i (``_certify_sinks``).  That second cover is
+    minimal, as the arrows are independent modulo J^2, so Omega^2 S_i is its
+    kernel, Hom(M, K_i) with K_i = ker lam_i (``kernel_lattice``), as
+    Hom(M, -) is left exact.  Returns (pd S_i, None) when K_i decides it:
+    K_i = 0 gives pd 1, and K_i isomorphic to a member X_m gives
+    Omega^2 S_i = P_m, pd 2.  ``isomorphism`` takes the member first, as
+    a miss is exact only when End of its first argument is local, which
+    ``diagonal_radical`` certifies for the members.  Otherwise returns
+    (None, Hom(M, K_i)) as a GammaLattice over the arrow sources: its part
+    of type j is ker Hom(X_j, lam_i) (``kernel_window_module``)."""
+    x = alg.summands
+    into = [(s, hom_element_as_map(x[s], x[i], a).mats) for s, l, a in alg.arrows if l == i]
+    mats = [
+        [sum((f[br][k] for _, f in into), ()) for k in range(x[i].ambient.ranks[br])]
+        for br in range(alg.ring.branches)
+    ]
+    lam = LatticeMap(direct_sum([x[s] for s, _ in into])[0], x[i], mats)
+    kern = kernel_lattice(lam)[0]
+    if kern.ambient.ncoords == 0:
+        return 1, None
+    if any(isomorphism(y, kern) is not None for y in x):
+        return 2, None
+    omega = GammaLattice(alg, [s for s, _ in into], [])
+    for j in range(alg.k):
+        omega.parts.append(kernel_window_module(hom_induced_map(x[j], lam, omega.blocks[j], alg.hom[(j, i)]))[0])
+    return None, omega
+
+
 def global_dimension(alg, cap=16, n=None, assumptions=None, bound=None):
     """Exact global dimension: max pd over the simple modules S_i.
 
-    P_i -> S_i is the first minimal cover, with kernel rad P_i, which holds
-    m * P_i and so is never 0: pd S_i = 1 + pd rad P_i, and rad P_i is
-    resolved as a Gamma-lattice with cap - 1, so S_i is capped past ``cap``
-    steps.  ``bound`` is a proven bound on every pd (n + 1 for the chain
-    family); while cap >= bound, a syzygy still nonzero after ``bound``
-    steps contradicts it and raises ClaimViolation instead of a capped
-    report."""
+    Each simple starts from its sink map (``sink_syzygy``), which decides
+    pd S_i = 1 or 2 where K_i = ker lam_i is 0 or a member; otherwise
+    Omega^2 S_i is resolved as a Gamma-lattice with cap - 2, and
+    pd S_i = 2 + pd Omega^2 S_i.  S_i is capped past ``cap`` steps, at
+    pd = cap: pd 1 never is, and a pd of at least 2 is for a cap below 2.
+    ``bound`` is a proven bound on every pd (n + 1 for the chain family);
+    while cap >= bound, a syzygy still nonzero after ``bound`` steps
+    contradicts it and raises ClaimViolation instead of a capped report."""
     pds = []
     capped = False
     proven = bound is not None and cap >= bound
+    cap = bound if proven else cap
     for i in range(alg.k):
-        cert = minimal_projective_resolution(rad_projective_gamma(alg, i), cap=(bound if proven else cap) - 1)
-        if proven and cert.capped:
+        pd, omega = sink_syzygy(alg, i)
+        over = pd != 1 and cap < 2
+        if omega is not None and not over:
+            cert = minimal_projective_resolution(omega, cap=cap - 2)
+            pd, over = 2 + cert.pd, cert.capped
+        if proven and over:
             raise ClaimViolation("pd exceeds the proven bound", simple=alg.labels[i], bound=bound)
-        pds.append(1 + cert.pd)
-        capped = capped or cert.capped
+        pds.append(cap if over else pd)
+        capped = capped or over
     rep = ring_report(alg.ring)
     return GldimReport(
         labels=list(alg.labels),

@@ -263,6 +263,22 @@ def _restrict_to_factor(n, positions, child_ring):
     return placed_sum(child_ring, camb, [n], [cmap])
 
 
+def _tag_map(node, T, child):
+    """The child's family member keys -> the node's family lattices, each
+    member placed on the branches T: built once per (node, child) and kept
+    on the child (``ChainNode.tags``), as ``chain_family`` keeps ``family``."""
+    if child.tags is None:
+        family = chain_family(None, base_node=node)
+        tmap = {}
+        for mem in chain_family(None, base_node=child).members:
+            pm = family.find(embedded_lattice(node.ring, [(T, mem.lattice)]))
+            if pm is None:
+                raise FailedDecomposition("factor family member missing upstairs")
+            tmap[mem.lattice.key()] = pm.lattice
+        child.tags = tmap
+    return child.tags
+
+
 def _resolve_factors(node, n, bound, depth):
     """Case (b), N stable under R1 = prod e_T R1: resolve each projection
     e_T N over its factor and place the factors' terms side by side, each on
@@ -270,17 +286,10 @@ def _resolve_factors(node, n, bound, depth):
     the one-factor case: T is every branch, the projection places N as
     itself over R1, and the terms come back with the same matrices."""
     ring = node.ring
-    family = chain_family(None, base_node=node)
     subs = []
     for T, child in node.children:
         sub = _resolve(child, _restrict_to_factor(n, T, child.ring), bound, depth + 1)
-        tmap = {}
-        for mem in chain_family(None, base_node=child).members:
-            pm = family.find(embedded_lattice(ring, [(T, mem.lattice)]))
-            if pm is None:
-                raise FailedDecomposition("factor family member missing upstairs")
-            tmap[mem.lattice.key()] = pm.lattice
-        subs.append((T, sub, tmap))
+        subs.append((T, sub, _tag_map(node, T, child)))
     length = max(len(sub.terms) for _, sub, _ in subs)
     terms = []
     maps = []

@@ -32,6 +32,12 @@ generators; the engine spans images without building them as lattices.
 m = sum (g - g(0)) * R R-closed over R's gens; the engine places m from R's
 basis, and those g - g(0) still give every m * L of a Nakayama span.
 
+``projective_gamma``, ``rad_projective_gamma`` and ``gamma_top`` are the
+former first cover step of ``endo``'s simples: P_i and rad P_i as
+Gamma-lattices, and the top of a Gamma-lattice.  ``endo`` now starts each
+simple from its sink map; 1 + pd rad P_i by the Gamma loop is the reference
+for its pd.
+
 ``reference_dvr_triangularize`` is the former valuation-pivot loop of
 ``lattice.dvr_triangularize``, which ran one more elimination round after
 the last slot got its pivot; the engine now stops there.
@@ -40,6 +46,7 @@ the last slot got its pivot; the engine now stops there.
 import bisect
 import functools
 
+from endochain.endo import GammaLattice, _top_lifts, _top_spans, radical
 from endochain.errors import AmbientMismatch, CharacteristicTooSmall, NotASubmodule, NotIndecomposable
 from endochain.lattice import Lattice, hom_ambient, hom_coord, hom_element_as_map, raw_span
 from endochain.linalg import Echelon, nullspace_F
@@ -490,6 +497,22 @@ def quotient_dimension(n, n0):
 def image_lattice(f):
     """im(f) as a canonical lattice (full rank in the target ambient)."""
     return Lattice.from_generators(f.source.ring, f.target.ambient, [f.apply(g) for g in f.source.genset()])
+
+
+def projective_gamma(alg, i):
+    """P_i as a Gamma-lattice: P_i e_j = Hom(X_j, X_i)."""
+    return GammaLattice(alg, (i,), [alg.hom[(j, i)] for j in range(alg.k)])
+
+
+def rad_projective_gamma(alg, i):
+    """rad P_i: (rad P_i) e_j = Hom(X_j, X_i) for j != i, rad End(X_i) for j = i."""
+    rad = radical(alg)
+    return GammaLattice(alg, (i,), [rad[(j, i)] for j in range(alg.k)])
+
+
+def gamma_top(q):
+    """Type decomposition of Q/(Q rad): returns list of (type j, lift)."""
+    return _top_lifts(_top_spans(q))
 
 
 def reference_dvr_triangularize(field, vecs, nslots, cut):

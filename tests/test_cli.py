@@ -91,11 +91,14 @@ _CUSP_MCM = {
 
 @pytest.fixture
 def endless_syzygies(monkeypatch):
-    """Minimal covers whose syzygy never vanishes: each step returns its
+    """Syzygies that never vanish: every simple's sink step leaves a second
+    syzygy (P_i, for the Gamma loop) and each minimal cover step returns its
     input, so every simple's resolution runs into a cap."""
     from endochain import endo
+    from oracle import projective_gamma
 
     monkeypatch.delenv("ENDOCHAIN_PD_CAP", raising=False)
+    monkeypatch.setattr(endo, "sink_syzygy", lambda alg, i: (None, projective_gamma(alg, i)))
     monkeypatch.setattr(endo, "minimal_cover_syzygy", lambda q: ((0,), q))
 
 

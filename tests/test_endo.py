@@ -13,10 +13,9 @@ from endochain.endo import (
     fcmt_check,
     global_dimension,
     minimal_projective_resolution,
-    projective_gamma,
     projectivization_check,
-    rad_projective_gamma,
     minimal_cover_syzygy,
+    sink_syzygy,
 )
 from endochain.errors import (
     CharacteristicTooSmall,
@@ -24,6 +23,7 @@ from endochain.errors import (
     MissingFreeSummand,
     NotIndecomposable,
 )
+from oracle import gamma_top, projective_gamma, rad_projective_gamma
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -116,8 +116,6 @@ def test_simple_resolution_steps_dvr():
 
 
 def test_top_of_projective_is_one_dimensional():
-    from endochain.endo import gamma_top
-
     r = semigroup_ring(QQ, [2, 5])
     _, alg = family_algebra(r)
     for i in range(alg.k):
@@ -330,7 +328,7 @@ def test_projectives_assembled_from_hom_blocks():
     # computes it from scratch and must give the same canonical lattice.
     # The top of P_i as a Gamma-lattice is the simple at i: one lift, of
     # type i.
-    from endochain.endo import _column_lattice, gamma_top
+    from endochain.endo import _column_lattice
     from endochain.lattice import direct_sum, hom_lattice
     from endochain.verify import corpus
 
@@ -396,6 +394,23 @@ def test_cover_certificate_negative_control(monkeypatch, tamper):
         minimal_cover_syzygy(omega)
 
 
+def test_zero_gamma_lattice_is_refused_before_a_cover_step(monkeypatch):
+    # a zero Gamma-lattice has no minimal resolution to compute: it is named
+    # as the input at fault, and no cover step runs
+    from endochain import endo
+    from endochain.endo import GammaLattice
+    from endochain.errors import ClaimViolation
+    from endochain.lattice import Module
+
+    _, alg = family_algebra(semigroup_ring(QQ, [2, 3]))
+    blocks = GammaLattice(alg, (1,), []).blocks
+    zero = GammaLattice(alg, (1,), [Module(alg.ring, b.ambient, [], [], b.lo) for b in blocks])
+    monkeypatch.setattr(endo, "minimal_cover_syzygy", lambda q: pytest.fail("a cover step ran"))
+    with pytest.raises(ClaimViolation, match="the Gamma-lattice to resolve is zero") as err:
+        minimal_projective_resolution(zero)
+    assert err.value.context == {"col_types": [1]}
+
+
 def _corpus_ring(name):
     from endochain.verify import corpus
 
@@ -417,12 +432,18 @@ def _add_identity_arrow(arrows, alg):
     return arrows + [(0, 0, alg.hom[(0, 0)].ambient.unit_vec(alg.ring.field, 0, 0))]
 
 
+def _scale_last_arrow_by_t(arrows, alg):
+    j, l, a = arrows[-1]
+    return arrows[:-1] + [(j, l, tuple(c.shift(1) for c in a))]
+
+
 @pytest.mark.parametrize("name", ["<2,3>", "tacnode"])
-@pytest.mark.parametrize("tamper", [_drop_last_arrow, _add_identity_arrow])
+@pytest.mark.parametrize("tamper", [_drop_last_arrow, _add_identity_arrow, _scale_last_arrow_by_t])
 def test_arrow_certificate_negative_control(monkeypatch, name, tamper):
-    # too few arrows would make Q * rad too small (non-minimal covers, wrong
-    # pd); an arrow outside rad Gamma would make it too large.  Either way
-    # the Gamma A certificate must refuse the algebra.
+    # too few arrows would make the sink covers and Q * rad too small
+    # (non-minimal covers, wrong pd), and so would an arrow moved into J^2
+    # (scaled by t); an arrow outside rad Gamma would make them too large.
+    # Each way the sink certificate must refuse the algebra.
     from endochain.endo import EndoAlgebra
     from endochain.errors import ClaimViolation
 
@@ -523,3 +544,41 @@ def test_radical_of_generated_lattices_matches_reference(name):
         alg = SimpleNamespace(ring=ring, summands=[x], labels=["X"], hom={(0, 0): hom_lattice(x, x)})
         got = _radical_or_error(diagonal_radical, alg, 0)
         assert got == _radical_or_error(reference_diagonal_radical, alg, 0), (name, x.key())
+
+
+# the simples whose second syzygy Hom(M, ker lam_i) is neither 0 nor a
+# member's projective, so that it goes to the Gamma loop
+SINK_FALLBACK = {"cusp_line": ["S1"], "semigroup_3_4": ["S1"], "semigroup_3_5": ["S1"], "triple_point": ["S1", "S2", "S3"]}
+
+
+def _ring_in(path, field):
+    from endochain import ringio
+
+    return ringio.ring_from_json(dict(ringio.load_json(path), field=field.as_json()))
+
+
+def _assert_sink_route_matches_gamma_route(alg, n):
+    # the former first cover step, P_i -> S_i with kernel rad P_i, and the
+    # Gamma loop from there give the same pd as the sink route
+    rep = global_dimension(alg, n=n)
+    certs = [minimal_projective_resolution(rad_projective_gamma(alg, i)) for i in range(alg.k)]
+    assert not rep.capped and not any(c.capped for c in certs)
+    assert rep.pd_per_simple == [1 + c.pd for c in certs]
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 32003)], ids=["qq", "gf32003"])
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(DATA, "rings"))))
+def test_sink_route_matches_gamma_route(name, field):
+    tree, alg = family_algebra(_ring_in(os.path.join(DATA, "rings", name), field))
+    _assert_sink_route_matches_gamma_route(alg, tree.n)
+    fallback = [alg.labels[i] for i in range(alg.k) if sink_syzygy(alg, i)[0] is None]
+    assert fallback == SINK_FALLBACK.get(name[: -len(".json")], [])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 32003)], ids=["qq", "gf32003"])
+@pytest.mark.parametrize("name", ["semigroup_5_9", "a_21"])
+def test_sink_route_matches_gamma_route_on_large_rings(name, field):
+    path = os.path.join(os.path.dirname(__file__), "golden", "large", "rings", name + ".json")
+    tree, alg = family_algebra(_ring_in(path, field))
+    _assert_sink_route_matches_gamma_route(alg, tree.n)

@@ -345,6 +345,29 @@ def test_resolution_tags_are_family_lattices(name):
         assert all(id(tag) in members for t in res.terms for tag in t.tags), kind
 
 
+@pytest.mark.parametrize("name", ["node", "semigroup_3_4"])
+def test_tag_maps_are_built_once_per_child(monkeypatch, name):
+    # the factor route lifts a child's tags through a map that depends only
+    # on (node, child): it is built on the first resolve that needs it and
+    # kept on the child, so a second resolve looks up no member again
+    from endochain.chain import EFamily
+
+    ring = _load_ring(name)
+    tree = build_chain_tree(ring)
+    lats = [lat for _, lat in generated_test_lattices(random.Random(f"{name}/0"), ring, tree)]
+    first = [keyred_resolve(lat, tree=tree, certify=False) for lat in lats]
+    maps = {nd.label: nd.tags for nd in tree.nodes() if nd.tags is not None}
+    assert maps
+    found = []
+    real = EFamily.find
+    monkeypatch.setattr(EFamily, "find", lambda fam, lat: found.append(lat) or real(fam, lat))
+    again = [keyred_resolve(lat, tree=tree, certify=False) for lat in lats]
+    assert {nd.label: nd.tags for nd in tree.nodes() if nd.tags is not None} == maps
+    assert all(nd.tags is maps[nd.label] for nd in tree.nodes() if nd.label in maps)
+    assert not found
+    assert [[t.tags for t in r.terms] for r in again] == [[t.tags for t in r.terms] for r in first]
+
+
 SHIPPED_MODULES = (
     ("j_over_3_4", "semigroup_3_4"),
     ("m_over_2_5", "semigroup_2_5"),
