@@ -342,6 +342,18 @@ def _top_lifts(spans):
     return out
 
 
+def _side_by_side(alg, source, target, maps):
+    """The map (f_a): source = (+)_a X_{s_a} -> target whose summand a is
+    f_a, for ``maps`` the pairs (s_a, hom vector of f_a: X_{s_a} -> target):
+    per branch, the f_a's matrices side by side."""
+    fs = [hom_element_as_map(alg.summands[s], target, h).mats for s, h in maps]
+    mats = [
+        [sum((f[br][k] for f in fs), ()) for k in range(target.ambient.ranks[br])]
+        for br in range(alg.ring.branches)
+    ]
+    return LatticeMap(source, target, mats)
+
+
 def minimal_cover_syzygy(q):
     """One step of the minimal projective resolution of Q.
 
@@ -357,14 +369,8 @@ def minimal_cover_syzygy(q):
         raise ClaimViolation("nonzero Gamma-lattice with zero top")
     syz = GammaLattice(alg, [j for j, _ in tops], [])
     # the cover is Hom(M, lam) for lam: T_p -> T_q, whose summand a is the
-    # a-th top lift, a map X_{c_a} -> T_q: per branch, lam's matrix is the
-    # lifts' matrices side by side
-    lifts = [hom_element_as_map(alg.summands[j], q.T, lift).mats for j, lift in tops]
-    mats = [
-        [sum((f[br][k] for f in lifts), ()) for k in range(q.T.ambient.ranks[br])]
-        for br in range(alg.ring.branches)
-    ]
-    lam = LatticeMap(syz.T, q.T, mats)
+    # a-th top lift, a map X_{c_a} -> T_q
+    lam = _side_by_side(alg, syz.T, q.T, tops)
     for j, (ws, ech_q, ech_r) in enumerate(spans):
         # Hom(M, lam) maps Hom(X_j, T_p) to Hom(X_j, T_q).  Nakayama over
         # Gamma: im(cover) e_j + Q rad e_j = Q e_j.  An image below the
@@ -450,12 +456,8 @@ def sink_syzygy(alg, i):
     (None, Hom(M, K_i)) as a GammaLattice over the arrow sources: its part
     of type j is ker Hom(X_j, lam_i) (``kernel_window_module``)."""
     x = alg.summands
-    into = [(s, hom_element_as_map(x[s], x[i], a).mats) for s, l, a in alg.arrows if l == i]
-    mats = [
-        [sum((f[br][k] for _, f in into), ()) for k in range(x[i].ambient.ranks[br])]
-        for br in range(alg.ring.branches)
-    ]
-    lam = LatticeMap(direct_sum([x[s] for s, _ in into])[0], x[i], mats)
+    into = [(s, a) for s, l, a in alg.arrows if l == i]
+    lam = _side_by_side(alg, direct_sum([x[s] for s, _ in into])[0], x[i], into)
     kern = kernel_lattice(lam)[0]
     if kern.ambient.ncoords == 0:
         return 1, None
