@@ -45,7 +45,6 @@ from .endo import (
     GldimReport,
     build_endo_algebra,
     global_dimension,
-    minimal_projective_resolution,
     projectivization_check,
     radical,
     fcmt_check,

@@ -2,31 +2,29 @@
 
 Gamma is kept as its block data Hom(X_i, X_j); right End(M)-modules stand in
 for Gamma-modules throughout (the opposite-ring convention).  Gamma has one
-idempotent e_j per summand, the projection of M onto X_j.  A right
-Gamma-lattice Q in Hom(M, T), T = (+)_a X_{c_a}, contains each Q e_j (it is
-a right module) and is their direct sum (the e_j sum to 1), with Q e_j
-inside Hom(X_j, T); a ``GammaLattice`` stores Q by these parts.  The
-projective P_i = Hom(M, X_i) has the parts Hom(X_j, X_i), rad P_i those of
-J = rad Gamma.  The arrows A of Gamma lift an F-basis of J/J^2, and each
-algebra certifies when it is built that the arrows a: X_s -> X_i into each
-X_i span J under composition (``_certify_sinks``).  So the sink map lam_i =
-(a): (+)_a X_s -> X_i of X_i in add(M) gives S_i its first two minimal
-covers, P_i -> S_i and Hom(M, lam_i), and Omega^2 S_i = Hom(M, ker lam_i)
-by left exactness: one R-side kernel, which decides pd S_i = 1 or 2 when it
-is 0 or a member (``sink_syzygy``).  Any other Omega^2 S_i is resolved by
-one loop of cover steps over Gamma-lattices (``minimal_projective_resolution``).
-Its minimal covers use Nakayama over Gamma/rad: Q rad = Q A, as the same
-certificate gives J = Gamma A.  An arrow a: X_j -> X_l carries Q e_l into
-Q e_j, so each cover step spans Q e_j and Q rad e_j once per type, reads the
-tops of type j off them, and certifies the cover there.  Q rad e_j is the
-sum of the images of Q e_l under Hom(a, T) (``lattice.hom_precompose``),
+idempotent e_j per summand, the projection of M onto X_j.  Hom(M, -) is an
+equivalence from add(M) to the projective Gamma-modules, P_i = Hom(M, X_i),
+and every module resolved here is Hom(M, K) for an R-lattice K, held as K
+itself: its part of type j, Hom(M, K) e_j = Hom(X_j, K), is one
+``hom_lattice``.  The arrows A of Gamma lift an F-basis of J/J^2,
+J = rad Gamma, and each algebra certifies when it is built that the arrows
+a: X_s -> X_i into each X_i span J under composition and are independent
+modulo J^2 (``_certify_sinks``).  So the sink map lam_i = (a): (+)_a X_s ->
+X_i of X_i in add(M) gives S_i its first two minimal covers, P_i -> S_i and
+Hom(M, lam_i), and Omega^2 S_i = Hom(M, K_i), K_i = ker lam_i, by left
+exactness (``sink_syzygy``).  Every later step is one more R-side kernel
+(``minimal_cover_syzygy``): the minimal cover of Hom(M, K) is Hom(M, lam_K)
+for the minimal right add(M)-approximation lam_K: M_K -> K, so
+Omega Hom(M, K) = Hom(M, ker lam_K).  lam_K is read off the tops of
+Hom(M, K) by Nakayama over Gamma/rad: Hom(M, K) rad = Hom(M, K) A, as the
+same certificate gives J = Gamma A, so the tops of type j are Hom(X_j, K)
+modulo its images Hom(X_l, K) o a under Hom(a, K) (``lattice.hom_precompose``)
+over the arrows a: X_j -> X_l.  Hom(M, lam_K) maps Hom(X_j, M_K) into
+Hom(X_j, K), so its certificate splits by type as well.  All these are
 R-modules spanned as images with no R-closure, as are the composites that
-give and certify the arrows and the cover's image.  The cover is
-Hom(M, lam) for a map lam: T' -> T read off the tops; it maps Hom(X_j, T')
-into Hom(X_j, T) for each j, so its certificate and its syzygy (the image
-of ``kernel_lattice``, ``lattice.kernel_window_module``) split by type as
-well.  Only ``projectivization_check`` builds M and P_i in the
-Hom(M, X_i) layout, as locals, to compare P_i with ``hom_lattice(M, X_i)``.
+give and certify the arrows.  Only ``projectivization_check`` builds M and
+P_i in the Hom(M, X_i) layout, as locals, to compare P_i with
+``hom_lattice(M, X_i)``.
 
 The radical of each End(X_i) is the trace-form kernel of its action on the
 top X_i/mX_i, placed with no closure (``diagonal_radical``), and is
@@ -57,13 +55,13 @@ from .lattice import (
     is_surjective_onto,
     isomorphism,
     kernel_lattice,
-    kernel_window_module,
     minimal_generators,
     nakayama_covers,
     placed_sum,
-    _span_image,
+    _leading_shape,
     _span_m,
 )
+from .series import LaurentPoly
 
 
 class EndoAlgebra:
@@ -78,7 +76,6 @@ class EndoAlgebra:
         self.k = len(summands)
         self.labels = list(labels) if labels else [f"X{i}" for i in range(self.k)]
         self.hom = hom
-        self.col_blocks = {}  # column types -> (T, blocks) of GammaLattice
         self.rad_diag = [diagonal_radical(self, i) for i in range(self.k)]
         self.arrows = self.rad_gens()
         _certify_sinks(self)
@@ -230,25 +227,40 @@ def _certify_sinks(alg):
     the arrows a: X_s -> X_i (``hom_induced_map``, one part per arrow)
     span J_(j,i) and lie in it: Hom(M, lam_i) maps (+)_a P_s onto rad P_i,
     lam_i = (a): (+)_a X_s -> X_i the sink map of X_i (``sink_syzygy``).
+    And J_(j,i) has as many Nakayama lifts over the images a o J_(j,s) as
+    there are arrows X_j -> X_i: the arrows are independent modulo J^2.
 
-    This one certificate gives both sides of Nakayama over Gamma.
     End(X_j) = F * 1 + rad End(X_j) (``diagonal_radical`` certifies the
     quotient F) and Hom(X_j, X_s) = J_(j,s) for j != s, so each image lies
-    in F * a + J^2: the check gives J = span_F A + J^2 with A inside J.  As
+    in F * a + J^2: the span gives J = span_F A + J^2 with A inside J.  As
     J is the Jacobson radical of the module-finite Gamma, Nakayama on
     J/(A o Gamma) and on J/(Gamma o A) gives every radical map X_j -> X_i
     as a sum of composites a o phi with arrows a into X_i (the sink cover)
     and as a sum of composites psi o a with arrows a out of X_j
-    (Q * rad = Q * A in ``_top_spans``).  A missing arrow would make a
-    cover non-minimal and a pd wrong; an arrow outside J would make
-    Q * rad too large."""
+    (Hom(M, K) rad = Hom(M, K) A in ``_tops``).  So J^2 = A o J, the sum of
+    the images a o J_(j,s), which holds m * J; the lifts over them are a
+    basis of (J/J^2)_(j,i), and the arrows X_j -> X_i, which span it with
+    the images, are one exactly when there are as many.  Only a block with
+    arrows X_j -> X_i needs the End(X_j) sources for the span; elsewhere
+    the two sets of images are the same.  A missing or a repeated arrow
+    would make a cover non-minimal and a pd wrong; an arrow outside J would
+    make Hom(M, K) rad too large."""
     rad, x = radical(alg), alg.summands
     for i in range(alg.k):
         into = [(s, hom_element_as_map(x[s], x[i], a)) for s, l, a in alg.arrows if l == i]
         for j in range(alg.k):
-            parts = [hom_induced_map(x[j], f, alg.hom[(j, s)], alg.hom[(j, i)]) for s, f in into]
-            lifts, inside = _block_cover(rad[(j, i)], parts)
-            if lifts or not inside:
+
+            def cover(src):
+                parts = [hom_induced_map(x[j], f, src[(j, s)], alg.hom[(j, i)]) for s, f in into]
+                return _block_cover(rad[(j, i)], parts)
+
+            own = [s for s, _ in into].count(j)
+            lifts, ok = cover(rad)
+            ok = ok and len(lifts) == own
+            if ok and own:
+                lifts, ok = cover(alg.hom)
+                ok = ok and not lifts
+            if not ok:
                 raise ClaimViolation("arrows do not generate rad Gamma", source=alg.labels[j], target=alg.labels[i])
 
 
@@ -274,74 +286,6 @@ def _column_lattice(alg, m, i):
     return placed_sum(alg.ring, hamb, lats, placements)
 
 
-# -- Gamma-lattices ------------------------------------------------------------------
-
-
-class GammaLattice:
-    """A right Gamma-lattice Q in Hom(M, T), T = (+)_a X_{c_a}, stored by
-    source type.
-
-    The idempotent e_j of Gamma is the projection of M onto X_j, and Q e_j
-    lies in Q because Q is a right Gamma-module; since the e_j sum to 1,
-    Q = (+)_j Q e_j as an R-module, with Q e_j inside Hom(X_j, T).
-    ``parts[j]`` is Q e_j, a Module in ``hom_ambient(X_j, T)`` (a syzygy's
-    ``kernel_window_module``, or a block Lattice such as P_i's), and
-    ``blocks[j]`` is Hom(X_j, T) = (+)_a Hom(X_j, X_{c_a}), the type-j part
-    of (+)_a P_{c_a}; T and the blocks depend only on the column types, so
-    they are built once per algebra and tuple (``EndoAlgebra.col_blocks``).
-    Hom(M, lam) acts on each source type separately, so covers, their
-    certificates and syzygies split by type.
-    """
-
-    __slots__ = ("alg", "col_types", "T", "parts", "blocks")
-
-    def __init__(self, alg, col_types, parts):
-        self.alg = alg
-        self.col_types = cols = tuple(col_types)
-        if cols not in alg.col_blocks:
-            alg.col_blocks[cols] = (
-                direct_sum([alg.summands[c] for c in cols])[0],
-                [direct_sum([alg.hom[(j, c)] for c in cols])[0] for j in range(alg.k)],
-            )
-        self.T, self.blocks = alg.col_blocks[cols]
-        self.parts = parts
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.parts)
-
-
-def _top_spans(q):
-    """Per type j, the spans that one cover step compares: (window, Q e_j,
-    Q rad e_j), cut where Q e_j is compared with Q rad e_j.  Q rad = Q A,
-    and (Q A) e_j is the sum of the images (Q e_l) o a of Q e_l under
-    Hom(a, T) (``hom_precompose``) over the arrows a: X_j -> X_l, each
-    spanned from the rows and cones of Q e_l without closure.  They lie in
-    Q e_j, as Q is a Gamma-module, so they lie in its window.  A block
-    Lattice part spans its placed window, with no closure."""
-    x = q.alg.summands
-    out = []
-    for j, part in enumerate(q.parts):
-        ws, ech_q = part.span(part.lo, part.deep_cut(q.blocks[j].nakayama_cut()))
-        ech_r = ws.echelon()
-        for jj, l, a in q.alg.arrows:
-            if jj == j and not _span_image(ws, ech_r, hom_precompose(a, x[j], x[l], q.parts[l], part)):
-                raise ClaimViolation("Q o a reaches below Q e_j", source=q.alg.labels[j], target=q.alg.labels[l])
-        out.append((ws, ech_q, ech_r))
-    return out
-
-
-def _top_lifts(spans):
-    """Type decomposition of Q/(Q rad) from the per-type spans of
-    ``_top_spans``: list of (type j, lift), each lift a map X_j -> T.  The
-    Q rad echelons are left unchanged."""
-    out = []
-    for j, (ws, ech_q, ech_r) in enumerate(spans):
-        denom = ws.echelon()
-        denom.add_many(ech_r.rows)
-        out += [(j, ws.vec_of(r)) for r in ech_q.rows if denom.add(r)]
-    return out
-
-
 def _side_by_side(alg, source, target, maps):
     """The map (f_a): source = (+)_a X_{s_a} -> target whose summand a is
     f_a, for ``maps`` the pairs (s_a, hom vector of f_a: X_{s_a} -> target):
@@ -354,62 +298,80 @@ def _side_by_side(alg, source, target, maps):
     return LatticeMap(source, target, mats)
 
 
-def minimal_cover_syzygy(q):
-    """One step of the minimal projective resolution of Q.
+def _tops(alg, homs):
+    """The tops of Hom(M, K), homs[j] = Hom(X_j, K): list of (type j, lift),
+    each lift a map X_j -> K.  Hom(M, K) rad = Hom(M, K) A, so the tops of
+    type j are the Nakayama lifts of Hom(X_j, K) over the images
+    Hom(X_l, K) o a under Hom(a, K) (``hom_precompose``), a over the arrows
+    X_j -> X_l; each image lies in Hom(X_j, K), or the arrows are not maps."""
+    x = alg.summands
+    out = []
+    for j, hom in enumerate(homs):
+        parts = [hom_precompose(a, x[j], x[l], homs[l], hom) for jj, l, a in alg.arrows if jj == j]
+        lifts, inside = _block_cover(hom, parts)
+        if not inside:
+            raise ClaimViolation("Hom(X_l, K) o a leaves Hom(X_j, K)", source=alg.labels[j])
+        out += [(j, v) for v in lifts]
+    return out
 
-    Returns (cover column types, syzygy Gamma-lattice).  Per source type,
-    Q e_j and Q rad e_j are spanned once; the surjectivity certificate adds
-    the cover images to the Q rad e_j span and compares its RREF rows with
-    those of Q e_j.
-    """
-    alg = q.alg
-    spans = _top_spans(q)
-    tops = _top_lifts(spans)
-    if not tops:
-        raise ClaimViolation("nonzero Gamma-lattice with zero top")
-    syz = GammaLattice(alg, [j for j, _ in tops], [])
-    # the cover is Hom(M, lam) for lam: T_p -> T_q, whose summand a is the
-    # a-th top lift, a map X_{c_a} -> T_q
-    lam = _side_by_side(alg, syz.T, q.T, tops)
-    for j, (ws, ech_q, ech_r) in enumerate(spans):
-        # Hom(M, lam) maps Hom(X_j, T_p) to Hom(X_j, T_q).  Nakayama over
-        # Gamma: im(cover) e_j + Q rad e_j = Q e_j.  An image below the
-        # window lies below Q's valuations, so it is not in Q.  Both spans
-        # are in RREF on one window, so they are equal exactly when their
-        # rows are.
-        cover = hom_induced_map(alg.summands[j], lam, syz.blocks[j], q.blocks[j])
-        inside = _span_image(ws, ech_r, cover)
-        if not (inside and ech_r == ech_q):
+
+def _isomorphic_member(alg, kern, homs):
+    """(m, an isomorphism X_m -> K) for a member X_m isomorphic to K, or
+    None.  ``isomorphism`` takes the member first, as a miss is exact only
+    when End of its first argument is local, which ``diagonal_radical``
+    certifies for the members.
+
+    A member of other ranks is no match.  On rank one, a member of another
+    leading shape is none either (``lattice._leading_shape``), and one of
+    the same shape is first tried against t^(hi_K - hi_m), coordinate by
+    coordinate, with no Hom solve: a surjection between lattices of equal
+    rank is an isomorphism.  Above rank one, each Hom(X_m, K) solved for the
+    test is kept in ``homs`` for the cover step."""
+    rank_one = max(kern.ambient.ranks) <= 1
+    for m, y in enumerate(alg.summands):
+        if y.ambient.ranks != kern.ambient.ranks:
+            continue
+        if rank_one:
+            if _leading_shape(y) != _leading_shape(kern):
+                continue
+            shift = tuple(LaurentPoly.monomial(alg.ring.field, h - g) for h, g in zip(kern.hi, y.hi))
+            iso = hom_element_as_map(y, kern, shift)
+            if is_surjective_onto(iso):
+                return m, iso
+        else:
+            homs[m] = hom_lattice(y, kern)
+        iso = isomorphism(y, kern, homs.get(m))
+        if iso is not None:
+            return m, iso
+    return None
+
+
+def minimal_cover_syzygy(alg, kern):
+    """One step of the minimal projective resolution of Hom(M, K), K a
+    nonzero R-lattice: returns (cover types, ker lam_K), Hom(M, lam_K) the
+    minimal cover and Omega Hom(M, K) = Hom(M, ker lam_K) (left exactness).
+
+    K isomorphic to a member X_m has the cover P_m and syzygy 0
+    (``_isomorphic_member``).  Otherwise each Hom(X_j, K) is solved once,
+    the tops are read off them (``_tops``), and lam_K: (+)_c X_{t_c} -> K
+    is the tops side by side.  The cover is certified per type: the images
+    lam_c o Hom(X_j, X_{t_c}) (``hom_induced_map``, one part per top, the
+    algebra's Hom blocks as sources) must span Hom(X_j, K) and lie in it."""
+    x = alg.summands
+    solved = {}
+    member = _isomorphic_member(alg, kern, solved)
+    if member is not None:
+        return (member[0],), kernel_lattice(member[1])[0]
+    homs = [solved[j] if j in solved else hom_lattice(y, kern) for j, y in enumerate(x)]
+    tops = _tops(alg, homs)
+    lam = _side_by_side(alg, direct_sum([x[c] for c, _ in tops])[0], kern, tops)
+    maps = [(c, hom_element_as_map(x[c], kern, v)) for c, v in tops]
+    for j, hom in enumerate(homs):
+        parts = [hom_induced_map(x[j], f, alg.hom[(j, c)], hom) for c, f in maps]
+        lifts, inside = _block_cover(hom, parts)
+        if lifts or not inside:
             raise ClaimViolation("minimal cover is not surjective")
-        syz.parts.append(kernel_window_module(cover)[0])
-    return syz.col_types, syz
-
-
-@dataclass
-class PdCertificate:
-    pd: int
-    capped: bool
-    cover_types: list
-
-
-def minimal_projective_resolution(q, cap=16):
-    """pd of the nonzero Gamma-lattice ``q`` by minimal covers, one
-    ``minimal_cover_syzygy`` step per degree, until a syzygy is 0; the
-    cover types are recorded per step.  Past ``cap`` steps the certificate
-    is capped at pd = cap.  A zero ``q`` raises ClaimViolation before any
-    cover step."""
-    if q.is_zero():
-        raise ClaimViolation("the Gamma-lattice to resolve is zero", col_types=list(q.col_types))
-    steps = 0
-    covers = []
-    while True:
-        col_types, q = minimal_cover_syzygy(q)
-        covers.append(list(col_types))
-        if q.is_zero():
-            return PdCertificate(pd=steps, capped=False, cover_types=covers)
-        steps += 1
-        if steps > cap:
-            return PdCertificate(pd=cap, capped=True, cover_types=covers)
+    return tuple(c for c, _ in tops), kernel_lattice(lam)[0]
 
 
 @dataclass
@@ -441,55 +403,42 @@ class GldimReport:
 
 
 def sink_syzygy(alg, i):
-    """Omega^2 S_i from the sink map lam_i = (a): T -> X_i of X_i in add(M),
-    T = (+)_a X_s over the arrows a: X_s -> X_i, in their order.
+    """K_i = ker lam_i for the sink map lam_i = (a): T -> X_i of X_i in
+    add(M), T = (+)_a X_s over the arrows a: X_s -> X_i, in their order.
 
     P_i -> S_i is the first minimal cover, and Hom(M, lam_i) maps
     (+)_a P_s onto rad P_i (``_certify_sinks``).  That second cover is
-    minimal, as the arrows are independent modulo J^2, so Omega^2 S_i is its
-    kernel, Hom(M, K_i) with K_i = ker lam_i (``kernel_lattice``), as
-    Hom(M, -) is left exact.  Returns (pd S_i, None) when K_i decides it:
-    K_i = 0 gives pd 1, and K_i isomorphic to a member X_m gives
-    Omega^2 S_i = P_m, pd 2.  ``isomorphism`` takes the member first, as
-    a miss is exact only when End of its first argument is local, which
-    ``diagonal_radical`` certifies for the members.  Otherwise returns
-    (None, Hom(M, K_i)) as a GammaLattice over the arrow sources: its part
-    of type j is ker Hom(X_j, lam_i) (``kernel_window_module``)."""
+    minimal, as the arrows are independent modulo J^2 (the same
+    certificate), so Omega^2 S_i is its kernel, Hom(M, K_i), as Hom(M, -)
+    is left exact."""
     x = alg.summands
     into = [(s, a) for s, l, a in alg.arrows if l == i]
     lam = _side_by_side(alg, direct_sum([x[s] for s, _ in into])[0], x[i], into)
-    kern = kernel_lattice(lam)[0]
-    if kern.ambient.ncoords == 0:
-        return 1, None
-    if any(isomorphism(y, kern) is not None for y in x):
-        return 2, None
-    omega = GammaLattice(alg, [s for s, _ in into], [])
-    for j in range(alg.k):
-        omega.parts.append(kernel_window_module(hom_induced_map(x[j], lam, omega.blocks[j], alg.hom[(j, i)]))[0])
-    return None, omega
+    return kernel_lattice(lam)[0]
 
 
 def global_dimension(alg, cap=16, n=None, assumptions=None, bound=None):
     """Exact global dimension: max pd over the simple modules S_i.
 
-    Each simple starts from its sink map (``sink_syzygy``), which decides
-    pd S_i = 1 or 2 where K_i = ker lam_i is 0 or a member; otherwise
-    Omega^2 S_i is resolved as a Gamma-lattice with cap - 2, and
-    pd S_i = 2 + pd Omega^2 S_i.  S_i is capped past ``cap`` steps, at
-    pd = cap: pd 1 never is, and a pd of at least 2 is for a cap below 2.
-    ``bound`` is a proven bound on every pd (n + 1 for the chain family);
-    while cap >= bound, a syzygy still nonzero after ``bound`` steps
-    contradicts it and raises ClaimViolation instead of a capped report."""
+    Omega^d S_i = Hom(M, K) for an R-lattice K at every d >= 2: K_i of the
+    sink map (``sink_syzygy``) at d = 2, then the kernel of each minimal
+    cover step (``minimal_cover_syzygy``).  pd S_i = 1 when K_i = 0, and
+    otherwise the d at which K is a member or the next K is 0.  S_i is
+    capped past ``cap`` steps, at pd = cap: pd 1 never is, and a pd of at
+    least 2 is for a cap below 2.  ``bound`` is a proven bound on every pd
+    (n + 1 for the chain family); while cap >= bound, a syzygy still
+    nonzero after ``bound`` steps contradicts it and raises ClaimViolation
+    instead of a capped report."""
     pds = []
     capped = False
     proven = bound is not None and cap >= bound
     cap = bound if proven else cap
     for i in range(alg.k):
-        pd, omega = sink_syzygy(alg, i)
-        over = pd != 1 and cap < 2
-        if omega is not None and not over:
-            cert = minimal_projective_resolution(omega, cap=cap - 2)
-            pd, over = 2 + cert.pd, cert.capped
+        # Omega^(pd + 1) S_i = Hom(M, kern), so pd S_i = pd once kern = 0
+        pd, kern = 1, sink_syzygy(alg, i)
+        while kern.ambient.ncoords and pd < cap:
+            pd, kern = pd + 1, minimal_cover_syzygy(alg, kern)[1]
+        over = kern.ambient.ncoords > 0
         if proven and over:
             raise ClaimViolation("pd exceeds the proven bound", simple=alg.labels[i], bound=bound)
         pds.append(cap if over else pd)

@@ -45,8 +45,9 @@ branches, and the projection e_T * N of an R1-stable N.
 
 Kernels are computed once, by ``kernel_lattice``: a canonical lattice in
 fresh coordinates plus its embedding; ``kernel_window_module`` is its image.
-Hom lattices have one coordinate layout, ``hom_ambient``/``hom_coord``,
-which the Gamma-lattices of ``endo`` use as well (Hom(M, T)).
+Hom lattices have one coordinate layout, ``hom_ambient``/``hom_coord``;
+``endo`` holds every Gamma-module it resolves as Hom(M, K) by its solved
+parts Hom(X_j, K) in that layout.
 """
 
 from .series import LaurentPoly, series_div_mod, INF

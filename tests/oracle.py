@@ -32,11 +32,16 @@ generators; the engine spans images without building them as lattices.
 m = sum (g - g(0)) * R R-closed over R's gens; the engine places m from R's
 basis, and those g - g(0) still give every m * L of a Nakayama span.
 
-``projective_gamma``, ``rad_projective_gamma`` and ``gamma_top`` are the
-former first cover step of ``endo``'s simples: P_i and rad P_i as
-Gamma-lattices, and the top of a Gamma-lattice.  ``endo`` now starts each
-simple from its sink map; 1 + pd rad P_i by the Gamma loop is the reference
-for its pd.
+``GammaLattice``, ``gamma_cover_syzygy`` and ``minimal_projective_resolution``
+are the former Gamma-lattice loop of ``endo``: a Gamma-lattice Q in
+Hom(M, T) stored by its parts Q e_j, one cover step per degree spanning
+Q e_j and Q rad e_j and taking each syzygy part as a kernel window module.
+``projective_gamma``, ``rad_projective_gamma`` and ``gamma_top`` are its
+former first cover step of a simple: P_i and rad P_i as Gamma-lattices, and
+the top of a Gamma-lattice.  ``endo`` now starts each simple from its sink
+map and resolves every later syzygy Hom(M, K) by the R-lattice K; 1 + pd
+rad P_i by the Gamma loop, and its cover types step by step, are the
+reference for that loop.
 
 ``reference_dvr_triangularize`` is the former valuation-pivot loop of
 ``lattice.dvr_triangularize``, which ran one more elimination round after
@@ -45,10 +50,22 @@ the last slot got its pivot; the engine now stops there.
 
 import bisect
 import functools
+from dataclasses import dataclass
 
-from endochain.endo import GammaLattice, _top_lifts, _top_spans, radical
-from endochain.errors import AmbientMismatch, CharacteristicTooSmall, NotASubmodule, NotIndecomposable
-from endochain.lattice import Lattice, hom_ambient, hom_coord, hom_element_as_map, raw_span
+from endochain.endo import _side_by_side, radical
+from endochain.errors import AmbientMismatch, CharacteristicTooSmall, ClaimViolation, NotASubmodule, NotIndecomposable
+from endochain.lattice import (
+    Lattice,
+    _span_image,
+    direct_sum,
+    hom_ambient,
+    hom_coord,
+    hom_element_as_map,
+    hom_induced_map,
+    hom_precompose,
+    kernel_window_module,
+    raw_span,
+)
 from endochain.linalg import Echelon, nullspace_F
 from endochain.series import LaurentPoly, laurent_exact_div, poly_gcd, series_div_mod
 
@@ -497,6 +514,126 @@ def quotient_dimension(n, n0):
 def image_lattice(f):
     """im(f) as a canonical lattice (full rank in the target ambient)."""
     return Lattice.from_generators(f.source.ring, f.target.ambient, [f.apply(g) for g in f.source.genset()])
+
+
+class GammaLattice:
+    """A right Gamma-lattice Q in Hom(M, T), T = (+)_a X_{c_a}, stored by
+    source type.
+
+    The idempotent e_j of Gamma is the projection of M onto X_j, and Q e_j
+    lies in Q because Q is a right Gamma-module; since the e_j sum to 1,
+    Q = (+)_j Q e_j as an R-module, with Q e_j inside Hom(X_j, T).
+    ``parts[j]`` is Q e_j, a Module in ``hom_ambient(X_j, T)`` (a syzygy's
+    ``kernel_window_module``, or a block Lattice such as P_i's), and
+    ``blocks[j]`` is Hom(X_j, T) = (+)_a Hom(X_j, X_{c_a}), the type-j part
+    of (+)_a P_{c_a}.
+    Hom(M, lam) acts on each source type separately, so covers, their
+    certificates and syzygies split by type.
+    """
+
+    __slots__ = ("alg", "col_types", "T", "parts", "blocks")
+
+    def __init__(self, alg, col_types, parts):
+        self.alg = alg
+        self.col_types = cols = tuple(col_types)
+        self.T = direct_sum([alg.summands[c] for c in cols])[0]
+        self.blocks = [direct_sum([alg.hom[(j, c)] for c in cols])[0] for j in range(alg.k)]
+        self.parts = parts
+
+    def is_zero(self):
+        return all(p.is_zero() for p in self.parts)
+
+
+def _top_spans(q):
+    """Per type j, the spans that one cover step compares: (window, Q e_j,
+    Q rad e_j), cut where Q e_j is compared with Q rad e_j.  Q rad = Q A,
+    and (Q A) e_j is the sum of the images (Q e_l) o a of Q e_l under
+    Hom(a, T) (``hom_precompose``) over the arrows a: X_j -> X_l, each
+    spanned from the rows and cones of Q e_l without closure.  They lie in
+    Q e_j, as Q is a Gamma-module, so they lie in its window.  A block
+    Lattice part spans its placed window, with no closure."""
+    x = q.alg.summands
+    out = []
+    for j, part in enumerate(q.parts):
+        ws, ech_q = part.span(part.lo, part.deep_cut(q.blocks[j].nakayama_cut()))
+        ech_r = ws.echelon()
+        for jj, l, a in q.alg.arrows:
+            if jj == j and not _span_image(ws, ech_r, hom_precompose(a, x[j], x[l], q.parts[l], part)):
+                raise ClaimViolation("Q o a reaches below Q e_j", source=q.alg.labels[j], target=q.alg.labels[l])
+        out.append((ws, ech_q, ech_r))
+    return out
+
+
+def _top_lifts(spans):
+    """Type decomposition of Q/(Q rad) from the per-type spans of
+    ``_top_spans``: list of (type j, lift), each lift a map X_j -> T.  The
+    Q rad echelons are left unchanged."""
+    out = []
+    for j, (ws, ech_q, ech_r) in enumerate(spans):
+        denom = ws.echelon()
+        denom.add_many(ech_r.rows)
+        out += [(j, ws.vec_of(r)) for r in ech_q.rows if denom.add(r)]
+    return out
+
+
+def gamma_cover_syzygy(q):
+    """One step of the minimal projective resolution of Q.
+
+    Returns (cover column types, syzygy Gamma-lattice).  Per source type,
+    Q e_j and Q rad e_j are spanned once; the surjectivity certificate adds
+    the cover images to the Q rad e_j span and compares its RREF rows with
+    those of Q e_j.
+    """
+    alg = q.alg
+    spans = _top_spans(q)
+    tops = _top_lifts(spans)
+    if not tops:
+        raise ClaimViolation("nonzero Gamma-lattice with zero top")
+    syz = GammaLattice(alg, [j for j, _ in tops], [])
+    # the cover is Hom(M, lam) for lam: T_p -> T_q, whose summand a is the
+    # a-th top lift, a map X_{c_a} -> T_q
+    lam = _side_by_side(alg, syz.T, q.T, tops)
+    for j, (ws, ech_q, ech_r) in enumerate(spans):
+        # Hom(M, lam) maps Hom(X_j, T_p) to Hom(X_j, T_q).  Nakayama over
+        # Gamma: im(cover) e_j + Q rad e_j = Q e_j.  An image below the
+        # window lies below Q's valuations, so it is not in Q.  Both spans
+        # are in RREF on one window, so they are equal exactly when their
+        # rows are.
+        cover = hom_induced_map(alg.summands[j], lam, syz.blocks[j], q.blocks[j])
+        inside = _span_image(ws, ech_r, cover)
+        if not (inside and ech_r == ech_q):
+            raise ClaimViolation("minimal cover is not surjective")
+        syz.parts.append(kernel_window_module(cover)[0])
+    return syz.col_types, syz
+
+
+@dataclass
+class PdCertificate:
+    pd: int
+    capped: bool
+    cover_types: list
+
+
+def minimal_projective_resolution(q, cap=16):
+    """pd of the nonzero Gamma-lattice ``q`` by minimal covers, one
+    ``gamma_cover_syzygy`` step per degree, until a syzygy is 0; the
+    cover types are recorded per step.  Past ``cap`` steps the certificate
+    is capped at pd = cap.  A zero ``q`` raises ClaimViolation before any
+    cover step."""
+    if q.is_zero():
+        raise ClaimViolation("the Gamma-lattice to resolve is zero", col_types=list(q.col_types))
+    steps = 0
+    covers = []
+    while True:
+        col_types, q = gamma_cover_syzygy(q)
+        covers.append(list(col_types))
+        if q.is_zero():
+            return PdCertificate(pd=steps, capped=False, cover_types=covers)
+        steps += 1
+        if steps > cap:
+            return PdCertificate(pd=cap, capped=True, cover_types=covers)
+
+
 
 
 def projective_gamma(alg, i):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from endochain.field import QQ, FieldSpec
-from endochain.lattice import Ambient, Lattice, direct_sum, hom_lattice
+from endochain.lattice import Ambient, Lattice, direct_sum, hom_lattice, isomorphism
 from endochain.series import LaurentPoly
 from endochain.curve_ring import build_ring, semigroup_ring, normalization_lattice
 from endochain.chain import build_chain_tree, chain_family
@@ -12,7 +12,6 @@ from endochain.endo import (
     build_endo_algebra,
     fcmt_check,
     global_dimension,
-    minimal_projective_resolution,
     projectivization_check,
     minimal_cover_syzygy,
     sink_syzygy,
@@ -23,7 +22,7 @@ from endochain.errors import (
     MissingFreeSummand,
     NotIndecomposable,
 )
-from oracle import gamma_top, projective_gamma, rad_projective_gamma
+from oracle import gamma_cover_syzygy, gamma_top, minimal_projective_resolution, projective_gamma, rad_projective_gamma
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -127,9 +126,9 @@ def test_syzygy_of_rad_projective_terminates():
     r = semigroup_ring(QQ, [2, 3])
     _, alg = family_algebra(r)
     omega = rad_projective_gamma(alg, 1)
-    types, syz = minimal_cover_syzygy(omega)
+    types, syz = gamma_cover_syzygy(omega)
     assert len(types) == 2  # the hand computation: P_0 (+) P_1 covers rad P_1
-    types2, syz2 = minimal_cover_syzygy(syz)
+    types2, syz2 = gamma_cover_syzygy(syz)
     assert syz2.is_zero()
 
 
@@ -373,39 +372,46 @@ def _add_top_below_window(tops):
 
 @pytest.mark.parametrize("tamper", [_drop_last_top, _add_top_below_window])
 def test_cover_certificate_negative_control(monkeypatch, tamper):
-    # dropping a top lift leaves part of Q/Q rad uncovered; an extra lift far
-    # below the window maps outside Q and must not be skipped by the window.
-    # Either way the certificate built on the shared Q rad span must fail.
+    # dropping a top lift leaves part of the top uncovered; an extra lift far
+    # below the window maps outside the module and must not be skipped by
+    # the window.  Either way the cover certificate must fail: the engine's
+    # on Hom(M, K_1) of <3,4>, whose K_1 is no member, and the reference
+    # Gamma loop's on rad P_1 of <2,3>.
+    import oracle
     from endochain import endo
     from endochain.errors import ClaimViolation
 
-    r = semigroup_ring(QQ, [2, 3])
-    _, alg = family_algebra(r)
-    omega = rad_projective_gamma(alg, 1)
-    full = endo._top_lifts
+    def tampered(full, count):
+        def run(*args):
+            tops = full(*args)
+            assert len(tops) == count
+            return tamper(tops)
 
-    def tampered(*spans):
-        tops = full(*spans)
-        assert len(tops) == 2
-        return tamper(tops)
+        return run
 
-    monkeypatch.setattr(endo, "_top_lifts", tampered)
+    _, alg = family_algebra(_corpus_ring("<3,4>"))
+    kern = sink_syzygy(alg, 1)
+    monkeypatch.setattr(endo, "_tops", tampered(endo._tops, 2))
     with pytest.raises(ClaimViolation, match="minimal cover is not surjective"):
-        minimal_cover_syzygy(omega)
+        minimal_cover_syzygy(alg, kern)
+
+    _, alg = family_algebra(semigroup_ring(QQ, [2, 3]))
+    monkeypatch.setattr(oracle, "_top_lifts", tampered(oracle._top_lifts, 2))
+    with pytest.raises(ClaimViolation, match="minimal cover is not surjective"):
+        gamma_cover_syzygy(rad_projective_gamma(alg, 1))
 
 
 def test_zero_gamma_lattice_is_refused_before_a_cover_step(monkeypatch):
-    # a zero Gamma-lattice has no minimal resolution to compute: it is named
-    # as the input at fault, and no cover step runs
-    from endochain import endo
-    from endochain.endo import GammaLattice
+    # a zero Gamma-lattice has no minimal resolution to compute: the
+    # reference loop names it as the input at fault, and no cover step runs
+    import oracle
     from endochain.errors import ClaimViolation
     from endochain.lattice import Module
 
     _, alg = family_algebra(semigroup_ring(QQ, [2, 3]))
-    blocks = GammaLattice(alg, (1,), []).blocks
-    zero = GammaLattice(alg, (1,), [Module(alg.ring, b.ambient, [], [], b.lo) for b in blocks])
-    monkeypatch.setattr(endo, "minimal_cover_syzygy", lambda q: pytest.fail("a cover step ran"))
+    blocks = oracle.GammaLattice(alg, (1,), []).blocks
+    zero = oracle.GammaLattice(alg, (1,), [Module(alg.ring, b.ambient, [], [], b.lo) for b in blocks])
+    monkeypatch.setattr(oracle, "gamma_cover_syzygy", lambda q: pytest.fail("a cover step ran"))
     with pytest.raises(ClaimViolation, match="the Gamma-lattice to resolve is zero") as err:
         minimal_projective_resolution(zero)
     assert err.value.context == {"col_types": [1]}
@@ -437,18 +443,62 @@ def _scale_last_arrow_by_t(arrows, alg):
     return arrows[:-1] + [(j, l, tuple(c.shift(1) for c in a))]
 
 
+def _duplicate_last_arrow(arrows, alg):
+    return arrows + [arrows[-1]]
+
+
 @pytest.mark.parametrize("name", ["<2,3>", "tacnode"])
-@pytest.mark.parametrize("tamper", [_drop_last_arrow, _add_identity_arrow, _scale_last_arrow_by_t])
+@pytest.mark.parametrize(
+    "tamper", [_drop_last_arrow, _add_identity_arrow, _scale_last_arrow_by_t, _duplicate_last_arrow]
+)
 def test_arrow_certificate_negative_control(monkeypatch, name, tamper):
-    # too few arrows would make the sink covers and Q * rad too small
+    # too few arrows would make the sink covers and Hom(M, K) rad too small
     # (non-minimal covers, wrong pd), and so would an arrow moved into J^2
-    # (scaled by t); an arrow outside rad Gamma would make them too large.
-    # Each way the sink certificate must refuse the algebra.
+    # (scaled by t); an arrow outside rad Gamma would make them too large,
+    # and a repeated one would make a sink cover non-minimal.  Each way the
+    # sink certificate must refuse the algebra.
     from endochain.endo import EndoAlgebra
     from endochain.errors import ClaimViolation
 
     full = EndoAlgebra.rad_gens
     monkeypatch.setattr(EndoAlgebra, "rad_gens", lambda alg: tamper(full(alg), alg))
+    with pytest.raises(ClaimViolation, match="arrows do not generate rad Gamma"):
+        family_algebra(_corpus_ring(name))
+
+
+def test_member_test_tries_the_shift_map_first(monkeypatch):
+    # K = t^4 R is the image of X_0 = R under t^4: a member with no Hom
+    # solve.  K = (t^3 + t^4) R has R's leading shape, but t^3 R is not
+    # inside it, so X_0 is found through Hom(R, K); and t^3 R (+) t^4 R is
+    # no member
+    from endochain import endo, lattice
+
+    _, alg = family_algebra(_corpus_ring("<3,4>"))
+    solves = []
+    full = lattice.hom_lattice
+    monkeypatch.setattr(lattice, "hom_lattice", lambda c, d: solves.append(d) or full(c, d))
+    t = LaurentPoly.monomial(QQ, 1)
+
+    def ideal(*gens):
+        return Lattice.from_generators(alg.ring, Ambient([1]), [(g,) for g in gens])
+
+    m, iso = endo._isomorphic_member(alg, ideal(t * t * t * t), {})
+    assert m == 0 and iso.mats[0][0] == (t * t * t * t,) and not solves
+    m, iso = endo._isomorphic_member(alg, ideal(t * t * t + t * t * t * t), {})
+    assert m == 0 and len(solves) == 1
+    pair = direct_sum([ideal(t * t * t), ideal(t * t * t * t)])[0]
+    assert endo._isomorphic_member(alg, pair, {}) is None
+
+
+@pytest.mark.parametrize("name", ["<2,3>", "tacnode"])
+def test_precompose_mutant_is_refused(monkeypatch, name):
+    # phi o (t * a) in place of phi o a shrinks the products that rad_gens
+    # lifts J over, so it returns more arrows than J/J^2 has a basis
+    from endochain import endo
+    from endochain.errors import ClaimViolation
+
+    full = endo.hom_precompose
+    monkeypatch.setattr(endo, "hom_precompose", lambda a, *rest: full(tuple(c.shift(1) for c in a), *rest))
     with pytest.raises(ClaimViolation, match="arrows do not generate rad Gamma"):
         family_algebra(_corpus_ring(name))
 
@@ -547,7 +597,7 @@ def test_radical_of_generated_lattices_matches_reference(name):
 
 
 # the simples whose second syzygy Hom(M, ker lam_i) is neither 0 nor a
-# member's projective, so that it goes to the Gamma loop
+# member's projective, so that its cover is read off the tops of Hom(M, K_i)
 SINK_FALLBACK = {"cusp_line": ["S1"], "semigroup_3_4": ["S1"], "semigroup_3_5": ["S1"], "triple_point": ["S1", "S2", "S3"]}
 
 
@@ -557,28 +607,53 @@ def _ring_in(path, field):
     return ringio.ring_from_json(dict(ringio.load_json(path), field=field.as_json()))
 
 
-def _assert_sink_route_matches_gamma_route(alg, n):
+def _assert_sink_route_matches_gamma_route(monkeypatch, alg, n):
     # the former first cover step, P_i -> S_i with kernel rad P_i, and the
-    # Gamma loop from there give the same pd as the sink route
+    # Gamma loop from there give the same pd as the R-side loop, and the same
+    # cover types step by step: the sink map's sources, then each
+    # minimal_cover_syzygy step's
+    from endochain import endo
+
+    steps = []
+    sink, cover = endo.sink_syzygy, endo.minimal_cover_syzygy
+
+    def sink_step(alg, i):
+        steps.append([[s for s, l, _ in alg.arrows if l == i]])
+        return sink(alg, i)
+
+    def cover_step(alg, kern):
+        types, syz = cover(alg, kern)
+        steps[-1].append(list(types))
+        return types, syz
+
+    monkeypatch.setattr(endo, "sink_syzygy", sink_step)
+    monkeypatch.setattr(endo, "minimal_cover_syzygy", cover_step)
     rep = global_dimension(alg, n=n)
     certs = [minimal_projective_resolution(rad_projective_gamma(alg, i)) for i in range(alg.k)]
     assert not rep.capped and not any(c.capped for c in certs)
     assert rep.pd_per_simple == [1 + c.pd for c in certs]
+    assert steps == [c.cover_types for c in certs]
+
+
+def _is_fallback(alg, i):
+    """K_i = ker lam_i is neither 0 nor isomorphic to a member."""
+    kern = sink_syzygy(alg, i)
+    return kern.ambient.ncoords > 0 and all(isomorphism(y, kern) is None for y in alg.summands)
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 32003)], ids=["qq", "gf32003"])
 @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(DATA, "rings"))))
-def test_sink_route_matches_gamma_route(name, field):
+def test_sink_route_matches_gamma_route(monkeypatch, name, field):
     tree, alg = family_algebra(_ring_in(os.path.join(DATA, "rings", name), field))
-    _assert_sink_route_matches_gamma_route(alg, tree.n)
-    fallback = [alg.labels[i] for i in range(alg.k) if sink_syzygy(alg, i)[0] is None]
+    fallback = [alg.labels[i] for i in range(alg.k) if _is_fallback(alg, i)]
     assert fallback == SINK_FALLBACK.get(name[: -len(".json")], [])
+    _assert_sink_route_matches_gamma_route(monkeypatch, alg, tree.n)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 32003)], ids=["qq", "gf32003"])
 @pytest.mark.parametrize("name", ["semigroup_5_9", "a_21"])
-def test_sink_route_matches_gamma_route_on_large_rings(name, field):
+def test_sink_route_matches_gamma_route_on_large_rings(monkeypatch, name, field):
     path = os.path.join(os.path.dirname(__file__), "golden", "large", "rings", name + ".json")
     tree, alg = family_algebra(_ring_in(path, field))
-    _assert_sink_route_matches_gamma_route(alg, tree.n)
+    _assert_sink_route_matches_gamma_route(monkeypatch, alg, tree.n)
