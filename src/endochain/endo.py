@@ -12,19 +12,19 @@ a: X_s -> X_i into each X_i span J under composition and are independent
 modulo J^2 (``_certify_sinks``).  So the sink map lam_i = (a): (+)_a X_s ->
 X_i of X_i in add(M) gives S_i its first two minimal covers, P_i -> S_i and
 Hom(M, lam_i), and Omega^2 S_i = Hom(M, K_i), K_i = ker lam_i, by left
-exactness (``sink_syzygy``).  Every later step is one more R-side kernel
-(``minimal_cover_syzygy``): the minimal cover of Hom(M, K) is Hom(M, lam_K)
-for the minimal right add(M)-approximation lam_K: M_K -> K, so
-Omega Hom(M, K) = Hom(M, ker lam_K).  lam_K is read off the tops of
-Hom(M, K) by Nakayama over Gamma/rad: Hom(M, K) rad = Hom(M, K) A, as the
-same certificate gives J = Gamma A, so the tops of type j are Hom(X_j, K)
-modulo its images Hom(X_l, K) o a under Hom(a, K) (``lattice.hom_precompose``)
-over the arrows a: X_j -> X_l.  Hom(M, lam_K) maps Hom(X_j, M_K) into
-Hom(X_j, K), so its certificate splits by type as well.  All these are
-R-modules spanned as images with no R-closure, as are the composites that
-give and certify the arrows.  Only ``projectivization_check`` builds M and
-P_i in the Hom(M, X_i) layout, as locals, to compare P_i with
-``hom_lattice(M, X_i)``.
+exactness; the algebra keeps K_i (``sink_syzygy``).  Every later step is
+one more R-side kernel (``minimal_cover_syzygy``): the minimal cover of
+Hom(M, K) is Hom(M, lam_K) for the minimal right add(M)-approximation
+lam_K: M_K -> K, so Omega Hom(M, K) = Hom(M, ker lam_K).  lam_K is read
+off the tops of Hom(M, K) by Nakayama over Gamma/rad: Hom(M, K) rad =
+Hom(M, K) A, as the same certificate gives J = Gamma A, so the tops of
+type j are Hom(X_j, K) modulo its images Hom(X_l, K) o a over the arrows
+a: X_j -> X_l.  lam_i and lam_K alike are assembled by ``_side_by_side``,
+certified type by type and replaced by their kernel.  Images are spanned
+with no R-closure by ``_left_cover`` (Hom(X_j, f)) for the certificates
+and ``_right_cover`` (Hom(a, T)) for the arrows and the tops.  Only
+``projectivization_check`` builds M and P_i in the Hom(M, X_i) layout, as
+locals, to compare P_i with ``hom_lattice(M, X_i)``.
 
 The radical of each End(X_i) is the trace-form kernel of its action on the
 top X_i/mX_i, placed with no closure (``diagonal_radical``), and is
@@ -43,6 +43,7 @@ from .errors import (
     NotIndecomposable,
 )
 from .lattice import (
+    Ambient,
     Lattice,
     LatticeMap,
     direct_sum,
@@ -78,21 +79,20 @@ class EndoAlgebra:
         self.hom = hom
         self.rad_diag = [diagonal_radical(self, i) for i in range(self.k)]
         self.arrows = self.rad_gens()
-        _certify_sinks(self)
+        self.sinks = _certify_sinks(self)
 
     def rad_gens(self):
         """The arrows A: per block (j, l) of J = rad Gamma, (j, l, a) for
-        the Nakayama lifts a of J_(j,l) over the images of J_(m,l) under
-        Hom(a', X_l) (``hom_precompose``), a' over the minimal generators of
+        the Nakayama lifts a of J_(j,l) over the images J_(m,l) o a' under
+        Hom(a', X_l) (``_right_cover``), a' over the minimal generators of
         J_(j,m), plus m * J_(j,l) (which lies in J^2), i.e. lifts of an
         F-basis of J/J^2; ``_certify_sinks`` checks that they generate J."""
-        rad = radical(self)
-        gens = {b: minimal_generators(lat) for b, lat in rad.items()}
-        return [
-            (j, l, a)
-            for (j, l), lat in rad.items()
-            for a in _block_cover(lat, _products(self, gens, rad, j, l))[0]
-        ]
+        rad, k = radical(self), self.k
+        arrows = []
+        for (j, l), lat in rad.items():
+            pairs = [(m, a) for m in range(k) for a in minimal_generators(rad[(j, m)])]
+            arrows += [(j, l, a) for a in _right_cover(self, j, lat, pairs, [rad[(m, l)] for m in range(k)])[0]]
+        return arrows
 
 
 def _top_action(x):
@@ -199,36 +199,40 @@ def build_endo_algebra(ring, summands, labels=None):
 def radical(alg):
     """rad(Gamma) as its block description: every off-diagonal Hom block in
     full, plus rad End(X_i) on the diagonal."""
-    blocks = {}
+    blocks = dict(alg.hom)
     for j in range(alg.k):
-        for l in range(alg.k):
-            blocks[(j, l)] = alg.rad_diag[j] if j == l else alg.hom[(j, l)]
+        blocks[(j, j)] = alg.rad_diag[j]
     return blocks
 
 
-def _products(alg, left, right, j, l):
-    """The composites right[(m, l)] o a, a in left[(j, m)], over every m, as
-    image parts in Hom(X_j, X_l): the lattice right[(m, l)] under Hom(a, X_l)
-    (``hom_precompose``), an R-module that needs no closure."""
+def _left_cover(alg, j, goal, maps, sources):
+    """``nakayama_covers`` of ``goal`` in Hom(X_j, T) over m * goal and the
+    images f o sources[(j, c)] under Hom(X_j, f) (``hom_induced_map``),
+    (c, f) over ``maps``, f: X_c -> T a LatticeMap, at goal's Nakayama cut.
+    The images are spanned from the minimal generators of their sources,
+    Hom blocks of the algebra that serve one part per map."""
+    parts = [hom_induced_map(alg.summands[j], f, sources[(j, c)], goal) for c, f in maps]
+    return nakayama_covers(goal, parts, goal.nakayama_cut(), minimal=True)
+
+
+def _right_cover(alg, j, goal, pairs, sources):
+    """``nakayama_covers`` of ``goal`` in Hom(X_j, T) over the images
+    sources[l] o a under Hom(a, T) (``hom_precompose``), (l, a) over
+    ``pairs``, a a vector of Hom(X_j, X_l) and sources[l] in Hom(X_l, T),
+    the twin of ``_left_cover``: R-modules that need no closure."""
     x = alg.summands
-    return [hom_precompose(a, x[j], x[m], right[(m, l)], alg.hom[(j, l)]) for m in range(alg.k) for a in left[(j, m)]]
-
-
-def _block_cover(lat, parts):
-    """``nakayama_covers`` of the block ``lat`` over the image ``parts`` +
-    m * lat at the cut hi + mx, past which every element of ``lat`` lies in
-    m * lat.  The images are spanned from the minimal generators of their
-    sources, Hom blocks of the algebra that serve one part per arrow."""
-    return nakayama_covers(lat, parts, lat.nakayama_cut(), minimal=True)
+    parts = [hom_precompose(a, x[j], x[l], sources[l], goal) for l, a in pairs]
+    return nakayama_covers(goal, parts, goal.nakayama_cut(), minimal=True)
 
 
 def _certify_sinks(alg):
     """Per block (j, i), the images a o Hom(X_j, X_s) of the Hom blocks over
-    the arrows a: X_s -> X_i (``hom_induced_map``, one part per arrow)
-    span J_(j,i) and lie in it: Hom(M, lam_i) maps (+)_a P_s onto rad P_i,
-    lam_i = (a): (+)_a X_s -> X_i the sink map of X_i (``sink_syzygy``).
-    And J_(j,i) has as many Nakayama lifts over the images a o J_(j,s) as
-    there are arrows X_j -> X_i: the arrows are independent modulo J^2.
+    the arrows a: X_s -> X_i (``_left_cover``, one part per arrow) span
+    J_(j,i) and lie in it: Hom(M, lam_i) maps (+)_a P_s onto rad P_i,
+    lam_i = (a): (+)_a X_s -> X_i the sink map of X_i.  And J_(j,i) has as
+    many Nakayama lifts over the images a o J_(j,s) as there are arrows
+    X_j -> X_i: the arrows are independent modulo J^2.  Returns the kernels
+    K_i = ker lam_i, which the algebra keeps (``sink_syzygy``).
 
     End(X_j) = F * 1 + rad End(X_j) (``diagonal_radical`` certifies the
     quotient F) and Hom(X_j, X_s) = J_(j,s) for j != s, so each image lies
@@ -246,22 +250,20 @@ def _certify_sinks(alg):
     would make a cover non-minimal and a pd wrong; an arrow outside J would
     make Hom(M, K) rad too large."""
     rad, x = radical(alg), alg.summands
+    sinks = []
     for i in range(alg.k):
         into = [(s, hom_element_as_map(x[s], x[i], a)) for s, l, a in alg.arrows if l == i]
         for j in range(alg.k):
-
-            def cover(src):
-                parts = [hom_induced_map(x[j], f, src[(j, s)], alg.hom[(j, i)]) for s, f in into]
-                return _block_cover(rad[(j, i)], parts)
-
             own = [s for s, _ in into].count(j)
-            lifts, ok = cover(rad)
+            lifts, ok = _left_cover(alg, j, rad[(j, i)], into, rad)
             ok = ok and len(lifts) == own
             if ok and own:
-                lifts, ok = cover(alg.hom)
+                lifts, ok = _left_cover(alg, j, rad[(j, i)], into, alg.hom)
                 ok = ok and not lifts
             if not ok:
                 raise ClaimViolation("arrows do not generate rad Gamma", source=alg.labels[j], target=alg.labels[i])
+        sinks.append(kernel_lattice(_side_by_side(alg, x[i], into))[0])
+    return sinks
 
 
 def _column_lattice(alg, m, i):
@@ -286,29 +288,27 @@ def _column_lattice(alg, m, i):
     return placed_sum(alg.ring, hamb, lats, placements)
 
 
-def _side_by_side(alg, source, target, maps):
-    """The map (f_a): source = (+)_a X_{s_a} -> target whose summand a is
-    f_a, for ``maps`` the pairs (s_a, hom vector of f_a: X_{s_a} -> target):
-    per branch, the f_a's matrices side by side."""
-    fs = [hom_element_as_map(alg.summands[s], target, h).mats for s, h in maps]
+def _side_by_side(alg, target, maps):
+    """The map (f_a): (+)_a X_{s_a} -> target whose summand a is f_a, for
+    ``maps`` the pairs (s_a, LatticeMap f_a: X_{s_a} -> target): per
+    branch, the f_a's matrices side by side."""
     mats = [
-        [sum((f[br][k] for f in fs), ()) for k in range(target.ambient.ranks[br])]
+        [sum((f.mats[br][k] for _, f in maps), ()) for k in range(target.ambient.ranks[br])]
         for br in range(alg.ring.branches)
     ]
-    return LatticeMap(source, target, mats)
+    return LatticeMap(direct_sum([alg.summands[s] for s, _ in maps])[0], target, mats)
 
 
 def _tops(alg, homs):
     """The tops of Hom(M, K), homs[j] = Hom(X_j, K): list of (type j, lift),
     each lift a map X_j -> K.  Hom(M, K) rad = Hom(M, K) A, so the tops of
     type j are the Nakayama lifts of Hom(X_j, K) over the images
-    Hom(X_l, K) o a under Hom(a, K) (``hom_precompose``), a over the arrows
-    X_j -> X_l; each image lies in Hom(X_j, K), or the arrows are not maps."""
-    x = alg.summands
+    Hom(X_l, K) o a under Hom(a, K), a over the arrows X_j -> X_l
+    (``_right_cover``); each image lies in Hom(X_j, K), or the arrows are
+    not maps."""
     out = []
     for j, hom in enumerate(homs):
-        parts = [hom_precompose(a, x[j], x[l], homs[l], hom) for jj, l, a in alg.arrows if jj == j]
-        lifts, inside = _block_cover(hom, parts)
+        lifts, inside = _right_cover(alg, j, hom, [(l, a) for jj, l, a in alg.arrows if jj == j], homs)
         if not inside:
             raise ClaimViolation("Hom(X_l, K) o a leaves Hom(X_j, K)", source=alg.labels[j])
         out += [(j, v) for v in lifts]
@@ -316,9 +316,9 @@ def _tops(alg, homs):
 
 
 def _isomorphic_member(alg, kern, homs):
-    """(m, an isomorphism X_m -> K) for a member X_m isomorphic to K, or
-    None.  ``isomorphism`` takes the member first, as a miss is exact only
-    when End of its first argument is local, which ``diagonal_radical``
+    """The index m of a member X_m isomorphic to K, or None.
+    ``isomorphism`` takes the member first, as a miss is exact only when
+    End of its first argument is local, which ``diagonal_radical``
     certifies for the members.
 
     A member of other ranks is no match.  On rank one, a member of another
@@ -337,12 +337,11 @@ def _isomorphic_member(alg, kern, homs):
             shift = tuple(LaurentPoly.monomial(alg.ring.field, h - g) for h, g in zip(kern.hi, y.hi))
             iso = hom_element_as_map(y, kern, shift)
             if is_surjective_onto(iso):
-                return m, iso
+                return m
         else:
             homs[m] = hom_lattice(y, kern)
-        iso = isomorphism(y, kern, homs.get(m))
-        if iso is not None:
-            return m, iso
+        if isomorphism(y, kern, homs.get(m)) is not None:
+            return m
     return None
 
 
@@ -352,26 +351,24 @@ def minimal_cover_syzygy(alg, kern):
     minimal cover and Omega Hom(M, K) = Hom(M, ker lam_K) (left exactness).
 
     K isomorphic to a member X_m has the cover P_m and syzygy 0
-    (``_isomorphic_member``).  Otherwise each Hom(X_j, K) is solved once,
-    the tops are read off them (``_tops``), and lam_K: (+)_c X_{t_c} -> K
-    is the tops side by side.  The cover is certified per type: the images
-    lam_c o Hom(X_j, X_{t_c}) (``hom_induced_map``, one part per top, the
-    algebra's Hom blocks as sources) must span Hom(X_j, K) and lie in it."""
+    (``_isomorphic_member``), the zero lattice.  Otherwise each Hom(X_j, K)
+    is solved once, the tops are read off them (``_tops``), each top's map
+    lam_c: X_{t_c} -> K is built once, and lam_K is the lam_c side by side.
+    The cover is certified per type: the images lam_c o Hom(X_j, X_{t_c})
+    (``_left_cover``, one part per top, the algebra's Hom blocks as
+    sources) must span Hom(X_j, K) and lie in it."""
     x = alg.summands
     solved = {}
-    member = _isomorphic_member(alg, kern, solved)
-    if member is not None:
-        return (member[0],), kernel_lattice(member[1])[0]
+    m = _isomorphic_member(alg, kern, solved)
+    if m is not None:
+        return (m,), Lattice(alg.ring, Ambient([0] * alg.ring.branches), (), (), ())
     homs = [solved[j] if j in solved else hom_lattice(y, kern) for j, y in enumerate(x)]
-    tops = _tops(alg, homs)
-    lam = _side_by_side(alg, direct_sum([x[c] for c, _ in tops])[0], kern, tops)
-    maps = [(c, hom_element_as_map(x[c], kern, v)) for c, v in tops]
+    maps = [(c, hom_element_as_map(x[c], kern, v)) for c, v in _tops(alg, homs)]
     for j, hom in enumerate(homs):
-        parts = [hom_induced_map(x[j], f, alg.hom[(j, c)], hom) for c, f in maps]
-        lifts, inside = _block_cover(hom, parts)
+        lifts, inside = _left_cover(alg, j, hom, maps, alg.hom)
         if lifts or not inside:
             raise ClaimViolation("minimal cover is not surjective")
-    return tuple(c for c, _ in tops), kernel_lattice(lam)[0]
+    return tuple(c for c, _ in maps), kernel_lattice(_side_by_side(alg, kern, maps))[0]
 
 
 @dataclass
@@ -403,18 +400,11 @@ class GldimReport:
 
 
 def sink_syzygy(alg, i):
-    """K_i = ker lam_i for the sink map lam_i = (a): T -> X_i of X_i in
-    add(M), T = (+)_a X_s over the arrows a: X_s -> X_i, in their order.
-
-    P_i -> S_i is the first minimal cover, and Hom(M, lam_i) maps
-    (+)_a P_s onto rad P_i (``_certify_sinks``).  That second cover is
-    minimal, as the arrows are independent modulo J^2 (the same
-    certificate), so Omega^2 S_i is its kernel, Hom(M, K_i), as Hom(M, -)
-    is left exact."""
-    x = alg.summands
-    into = [(s, a) for s, l, a in alg.arrows if l == i]
-    lam = _side_by_side(alg, direct_sum([x[s] for s, _ in into])[0], x[i], into)
-    return kernel_lattice(lam)[0]
+    """K_i = ker lam_i, kept on the algebra, for the sink map lam_i = (a):
+    (+)_a X_s -> X_i over the arrows a: X_s -> X_i, in their order, which
+    ``_certify_sinks`` certifies as S_i's second minimal cover once
+    Hom(M, -) is applied: Omega^2 S_i = Hom(M, K_i) by left exactness."""
+    return alg.sinks[i]
 
 
 def global_dimension(alg, cap=16, n=None, assumptions=None, bound=None):

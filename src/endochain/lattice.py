@@ -638,11 +638,6 @@ class Lattice(Module):
         row = ws.row_of(self.ambient.truncate_vec(vec, self.hi))
         return row is not None and ech.contains(row)
 
-    def contains_lattice(self, other):
-        if self.ambient != other.ambient:
-            raise AmbientMismatch("different ambients")
-        return all(self.member(g) for g in other.genset())
-
 
 # -- maps ---------------------------------------------------------------------
 

@@ -502,7 +502,7 @@ def quotient_dimension(n, n0):
     """dim_F(N/N0) for lattices n0 <= n with equal ambient."""
     if n.ambient != n0.ambient:
         raise AmbientMismatch("quotient needs equal ambients")
-    if not n.contains_lattice(n0):
+    if not all(n.member(g) for g in n0.genset()):
         raise NotASubmodule("N0 is not contained in N")
     lo = tuple(min(a, b) for a, b in zip(n.lo, n0.lo))
     cut = tuple(max(a, b) for a, b in zip(n.hi, n0.hi))
@@ -592,7 +592,7 @@ def gamma_cover_syzygy(q):
     syz = GammaLattice(alg, [j for j, _ in tops], [])
     # the cover is Hom(M, lam) for lam: T_p -> T_q, whose summand a is the
     # a-th top lift, a map X_{c_a} -> T_q
-    lam = _side_by_side(alg, syz.T, q.T, tops)
+    lam = _side_by_side(alg, q.T, [(j, hom_element_as_map(alg.summands[j], q.T, v)) for j, v in tops])
     for j, (ws, ech_q, ech_r) in enumerate(spans):
         # Hom(M, lam) maps Hom(X_j, T_p) to Hom(X_j, T_q).  Nakayama over
         # Gamma: im(cover) e_j + Q rad e_j = Q e_j.  An image below the

@@ -186,7 +186,7 @@ def test_sum_and_direct_sum():
     assert len(gens) == 3  # 1 generator for R, two (1, t) for E
     t2f = mono_lattice(r, [2, 3])  # t^2 F[[t]]
     t3f = mono_lattice(r, [3, 4])  # t^3 F[[t]]
-    assert t2f.contains_lattice(t3f)
+    assert all(t2f.member(g) for g in t3f.genset())
 
 
 def test_scalar_extension_spec_examples():
@@ -229,7 +229,7 @@ def test_largest_submodule_is_maximal_among_stable():
         n = random_fractional_ideal(rng, r)
         big = largest_submodule_over(s, n)
         assert scalar_extension_test(s, big)
-        assert n.contains_lattice(big)
+        assert all(n.member(g) for g in big.genset())
         # no stable sublattice strictly between: adding any missing window
         # monomial of n breaks stability or stays inside big
         equal = big == n
