@@ -88,10 +88,10 @@ class EndoAlgebra:
         J_(j,m), plus m * J_(j,l) (which lies in J^2), i.e. lifts of an
         F-basis of J/J^2; ``_certify_sinks`` checks that they generate J."""
         rad, k = radical(self), self.k
+        pairs = [[(m, a) for m in range(k) for a in minimal_generators(rad[(j, m)])] for j in range(k)]
         arrows = []
         for (j, l), lat in rad.items():
-            pairs = [(m, a) for m in range(k) for a in minimal_generators(rad[(j, m)])]
-            arrows += [(j, l, a) for a in _right_cover(self, j, lat, pairs, [rad[(m, l)] for m in range(k)])[0]]
+            arrows += [(j, l, a) for a in _right_cover(self, j, lat, pairs[j], [rad[(m, l)] for m in range(k)])[0]]
         return arrows
 
 
