@@ -27,8 +27,14 @@ def _ring(name):
     return os.path.join(DATA, "rings", name + ".json")
 
 
-# (golden name, module, ring file); a ring kept out of data/rings, as the
-# GF(32003) <3,4>, is no input of the ring, chain and gldim cases
+# rings kept out of data/rings, as several tests iterate over it and pin its
+# counts, with their ring, chain and gldim cases: End(m) of the three-branch
+# tacnode_line has the atoms ((1,), (0, 2)), so its chain labels pin the
+# (size, branches) order of the atoms
+EXTRA_RINGS = ("tacnode_line",)
+
+# (golden name, module, ring file); the GF(32003) <3,4>, kept out of
+# data/rings, is no input of the ring, chain and gldim cases
 MODULES = (
     ("resolve-j_over_3_4", "j_over_3_4", _ring("semigroup_3_4")),
     ("resolve-m_over_2_5", "m_over_2_5", _ring("semigroup_2_5")),
@@ -50,6 +56,11 @@ def _cases():
     for ring in RINGS:
         cases.append((f"ring-{ring}", ["ring", "--input", _ring(ring)]))
         cases.append((f"chain-{ring}", ["chain", "--input", _ring(ring)]))
+    for ring in EXTRA_RINGS:
+        path = os.path.join(GOLDEN, "rings", ring + ".json")
+        cases.append((f"ring-{ring}", ["ring", "--input", path]))
+        cases.append((f"chain-{ring}", ["chain", "--input", path]))
+        cases.append((f"gldim-{ring}", ["gldim", "--ring", path]))
     for name, module, ring in MODULES:
         path = os.path.join(DATA, "modules", module + ".json")
         cases.append((name, ["resolve", "--ring", ring, "--module", path]))
