@@ -97,7 +97,7 @@ def build_chain_tree(ring):
         s1 = end_of_maximal_ideal(s)
         nd.r1 = s1
         for T in s1.atoms:
-            fac = factor(s1, T) if len(T) < s.branches or len(s1.atoms) > 1 else s1
+            fac = s1 if len(s1.atoms) == 1 else factor(s1, T)
             child = ChainNode(fac, tuple(nd.global_branches[i] for i in T))
             nd.children.append((T, child))
             if fac.delta() >= s.delta():

@@ -19,6 +19,9 @@ conductor tail.  The ring keeps algebra generators as ``CurveRing.gens``: R
 is the closure of F[gens], so they are the multipliers of every later
 R-closure (``_close``).  On a local ring they give m = sum (g - g(0)) * R
 (``maximal_ideal_gens``), the shifts of every m * L in a Nakayama span.
+The atoms of R, the minimal branch sets T with e_T in R, are the supports
+of the RREF rows of R's constant terms (``_branch_atoms``); a local R has
+one, so R/m = F.
 """
 
 import itertools
@@ -33,7 +36,6 @@ from .errors import (
     NotCoprime,
     NotIdempotentFactor,
     NotLocal,
-    ResidueFieldTooLarge,
     SchemaError,
 )
 from .lattice import Ambient, WindowSpace, Lattice, _close, minimal_generators, placed_sum
@@ -121,14 +123,6 @@ class CurveRing:
             self._mlat = maximal_ideal(self)
         return self._mlat
 
-    def residue_constants_dim(self):
-        """Dimension of the space of branchwise constant terms of elements."""
-        ech = Echelon(self.field, self.branches)
-        ech.add(dict.fromkeys(range(self.branches), 1))  # 1 is always there
-        for v in self.self_lattice.basis:
-            ech.add({br: p[0] for br, p in enumerate(v) if p[0]})
-        return ech.rank()
-
     def __repr__(self):
         return f"CurveRing(b={self.branches}, conductor={self.conductor})"
 
@@ -160,8 +154,6 @@ def build_ring(field, branches, generators, window_hint=None, conductor_bound=No
     2 c(w) + maxdeg + 2, so never past a window the rule accepts, and one
     showing none doubles w, up to MAX_WINDOW (or twice a larger
     ``window_hint``).
-    Raises ResidueFieldTooLarge for local rings with residue field bigger
-    than F.
     """
     gens = []
     for g in generators:
@@ -213,41 +205,37 @@ def placed_ring(field, conductor, basis, window_bound, gens, kept=()):
     t^conductor E; every ring is made here, with no closure.  The caller
     proves that ``gens`` generate it as a complete F-algebra (constants are
     dropped), from the parent's generating set ``kept``: one missing from
-    ``gens`` raises ClaimViolation.  A local ring with residue field bigger
-    than F raises ResidueFieldTooLarge, so R/m = F wherever R is made."""
+    ``gens`` raises ClaimViolation.  Its atoms, read off its constant terms
+    (``_branch_atoms``), make a local R one with R/m = F."""
     gens = [g for g in gens if not _is_constant(g)]
     if any(g not in gens and not _is_constant(g) for g in kept):
         raise ClaimViolation("chain ring generators omit a generating set of its parent", conductor=list(conductor))
-    ring = CurveRing(field, len(conductor), conductor, basis, window_bound, gens)
-    if ring.is_local and ring.residue_constants_dim() > 1:
-        raise ResidueFieldTooLarge("local ring has residue field larger than the coefficient field")
-    return ring
+    return CurveRing(field, len(conductor), conductor, basis, window_bound, gens)
 
 
 def _branch_atoms(lat):
-    """Minimal branch subsets T with e_T in the ring whose self-lattice is
-    ``lat``; they partition."""
+    """The atoms of the ring R whose self-lattice is ``lat``: the minimal
+    branch sets T with e_T in R, sorted by (size, branches).  They are the
+    supports of the RREF rows of C, the constant terms of R, spanned by 1,
+    those of R's basis rows and e_br for each branch br of conductor 0.
 
-    def has_idem(T):
-        return lat.member(lat.ambient.idem_vec(lat.ring.field, T))
-
-    remaining = set(range(lat.ambient.nbranches()))
-    atoms = []
-    # greedy: smallest subsets first
-    while remaining:
-        found = None
-        for size in range(1, len(remaining) + 1):
-            for T in itertools.combinations(sorted(remaining), size):
-                if has_idem(frozenset(T)):
-                    found = frozenset(T)
-                    break
-            if found:
-                break
-        if found is None:
-            # no idempotent inside `remaining` except their union
-            found = frozenset(remaining)
-        atoms.append(tuple(sorted(found)))
-        remaining -= set(found)
+    R / (R cap tE) = C.  C is a split subalgebra of F^b: for x in C and
+    each level set S of x, a polynomial in x (Lagrange's, at x's values)
+    is e_S, so C is spanned by the e_P over the blocks P of a partition,
+    and those e_P are its RREF rows.  The ideal R cap tE lies in rad R, as
+    1 - x is a unit of the complete R for x in it, so each e_P lifts to an
+    idempotent of R; that is an e_T of E with constant terms e_P, so
+    e_T = e_P.  Each e_P is certified a member of R (else ClaimViolation).
+    A local R has one atom, so R/m = C = F."""
+    field, nb = lat.ring.field, lat.ambient.nbranches()
+    ech = Echelon(field, nb)
+    ech.add(dict.fromkeys(range(nb), 1))
+    ech.add_many({br: p[0] for br, p in enumerate(v) if p[0]} for v in lat.basis)
+    ech.add_many({br: 1} for br in range(nb) if lat.hi[br] == 0)
+    atoms = sorted((tuple(sorted(r)) for r in ech.rows), key=lambda T: (len(T), T))
+    for T in atoms:
+        if not lat.member(lat.ambient.idem_vec(field, T)):
+            raise ClaimViolation("an idempotent of the constant terms is not in the ring", subset=T)
     return tuple(atoms)
 
 
@@ -275,8 +263,8 @@ def semigroup_ring(field, semigroup_generators, **kw):
 
 def maximal_ideal(ring):
     """The maximal ideal m = ker(R -> F) of a local ring as a rank-one
-    lattice, placed from R's window basis.  R/m = F is certified where R is
-    made (``placed_ring``): the constant terms of an element of R are one
+    lattice, placed from R's window basis.  R/m = F, as R has one atom
+    (``_branch_atoms``): the constant terms of an element of R are one
     scalar on every branch.  The RREF row pivoting at branch 0's constant
     column is the only basis row nonzero there, so m's window is spanned by
     the other rows.  Its tail is mx: t^c_br e_br has no constant term for

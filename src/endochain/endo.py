@@ -132,20 +132,16 @@ def diagonal_radical(alg, i):
     rad: so the rows of End(X)'s window at that cut give A, and their
     kernel of phi places rad there, the cut a valid tail.
 
-    The guard asks p > dim End/z End, z = (t^zexp_br) a deep conductor
-    monomial; dim L/zL is the sum of zexp_br over L's coordinates for any
-    full lattice L.  As z lies in m, mu = dim X/mX <= dim X/zX <=
-    dim End/z End < p."""
+    Over GF(p) the guard asks p > mu, all that Dickson's criterion on
+    A <= M_mu(F) and the division by mu need (else CharacteristicTooSmall)."""
     ring, field = alg.ring, alg.ring.field
     x, ea = alg.summands[i], alg.hom[(i, i)]
     amb = ea.ambient
     if amb.ncoords == 0:
         raise NotIndecomposable("zero summand", label=alg.labels[i])
-    depth = max(1, 1 - min(ea.lo))
-    dim_z = sum(ring.mx(amb.branch_of(c)) * depth for c in range(amb.ncoords))
-    if field.kind == "prime" and field.characteristic <= dim_z:
-        raise CharacteristicTooSmall("prime field must exceed the finite-quotient dimension", p=field.characteristic, dim=dim_z)
     n, bar = _top_action(x)
+    if field.kind == "prime" and field.characteristic <= n:
+        raise CharacteristicTooSmall("prime field must exceed the top dimension mu", p=field.characteristic, mu=n)
     cut = ea.nakayama_cut()
     ws, e_end = ea.span(ea.lo, cut)
     rows = e_end.rows

@@ -29,10 +29,6 @@ class NoFiniteConductor(EndochainError):
     code = "NoFiniteConductor"
 
 
-class ResidueFieldTooLarge(EndochainError):
-    code = "ResidueFieldTooLarge"
-
-
 class NotLocal(EndochainError):
     code = "NotLocal"
 

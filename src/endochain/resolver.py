@@ -237,18 +237,19 @@ def _resolve(node, n, bound, depth=0):
                 entries[(br, k, d + l)] = -e
     pi = LatticeMap.from_entries(c0, n, entries)
     lk, emb = kernel_lattice(pi)
+    term0 = Term(c0, (family.members[0].lattice,) * d + cp_term.tags)
     if lk.is_zero():
-        term0 = Term(c0, (family.members[0].lattice,) * d + cp_term.tags)
         return Resolution(ring, n, [term0], [pi], notes={"kernel": "zero"})
     if not scalar_extension_test(r1, lk):
         raise ClaimViolation("kernel of the cover is not R1-stable")
-    res_l = _resolve(node, lk, bound, depth + 1)
-    term0 = Term(c0, (family.members[0].lattice,) * d + cp_term.tags)
-    terms = [term0] + res_l.terms
-    maps = [pi, emb.compose(res_l.maps[0])]
-    for j in range(1, len(res_l.maps)):
-        maps.append(res_l.maps[j])
-    return Resolution(ring, n, terms, maps)
+    return _spliced(ring, n, term0, pi, emb, _resolve(node, lk, bound, depth + 1))
+
+
+def _spliced(ring, target, term0, f, emb, res_l):
+    """The resolution term0 -f-> target continued through ker f: emb embeds
+    ker f in term0's lattice, and res_l resolves ker f."""
+    maps = [f, emb.compose(res_l.maps[0])] + res_l.maps[1:]
+    return Resolution(ring, target, [term0] + res_l.terms, maps)
 
 
 def _restrict_to_factor(n, positions, child_ring):
@@ -346,12 +347,7 @@ def resolve_presented_module(f, tree=None, certify=True):
     if lk.is_zero():
         res = Resolution(ring, m0, [Term(m1, ())], [f], notes={"kernel": "zero"})
     else:
-        res_l = _resolve(tree.root, lk, 2 * tree.n)
-        terms = [Term(m1, ())] + res_l.terms
-        maps = [f, emb.compose(res_l.maps[0])]
-        for j in range(1, len(res_l.maps)):
-            maps.append(res_l.maps[j])
-        res = Resolution(ring, m0, terms, maps)
+        res = _spliced(ring, m0, Term(m1, ()), f, emb, _resolve(tree.root, lk, 2 * tree.n))
     res.notes["gamma_pd_bound"] = len(res.terms)
     if certify:
         fam = chain_family(tree)

@@ -46,10 +46,16 @@ reference for that loop.
 ``reference_dvr_triangularize`` is the former valuation-pivot loop of
 ``lattice.dvr_triangularize``, which ran one more elimination round after
 the last slot got its pivot; the engine now stops there.
+
+``branch_atoms_by_membership`` is the former route of
+``curve_ring._branch_atoms``: a membership test of e_T for the branch
+subsets T in size order, up to 2^b - 1 of them on b branches, where the
+engine reads the atoms off one echelon of R's constant terms.
 """
 
 import bisect
 import functools
+import itertools
 from dataclasses import dataclass
 
 from endochain.endo import _side_by_side, radical
@@ -688,3 +694,18 @@ def reference_dvr_triangularize(field, vecs, nslots, cut):
                 nxt.append(w)
         work = nxt
     return pivots, len(used) == nslots
+
+
+def branch_atoms_by_membership(ring):
+    """The minimal branch subsets T with e_T in ``ring``, by membership:
+    greedily the smallest remaining subset, the lexicographically first of
+    its size, whose e_T lies in the ring; the rest once none does."""
+    lat = ring.self_lattice
+    remaining = set(range(ring.branches))
+    atoms = []
+    while remaining:
+        subsets = (T for size in range(1, len(remaining) + 1) for T in itertools.combinations(sorted(remaining), size))
+        found = next((T for T in subsets if lat.member(lat.ambient.idem_vec(ring.field, T))), tuple(sorted(remaining)))
+        atoms.append(found)
+        remaining -= set(found)
+    return tuple(atoms)

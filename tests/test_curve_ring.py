@@ -7,7 +7,7 @@ import pytest
 
 from endochain import ringio
 from endochain.chain import build_chain_tree
-from endochain.field import QQ
+from endochain.field import QQ, FieldSpec
 from endochain.series import LaurentPoly
 from endochain.curve_ring import (
     MAX_WINDOW,
@@ -19,6 +19,7 @@ from endochain.curve_ring import (
     normalization_lattice,
 )
 from endochain.errors import (
+    ClaimViolation,
     NoFiniteConductor,
     NotCoprime,
     NotIdempotentFactor,
@@ -26,7 +27,7 @@ from endochain.errors import (
     SchemaError,
 )
 from endochain.lattice import Ambient, Lattice
-from oracle import sg_conductor, sg_gaps, sg_minimal_generators, sg_values
+from oracle import branch_atoms_by_membership, sg_conductor, sg_gaps, sg_minimal_generators, sg_values
 
 
 T = LaurentPoly.monomial(QQ, 1)
@@ -165,6 +166,61 @@ def test_fake_conjugate_constants_split_the_ring():
     r = build_ring(QQ, 2, [u, (T, Z), (Z, T)])
     assert not r.is_local
     assert sorted(r.atoms) == [(0,), (1,)]
+
+
+def _chain_rings(ring):
+    """The ring and every ring of its chain tree, End(m) before it splits
+    too."""
+    nodes = build_chain_tree(ring).nodes()
+    return [nd.ring for nd in nodes] + [nd.r1 for nd in nodes if nd.r1 is not None]
+
+
+def _axes(field, b):
+    """The b coordinate axes: generators t * e_i."""
+    amb = Ambient([1] * b)
+    return build_ring(field, b, [amb.unit_vec(field, i, 1) for i in range(b)])
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 32003)], ids=["qq", "gf32003"])
+@pytest.mark.parametrize("name", sorted(f[: -len(".json")] for f in os.listdir(CORPUS)))
+def test_atoms_match_the_membership_search(name, field):
+    # the atoms read off the constant terms against the subset search, in
+    # its order, on every ring of the corpus chain trees
+    obj = dict(ringio.load_json(os.path.join(CORPUS, name + ".json")), field=field.as_json())
+    for s in _chain_rings(ringio.ring_from_json(obj)):
+        assert s.atoms == branch_atoms_by_membership(s), s
+
+
+def test_atoms_of_tacnode_line_in_size_order():
+    # End(m) of the tacnode_line has the atoms (1,) and (0, 2): the pivot
+    # order of the constant terms would put (0, 2) first
+    ring = ringio.ring_from_json(ringio.load_json(os.path.join(GOLDEN, "rings", "tacnode_line.json")))
+    assert build_chain_tree(ring).root.r1.atoms == ((1,), (0, 2))
+    for s in _chain_rings(ring):
+        assert s.atoms == branch_atoms_by_membership(s), s
+
+
+@pytest.mark.parametrize("b", range(2, 9))
+def test_atoms_of_the_coordinate_axes(b):
+    for s in _chain_rings(_axes(QQ, b)):
+        assert s.atoms == branch_atoms_by_membership(s), s
+
+
+def test_atoms_take_one_member_test_each(monkeypatch):
+    # the 12 coordinate axes: one atom, so one membership certificate, where
+    # the subset search made 2^12 - 1 = 4095 membership tests
+    calls = []
+    real = Lattice.member
+    monkeypatch.setattr(Lattice, "member", lambda lat, v: calls.append(v) or real(lat, v))
+    ring = _axes(QQ, 12)
+    assert ring.atoms == (tuple(range(12)),)
+    assert len(calls) == 1
+
+
+def test_atom_without_its_idempotent_is_refused(monkeypatch):
+    monkeypatch.setattr(Lattice, "member", lambda lat, v: False)
+    with pytest.raises(ClaimViolation, match="idempotent"):
+        node_ring()
 
 
 def test_maximal_ideal_cusp():

@@ -285,10 +285,22 @@ def test_coefficients_are_exact_field_elements():
 
 
 def test_characteristic_too_small():
-    f5 = FieldSpec("prime", 5)
-    r = semigroup_ring(f5, [2, 7])
-    with pytest.raises(CharacteristicTooSmall):
+    # m over <3,4> has mu = 3, so GF(3) is refused at p <= mu
+    r = semigroup_ring(FieldSpec("prime", 3), [3, 4])
+    with pytest.raises(CharacteristicTooSmall) as err:
         family_algebra(r)
+    assert err.value.context == {"p": 3, "mu": 3}
+
+
+@pytest.mark.parametrize("gens", [[2, 7], [3, 4]])
+def test_characteristic_above_mu_gives_the_rational_report(gens):
+    # GF(5) exceeds every mu of these families; the former guard, p > dim
+    # End/z End, refused both at dim 6
+    reports = []
+    for field in (QQ, FieldSpec("prime", 5)):
+        tree, alg = family_algebra(semigroup_ring(field, gens))
+        reports.append(global_dimension(alg, n=tree.n).as_json())
+    assert reports[0] == reports[1]
 
 
 def test_gldim_report_json_shape():
