@@ -207,8 +207,8 @@ def test_atoms_of_the_coordinate_axes(b):
 
 
 def test_atoms_take_one_member_test_each(monkeypatch):
-    # the 12 coordinate axes: one atom, so one membership certificate, where
-    # the subset search made 2^12 - 1 = 4095 membership tests
+    # the 12 coordinate axes: one atom, so one membership certificate; a
+    # search over branch subsets makes 2^12 - 1 = 4095 membership tests
     calls = []
     real = Lattice.member
     monkeypatch.setattr(Lattice, "member", lambda lat, v: calls.append(v) or real(lat, v))

@@ -27,10 +27,10 @@ def _ring(name):
     return os.path.join(DATA, "rings", name + ".json")
 
 
-# rings kept out of data/rings, as several tests iterate over it and pin its
-# counts, with their ring, chain and gldim cases: End(m) of the three-branch
-# tacnode_line has the atoms ((1,), (0, 2)), so its chain labels pin the
-# (size, branches) order of the atoms
+# rings in golden/rings with ring, chain and gldim cases, kept out of
+# data/rings because several tests iterate over that directory and pin its
+# counts.  End(m) of the three-branch tacnode_line has the atoms (1,) and
+# (0, 2), so its chain labels pin the (size, branches) order of the atoms
 EXTRA_RINGS = ("tacnode_line",)
 
 # (golden name, module, ring file); the GF(32003) <3,4>, kept out of
