@@ -60,7 +60,6 @@ from .lattice import (
     nakayama_covers,
     placed_sum,
     _leading_shape,
-    _span_m,
 )
 from .series import LaurentPoly
 
@@ -96,16 +95,18 @@ class EndoAlgebra:
 
 
 def _top_action(x):
-    """The action of End(X) on the top X/mX, on X's window at its Nakayama
-    cut, past which X lies in m * X.  X's window rows reduced modulo m * X
-    give, in RREF, vectors of X whose classes are an F-basis of X/mX; the
-    coordinates of y + mX in it are the entries of y's residue modulo m * X
-    at their pivots.  Returns (dim X/mX, f -> the matrix of f on X/mX as a
-    row, entry (c, a) at a * dim + c)."""
-    ws, e_x = x.span(x.lo, x.nakayama_cut())
+    """The action of End(X) on the top X/mX, read off X's Nakayama window
+    (``Lattice.nakayama_window``), at whose cut X lies in m * X.  The
+    residues modulo m * X of the window's generator rows give, in RREF,
+    vectors of X whose classes are an F-basis of X/mX (each other window
+    row lies in m * X plus the rows before it); the coordinates of y + mX
+    in it are the entries of y's residue modulo m * X at their pivots.
+    Returns (dim X/mX, f -> the matrix of f on X/mX as a row, entry (c, a)
+    at a * dim + c)."""
+    ws, _, m_pivots, rows, _ = x.nakayama_window()
     e_m, e_top = ws.echelon(), ws.echelon()
-    _span_m(ws, e_m, x)
-    e_top.add_many(e_m.residue(r) for r in e_x.rows)
+    e_m.by_pivot = m_pivots
+    e_top.add_many(e_m.residue(r) for r in rows)
     pivots = sorted(e_top.by_pivot)
     tops = [ws.vec_of(r) for r in e_top.rows]
 
@@ -143,7 +144,7 @@ def diagonal_radical(alg, i):
     if field.kind == "prime" and field.characteristic <= n:
         raise CharacteristicTooSmall("prime field must exceed the top dimension mu", p=field.characteristic, mu=n)
     cut = ea.nakayama_cut()
-    ws, e_end = ea.span(ea.lo, cut)
+    ws, e_end = ea.nakayama_window()[:2]
     rows = e_end.rows
     # the trace form on an F-basis of A, the span of the matrices b-bar
     bars = [bar(hom_element_as_map(x, x, ws.vec_of(b))) for b in rows]

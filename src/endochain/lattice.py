@@ -35,7 +35,9 @@ F[gens], so ``raw_span`` closes generator sets that are not R-closed under
 image f(C) is spanned from C's rows and cones without closure
 (``_span_image``): so are the Nakayama span identity ``nakayama_covers``,
 which certifies surjectivity and exactness, and ``endo``'s composites with
-arrows (``hom_precompose``).
+arrows (``hom_precompose``).  Each Lattice builds its Nakayama window once
+(``Lattice.nakayama_window``): its span at its Nakayama cut, m times it,
+and its minimal generators, as rows that maps carry by ``_row_map``.
 Hom, overring and kernel constraints are read off operators too
 (``solve_constrained_window``).  A canonical lattice moves between rings
 and coordinate layouts by ``placed_sum``, which places its basis rows and
@@ -58,7 +60,6 @@ from .errors import (
     NotAnOverring,
     NotDvrProduct,
     NotFullRank,
-    NotLocal,
 )
 
 
@@ -496,7 +497,7 @@ class Lattice(Module):
     """A full lattice in its ambient, in canonical (minimal-tail, RREF) form:
     rows are the RREF ``basis`` on [lo, hi), cones the tails t^hi * e_coord."""
 
-    __slots__ = ("hi", "_ech", "_mingens")
+    __slots__ = ("hi", "_ech", "_nak")
 
     def __init__(self, ring, ambient, lo, hi, basis):
         cones = [
@@ -506,7 +507,7 @@ class Lattice(Module):
         super().__init__(ring, ambient, basis, cones, lo)
         self.hi = tuple(hi)
         self._ech = None
-        self._mingens = None
+        self._nak = None
 
     @property
     def basis(self):
@@ -626,6 +627,22 @@ class Lattice(Module):
         """``base`` raised to the Nakayama cut, past which elements lie in
         m * self (``Module.deep_cut``)."""
         return [max(b, c) for b, c in zip(base, self.nakayama_cut())]
+
+    def nakayama_window(self):
+        """(ws, span, m_pivots, gen_rows, gens) at [lo, ``nakayama_cut()``),
+        built once per object, so a key-equal lattice over an overring has
+        its own: the RREF span, the ``by_pivot`` of m * self (``_span_m``;
+        NotLocal over a non-local ring), and the span's rows outside m * self
+        plus the rows before them, as rows and as the minimal generators.
+        Readers copy ``m_pivots`` before adding; rows are never mutated."""
+        if self._nak is None:
+            ws, span = self.span(self.lo, self.nakayama_cut())
+            e_m, e = ws.echelon(), ws.echelon()
+            _span_m(ws, e_m, self)
+            e.by_pivot = dict(e_m.by_pivot)
+            rows = [r for r in span.rows if e.add(r)]
+            self._nak = (ws, span, e_m.by_pivot, rows, tuple(map(ws.vec_of, rows)))
+        return self._nak
 
     # -- membership and spans -------------------------------------------------
 
@@ -819,15 +836,10 @@ def placed_sum(ring, amb, lats, placements):
 
 
 def minimal_generators(lat):
-    """Nakayama-minimal generators over a local ring, as a tuple cached on
-    ``lat`` itself: equal ``Lattice.key()``s over R and over an overring
-    have different generators."""
-    if not lat.ring.is_local:
-        raise NotLocal("minimal generators need a local ring")
-    if lat._mingens is None:
-        lifts, _ = nakayama_covers(lat, [], lat.nakayama_cut())
-        lat._mingens = tuple(lifts)
-    return lat._mingens
+    """Nakayama-minimal generators over a local ring, read off ``lat``'s own
+    ``nakayama_window``: equal ``Lattice.key()``s over R and over an
+    overring have different generators."""
+    return lat.nakayama_window()[4]
 
 
 def overring_scalars(overring, lat):
@@ -1115,18 +1127,19 @@ def nakayama_covers(goal, parts, cut, minimal=False):
 
     A part is a Module (rows R-closed up to its cones) or a LatticeMap f
     whose source C is a Lattice, for f(C) (``_span_image``); anything else
-    is a TypeError.  lo is floored by the
-    Modules' valuations and by each ``LatticeMap.image_floor``, so no image
-    falls below the window.  With ``minimal`` (C over the goal's ring), f(C)
-    is spanned by f of C's minimal generators, which span it modulo
-    m * f(C), and m * f(C) lies in m * goal when f(C) lies in goal; f(C) is
-    spanned in full only when the parts are not inside.  That pays where
-    the sources serve many parts and their generators are kept, as
-    ``endo``'s Hom blocks are.  ``cut`` must reach deep enough that goal
+    is a TypeError.  lo is floored by the Modules' valuations and by each
+    ``LatticeMap.image_floor``, so no image falls below the window.  A
+    Lattice goal at its own lo and Nakayama cut lends its
+    ``nakayama_window``; any other window is built here.  With ``minimal``
+    (C over the goal's ring), f(C) is spanned by C's generator rows mapped
+    as rows (``_row_map``), which span C modulo m * C, and m * f(C) lies in
+    m * goal when f(C) lies in goal; f(C) is spanned in full only when the
+    parts are not inside.  ``cut`` must reach deep enough that goal
     elements beyond it lie in the span of the parts.  Returns (lifts,
     inside): the goal's RREF window rows outside the span of the parts, as
-    vectors in echelon order, and whether the parts lie inside the goal
-    (no parts do); they span it exactly when ``not lifts and inside``."""
+    vectors in echelon order, and whether the parts lie inside the goal,
+    i.e. goal and parts have the goal's rank (no parts do); they span it
+    exactly when ``not lifts and inside``."""
     maps = [p for p in parts if isinstance(p, LatticeMap)]
     mods = [p for p in parts if not isinstance(p, LatticeMap)]
     if not all(isinstance(f.source, Lattice) for f in maps) or not all(isinstance(p, Module) for p in mods):
@@ -1134,26 +1147,43 @@ def nakayama_covers(goal, parts, cut, minimal=False):
     lo = valuation_floor([v for p in mods for v in p.rows + tuple(v for _, v in p.cones)], goal.lo)
     for f in maps:
         lo = f.image_floor(lo)
-    ws, e_goal = goal.span(lo, cut)
-    e_parts = ws.echelon()
-    for p in mods:
-        _close(ws, e_parts, p.rows, p.cones)
-    if minimal:
-        _close(ws, e_parts, [f.apply(g) for f in maps for g in minimal_generators(f.source)])
-    for f in () if minimal else maps:
-        _span_image(ws, e_parts, f)
-    _span_m(ws, e_parts, goal)
-    inside = not parts or e_goal.contains_space(e_parts)
-    for f in maps if minimal and not inside else ():
-        _span_image(ws, e_parts, f)
-    lifts = [ws.vec_of(r) for r in e_goal.rows if e_parts.add(r)]
-    return lifts, inside
+    if isinstance(goal, Lattice) and lo == list(goal.lo) and list(cut) == goal.nakayama_cut():
+        ws, e_goal, m_pivots = goal.nakayama_window()[:3]
+    else:
+        ws, e_goal = goal.span(lo, cut)
+        e_m = ws.echelon()
+        _span_m(ws, e_m, goal)
+        m_pivots = e_m.by_pivot
+
+    def cover(full):
+        e_parts = ws.echelon()
+        e_parts.by_pivot = dict(m_pivots)
+        for p in mods:
+            _close(ws, e_parts, p.rows, p.cones)
+        for f in maps:
+            if full:
+                _span_image(ws, e_parts, f)
+            else:
+                sws, _, _, rows, _ = f.source.nakayama_window()
+                e_parts.add_many(filter(None, map(_row_map(f.operator(), sws, ws), rows)))
+        lifts = [r for r in e_goal.rows if e_parts.add(r)]
+        return lifts, e_parts.rank() == e_goal.rank()
+
+    lifts, inside = cover(not minimal)
+    if minimal and not inside:
+        lifts, _ = cover(True)
+    return [ws.vec_of(r) for r in lifts], inside
 
 
 def is_surjective_onto(f):
-    """Nakayama test: im(f) + m*target = target, run once per map (``onto``)."""
+    """Nakayama test: im(f) + m*target = target, run once per map (``onto``).
+    When f's source C is over the target's ring R and R is local, f(C) is
+    spanned from C's minimal generators g: if f(C) lies in the target, then
+    f(m C) = m f(C) lies in m * target, so f(C) + m * target is spanned by
+    the f(g) and m * target (``nakayama_covers`` with ``minimal``)."""
     if f.onto is None:
-        lifts, inside = nakayama_covers(f.target, [f], f.target.nakayama_cut())
+        minimal = f.source.ring is f.target.ring and f.target.ring.is_local
+        lifts, inside = nakayama_covers(f.target, [f], f.target.nakayama_cut(), minimal=minimal)
         f.onto = not lifts and inside
     return f.onto
 

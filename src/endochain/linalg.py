@@ -84,9 +84,6 @@ class Echelon:
     def contains(self, row):
         return not self.residue(row)
 
-    def contains_space(self, other):
-        return all(self.contains(r) for r in other.by_pivot.values())
-
     def __eq__(self, other):
         return (
             isinstance(other, Echelon)

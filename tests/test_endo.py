@@ -686,6 +686,58 @@ def _sink_map(alg, i):
     return LatticeMap.from_entries(direct_sum([x[s] for s, _ in into])[0], x[i], entries)
 
 
+def _cold(x):
+    """A copy of a Lattice or Module with none of its windows built."""
+    from endochain.lattice import Module
+
+    if isinstance(x, Lattice):
+        return Lattice(x.ring, x.ambient, x.lo, x.hi, x.basis)
+    return Module(x.ring, x.ambient, x.rows, x.cones, x.lo, x.skel)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec("prime", 32003)], ids=["qq", "gf32003"])
+@pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(DATA, "rings"))))
+def test_nakayama_window_built_once(monkeypatch, tmp_path, name, field):
+    # gldim spans m * goal once per goal object: a Lattice lends its one
+    # Nakayama window to every call at its own lo and cut; the report equals
+    # the golden, and every nakayama_covers call gives the same lifts and
+    # inside flag on cold copies of its goal and parts
+    import contextlib
+    import io
+    import json
+
+    from endochain import cli, endo, lattice, resolver, ringio
+    from endochain.lattice import LatticeMap
+
+    spans, calls = {}, []
+    span_m, covers = lattice._span_m, lattice.nakayama_covers
+
+    def counted_span_m(ws, ech, goal):
+        spans.setdefault(id(goal), [goal, 0])[1] += 1
+        return span_m(ws, ech, goal)
+
+    def recorded_covers(goal, parts, cut, minimal=False):
+        got = covers(goal, parts, cut, minimal)
+        calls.append((goal, parts, cut, minimal, got))
+        return got
+
+    monkeypatch.setattr(lattice, "_span_m", counted_span_m)
+    for mod in (lattice, endo, resolver):
+        monkeypatch.setattr(mod, "nakayama_covers", recorded_covers)
+    path = tmp_path / name
+    path.write_text(json.dumps(dict(ringio.load_json(os.path.join(DATA, "rings", name)), field=field.as_json())))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["gldim", "--ring", str(path)]) == 0
+    with open(os.path.join(os.path.dirname(__file__), "golden", "gldim-" + name), encoding="utf-8") as f:
+        assert out.getvalue() == f.read()
+    # a window built before the run (a cached ring's lattices) adds no call
+    assert any(isinstance(goal, Lattice) for goal, *_ in calls) and all(n == 1 for _, n in spans.values())
+    for goal, parts, cut, minimal, got in calls:
+        cold = [LatticeMap(_cold(p.source), _cold(p.target), p.mats) if isinstance(p, LatticeMap) else _cold(p) for p in parts]
+        assert covers(_cold(goal), cold, cut, minimal) == got
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(DATA, "rings"))))
 def test_algebra_keeps_the_sink_kernels(name):
     # the K_i the arrow certificate keeps are the kernels of the sink maps,

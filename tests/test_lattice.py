@@ -839,7 +839,7 @@ def _maximal_ideal_covers(goal, parts, cut):
     _, e_parts = raw_span(goal.ring, goal.ambient, rgens, cones, lo, cut)
     for p in mods:
         e_parts.add_many(Module.span(p, lo, cut)[1].rows)
-    inside = e_goal.contains_space(e_parts)
+    inside = all(e_goal.contains(r) for r in e_parts.rows)
     lifts = [ws.vec_of(r) for r in e_goal.rows if e_parts.add(r)]
     return lifts, inside
 
@@ -906,8 +906,8 @@ def test_nakayama_covers_image_routes_agree(name):
     # source's minimal generators (in full again when the parts are not
     # inside): both routes give the closure route's lifts and inside flag,
     # inside or not, with images below the goal's lo or not, and the
-    # minimal route gives the same whether or not the generators were
-    # computed before the call
+    # minimal route gives the same whether or not the source's Nakayama
+    # window was built before the call; a key-equal copy builds its own
     ring = _corpus_ring(name)
     rng = random.Random(name)
     lats = [ring.self_lattice, ring.maximal_ideal_lattice()]
@@ -924,7 +924,7 @@ def test_nakayama_covers_image_routes_agree(name):
                 ref = _maximal_ideal_covers(lat, [f], cut)
                 assert nakayama_covers(lat, [f], cut) == ref
                 assert nakayama_covers(lat, [f], cut, minimal=True) == nakayama_covers(lat, [unknown], cut, minimal=True) == ref
-                assert fresh._mingens == x._mingens
+                assert fresh._nak is not x._nak and fresh._nak[3:] == x._nak[3:]
                 outside += not ref[1]
                 below += any(lat.ambient.branch_min_val(f.apply(v), 0) < min(lat.lo) for v in x.rows)
     assert 0 < outside < len(lats) ** 2 * 2 and below
@@ -971,7 +971,7 @@ def test_placed_span_matches_closure_route(name, field, data):
 def _full_shift_covers(goal, parts, cut, minimal=False):
     """The former m * goal of ``nakayama_covers``: every RREF row of the
     goal's window span, its tail rows too, shifted by each g - g(0), and
-    the contains_space pass even with no parts."""
+    the membership test of every parts row even with no parts."""
     maps = [p for p in parts if isinstance(p, LatticeMap)]
     mods = [p for p in parts if not isinstance(p, LatticeMap)]
     lo = valuation_floor([v for p in mods for v in p.rows + tuple(v for _, v in p.cones)], goal.lo)
@@ -989,7 +989,7 @@ def _full_shift_covers(goal, parts, cut, minimal=False):
         shift = _scalar_map(ws, per)
         for p in filter(None, map(shift, e_goal.rows)):
             e_parts.add(p)
-    inside = e_goal.contains_space(e_parts)
+    inside = all(e_goal.contains(r) for r in e_parts.rows)
     for f in maps if minimal and not inside else ():
         _span_image(ws, e_parts, f)
     return [ws.vec_of(r) for r in e_goal.rows if e_parts.add(r)], inside
@@ -1147,7 +1147,9 @@ def test_compose_through_branch_of_rank_zero():
 
 def test_minimal_generators_not_shared_with_overring():
     # E is key-equal as a lattice over <2,3> and as the self lattice of
-    # F[[t]], but needs 2 generators over the first and 1 over the second
+    # F[[t]], but needs 2 generators over the first and 1 over the second:
+    # each keeps its own Nakayama window, whose m * E differs, and a goal
+    # lends it to nakayama_covers whichever was built first
     ring = semigroup_ring(QQ, [2, 3])
     over = semigroup_ring(QQ, [1])
     for first in (0, 1):
@@ -1156,6 +1158,9 @@ def test_minimal_generators_not_shared_with_overring():
         assert lats[0].key() == lats[1].key()
         minimal_generators(lats[first])
         assert [len(minimal_generators(l)) for l in lats] == [2, 1]
+        wins = [l.nakayama_window() for l in lats]
+        assert wins[0] is not wins[1] and [len(w[2]) for w in wins] == [len(w[1].rows) - g for w, g in zip(wins, (2, 1))]
+        assert [len(nakayama_covers(l, [], l.nakayama_cut())[0]) for l in lats] == [2, 1]
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
