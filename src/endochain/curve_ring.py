@@ -285,9 +285,10 @@ def factor(ring, T):
     are e_T * R's: the projection of ``placed_sum``, which raises
     ClaimViolation for a row on both sides.  r -> e_T * r is a continuous
     surjection onto e_T * R, so it carries a dense F[R.gens] onto a dense
-    F[e_T * R.gens], the factor's generators."""
+    F[e_T * R.gens], the factor's generators.  An atom's e_T is a member
+    already (``_branch_atoms`` certified it); any other T is tested."""
     T = tuple(sorted(set(T)))
-    if not ring.self_lattice.member(ring.self_lattice.ambient.idem_vec(ring.field, T)):
+    if T not in ring.atoms and not ring.self_lattice.member(ring.self_lattice.ambient.idem_vec(ring.field, T)):
         raise NotIdempotentFactor("e_T does not lie in the ring", subset=T)
     cmap = [T.index(b) if b in T else None for b in range(ring.branches)]
     e_t = placed_sum(ring, Ambient([1] * len(T)), [ring.self_lattice], [cmap])

@@ -85,12 +85,16 @@ class EndoAlgebra:
         the Nakayama lifts a of J_(j,l) over the images J_(m,l) o a' under
         Hom(a', X_l) (``_right_cover``), a' over the minimal generators of
         J_(j,m), plus m * J_(j,l) (which lies in J^2), i.e. lifts of an
-        F-basis of J/J^2; ``_certify_sinks`` checks that they generate J."""
+        F-basis of J/J^2; ``_certify_sinks`` checks that they generate J.
+        Each image lies in J_(j,l), or the blocks are not the radical."""
         rad, k = radical(self), self.k
         pairs = [[(m, a) for m in range(k) for a in minimal_generators(rad[(j, m)])] for j in range(k)]
         arrows = []
         for (j, l), lat in rad.items():
-            arrows += [(j, l, a) for a in _right_cover(self, j, lat, pairs[j], [rad[(m, l)] for m in range(k)])[0]]
+            lifts, inside = _right_cover(self, j, lat, pairs[j], [rad[(m, l)] for m in range(k)])
+            if not inside:
+                raise ClaimViolation("J o J leaves J", source=self.labels[j], target=self.labels[l])
+            arrows += [(j, l, a) for a in lifts]
         return arrows
 
 
@@ -207,19 +211,21 @@ def _left_cover(alg, j, goal, maps, sources):
     images f o sources[(j, c)] under Hom(X_j, f) (``hom_induced_map``),
     (c, f) over ``maps``, f: X_c -> T a LatticeMap, at goal's Nakayama cut.
     The images are spanned from the minimal generators of their sources,
-    Hom blocks of the algebra that serve one part per map."""
+    Hom blocks of the algebra that serve one part per map; (None, False)
+    when an image leaves the goal."""
     parts = [hom_induced_map(alg.summands[j], f, sources[(j, c)], goal) for c, f in maps]
-    return nakayama_covers(goal, parts, goal.nakayama_cut(), minimal=True)
+    return nakayama_covers(goal, parts, goal.nakayama_cut())
 
 
 def _right_cover(alg, j, goal, pairs, sources):
     """``nakayama_covers`` of ``goal`` in Hom(X_j, T) over the images
     sources[l] o a under Hom(a, T) (``hom_precompose``), (l, a) over
     ``pairs``, a a vector of Hom(X_j, X_l) and sources[l] in Hom(X_l, T),
-    the twin of ``_left_cover``: R-modules that need no closure."""
+    the twin of ``_left_cover``: R-modules spanned from the minimal
+    generators of sources[l]; (None, False) when an image leaves the goal."""
     x = alg.summands
     parts = [hom_precompose(a, x[j], x[l], sources[l], goal) for l, a in pairs]
-    return nakayama_covers(goal, parts, goal.nakayama_cut(), minimal=True)
+    return nakayama_covers(goal, parts, goal.nakayama_cut())
 
 
 def _certify_sinks(alg):

@@ -31,13 +31,13 @@ windows are placed, its RREF basis rows plus its unit tail rows
 (``Lattice.span``); a root ``curve_ring.build_ring`` closes 1 under the
 algebra generators ``gens``, and R is by definition the closure of
 F[gens], so ``raw_span`` closes generator sets that are not R-closed under
-``R.gens``; truncating between products is exact (see ``_close``).  An
-image f(C) is spanned from C's rows and cones without closure
-(``_span_image``): so are the Nakayama span identity ``nakayama_covers``,
-which certifies surjectivity and exactness, and ``endo``'s composites with
-arrows (``hom_precompose``).  Each Lattice builds its Nakayama window once
-(``Lattice.nakayama_window``): its span at its Nakayama cut, m times it,
-and its minimal generators, as rows that maps carry by ``_row_map``.
+``R.gens``; truncating between products is exact (see ``_close``).  Each
+Lattice builds its Nakayama window once (``Lattice.nakayama_window``): its
+span at its Nakayama cut, m times it, and its minimal generators as rows.
+The Nakayama span identity ``nakayama_covers``, which certifies covers,
+surjectivity and exactness, spans an image f(C) without closure, from C's
+generator rows carried by ``_row_map``; so are ``endo``'s composites with
+arrows (``hom_precompose``).
 Hom, overring and kernel constraints are read off operators too
 (``solve_constrained_window``).  A canonical lattice moves between rings
 and coordinate layouts by ``placed_sum``, which places its basis rows and
@@ -339,34 +339,6 @@ def _row_map(op, ws, tws):
     return apply
 
 
-def _span_image(ws, ech, f):
-    """Add to ``ech`` the window span of f(C), C = f.source: C = span(rows) +
-    the cones (br, v), rows R-closed up to the cones, so f(C) = span f(rows)
-    + sum F[[t_br]] * f(v) needs no R-closure; the rows go through f's
-    operator as kernel rows.  Returns False when some image has support
-    below ``ws.lo`` (it is skipped)."""
-    sws, rows = f.source.row_window()
-    image = _row_map(f.operator(), sws, ws)
-    inside = True
-    for r in rows:
-        p = image(r)
-        if p is None:
-            inside = False
-        elif p:
-            ech.add(p)
-    return _close(ws, ech, (), [(br, f.apply(v)) for br, v in f.source.cones]) and inside
-
-
-def valuation_floor(vecs, lo):
-    """Per coordinate, the minimum of ``lo`` and the valuations of ``vecs``."""
-    lo = list(lo)
-    for v in vecs:
-        for c, a in enumerate(v):
-            if a and a.valuation() < lo[c]:
-                lo[c] = a.valuation()
-    return lo
-
-
 class Module:
     """A submodule of ``ambient``: module = span_F(rows) + sum F[[t_br]]*v.
 
@@ -377,7 +349,7 @@ class Module:
     supported at depth >= H + deg(vector) on that branch lies in m * module.
     """
 
-    __slots__ = ("ring", "ambient", "rows", "cones", "lo", "skel", "_win")
+    __slots__ = ("ring", "ambient", "rows", "cones", "lo", "skel")
 
     def __init__(self, ring, ambient, rows, cones, lo, skel=()):
         self.ring = ring
@@ -386,7 +358,6 @@ class Module:
         self.cones = [(br, v) for br, v in cones if not ambient.vec_is_zero(v)]
         self.lo = tuple(lo)
         self.skel = skel
-        self._win = None
 
     def is_zero(self):
         return not self.rows and not self.cones
@@ -406,14 +377,6 @@ class Module:
         ech = ws.echelon()
         _close(ws, ech, self.rows, self.cones)
         return ws, ech
-
-    def row_window(self):
-        """(WindowSpace, kernel rows) of ``rows`` on [lo, deep_cut(lo)),
-        which holds each exactly; built once."""
-        if self._win is None:
-            ws = WindowSpace(self.ring.field, self.ambient, self.lo, self.deep_cut(self.lo))
-            self._win = (ws, [ws.row_of(v) for v in self.rows])
-        return self._win
 
     def deep_cut(self, base):
         """Per-coordinate cut at least ``base``, past every row and past every
@@ -561,8 +524,7 @@ class Lattice(Module):
         F[[t]]-triangularization of the generators plus the conductor.
         """
         gens = [g for g in gens if not ambient.vec_is_zero(g)]
-        lo = valuation_floor(gens, [INF] * ambient.ncoords)
-        lo = [0 if v is INF else v for v in lo]
+        lo = [min((g[c].valuation() for g in gens if g[c]), default=0) for c in range(ambient.ncoords)]
         hi = [0] * ambient.ncoords
         for br in range(ambient.nbranches()):
             if ambient.ranks[br] == 0:
@@ -601,9 +563,6 @@ class Lattice(Module):
         rows += [{ws.index[(c, e)]: 1} for c, h in enumerate(self.hi) for e in range(h, cut[c])]
         ech.by_pivot = {min(r): r for r in rows}
         return ws, ech
-
-    def row_window(self):
-        return self.window()[0], self.window()[1].rows
 
     def key(self):
         return (self.ambient.ranks, self.lo, self.hi, self.basis)
@@ -739,17 +698,6 @@ class LatticeMap:
         """The shift operator of the map (``_operator``)."""
         entries = {(br, k, l): e for br, m in enumerate(self.mats) for k, row in enumerate(m) for l, e in enumerate(row)}
         return _operator(self.source.ambient, self.target.ambient, entries)
-
-    def image_floor(self, lo):
-        """``lo`` lowered, per target coordinate, to a lower bound on the
-        valuations of the image, as the source lies in t^source.lo E."""
-        src, tgt = self.source.ambient, self.target.ambient
-        lo = list(lo)
-        for br, m in enumerate(self.mats):
-            for k, row in enumerate(m):
-                c = tgt.offsets[br] + k
-                lo[c] = min([lo[c]] + [e.valuation() + self.source.lo[src.offsets[br] + l] for l, e in enumerate(row) if e])
-        return lo
 
     def is_zero(self):
         return all(not e for m in self.mats for row in m for e in row)
@@ -1121,70 +1069,58 @@ def _span_m(ws, ech, goal):
     _close(ws, ech, (), [(br, goal.ambient.mono_scale(br, vmin[br], v)) for br, v in goal.cones])
 
 
-def nakayama_covers(goal, parts, cut, minimal=False):
+def nakayama_covers(goal, parts, cut):
     """Nakayama comparison of the Module ``goal`` with m * goal (``_span_m``)
-    plus the sum of ``parts``, none of which needs R-closure.
+    plus the sum of ``parts``, none of which needs R-closure, on the goal's
+    window [goal.lo, ``cut``).
 
     A part is a Module (rows R-closed up to its cones) or a LatticeMap f
-    whose source C is a Lattice, for f(C) (``_span_image``); anything else
-    is a TypeError.  lo is floored by the Modules' valuations and by each
-    ``LatticeMap.image_floor``, so no image falls below the window.  A
-    Lattice goal at its own lo and Nakayama cut lends its
-    ``nakayama_window``; any other window is built here.  With ``minimal``
-    (C over the goal's ring), f(C) is spanned by C's generator rows mapped
-    as rows (``_row_map``), which span C modulo m * C, and m * f(C) lies in
-    m * goal when f(C) lies in goal; f(C) is spanned in full only when the
-    parts are not inside.  ``cut`` must reach deep enough that goal
-    elements beyond it lie in the span of the parts.  Returns (lifts,
-    inside): the goal's RREF window rows outside the span of the parts, as
-    vectors in echelon order, and whether the parts lie inside the goal,
-    i.e. goal and parts have the goal's rank (no parts do); they span it
-    exactly when ``not lifts and inside``."""
+    whose source C is a Lattice over the goal's ring R (else TypeError, or
+    ClaimViolation for another ring).  f(C) is spanned by C's generator
+    rows (``Lattice.nakayama_window``) mapped as rows (``_row_map``): they
+    span C modulo m * C, and once f(C) lies in the goal, f(m C) = m f(C)
+    lies in m * goal.  A Lattice goal at its Nakayama cut lends its own
+    window; any other cut, or a Module goal, builds one here.  ``cut``
+    must reach deep enough that goal elements beyond it lie in m * goal.
+    The parts lie inside when none has support below goal.lo and goal,
+    parts and m * goal have the goal's rank.  Returns (lifts, True) when
+    they do, the lifts being the goal's RREF window rows outside the span
+    of the parts and m * goal, as vectors in echelon order (the parts span
+    the goal exactly when there are none), and (None, False) otherwise."""
     maps = [p for p in parts if isinstance(p, LatticeMap)]
     mods = [p for p in parts if not isinstance(p, LatticeMap)]
     if not all(isinstance(f.source, Lattice) for f in maps) or not all(isinstance(p, Module) for p in mods):
         raise TypeError("a part is a Module or a LatticeMap whose source is a Lattice")
-    lo = valuation_floor([v for p in mods for v in p.rows + tuple(v for _, v in p.cones)], goal.lo)
-    for f in maps:
-        lo = f.image_floor(lo)
-    if isinstance(goal, Lattice) and lo == list(goal.lo) and list(cut) == goal.nakayama_cut():
+    if any(f.source.ring is not goal.ring for f in maps):
+        raise ClaimViolation("a map part's source lies over another ring than the goal")
+    if isinstance(goal, Lattice) and list(cut) == goal.nakayama_cut():
         ws, e_goal, m_pivots = goal.nakayama_window()[:3]
     else:
-        ws, e_goal = goal.span(lo, cut)
+        ws, e_goal = goal.span(goal.lo, cut)
         e_m = ws.echelon()
         _span_m(ws, e_m, goal)
         m_pivots = e_m.by_pivot
-
-    def cover(full):
-        e_parts = ws.echelon()
-        e_parts.by_pivot = dict(m_pivots)
-        for p in mods:
-            _close(ws, e_parts, p.rows, p.cones)
-        for f in maps:
-            if full:
-                _span_image(ws, e_parts, f)
-            else:
-                sws, _, _, rows, _ = f.source.nakayama_window()
-                e_parts.add_many(filter(None, map(_row_map(f.operator(), sws, ws), rows)))
+    e_parts = ws.echelon()
+    e_parts.by_pivot = dict(m_pivots)
+    inside = all(_close(ws, e_parts, p.rows, p.cones) for p in mods)
+    for f in maps:
+        sws, _, _, rows, _ = f.source.nakayama_window()
+        images = list(map(_row_map(f.operator(), sws, ws), rows))
+        inside = inside and None not in images
+        e_parts.add_many(filter(None, images))
+    if inside:
         lifts = [r for r in e_goal.rows if e_parts.add(r)]
-        return lifts, e_parts.rank() == e_goal.rank()
-
-    lifts, inside = cover(not minimal)
-    if minimal and not inside:
-        lifts, _ = cover(True)
-    return [ws.vec_of(r) for r in lifts], inside
+        if e_parts.rank() == e_goal.rank():
+            return [ws.vec_of(r) for r in lifts], True
+    return None, False
 
 
 def is_surjective_onto(f):
-    """Nakayama test: im(f) + m*target = target, run once per map (``onto``).
-    When f's source C is over the target's ring R and R is local, f(C) is
-    spanned from C's minimal generators g: if f(C) lies in the target, then
-    f(m C) = m f(C) lies in m * target, so f(C) + m * target is spanned by
-    the f(g) and m * target (``nakayama_covers`` with ``minimal``)."""
+    """Nakayama test: im(f) + m*target = target (``nakayama_covers``), run
+    once per map (``onto``)."""
     if f.onto is None:
-        minimal = f.source.ring is f.target.ring and f.target.ring.is_local
-        lifts, inside = nakayama_covers(f.target, [f], f.target.nakayama_cut(), minimal=minimal)
-        f.onto = not lifts and inside
+        lifts, inside = nakayama_covers(f.target, [f], f.target.nakayama_cut())
+        f.onto = inside and not lifts
     return f.onto
 
 
@@ -1199,8 +1135,9 @@ def _leading_shape(lat):
 
 
 def isomorphism(a, b, hom=None):
-    """An isomorphism a -> b as a LatticeMap, or None (R local, any rank);
-    ``hom`` is Hom(a, b) when the caller has solved it already.
+    """An isomorphism a -> b as a LatticeMap, or None (R local, any rank,
+    a and b over R itself, as ``is_surjective_onto`` maps a's generators
+    over R); ``hom`` is Hom(a, b) when the caller has solved it already.
 
     A hit is exact: a surjection between full lattices of equal per-branch
     rank is injective.  A miss is exact when End(a) is local with residue

@@ -164,9 +164,12 @@ def verify_hom_exactness(res, x, skip_cokernel_position=False, exact=False):
 
 
 def _free_cover_data(n, n1):
-    """Nakayama lifts of N/(N1 + mN); deterministic via echelon order."""
+    """Nakayama lifts of N/(N1 + mN); deterministic via echelon order.  N1
+    lies in N, or the lifts mean nothing (ClaimViolation)."""
     cut = [max(a, b) for a, b in zip(n1.hi, n.nakayama_cut())]
-    lifts, _ = nakayama_covers(n, [n1], cut)
+    lifts, inside = nakayama_covers(n, [n1], cut)
+    if not inside:
+        raise ClaimViolation("N1 leaves N", ranks=n.ambient.ranks)
     return lifts
 
 

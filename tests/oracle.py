@@ -43,6 +43,12 @@ map and resolves every later syzygy Hom(M, K) by the R-lattice K; 1 + pd
 rad P_i by the Gamma loop, and its cover types step by step, are the
 reference for that loop.
 
+``span_image`` is the former full-image route of
+``lattice.nakayama_covers``: f(C) spanned from f of every row and cone of
+C, a Lattice or a Module, through ``LatticeMap.apply``, where the engine
+maps C's Nakayama generator rows only.  ``valuation_floor`` is the former
+window floor of its reference routes.
+
 ``reference_dvr_triangularize`` is the former valuation-pivot loop of
 ``lattice.dvr_triangularize``, which ran one more elimination round after
 the last slot got its pivot; the engine now stops there.
@@ -62,7 +68,7 @@ from endochain.endo import _side_by_side, radical
 from endochain.errors import AmbientMismatch, CharacteristicTooSmall, ClaimViolation, NotASubmodule, NotIndecomposable
 from endochain.lattice import (
     Lattice,
-    _span_image,
+    _close,
     direct_sum,
     hom_ambient,
     hom_coord,
@@ -517,6 +523,25 @@ def quotient_dimension(n, n0):
     return e1.rank() - e0.rank()
 
 
+def span_image(ws, ech, f):
+    """Add to ``ech`` the window span of f(C), C = f.source a Lattice or a
+    Module: C = span(rows) + the cones (br, v), rows R-closed up to the
+    cones, so f(C) = span f(rows) + sum F[[t_br]] * f(v) needs no
+    R-closure.  Returns False when some image has support below ``ws.lo``
+    (it is skipped)."""
+    return _close(ws, ech, [f.apply(v) for v in f.source.rows], [(br, f.apply(v)) for br, v in f.source.cones])
+
+
+def valuation_floor(vecs, lo):
+    """Per coordinate, the minimum of ``lo`` and the valuations of ``vecs``."""
+    lo = list(lo)
+    for v in vecs:
+        for c, a in enumerate(v):
+            if a and a.valuation() < lo[c]:
+                lo[c] = a.valuation()
+    return lo
+
+
 def image_lattice(f):
     """im(f) as a canonical lattice (full rank in the target ambient)."""
     return Lattice.from_generators(f.source.ring, f.target.ambient, [f.apply(g) for g in f.source.genset()])
@@ -564,7 +589,7 @@ def _top_spans(q):
         ws, ech_q = part.span(part.lo, part.deep_cut(q.blocks[j].nakayama_cut()))
         ech_r = ws.echelon()
         for jj, l, a in q.alg.arrows:
-            if jj == j and not _span_image(ws, ech_r, hom_precompose(a, x[j], x[l], q.parts[l], part)):
+            if jj == j and not span_image(ws, ech_r, hom_precompose(a, x[j], x[l], q.parts[l], part)):
                 raise ClaimViolation("Q o a reaches below Q e_j", source=q.alg.labels[j], target=q.alg.labels[l])
         out.append((ws, ech_q, ech_r))
     return out
@@ -606,7 +631,7 @@ def gamma_cover_syzygy(q):
         # are in RREF on one window, so they are equal exactly when their
         # rows are.
         cover = hom_induced_map(alg.summands[j], lam, syz.blocks[j], q.blocks[j])
-        inside = _span_image(ws, ech_r, cover)
+        inside = span_image(ws, ech_r, cover)
         if not (inside and ech_r == ech_q):
             raise ClaimViolation("minimal cover is not surjective")
         syz.parts.append(kernel_window_module(cover)[0])

@@ -217,6 +217,20 @@ def test_atoms_take_one_member_test_each(monkeypatch):
     assert len(calls) == 1
 
 
+def test_chain_factors_take_no_second_member_test(monkeypatch):
+    # build_chain_tree splits End(m) by its atoms, whose e_T
+    # ``_branch_atoms`` has certified, so factor tests none of them again:
+    # loading the 14 data/rings and axes_16 and building their chain trees
+    # makes 90 Lattice.member calls (117 with each atom's e_T tested twice)
+    calls = []
+    real = Lattice.member
+    monkeypatch.setattr(Lattice, "member", lambda lat, v: calls.append(v) or real(lat, v))
+    paths = [os.path.join(CORPUS, n) for n in sorted(os.listdir(CORPUS))]
+    for path in paths + [os.path.join(GOLDEN, "large", "rings", "axes_16.json")]:
+        build_chain_tree(ringio.ring_from_json(ringio.load_json(path)))
+    assert len(paths) == 14 and len(calls) == 90
+
+
 def test_atom_without_its_idempotent_is_refused(monkeypatch):
     monkeypatch.setattr(Lattice, "member", lambda lat, v: False)
     with pytest.raises(ClaimViolation, match="idempotent"):

@@ -18,6 +18,7 @@ from endochain.endo import (
 )
 from endochain.errors import (
     CharacteristicTooSmall,
+    ClaimViolation,
     DuplicateSummand,
     MissingFreeSummand,
     NotIndecomposable,
@@ -429,6 +430,24 @@ def test_zero_gamma_lattice_is_refused_before_a_cover_step(monkeypatch):
     assert err.value.context == {"col_types": [1]}
 
 
+def test_rad_gens_refuses_images_outside_the_radical(monkeypatch):
+    # a hom_precompose scaled by t^-1 carries J o J out of J: rad_gens
+    # reads no lifts of such a cover and raises
+    from endochain import endo
+    from endochain.lattice import LatticeMap
+
+    real = endo.hom_precompose
+
+    def scaled(a, x, y, hom_src, hom_tgt):
+        f = real(a, x, y, hom_src, hom_tgt)
+        return LatticeMap(f.source, f.target, [[[e.shift(-1) for e in row] for row in m] for m in f.mats])
+
+    monkeypatch.setattr(endo, "hom_precompose", scaled)
+    with pytest.raises(ClaimViolation, match="J o J leaves J") as err:
+        family_algebra(semigroup_ring(QQ, [3, 5]))
+    assert any(entry.name == "rad_gens" for entry in err.traceback)
+
+
 def _corpus_ring(name):
     from endochain.verify import corpus
 
@@ -716,9 +735,9 @@ def test_nakayama_window_built_once(monkeypatch, tmp_path, name, field):
         spans.setdefault(id(goal), [goal, 0])[1] += 1
         return span_m(ws, ech, goal)
 
-    def recorded_covers(goal, parts, cut, minimal=False):
-        got = covers(goal, parts, cut, minimal)
-        calls.append((goal, parts, cut, minimal, got))
+    def recorded_covers(goal, parts, cut):
+        got = covers(goal, parts, cut)
+        calls.append((goal, parts, cut, got))
         return got
 
     monkeypatch.setattr(lattice, "_span_m", counted_span_m)
@@ -733,9 +752,9 @@ def test_nakayama_window_built_once(monkeypatch, tmp_path, name, field):
         assert out.getvalue() == f.read()
     # a window built before the run (a cached ring's lattices) adds no call
     assert any(isinstance(goal, Lattice) for goal, *_ in calls) and all(n == 1 for _, n in spans.values())
-    for goal, parts, cut, minimal, got in calls:
+    for goal, parts, cut, got in calls:
         cold = [LatticeMap(_cold(p.source), _cold(p.target), p.mats) if isinstance(p, LatticeMap) else _cold(p) for p in parts]
-        assert covers(_cold(goal), cold, cut, minimal) == got
+        assert covers(_cold(goal), cold, cut) == got
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(os.path.join(DATA, "rings"))))

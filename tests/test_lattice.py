@@ -39,17 +39,15 @@ from endochain.lattice import (
     raw_span,
     scalar_extension_test,
     solve_constrained_window,
-    valuation_floor,
     WindowSpace,
     _close,
     _operator,
     _row_map,
     _scalar_map,
-    _span_image,
 )
 from endochain.verify import generated_test_lattices, random_fractional_ideal
 from endochain.errors import ClaimViolation, NotAnOverring, NotASubmodule, NotDvrProduct, NotFullRank
-from oracle import sg_values, colon_values, ideal_values, sg_conductor, closure_maximal_ideal, composite, flatten, hom_apply, image_lattice, quotient_dimension, reference_dvr_triangularize, reference_solve
+from oracle import sg_values, colon_values, ideal_values, sg_conductor, closure_maximal_ideal, composite, flatten, hom_apply, image_lattice, quotient_dimension, reference_dvr_triangularize, reference_solve, span_image, valuation_floor
 
 
 T = LaurentPoly.monomial(QQ, 1)
@@ -776,7 +774,7 @@ def test_span_image_matches_closure_of_genset(case):
     # the drawn window and on one floored to the images' valuations
     f, ref, ws, rng = case
     ring, field = f.source.ring, ws.field
-    sws, rows = f.source.row_window()
+    sws, rows = f.source.window()[0], f.source.window()[1].rows
     image = _row_map(f.operator(), sws, ws)
     mixes = [field.clean({j: x * rng.randint(-3, 3) for r in rows for j, x in r.items()}) for _ in range(2)]
     for r in rows + mixes:
@@ -787,13 +785,13 @@ def test_span_image_matches_closure_of_genset(case):
     gens = [f.apply(g) for g in f.source.genset()]
     inside = all(ws.row_of(v) is not None for v in gens)
     ech = ws.echelon()
-    assert _span_image(ws, ech, f) == inside
+    assert span_image(ws, ech, f) == inside
     if inside:
         assert ech == raw_span(ring, ws.ambient, gens, [], ws.lo, ws.hi)[1]
     lo = valuation_floor(gens, ws.lo)
     floored = WindowSpace(field, ws.ambient, lo, ws.hi)
     ech = floored.echelon()
-    assert _span_image(floored, ech, f)
+    assert span_image(floored, ech, f)
     assert ech == raw_span(ring, ws.ambient, gens, [], lo, ws.hi)[1]
 
 
@@ -807,7 +805,7 @@ def test_span_image_below_the_window():
     image = _row_map(f.operator(), ws, ws)
     assert [image(r) is None for r in ech.rows] == [ws.row_of(f.apply(v)) is None for v in lat.rows]
     assert image(ech.rows[0]) is None
-    assert not _span_image(ws, ws.echelon(), f)
+    assert not span_image(ws, ws.echelon(), f)
     # terms below the window that cancel leave no support there: (1, 1)
     # goes to t^-1 - t^-1 = 0 under (t^-1, -t^-1): R^2 -> R
     src, _ = direct_sum([lat, lat])
@@ -844,6 +842,12 @@ def _maximal_ideal_covers(goal, parts, cut):
     return lifts, inside
 
 
+def _agrees(got, ref):
+    """``nakayama_covers`` against a reference route's (lifts, inside): the
+    same inside flag always, the same lifts when the parts are inside."""
+    return got == (ref if ref[1] else (None, False))
+
+
 def _random_map(rng, src, tgt):
     field = src.ring.field
     entries = {
@@ -862,7 +866,8 @@ def test_nakayama_covers_match_closure_route(name):
     # f(genset) and (g - g(0)) * genset, for every kind of part: none
     # (minimal generators), images of Hom elements and random maps
     # (surjectivity, some not inside), a kernel with its embedding and a
-    # non-exact multiple, and a Module; generator data is refused
+    # non-exact multiple, and a Module; generator data is refused; lifts
+    # are compared when the parts are inside (``_agrees``)
     ring = _corpus_ring(name)
     tree = build_chain_tree(ring)
     rng = random.Random(name)
@@ -888,7 +893,7 @@ def test_nakayama_covers_match_closure_route(name):
             cases.append((lat, [ring.maximal_ideal_lattice()], cut))
     assert any(_maximal_ideal_covers(*c)[1] is False for c in cases)
     for goal, parts, cut in cases:
-        assert nakayama_covers(goal, parts, cut) == _maximal_ideal_covers(goal, parts, cut)
+        assert _agrees(nakayama_covers(goal, parts, cut), _maximal_ideal_covers(goal, parts, cut))
     # an image is spanned from its source's rows only when they are a
     # Lattice's window basis; any other source is refused, and so is
     # generator data, which would need R-closure
@@ -902,12 +907,11 @@ def test_nakayama_covers_match_closure_route(name):
 
 @pytest.mark.parametrize("name", ["semigroup_3_5", "tacnode", "triple_point"])
 def test_nakayama_covers_image_routes_agree(name):
-    # an image part is spanned in full, or with minimal=True from its
-    # source's minimal generators (in full again when the parts are not
-    # inside): both routes give the closure route's lifts and inside flag,
-    # inside or not, with images below the goal's lo or not, and the
-    # minimal route gives the same whether or not the source's Nakayama
-    # window was built before the call; a key-equal copy builds its own
+    # an image part is spanned from its source's minimal generators: that
+    # gives the closure route's inside flag, and its lifts when inside,
+    # with images below the goal's lo or not, whether or not the source's
+    # Nakayama window was built before the call; a key-equal copy builds
+    # its own
     ring = _corpus_ring(name)
     rng = random.Random(name)
     lats = [ring.self_lattice, ring.maximal_ideal_lattice()]
@@ -922,12 +926,60 @@ def test_nakayama_covers_image_routes_agree(name):
                 minimal_generators(x)
                 cut = lat.nakayama_cut()
                 ref = _maximal_ideal_covers(lat, [f], cut)
-                assert nakayama_covers(lat, [f], cut) == ref
-                assert nakayama_covers(lat, [f], cut, minimal=True) == nakayama_covers(lat, [unknown], cut, minimal=True) == ref
+                assert _agrees(nakayama_covers(lat, [f], cut), ref)
+                assert nakayama_covers(lat, [unknown], cut) == nakayama_covers(lat, [f], cut)
                 assert fresh._nak is not x._nak and fresh._nak[3:] == x._nak[3:]
                 outside += not ref[1]
                 below += any(lat.ambient.branch_min_val(f.apply(v), 0) < min(lat.lo) for v in x.rows)
     assert 0 < outside < len(lats) ** 2 * 2 and below
+
+
+def test_nakayama_covers_parts_not_inside():
+    # a cover exists only when the parts lie in the goal: over R = <3,5>,
+    # t * 1 leaves R inside its window, t^-1 * 1 falls below it, and R as a
+    # Module part falls below m; each gives (None, False), and no
+    # surjection; the identity is inside with no lifts
+    ring = semigroup_ring(QQ, [3, 5])
+    lat, m = ring.self_lattice, ring.maximal_ideal_lattice()
+    for e in (1, -1):
+        f = LatticeMap(lat, lat, [[[LaurentPoly.monomial(QQ, e)]]])
+        assert nakayama_covers(lat, [f], lat.nakayama_cut()) == (None, False)
+        assert not is_surjective_onto(f)
+    assert nakayama_covers(m, [lat], m.nakayama_cut()) == (None, False)
+    assert nakayama_covers(lat, [LatticeMap.identity(lat)], lat.nakayama_cut()) == ([], True)
+
+
+def test_nakayama_covers_refuses_a_source_over_another_ring():
+    # C's generators over its own ring span f(C) modulo m * goal only over
+    # the goal's ring: a source over End(m) is refused, even where its
+    # image t^c * End(m) lies in the goal R
+    ring = semigroup_ring(QQ, [3, 5])
+    s1 = end_of_maximal_ideal(ring)
+    lat = ring.self_lattice
+    f = LatticeMap(s1.self_lattice, lat, [[[LaurentPoly.monomial(QQ, ring.conductor[0])]]])
+    with pytest.raises(ClaimViolation, match="another ring"):
+        nakayama_covers(lat, [f], lat.nakayama_cut())
+
+
+@pytest.mark.parametrize("name", ["semigroup_3_5", "tacnode", "triple_point"])
+def test_nakayama_covers_never_apply_a_map(name, monkeypatch):
+    # every image is read off its source's generator rows by the map's
+    # shift operator, on Lattice and kernel Module goals, inside or not:
+    # LatticeMap.apply is never called
+    ring = _corpus_ring(name)
+    rng = random.Random(name)
+    lats = [ring.self_lattice, ring.maximal_ideal_lattice()]
+    cases = []
+    for x in lats:
+        for lat in lats:
+            cases.append((lat, [_random_map(rng, x, lat)], lat.nakayama_cut()))
+            cases.append((lat, [hom_element_as_map(x, lat, g) for g in hom_lattice(x, lat).genset()[:2]], lat.nakayama_cut()))
+    f = _random_map(rng, direct_sum(lats)[0], lats[0])
+    ker, kcut = kernel_window_module(f)
+    cases.append((ker, [kernel_lattice(f)[1]], kcut))
+    monkeypatch.setattr(LatticeMap, "apply", lambda f, v: pytest.fail("LatticeMap.apply was called"))
+    got = [nakayama_covers(*c) for c in cases]
+    assert {inside for _, inside in got} == {True, False}
 
 
 _PLACED_RINGS = ("semigroup_2_3", "semigroup_3_5", "semigroup_3_4_5", "node", "cusp_line", "tacnode", "triple_point")
@@ -968,30 +1020,19 @@ def test_placed_span_matches_closure_route(name, field, data):
         lat.span(lo, [h - (i == c) for i, h in enumerate(lat.hi)])
 
 
-def _full_shift_covers(goal, parts, cut, minimal=False):
+def _full_shift_covers(goal, parts, cut):
     """The former m * goal of ``nakayama_covers``: every RREF row of the
-    goal's window span, its tail rows too, shifted by each g - g(0), and
-    the membership test of every parts row even with no parts."""
-    maps = [p for p in parts if isinstance(p, LatticeMap)]
-    mods = [p for p in parts if not isinstance(p, LatticeMap)]
-    lo = valuation_floor([v for p in mods for v in p.rows + tuple(v for _, v in p.cones)], goal.lo)
-    for f in maps:
-        lo = f.image_floor(lo)
-    ws, e_goal = Module.span(goal, lo, cut)
+    goal's window span, its tail rows too, shifted by each g - g(0), the
+    images spanned in full (``oracle.span_image``), and the membership test
+    of every parts row even with no parts."""
+    ws, e_goal = Module.span(goal, goal.lo, cut)
     e_parts = ws.echelon()
-    for p in mods:
-        _close(ws, e_parts, p.rows, p.cones)
-    if minimal:
-        _close(ws, e_parts, [f.apply(g) for f in maps for g in minimal_generators(f.source)])
-    for f in () if minimal else maps:
-        _span_image(ws, e_parts, f)
+    inside = all([span_image(ws, e_parts, p) if isinstance(p, LatticeMap) else _close(ws, e_parts, p.rows, p.cones) for p in parts])
     for per in goal.ring.maximal_ideal_terms():
         shift = _scalar_map(ws, per)
         for p in filter(None, map(shift, e_goal.rows)):
             e_parts.add(p)
-    inside = all(e_goal.contains(r) for r in e_parts.rows)
-    for f in maps if minimal and not inside else ():
-        _span_image(ws, e_parts, f)
+    inside = inside and all(e_goal.contains(r) for r in e_parts.rows)
     return [ws.vec_of(r) for r in e_goal.rows if e_parts.add(r)], inside
 
 
@@ -1000,15 +1041,14 @@ def _full_shift_covers(goal, parts, cut, minimal=False):
 def test_tail_cone_covers_match_full_shift(name, field, data):
     # m * goal from the goal's rows shifted by each g - g(0) and the cone
     # runs t^v_br F[[t]] v gives the lifts and inside flag of every window
-    # row shifted: no parts (minimal generators), a random map, a Hom
-    # element (spanned in full or from minimal generators), a Module part,
-    # and a kernel Module goal with its embedding
+    # row shifted and the images spanned in full (lifts when inside): no
+    # parts (minimal generators), a random map, a Hom element, a Module
+    # part, and a kernel Module goal with its embedding
     ring, lats = _placed_lattices(name, field)
     goal = data.draw(st.sampled_from(lats))
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     kind = data.draw(st.sampled_from(["none", "map", "hom", "module", "kernel"]))
     x = data.draw(st.sampled_from([lat for lat in lats if lat.ambient.nbranches() == goal.ambient.nbranches()]))
-    minimal = data.draw(st.booleans())
     cut = [c + data.draw(st.integers(0, 2)) for c in goal.nakayama_cut()]
     if kind == "none":
         parts = []
@@ -1022,9 +1062,7 @@ def test_tail_cone_covers_match_full_shift(name, field, data):
         f = _random_map(rng, direct_sum([goal, goal])[0], goal)
         goal, cut = kernel_window_module(f)
         parts = [kernel_lattice(f)[1]]
-    got = nakayama_covers(goal, parts, cut, minimal=minimal)
-    ref = _full_shift_covers(goal, parts, cut, minimal=minimal)
-    assert got == ref
+    assert _agrees(nakayama_covers(goal, parts, cut), _full_shift_covers(goal, parts, cut))
 
 
 def _constant_term_kernel(ring):

@@ -485,3 +485,12 @@ def test_certify_reads_the_isomorphism_verdict(monkeypatch):
     assert all(goal is not res.target for goal in calls)
     fresh = LatticeMap(res.maps[0].source, res.maps[0].target, res.maps[0].mats)
     assert fresh.onto is None and lattice.is_surjective_onto(fresh) and calls[-1] is res.target
+
+
+def test_free_cover_data_refuses_n1_outside_n():
+    # the lifts of N/(N1 + mN) mean nothing unless N1 lies in N: R is no
+    # part of m; m in R leaves one lift, R/m = F
+    r = semigroup_ring(QQ, [3, 5])
+    with pytest.raises(ClaimViolation, match="N1 leaves N"):
+        resolver._free_cover_data(r.maximal_ideal_lattice(), r.self_lattice)
+    assert len(resolver._free_cover_data(r.self_lattice, r.maximal_ideal_lattice())) == 1
