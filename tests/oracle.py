@@ -47,7 +47,7 @@ reference for that loop.
 ``lattice.nakayama_covers``: f(C) spanned from f of every row and cone of
 C, a Lattice or a Module, through ``LatticeMap.apply``, where the engine
 maps C's Nakayama generator rows only.  ``valuation_floor`` is the former
-window floor of its reference routes.
+floor of its window, which the tests' closure route still takes.
 
 ``reference_dvr_triangularize`` is the former valuation-pivot loop of
 ``lattice.dvr_triangularize``, which ran one more elimination round after

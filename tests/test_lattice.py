@@ -769,9 +769,10 @@ def _images(draw):
 @given(_images())
 def test_span_image_matches_closure_of_genset(case):
     # the row kernel equals row_of of the LaurentPoly image (None below lo
-    # included), the operators equal the composition route, and the image
-    # span equals the R-closure of f(genset) with the same inside flag, on
-    # the drawn window and on one floored to the images' valuations
+    # included), the operators equal the composition route, and the
+    # reference full-image span (``oracle.span_image``) equals the
+    # R-closure of f(genset) with the same inside flag, on the drawn window
+    # and on one floored to the images' valuations
     f, ref, ws, rng = case
     ring, field = f.source.ring, ws.field
     sws, rows = f.source.window()[0], f.source.window()[1].rows
@@ -797,7 +798,8 @@ def test_span_image_matches_closure_of_genset(case):
 
 def test_span_image_below_the_window():
     # t^-1 * identity on R carries 1 below R's window: the row kernel gives
-    # None there and the image span reports it, as row_of and the closure do
+    # None there and the reference image span reports it, as row_of and the
+    # closure do
     ring = _corpus_ring("semigroup_2_3")
     lat = ring.self_lattice
     f = LatticeMap(lat, lat, [[[LaurentPoly.monomial(QQ, -1)]]])
